@@ -91,6 +91,13 @@ pub fn solve_payload(
     res: &DecisionResult,
     include_wall: bool,
 ) -> String {
+    format!("\"file\":{file_json},{}", solve_fields(inst, res, include_wall))
+}
+
+/// The fields of [`solve_payload`] after `file`. They depend only on the
+/// instance and the result (certificates are re-verified here), so a
+/// caller holding a stored result can render them once and reuse them.
+pub fn solve_fields(inst: &PackingInstance, res: &DecisionResult, include_wall: bool) -> String {
     let (side, cert) = match &res.outcome {
         Outcome::Dual(d) => {
             let c = verify_dual(inst, d, 1e-8);
@@ -118,8 +125,7 @@ pub fn solve_payload(
         }
     };
     format!(
-        "\"file\":{},\"outcome\":{},\"certificate\":{},\"stats\":{}",
-        file_json,
+        "\"outcome\":{},\"certificate\":{},\"stats\":{}",
         json_str(side),
         cert,
         json_stats(&res.stats, include_wall),
@@ -133,6 +139,11 @@ pub fn optimize_payload(
     r: &PackingReport,
     include_wall: bool,
 ) -> String {
+    format!("\"file\":{file_json},{}", optimize_fields(inst, r, include_wall))
+}
+
+/// The fields of [`optimize_payload`] after `file` (see [`solve_fields`]).
+pub fn optimize_fields(inst: &PackingInstance, r: &PackingReport, include_wall: bool) -> String {
     let dual = match &r.best_dual {
         Some(d) => {
             let c = verify_dual(inst, d, 1e-8);
@@ -156,8 +167,7 @@ pub fn optimize_payload(
         })
         .collect();
     format!(
-        "\"file\":{},\"value_lower\":{},\"value_upper\":{},\"converged\":{},\"decision_calls\":{},\"total_iterations\":{},\"engine_evals\":{},\"replayed\":{},\"best_dual\":{},\"brackets\":[{}]",
-        file_json,
+        "\"value_lower\":{},\"value_upper\":{},\"converged\":{},\"decision_calls\":{},\"total_iterations\":{},\"engine_evals\":{},\"replayed\":{},\"best_dual\":{},\"brackets\":[{}]",
         json_f64(r.value_lower),
         json_f64(r.value_upper),
         r.converged,
@@ -177,6 +187,11 @@ pub fn mixed_payload(
     r: &MixedReport,
     include_wall: bool,
 ) -> String {
+    format!("\"file\":{file_json},{}", mixed_fields(inst, r, include_wall))
+}
+
+/// The fields of [`mixed_payload`] after `file` (see [`solve_fields`]).
+pub fn mixed_fields(inst: &MixedInstance, r: &MixedReport, include_wall: bool) -> String {
     let point = match &r.best_point {
         Some(p) => {
             let c = verify_mixed_feasible(inst, p, r.threshold_lower * (1.0 - 1e-9), 1e-7);
@@ -219,8 +234,7 @@ pub fn mixed_payload(
         })
         .collect();
     format!(
-        "\"file\":{},\"threshold_lower\":{},\"threshold_upper\":{},\"converged\":{},\"decision_calls\":{},\"total_iterations\":{},\"engine_evals\":{},\"pruned_max\":{},\"best_point\":{},\"infeasibility\":{},\"brackets\":[{}]",
-        file_json,
+        "\"threshold_lower\":{},\"threshold_upper\":{},\"converged\":{},\"decision_calls\":{},\"total_iterations\":{},\"engine_evals\":{},\"pruned_max\":{},\"best_point\":{},\"infeasibility\":{},\"brackets\":[{}]",
         json_f64(r.threshold_lower),
         json_f64(r.threshold_upper),
         r.converged,

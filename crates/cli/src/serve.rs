@@ -39,7 +39,7 @@
 
 use crate::args::Args;
 use crate::commands::{format_of, Format};
-use crate::jsonfmt::{json_str, mixed_payload, optimize_payload, solve_payload};
+use crate::jsonfmt::{json_str, mixed_fields, optimize_fields, solve_fields};
 use psdp_core::{
     fnv1a, is_binary_instance, mixed_content_hash, packing_content_hash, read_instance,
     read_instance_bin, read_mixed_instance, read_mixed_instance_bin, ApproxOptions, ConstantsMode,
@@ -47,8 +47,9 @@ use psdp_core::{
 };
 use psdp_serve::json::{parse, JsonValue};
 use psdp_serve::{
-    BatchReport, FairMux, Scheduler, SchedulerOptions, ServeRequest, ServeResponse, ServeResult,
-    ServeStats, Service, ServiceOptions, ServiceReport, StreamItem, StreamOutcome,
+    BatchReport, FairMux, InstancePayload, MemoKey, Scheduler, SchedulerOptions, ServeRequest,
+    ServeResponse, ServeResult, ServeStats, Service, ServiceOptions, ServiceReport, StreamItem,
+    StreamOutcome,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, Write};
@@ -178,16 +179,23 @@ pub fn serve_on_input(args: &Args, input: &str) -> Result<ServeRun, String> {
         }
     }
 
-    let requests: Vec<ServeRequest> = parsed.iter().map(|p| p.request.clone()).collect();
-    let mut scheduler = Scheduler::new(SchedulerOptions {
-        max_in_flight,
-        cache_enabled,
-        ..SchedulerOptions::default()
-    });
-    let output = scheduler.run_batch(&requests).map_err(|e| e.to_string())?;
+    let opts = SchedulerOptions { max_in_flight, cache_enabled, ..SchedulerOptions::default() };
+    run_one_shot(&lines, &parsed, opts)
+}
 
+/// Run the parsed batch through one scheduler and render every line in
+/// input order, replaying the rendered fields of stored memo results.
+fn run_one_shot(
+    lines: &[Line],
+    parsed: &[ParsedLine],
+    opts: SchedulerOptions,
+) -> Result<ServeRun, String> {
+    let requests: Vec<ServeRequest> = parsed.iter().map(|p| p.request.clone()).collect();
+    let output = Scheduler::new(opts).run_batch(&requests).map_err(|e| e.to_string())?;
+
+    let mut replay = RenderReplay::default();
     let mut stdout = String::new();
-    for line in &lines {
+    for line in lines {
         match line {
             Line::Error { id, msg } => {
                 let id_json = match id {
@@ -197,7 +205,9 @@ pub fn serve_on_input(args: &Args, input: &str) -> Result<ServeRun, String> {
                 stdout.push_str(&format!("{{\"id\":{id_json},\"error\":{}}}\n", json_str(msg)));
             }
             Line::Request(i) => match (parsed.get(*i), output.responses.get(*i)) {
-                (Some(p), Some(resp)) => stdout.push_str(&render_response(p, resp)),
+                (Some(p), Some(resp)) => {
+                    stdout.push_str(&render_response(p, resp, Some(&mut replay)))
+                }
                 // Indices are constructed in lockstep with the batch; if
                 // that invariant ever breaks, emit an error line in place
                 // rather than panicking mid-stream.
@@ -812,7 +822,7 @@ fn render_outcome(ctx: &LineCtx, outcome: &StreamOutcome) -> String {
         }
         StreamOutcome::Overloaded { id, shard } => crate::jsonfmt::overloaded_line(id, *shard),
         StreamOutcome::Response(resp) => match ctx {
-            LineCtx::Request(p) => render_response(p, resp),
+            LineCtx::Request(p) => render_response(p, resp, None),
             LineCtx::Error { id_json } => {
                 internal_error_line(id_json, "response without request context")
             }
@@ -968,44 +978,69 @@ fn internal_error_line(id_json: &str, msg: &str) -> String {
     format!("{{\"id\":{id_json},\"error\":{}}}\n", json_str(&format!("{msg} (internal)")))
 }
 
+/// Rendered result fields of stored memo results, keyed by memo identity,
+/// for one one-shot run. Each stored result is rendered (and its
+/// certificates verified) once; every later memo hit replays the bytes.
+/// Sound because the key names one immutable stored result and a hit's
+/// instance is bitwise equal to the one it was computed for (see
+/// [`MemoKey`]); request parameters would not do, since a request whose
+/// memo was full is recomputed and may continue from another bracket.
+#[derive(Default)]
+struct RenderReplay(BTreeMap<MemoKey, ResultFields>);
+
+/// `(command, fields after "file")` of a successful result, or the
+/// internal error its (impossible) family mismatch renders as.
+type ResultFields = Result<(&'static str, String), &'static str>;
+
 /// Render one response line (reusing the one-shot `--json` schemas; see
-/// the module docs for the determinism contract). Family mismatches
-/// between result and payload cannot happen by construction, but render as
+/// the module docs for the determinism contract). With `replay`, the
+/// result fields of a stored memo result are rendered once and reused;
+/// without it every line renders from scratch. Family mismatches between
+/// result and payload cannot happen by construction, but render as
 /// in-place error lines rather than panics if they ever do.
-fn render_response(p: &ParsedLine, resp: &ServeResponse) -> String {
+fn render_response(
+    p: &ParsedLine,
+    resp: &ServeResponse,
+    replay: Option<&mut RenderReplay>,
+) -> String {
     let id_json = json_str(&resp.id);
-    match &resp.result {
-        Err(msg) => format!("{{\"id\":{id_json},\"error\":{}}}\n", json_str(msg)),
-        Ok(ServeResult::Decision(d)) => {
-            let psdp_serve::InstancePayload::Packing(inst) = &p.request.payload else {
-                return internal_error_line(&id_json, "decision result with mixed payload");
-            };
-            format!(
-                "{{\"id\":{id_json},\"command\":\"solve\",{},\"serve\":{}}}\n",
-                solve_payload(&p.file_json, inst, d, false),
-                serve_stats_json(&resp.stats),
-            )
+    let res = match &resp.result {
+        Err(msg) => return format!("{{\"id\":{id_json},\"error\":{}}}\n", json_str(msg)),
+        Ok(res) => res,
+    };
+    let fresh;
+    let fields = match (replay, resp.stats.memo) {
+        (Some(replay), Some(key)) => {
+            &*replay.0.entry(key).or_insert_with(|| result_fields(&p.request.payload, res))
         }
-        Ok(ServeResult::Optimize(r)) => {
-            let psdp_serve::InstancePayload::Packing(inst) = &p.request.payload else {
-                return internal_error_line(&id_json, "optimize result with mixed payload");
-            };
-            format!(
-                "{{\"id\":{id_json},\"command\":\"optimize\",{},\"serve\":{}}}\n",
-                optimize_payload(&p.file_json, inst, r, false),
-                serve_stats_json(&resp.stats),
-            )
+        _ => {
+            fresh = result_fields(&p.request.payload, res);
+            &fresh
         }
-        Ok(ServeResult::Mixed(r)) => {
-            let psdp_serve::InstancePayload::Mixed(inst) = &p.request.payload else {
-                return internal_error_line(&id_json, "mixed result with packing payload");
-            };
-            format!(
-                "{{\"id\":{id_json},\"command\":\"mixed\",{},\"serve\":{}}}\n",
-                mixed_payload(&p.file_json, inst, r, false),
-                serve_stats_json(&resp.stats),
-            )
+    };
+    match fields {
+        Ok((command, fields)) => format!(
+            "{{\"id\":{id_json},\"command\":\"{command}\",\"file\":{},{fields},\"serve\":{}}}\n",
+            p.file_json,
+            serve_stats_json(&resp.stats),
+        ),
+        Err(msg) => internal_error_line(&id_json, msg),
+    }
+}
+
+/// The command name and `jsonfmt` fields of one result over its payload.
+fn result_fields(payload: &InstancePayload, res: &ServeResult) -> ResultFields {
+    match (res, payload) {
+        (ServeResult::Decision(d), InstancePayload::Packing(inst)) => {
+            Ok(("solve", solve_fields(inst, d, false)))
         }
+        (ServeResult::Optimize(r), InstancePayload::Packing(inst)) => {
+            Ok(("optimize", optimize_fields(inst, r, false)))
+        }
+        (ServeResult::Mixed(r), InstancePayload::Mixed(inst)) => {
+            Ok(("mixed", mixed_fields(inst, r, false)))
+        }
+        _ => Err("result family does not match its payload"),
     }
 }
 
@@ -1392,6 +1427,87 @@ mod tests {
         assert_eq!(strip(&a.stdout), strip(&cold.stdout));
         assert!(a.stdout.contains("\"memoized\":true"), "{}", a.stdout);
         assert!(!cold.stdout.contains("\"memoized\":true"), "{}", cold.stdout);
+    }
+
+    /// Parse `input` as the one-shot path does, run it with `opts`, and
+    /// check every line of the replaying renderer against a from-scratch
+    /// render of the same scheduler output. Returns the lines.
+    fn replay_matches_uncached(input: &str, opts: SchedulerOptions) -> Vec<String> {
+        let (mut packs, mut mixeds) = (BTreeMap::new(), BTreeMap::new());
+        let parsed: Vec<ParsedLine> = input
+            .lines()
+            .map(|l| parse_request_line(l, Format::Auto, &mut packs, &mut mixeds).unwrap())
+            .collect();
+        let lines: Vec<Line> = (0..parsed.len()).map(Line::Request).collect();
+        let replayed = run_one_shot(&lines, &parsed, opts).unwrap().stdout;
+        let requests: Vec<ServeRequest> = parsed.iter().map(|p| p.request.clone()).collect();
+        let out = Scheduler::new(opts).run_batch(&requests).unwrap();
+        let uncached: String =
+            parsed.iter().zip(&out.responses).map(|(p, r)| render_response(p, r, None)).collect();
+        assert_eq!(replayed, uncached, "replayed bytes differ from a fresh render");
+        replayed.lines().map(str::to_string).collect()
+    }
+
+    /// The result fields of a line: everything between `file` and `serve`.
+    fn fields_of(line: &str) -> &str {
+        let from = line.find(",\"file\":").unwrap();
+        let to = line.rfind(",\"serve\":").unwrap();
+        &line[from..to]
+    }
+
+    #[test]
+    fn memo_replay_renders_the_same_bytes() {
+        let inst = PackingInstance::new(vec![
+            PsdMatrix::Diagonal(vec![2.0, 0.0, 1.0]),
+            PsdMatrix::Diagonal(vec![0.0, 4.0, 1.0]),
+            PsdMatrix::Diagonal(vec![1.0, 1.0, 3.0]),
+        ])
+        .unwrap();
+        let path =
+            std::env::temp_dir().join(format!("psdp-serve-replay-{}.psdp", std::process::id()));
+        std::fs::write(&path, write_instance(&inst)).unwrap();
+        let file = crate::jsonfmt::json_str(&path.to_string_lossy());
+        let text = write_instance(&inst).replace('\n', "\\n");
+        // Repeats of each request, some naming the instance by file: a hit
+        // replays the stored fields under its own id, file and telemetry.
+        let input = format!(
+            "{{\"id\":\"a1\",\"command\":\"optimize\",\"instance\":\"{text}\",\"eps\":0.2}}\n\
+             {{\"id\":\"a2\",\"command\":\"optimize\",\"file\":{file},\"eps\":0.2}}\n\
+             {{\"id\":\"a3\",\"command\":\"optimize\",\"instance\":\"{text}\",\"eps\":0.2}}\n\
+             {{\"id\":\"b1\",\"command\":\"solve\",\"file\":{file},\"threshold\":0.5}}\n\
+             {{\"id\":\"b2\",\"command\":\"solve\",\"instance\":\"{text}\",\"threshold\":0.5}}\n\
+             {{\"id\":\"c1\",\"command\":\"solve\",\"instance\":\"{text}\",\"threshold\":3.0}}\n\
+             {{\"id\":\"c2\",\"command\":\"solve\",\"file\":{file},\"threshold\":3.0}}\n"
+        );
+        let lines = replay_matches_uncached(&input, SchedulerOptions::default());
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(lines.iter().filter(|l| l.contains("\"memoized\":true")).count(), 4);
+        assert!(lines[1].contains(&format!("\"file\":{file},")), "{}", lines[1]);
+        assert!(lines[0].contains("\"file\":null,"), "{}", lines[0]);
+        assert_eq!(
+            fields_of(&lines[0]).strip_prefix(",\"file\":null"),
+            fields_of(&lines[1]).strip_prefix(&format!(",\"file\":{file}")),
+        );
+    }
+
+    #[test]
+    fn full_memo_recomputes_instead_of_replaying_by_parameters() {
+        let text = inline_packing();
+        // With one memo slot, `a` is stored and everything else is solved.
+        // `c` continues from `a`'s bracket. `d` repeats `c`'s parameters, so
+        // no bracket is injected and it bisects from scratch: a different
+        // result under the same parameters.
+        let input = format!(
+            "{{\"id\":\"a\",\"command\":\"optimize\",\"instance\":\"{text}\",\"eps\":0.1}}\n\
+             {{\"id\":\"b\",\"command\":\"solve\",\"instance\":\"{text}\",\"threshold\":0.5}}\n\
+             {{\"id\":\"c\",\"command\":\"optimize\",\"instance\":\"{text}\",\"eps\":0.3}}\n\
+             {{\"id\":\"d\",\"command\":\"optimize\",\"instance\":\"{text}\",\"eps\":0.3}}\n"
+        );
+        let opts = SchedulerOptions { memo_per_entry: 1, ..SchedulerOptions::default() };
+        let lines = replay_matches_uncached(&input, opts);
+        assert!(!lines.iter().any(|l| l.contains("\"memoized\":true")), "{lines:?}");
+        assert!(lines[2].contains("\"bracket_injected\":true"), "{}", lines[2]);
+        assert_ne!(fields_of(&lines[2]), fields_of(&lines[3]), "equal parameters, new result");
     }
 
     #[test]

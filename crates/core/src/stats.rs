@@ -25,7 +25,8 @@ pub struct SolveStats {
     pub iteration_cap: usize,
     /// Sum of analytic engine costs (work–depth model, Corollary 1.2).
     pub cost: Cost,
-    /// Engine name (`exact` / `taylor` / `taylor+jl`).
+    /// Engine name: the resolved kind's `EngineKind::name` (`exact` /
+    /// `taylor` / `taylor+jl` / `expv`; `Auto` resolves before solving).
     pub engine: &'static str,
     /// Mean number of coordinates stepped per iteration.
     pub avg_selected: f64,

@@ -111,7 +111,7 @@ impl std::error::Error for JsonError {}
 /// # Errors
 /// A positioned [`JsonError`] on any malformed input.
 pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
@@ -122,6 +122,7 @@ pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -290,13 +291,17 @@ impl<'a> Parser<'a> {
                     return Err(self.err("raw control character in string"));
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so boundaries
-                    // are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = rest.chars().next().ok_or_else(|| self.err("unterminated string"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the whole run up to the next quote, backslash or
+                    // control byte in one go. Those stop bytes are ASCII, so
+                    // both ends of the run are char boundaries of the `&str`
+                    // input: one linear scan, no UTF-8 re-validation.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                        self.pos += 1;
+                    }
+                    let run =
+                        self.text.get(start..self.pos).ok_or_else(|| self.err("invalid utf-8"))?;
+                    out.push_str(run);
                 }
             }
         }

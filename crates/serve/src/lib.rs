@@ -51,7 +51,7 @@ pub mod snapshot;
 pub mod telemetry;
 pub mod transport;
 
-pub use cache::SolverCache;
+pub use cache::{MemoKey, SolverCache};
 pub use request::{InstancePayload, RequestKind, ServeRequest};
 pub use scheduler::{
     BatchOutput, BatchReport, Scheduler, SchedulerOptions, ServeError, ServeResponse, ServeResult,
@@ -394,6 +394,53 @@ mod tests {
         };
         assert_eq!(digest(1), digest(4));
         assert_eq!(digest(1), digest(0));
+    }
+
+    /// Idle workers claim groups, so the heavy group (first in canonical
+    /// order) finishes last. Outcomes must still re-enter the cache in
+    /// canonical order: with room for two fingerprints, the next batch
+    /// finds exactly the last two canonical groups prepared, at every
+    /// in-flight bound.
+    #[test]
+    fn claimed_groups_reenter_the_cache_in_canonical_order() {
+        let mut insts: Vec<(u64, Arc<PackingInstance>)> = (0..4)
+            .map(|i| {
+                let d = 1.0 + i as f64;
+                let inst = diag_inst(&[&[d, 0.0, 0.5], &[0.0, 2.0 * d, 0.5], &[0.5, 0.5, d]]);
+                let probe =
+                    ServeRequest::optimize("p", Arc::clone(&inst), ApproxOptions::serving(0.1));
+                (cache::prep_hash(&probe), inst)
+            })
+            .collect();
+        insts.sort_by_key(|(h, _)| *h);
+        let mut first = Vec::new();
+        for (j, eps) in [0.05, 0.08, 0.12].iter().enumerate() {
+            let opts = ApproxOptions::serving(*eps);
+            first.push(ServeRequest::optimize(format!("heavy{j}"), Arc::clone(&insts[0].1), opts));
+        }
+        for (k, (_, inst)) in insts.iter().enumerate().skip(1) {
+            let opts = DecisionOptions::practical(0.3);
+            first.push(ServeRequest::decision(format!("light{k}"), Arc::clone(inst), 1.0, opts));
+        }
+        let second: Vec<ServeRequest> = insts
+            .iter()
+            .enumerate()
+            .map(|(k, (_, inst))| {
+                let opts = DecisionOptions::practical(0.25);
+                ServeRequest::decision(format!("again{k}"), Arc::clone(inst), 1.0, opts)
+            })
+            .collect();
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        for max_in_flight in [1, 2, 4] {
+            let opts = SchedulerOptions { max_in_flight, max_entries: 2, ..Default::default() };
+            let mut sched = Scheduler::new(opts);
+            let reused: Vec<bool> = pool.install(|| {
+                sched.run_batch(&first).unwrap();
+                let out = sched.run_batch(&second).unwrap();
+                out.responses.iter().map(|r| r.stats.prep_reused).collect()
+            });
+            assert_eq!(reused, [false, false, true, true], "max_in_flight {max_in_flight}");
+        }
     }
 
     #[test]

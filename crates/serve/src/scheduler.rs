@@ -8,18 +8,25 @@
 //! so a 64-bit collision can only split a group, never merge two):
 //! requests over the same instance with the same engine kind and seed
 //! share one prepared solver and one session.
-//! Groups run concurrently over the shared rayon pool, bounded by
-//! [`SchedulerOptions::max_in_flight`]; within a group requests run
-//! sequentially **in request-id order**, so which request pays the cold
-//! costs — and every response byte — is a function of the batch's
-//! *contents*, never of submission order or pool width. Responses are
-//! returned in submission order (each carries its id).
+//! Groups are queued in canonical (prep-hash) order and **claimed**: up to
+//! [`SchedulerOptions::max_in_flight`] workers (capped by the rayon pool
+//! width) each take the next unclaimed group whenever they go idle, so one
+//! heavy group occupies one worker while the others drain the rest.
+//! Outcomes are put back in canonical order before cached entries are
+//! re-inserted. Within a group requests run sequentially **in request-id
+//! order**, so which request pays the cold costs — and every response
+//! byte — is a function of the batch's *contents*, never of submission
+//! order, pool width, or which worker ran a group. Responses are returned
+//! in submission order (each carries its id).
 //!
 //! ## Reuse tiers
 //!
 //! 1. **Result memoization** — a request byte-identical to one already
 //!    served on this fingerprint returns the stored result. The whole
-//!    pipeline is deterministic, so this is exact, not approximate.
+//!    pipeline is deterministic, so this is exact, not approximate. The
+//!    response carries the stored entry's [`MemoKey`] in
+//!    [`ServeStats::memo`], so a front end can render the result once and
+//!    replay the bytes for later hits (`psdp serve` does).
 //! 2. **Prepared-state reuse** — constraint factorizations, `Auto` engine
 //!    resolution, and per-constraint scalars are built once per
 //!    fingerprint and shared via [`psdp_core::SolverBuilder::build_with_engine`].
@@ -32,8 +39,12 @@
 //! See `DESIGN.md` §10 for the soundness argument (what the fingerprint
 //! must cover so a cache hit can never change a verdict).
 
-use crate::cache::{params_key, prep_engine_of, prep_hash, CacheEntry, MemoEntry, Prepared};
+use crate::cache::{
+    memo_lookup, memo_store, params_key, prep_engine_of, prep_hash, CacheEntry, MemoEntry, MemoKey,
+    Prepared,
+};
 use crate::request::{InstancePayload, RequestKind, ServeRequest};
+use parking_lot::Mutex;
 use psdp_core::{
     DecisionOptions, DecisionResult, MixedInstance, MixedOptions, MixedReport, MixedSolver,
     PackingReport, Solver,
@@ -100,10 +111,11 @@ pub enum ServeResult {
 }
 
 /// Per-request serving telemetry. Only the wall-clock fields
-/// ([`ServeStats::queue_wait`], [`ServeStats::service`]) are
-/// non-deterministic; everything else is a pure function of the batch
-/// contents (and prior batches on this scheduler), which is what lets the
-/// determinism suite compare response streams bitwise.
+/// ([`ServeStats::queue_wait`], [`ServeStats::service`]) and the opaque
+/// [`ServeStats::memo`] identity are non-deterministic; everything else is
+/// a pure function of the batch contents (and prior batches on this
+/// scheduler), which is what lets the determinism suite compare response
+/// streams bitwise.
 #[derive(Debug, Clone, Default)]
 pub struct ServeStats {
     /// Time from batch start until this request began executing (queue
@@ -123,6 +135,11 @@ pub struct ServeStats {
     pub engine_evals: usize,
     /// Rounds replayed from the shared session's trajectory cache.
     pub replayed: usize,
+    /// The stored memo entry this response's result equals: set on memo
+    /// hits and on the request whose result was stored, `None` when the
+    /// result was not stored (memo full, error). An identity for replaying
+    /// work derived from the result, never rendered; see [`MemoKey`].
+    pub memo: Option<MemoKey>,
 }
 
 impl ServeStats {
@@ -312,7 +329,7 @@ impl Scheduler {
             }
         }
 
-        // Bounded in-flight concurrency over the shared pool.
+        // Bounded in-flight concurrency: `budget` workers claim groups.
         let width = rayon::current_num_threads();
         let budget = if self.opts.max_in_flight == 0 {
             width
@@ -321,25 +338,9 @@ impl Scheduler {
         };
         let memo_cap = self.opts.memo_per_entry;
         let keep_entries = self.opts.cache_enabled;
-        let work_now: Vec<GroupWork<'_>> = std::mem::take(&mut work);
-        let group_count = work_now.len();
-        // Concurrency never changes results, so if pool construction fails
-        // (resource exhaustion), degrade to sequential execution instead of
-        // panicking mid-batch.
-        let outcomes: Vec<GroupOutcome> =
-            match rayon::ThreadPoolBuilder::new().num_threads(budget).build() {
-                Ok(pool) => pool.install(|| {
-                    use rayon::prelude::*;
-                    work_now
-                        .into_par_iter()
-                        .map(|w| process_group(w, memo_cap, keep_entries, batch_start))
-                        .collect()
-                }),
-                Err(_) => work_now
-                    .into_iter()
-                    .map(|w| process_group(w, memo_cap, keep_entries, batch_start))
-                    .collect(),
-            };
+        let group_count = work.len();
+        let outcomes =
+            run_claimed(work, budget, |w| process_group(w, memo_cap, keep_entries, batch_start));
 
         // Re-insert surviving entries in canonical group order.
         let mut prep_builds = 0usize;
@@ -409,6 +410,64 @@ impl Scheduler {
             report.queue_hist.record(s.queue_wait);
         }
         Ok(BatchOutput { responses, report })
+    }
+}
+
+/// Run every group on at most `budget` workers. Each worker claims the
+/// next unclaimed group from one shared queue (canonical order), so a heavy
+/// group ties up one worker while the others drain the rest, instead of
+/// each worker owning a fixed contiguous share. Outcomes come back in queue
+/// order whichever worker ran them, so everything downstream (cache
+/// re-insert, response assembly) is independent of the interleaving.
+///
+/// Inside a worker, nested parallel calls run sequentially (a budget-1
+/// install, as a pool worker would), keeping the thread count at `budget`.
+/// With a single worker, everything runs on the calling thread under the
+/// full `budget`, so a lone group's solver still gets the pool.
+fn run_claimed<'r>(
+    work: Vec<GroupWork<'r>>,
+    budget: usize,
+    run: impl Fn(GroupWork<'r>) -> GroupOutcome + Sync,
+) -> Vec<GroupOutcome> {
+    let workers = budget.min(work.len());
+    if workers <= 1 {
+        return with_budget(budget, || work.into_iter().map(run).collect());
+    }
+    let slots = work.len();
+    let queue = Mutex::new(work.into_iter().enumerate());
+    let done: Mutex<Vec<(usize, GroupOutcome)>> = Mutex::new(Vec::with_capacity(slots));
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    with_budget(1, || loop {
+                        let claimed = queue.lock().next();
+                        let Some((slot, w)) = claimed else { break };
+                        let outcome = run(w);
+                        done.lock().push((slot, outcome));
+                    })
+                })
+            })
+            .collect();
+        // A worker that panicked loses only the group it was running: the
+        // batch assembler answers that group's requests with internal
+        // errors.
+        for h in handles {
+            let _ = h.join();
+        }
+    });
+    let mut done = done.into_inner();
+    done.sort_by_key(|(slot, _)| *slot);
+    done.into_iter().map(|(_, outcome)| outcome).collect()
+}
+
+/// Run `f` under a `threads`-wide parallelism budget. Concurrency never
+/// changes results, so if pool construction fails (resource exhaustion),
+/// run unbudgeted instead of panicking mid-batch.
+fn with_budget<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    match rayon::ThreadPoolBuilder::new().num_threads(threads).build() {
+        Ok(pool) => pool.install(f),
+        Err(_) => f(),
     }
 }
 
@@ -501,48 +560,46 @@ fn process_packing_group(
             prep_reused: !(prep_built && pos == 0),
             ..ServeStats::default()
         };
-        let result: Result<ServeResult, String> =
-            if let Some(hit) = memo.iter().find(|m| m.params == *params) {
-                stats.memoized = true;
-                Ok(hit.result.clone())
-            } else {
-                let run = match &req.kind {
-                    RequestKind::Decision { threshold, opts } => session
-                        .solve_with(*threshold, opts)
-                        .map(ServeResult::Decision)
-                        .map_err(|e| e.to_string()),
-                    RequestKind::Optimize { opts } => {
-                        let mut o = *opts;
-                        if let Some((prior_params, lo, hi)) = &bracket {
-                            if prior_params != params {
-                                // Perturbed resubmission: continue from the
-                                // prior certified bracket (tier 3).
-                                o.initial_bracket = Some(match o.initial_bracket {
-                                    Some((l, h)) => (l.max(*lo), h.min(*hi)),
-                                    None => (*lo, *hi),
-                                });
-                                stats.bracket_injected = true;
-                            }
+        let result: Result<ServeResult, String> = if let Some(hit) = memo_lookup(&memo, params) {
+            stats.memoized = true;
+            stats.memo = Some(hit.key);
+            Ok(hit.result.clone())
+        } else {
+            let run = match &req.kind {
+                RequestKind::Decision { threshold, opts } => session
+                    .solve_with(*threshold, opts)
+                    .map(ServeResult::Decision)
+                    .map_err(|e| e.to_string()),
+                RequestKind::Optimize { opts } => {
+                    let mut o = *opts;
+                    if let Some((prior_params, lo, hi)) = &bracket {
+                        if prior_params != params {
+                            // Perturbed resubmission: continue from the
+                            // prior certified bracket (tier 3).
+                            o.initial_bracket = Some(match o.initial_bracket {
+                                Some((l, h)) => (l.max(*lo), h.min(*hi)),
+                                None => (*lo, *hi),
+                            });
+                            stats.bracket_injected = true;
                         }
-                        session
-                            .optimize(&o)
-                            .map(|r| {
-                                bracket = Some((params.clone(), r.value_lower, r.value_upper));
-                                ServeResult::Optimize(r)
-                            })
-                            .map_err(|e| e.to_string())
                     }
-                    RequestKind::Mixed { .. } => {
-                        Err("mixed request routed to a packing group (internal)".to_string())
-                    }
-                };
-                if let Ok(res) = &run {
-                    if memo.len() < memo_cap {
-                        memo.push(MemoEntry { params: params.clone(), result: res.clone() });
-                    }
+                    session
+                        .optimize(&o)
+                        .map(|r| {
+                            bracket = Some((params.clone(), r.value_lower, r.value_upper));
+                            ServeResult::Optimize(r)
+                        })
+                        .map_err(|e| e.to_string())
                 }
-                run
+                RequestKind::Mixed { .. } => {
+                    Err("mixed request routed to a packing group (internal)".to_string())
+                }
             };
+            if let Ok(res) = &run {
+                stats.memo = memo_store(&mut memo, memo_cap, params, res);
+            }
+            run
+        };
         if let Ok(res) = &result {
             let (evals, replayed) = match res {
                 ServeResult::Decision(d) if !stats.memoized => {
@@ -632,24 +689,22 @@ fn process_mixed_group(
             prep_reused: !(prep_built && pos == 0),
             ..ServeStats::default()
         };
-        let result: Result<ServeResult, String> =
-            if let Some(hit) = memo.iter().find(|m| m.params == *params) {
-                stats.memoized = true;
-                Ok(hit.result.clone())
-            } else {
-                let run = match &req.kind {
-                    RequestKind::Mixed { opts } => {
-                        session.optimize(opts).map(ServeResult::Mixed).map_err(|e| e.to_string())
-                    }
-                    _ => Err("packing request routed to a mixed group (internal)".to_string()),
-                };
-                if let Ok(res) = &run {
-                    if memo.len() < memo_cap {
-                        memo.push(MemoEntry { params: params.clone(), result: res.clone() });
-                    }
+        let result: Result<ServeResult, String> = if let Some(hit) = memo_lookup(&memo, params) {
+            stats.memoized = true;
+            stats.memo = Some(hit.key);
+            Ok(hit.result.clone())
+        } else {
+            let run = match &req.kind {
+                RequestKind::Mixed { opts } => {
+                    session.optimize(opts).map(ServeResult::Mixed).map_err(|e| e.to_string())
                 }
-                run
+                _ => Err("packing request routed to a mixed group (internal)".to_string()),
             };
+            if let Ok(res) = &run {
+                stats.memo = memo_store(&mut memo, memo_cap, params, res);
+            }
+            run
+        };
         if let Ok(ServeResult::Mixed(r)) = &result {
             if !stats.memoized {
                 stats.engine_evals = r.total_engine_evals;

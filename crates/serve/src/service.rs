@@ -58,7 +58,9 @@
 //! reproducible, which `tests/determinism.rs` pins across pools {1, 4} ×
 //! shard counts {1, 4} and snapshot cold/warm starts.
 
-use crate::cache::{params_key, prep_engine_of, prep_hash, CacheEntry, MemoEntry, Prepared};
+use crate::cache::{
+    memo_lookup, memo_store, params_key, prep_engine_of, prep_hash, CacheEntry, Prepared,
+};
 use crate::request::{InstancePayload, RequestKind, ServeRequest};
 use crate::scheduler::{ServeResponse, ServeResult, ServeStats};
 use crate::shard::ShardedCache;
@@ -594,11 +596,6 @@ fn execute_request(
     (result, stats, prep_built)
 }
 
-/// Memo lookup shared by both families.
-fn memo_hit(memo: &[MemoEntry], params: &str) -> Option<ServeResult> {
-    memo.iter().find(|m| m.params == params).map(|m| m.result.clone())
-}
-
 #[allow(clippy::type_complexity)]
 fn run_packing_request(
     req: &ServeRequest,
@@ -637,8 +634,10 @@ fn run_packing_request(
     let mut stats = ServeStats { prep_reused: !prep_built, ..ServeStats::default() };
 
     // Tier 1 first: a memo hit pays neither solver assembly nor a solve.
-    if let Some(hit) = memo_hit(&memo, params) {
+    if let Some(m) = memo_lookup(&memo, params) {
+        let hit = m.result.clone();
         stats.memoized = true;
+        stats.memo = Some(m.key);
         let entry = CacheEntry {
             hash,
             engine_kind,
@@ -715,9 +714,7 @@ fn run_packing_request(
         };
         stats.engine_evals = evals;
         stats.replayed = replayed;
-        if memo.len() < memo_cap {
-            memo.push(MemoEntry { params: params.to_string(), result: res.clone() });
-        }
+        stats.memo = memo_store(&mut memo, memo_cap, params, res);
     }
     let engine = solver.engine_handle();
     drop(session);
@@ -772,8 +769,10 @@ fn run_mixed_request(
     let prep_built = prior_engines.is_none();
     let mut stats = ServeStats { prep_reused: !prep_built, ..ServeStats::default() };
 
-    if let Some(hit) = memo_hit(&memo, params) {
+    if let Some(m) = memo_lookup(&memo, params) {
+        let hit = m.result.clone();
         stats.memoized = true;
+        stats.memo = Some(m.key);
         let entry = prior_engines.map(|(pack_engine, cover_engine)| CacheEntry {
             hash,
             engine_kind,
@@ -813,9 +812,7 @@ fn run_mixed_request(
         if let ServeResult::Mixed(r) = res {
             stats.engine_evals = r.total_engine_evals;
         }
-        if memo.len() < memo_cap {
-            memo.push(MemoEntry { params: params.to_string(), result: res.clone() });
-        }
+        stats.memo = memo_store(&mut memo, memo_cap, params, res);
     }
     let (pack_engine, cover_engine) = solver.engine_handles();
     drop(session);

@@ -385,12 +385,18 @@ impl PsdMatrix {
 }
 
 /// Power-iteration estimate of `λmax` for a symmetric PSD CSR matrix,
-/// using only SpMV (never densifies).
+/// using only SpMV (never densifies). The result lies in
+/// `[maxᵢ Aᵢᵢ, λmax]`: every iterate's `‖Av‖` is at most `λmax`, and
+/// `Aᵢᵢ = eᵢᵀ A eᵢ` bounds `λmax` from below, so the estimate never drops
+/// under the largest diagonal entry.
 fn sparse_lambda_max_est(s: &Csr) -> f64 {
     let n = s.nrows();
     if n == 0 || s.nnz() == 0 {
         return 0.0;
     }
+    let (top, max_diag) = (0..n)
+        .map(|i| (i, s.row_iter(i).filter(|&(c, _)| c == i).map(|(_, v)| v).sum::<f64>()))
+        .fold((0, 0.0_f64), |best, (i, d)| if d > best.1 { (i, d) } else { best });
     // Deterministic start vector with no obvious symmetry (an exactly
     // symmetric start can be orthogonal to the top eigenvector).
     let mut v: Vec<f64> = (0..n).map(|i| 1.0 + 0.1 * ((i * 7 + 3) % 11) as f64).collect();
@@ -399,11 +405,22 @@ fn sparse_lambda_max_est(s: &Csr) -> f64 {
         *x /= norm0;
     }
     let mut lam = 0.0;
+    let mut restarted = false;
     for _ in 0..100 {
         let w = s.spmv(&v);
         let norm = w.iter().map(|x| x * x).sum::<f64>().sqrt();
         if norm == 0.0 {
-            return 0.0;
+            // The start vector is orthogonal to A's range (an edge
+            // Laplacian whose endpoints got equal start weights). A PSD
+            // matrix never annihilates the coordinate of its largest
+            // diagonal entry, so restart there once.
+            if restarted || max_diag <= 0.0 {
+                break;
+            }
+            restarted = true;
+            v = vec![0.0; n];
+            v[top] = 1.0;
+            continue;
         }
         let next = norm;
         let converged = (next - lam).abs() <= 1e-9 * next.max(1e-300);
@@ -413,7 +430,7 @@ fn sparse_lambda_max_est(s: &Csr) -> f64 {
             break;
         }
     }
-    lam
+    lam.max(max_diag)
 }
 
 #[cfg(test)]
@@ -534,6 +551,17 @@ mod tests {
                 "est {est} truth {truth}"
             );
         }
+    }
+
+    #[test]
+    fn sparse_estimate_survives_an_orthogonal_start_vector() {
+        // Coordinates 0 and 11 get equal start weights, so the start vector
+        // lies in this edge Laplacian's null space; the estimate must still
+        // find λmax = 2w instead of 0.
+        let w = 1.5;
+        let trip = [(0, 0, w), (11, 11, w), (0, 11, -w), (11, 0, -w)];
+        let est = PsdMatrix::Sparse(Csr::from_triplets(12, 12, &trip)).lambda_max_est();
+        assert!((est - 2.0 * w).abs() <= 1e-9, "estimate {est}");
     }
 
     #[test]

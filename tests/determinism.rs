@@ -293,6 +293,80 @@ fn serve_responses_bitwise_across_in_flight_bounds() {
     assert_eq!(one, four, "max-in-flight changed the stream");
 }
 
+/// A batch whose heaviest fingerprint group sorts **first** in the
+/// scheduler's canonical (prep-hash) order: five `optimize` requests at
+/// distinct eps on one instance (five solves, bracket continuations), then
+/// one light `optimize` and a memo-hit repeat on each of four others.
+fn heavy_first_batch_jsonl() -> String {
+    use psdp_cli::jsonfmt::json_str;
+    let opts = ApproxOptions::practical(0.2);
+    let mut pool: Vec<(u64, String)> = (0..5u64)
+        .map(|seed| {
+            let text = psdp_core::write_instance(&factorized_instance(&FactorizedSpec::new(
+                8,
+                5,
+                100 + seed,
+            )));
+            // Hash the instance the server will parse, not the generator's.
+            let parsed = std::sync::Arc::new(psdp_core::read_instance(&text).unwrap());
+            let req = psdp_serve::ServeRequest::optimize("probe", parsed, opts);
+            (psdp_serve::cache::prep_hash(&req), text)
+        })
+        .collect();
+    pool.sort();
+    let line = |id: &str, text: &str, eps: f64| {
+        format!(
+            "{{\"id\":{},\"command\":\"optimize\",\"instance\":{},\"eps\":{eps}}}",
+            json_str(id),
+            json_str(text)
+        )
+    };
+    let mut lines = Vec::new();
+    for (k, (_, text)) in pool.iter().enumerate().skip(1) {
+        lines.push(line(&format!("light{k}"), text, 0.3));
+        lines.push(line(&format!("light{k}-again"), text, 0.3));
+    }
+    for (j, eps) in [0.12, 0.15, 0.2, 0.25, 0.3].iter().enumerate() {
+        lines.push(line(&format!("heavy{j}"), &pool[0].1, *eps));
+    }
+    lines.join("\n") + "\n"
+}
+
+/// Groups are claimed by whichever worker is idle, so with the heaviest
+/// group first one worker runs it while the others drain the rest. The
+/// bytes must not see that: every pool width {1, 2, 4} × in-flight bound
+/// {1, 2} reproduces the fully sequential run (pool 1, one group at a
+/// time) bitwise.
+#[test]
+fn serve_responses_bitwise_with_claimed_groups() {
+    let input = heavy_first_batch_jsonl();
+    let run = |threads: usize, in_flight: usize| {
+        let args = psdp_cli::args::Args::parse(&[
+            "serve".to_string(),
+            "--max-in-flight".to_string(),
+            in_flight.to_string(),
+        ])
+        .unwrap();
+        run_with_threads(threads, || {
+            psdp_cli::serve::serve_on_input(&args, &input).expect("serve runs").stdout
+        })
+    };
+    let sequential = run(1, 1);
+    assert_eq!(sequential.lines().count(), 13, "{sequential}");
+    assert!(!sequential.contains("\"error\""), "{sequential}");
+    assert_eq!(sequential.matches("\"memoized\":true").count(), 4, "{sequential}");
+    assert_eq!(sequential.matches("\"bracket_injected\":true").count(), 4, "{sequential}");
+    for threads in [1usize, 2, 4] {
+        for in_flight in [1usize, 2] {
+            assert_eq!(
+                run(threads, in_flight),
+                sequential,
+                "stream changed at pool {threads}, max-in-flight {in_flight}"
+            );
+        }
+    }
+}
+
 fn run_listen(extra: &[&str], input: &str) -> String {
     let mut argv = vec!["serve".to_string(), "--listen".to_string()];
     argv.extend(extra.iter().map(|s| s.to_string()));

@@ -3,11 +3,11 @@
 
 use psdp_core::{
     decision_psdp, solve_covering, solve_packing, verify_dual, verify_primal, ApproxOptions,
-    DecisionOptions, Outcome, PackingInstance,
+    DecisionOptions, Outcome, PackingInstance, Solver,
 };
 use psdp_workloads::{
-    beamforming_sdp, edge_packing, figure1_instance, gnp, grid, random_factorized,
-    set_cover_packing, Beamforming, RandomFactorized,
+    beamforming_sdp, edge_packing, edge_packing_sparse, figure1_instance, gnp, grid,
+    random_factorized, set_cover_packing, Beamforming, RandomFactorized,
 };
 
 /// Whatever side the decision procedure certifies must pass independent
@@ -88,6 +88,42 @@ fn packing_brackets_close() {
             r.value_lower
         );
     }
+}
+
+/// Sparse edge Laplacians whose endpoints are congruent mod 11 are
+/// orthogonal to the power-iteration start vector of the sparse `λmax`
+/// estimate, which used to return 0 for them (48 of 580 constraints of
+/// `gnp(64, 0.3)`) and made `optimize` fail on an infinite threshold.
+/// Every estimate must lie in `[max diag, λmax]` — for the edge
+/// `w·(e_u − e_v)(e_u − e_v)ᵀ` that is `[w, 2w]` — and `Session::optimize`
+/// must return a bracket whose ends both verify. The solve runs on a
+/// 24-vertex draw with the same defect, which takes well under a second
+/// in release where the 64-vertex one takes about 35 s.
+#[test]
+fn sparse_edge_laplacian_estimates_and_optimize() {
+    let congruent =
+        |g: &psdp_sparse::Graph| g.edges().iter().filter(|&&(u, v, _)| u % 11 == v % 11).count();
+    for g in [gnp(64, 0.3, 1), gnp(24, 0.3, 1)] {
+        assert!(congruent(&g) > 0, "the graph must hit the orthogonal start vector");
+        for (&(u, v, w), m) in g.edges().iter().zip(&edge_packing_sparse(&g)) {
+            let est = m.lambda_max_est();
+            assert!(est >= w && est <= 2.0 * w * (1.0 + 1e-9), "edge ({u},{v}) w={w}: {est}");
+        }
+    }
+    let inst = PackingInstance::new(edge_packing_sparse(&gnp(24, 0.3, 1))).unwrap();
+    let solver = Solver::builder(&inst).build().unwrap();
+    let r = solver.session().optimize(&ApproxOptions::practical(0.3)).unwrap();
+    assert!(r.converged && r.value_lower > 0.0, "[{}, {}]", r.value_lower, r.value_upper);
+    // Lower end: a feasible dual reaching the bound.
+    let d = r.best_dual.as_ref().expect("dual witness");
+    let c = verify_dual(&inst, d, 1e-7);
+    assert!(c.feasible && c.value >= r.value_lower * (1.0 - 1e-9), "lower end: {c:?}");
+    // Upper end: the witness at σ is a trace-1 PSD matrix whose recomputed
+    // dots bound OPT by 1 / minᵢ Aᵢ•Y, which may not undercut the lower end.
+    let (_, p) = r.upper_witness.as_ref().expect("primal witness");
+    let c = verify_primal(&inst, p, 1e-5);
+    assert!(c.matrix_checked && (c.trace - 1.0).abs() <= 1e-5 && c.lambda_min >= -1e-5, "{c:?}");
+    assert!(1.0 / c.min_dot >= r.value_lower * (1.0 - 1e-9), "upper end: {c:?}");
 }
 
 /// Full covering pipeline (Appendix A normalization included) on the
