@@ -65,6 +65,12 @@ const KIND_SPARSE: u32 = 1;
 const KIND_FACTOR: u32 = 2;
 const KIND_DENSE: u32 = 3;
 
+/// Total record bytes below which [`decode_records`] decodes on the
+/// calling thread: a smaller decode takes less time than starting the
+/// pool's threads, whose start-up cost would dominate, and jitter, the
+/// read.
+const PARALLEL_DECODE_BYTES: usize = 1 << 17;
+
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -620,18 +626,21 @@ fn decode_record(payload: &[u8], dim: usize) -> Result<PsdMatrix, PsdpError> {
     Ok(mat)
 }
 
-/// Decode record slices in parallel (order-preserving map+collect; the
+/// Decode record slices, in parallel once they reach
+/// [`PARALLEL_DECODE_BYTES`] (order-preserving map+collect either way; the
 /// first error in record order wins, so messages are deterministic).
 fn decode_records(records: &[&[u8]], dims: &[usize]) -> Result<Vec<PsdMatrix>, PsdpError> {
-    let decoded: Vec<Result<PsdMatrix, PsdpError>> = (0..records.len())
-        .into_par_iter()
-        .map(|i| {
-            let r = records.get(i).copied().unwrap_or(&[]);
-            let dim = dims.get(i).copied().unwrap_or(0);
-            decode_record(r, dim)
-                .map_err(|e| PsdpError::InvalidInstance(format!("record {i}: {e}")))
-        })
-        .collect();
+    let decode = |i: usize| {
+        let r = records.get(i).copied().unwrap_or(&[]);
+        let dim = dims.get(i).copied().unwrap_or(0);
+        decode_record(r, dim).map_err(|e| PsdpError::InvalidInstance(format!("record {i}: {e}")))
+    };
+    let bytes: usize = records.iter().map(|r| r.len()).sum();
+    if bytes < PARALLEL_DECODE_BYTES {
+        return (0..records.len()).map(decode).collect();
+    }
+    let decoded: Vec<Result<PsdMatrix, PsdpError>> =
+        (0..records.len()).into_par_iter().map(decode).collect();
     decoded.into_iter().collect()
 }
 
@@ -915,6 +924,34 @@ mod tests {
         assert!(!packing_structural_eq(&a, &b), "-0.0 must stay distinct from 0.0");
         assert_ne!(packing_content_hash(&a), packing_content_hash(&b));
         assert!(packing_structural_eq(&a, &a));
+    }
+
+    #[test]
+    fn serial_and_parallel_decodes_agree() {
+        // Three dense 96 × 96 records (72 KiB each) cross the parallel
+        // threshold; the sample's few hundred bytes stay below it.
+        let dense = |salt: f64| {
+            let mut d = Mat::zeros(96, 96);
+            d.rank1_update(1.0, &(0..96).map(|i| (i as f64 * salt).sin()).collect::<Vec<_>>());
+            d.add_diag(0.5);
+            PsdMatrix::Dense(d)
+        };
+        let big = PackingInstance::new(vec![dense(0.3), dense(0.7), dense(1.1)]).unwrap();
+        for inst in [sample(), big] {
+            let bytes = write_instance_bin(&inst);
+            for threads in [1, 4] {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+                let (back, _) = pool.install(|| read_instance_bin(&bytes)).unwrap();
+                assert!(packing_structural_eq(&inst, &back), "pool {threads}");
+            }
+        }
+        // The first failing record in record order is reported either way.
+        let junk = vec![0xFF_u8; PARALLEL_DECODE_BYTES];
+        for records in [vec![&junk[..16], &junk[..16]], vec![&junk[..], &junk[..]]] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+            let e = pool.install(|| decode_records(&records, &[3, 3])).unwrap_err().to_string();
+            assert!(e.contains("record 0:"), "{e}");
+        }
     }
 
     #[test]

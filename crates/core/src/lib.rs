@@ -18,7 +18,8 @@
 //!   ([`decision_psdp`], [`solve_packing`], [`solve_covering`]), kept as
 //!   thin convenience wrappers over the session API,
 //! * [`psi`] — incremental maintenance of `Ψ = Σ xᵢAᵢ` with periodic
-//!   drift-checked rebuilds,
+//!   drift-checked rebuilds, and the [`PsiView`] that applies it over its
+//!   fixed sparsity pattern for the `Expv` engine,
 //! * [`options`] — solver configuration (paper-strict vs practical
 //!   constants, engines including auto-selection, update-rule variants),
 //! * [`solution`] / [`stats`] — certified outcomes and telemetry.
@@ -61,7 +62,7 @@ pub use mixed::{
 };
 pub use normalize::{normalize, normalize_mixed, trace_prune, MixedNormalized, Normalized};
 pub use options::{ConstantsMode, DecisionOptions, EngineKind, UpdateRule};
-pub use psi::PsiMaintainer;
+pub use psi::{PsiMaintainer, PsiPattern, PsiView};
 pub use solution::{
     DualSolution, ExitReason, MixedCertificate, MixedFeasible, MixedOutcome, Outcome,
     PrimalSolution,

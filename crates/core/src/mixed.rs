@@ -93,14 +93,16 @@
 
 use crate::error::PsdpError;
 use crate::instance::MixedInstance;
-use crate::psi::PsiMaintainer;
+use crate::psi::{PsiMaintainer, PsiPattern};
 use crate::solution::{ExitReason, MixedCertificate, MixedFeasible, MixedOutcome};
-use crate::solver::{IterationEvent, Observer, ObserverControl, PhaseEvent};
+use crate::solver::{
+    evaluate, psi_for_engine, IterationEvent, Observer, ObserverControl, PhaseEvent,
+};
 use crate::stats::{BracketStats, SolveStats};
 use psdp_expdot::{Engine, EngineKind};
 use psdp_linalg::{lambda_max_upper_bound, sym_eigen};
 use psdp_parallel::Cost;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Fraction of the coverage target a warm-started bracket iterate is
@@ -181,6 +183,7 @@ impl MixedOptions {
         if self.max_iters == 0 {
             return Err(PsdpError::InvalidInstance("mixed max_iters must be ≥ 1".into()));
         }
+        crate::options::validate_engine(self.engine)?;
         if !self.alpha_boost.is_finite() || self.alpha_boost <= 0.0 {
             return Err(PsdpError::InvalidInstance(
                 "mixed alpha_boost must be finite and > 0".into(),
@@ -373,7 +376,15 @@ impl<'i> MixedSolverBuilder<'i> {
     ) -> Result<MixedSolver<'i>, PsdpError> {
         let pack_traces: Vec<f64> = inst.pack().mats().iter().map(|a| a.trace()).collect();
         let cover_traces: Vec<f64> = inst.cover().mats().iter().map(|a| a.trace()).collect();
-        Ok(MixedSolver { inst, opts, pack_engine, cover_engine, pack_traces, cover_traces })
+        Ok(MixedSolver {
+            inst,
+            opts,
+            pack_engine,
+            cover_engine,
+            pack_traces,
+            cover_traces,
+            pack_pattern: OnceLock::new(),
+        })
     }
 }
 
@@ -408,6 +419,9 @@ pub struct MixedSolver<'i> {
     cover_engine: Arc<Engine>,
     pack_traces: Vec<f64>,
     cover_traces: Vec<f64>,
+    /// `Ψ_P`'s sparsity pattern, built on the first solve and only for an
+    /// `Expv` packing engine.
+    pack_pattern: OnceLock<PsiPattern>,
 }
 
 impl<'i> MixedSolver<'i> {
@@ -567,7 +581,13 @@ impl<'i, 's> MixedSession<'i, 's> {
                     .collect()
             }
         };
-        let mut psi_p = PsiMaintainer::new(inst.pack(), &x, opts.psi_rebuild_period);
+        let mut psi_p = psi_for_engine(
+            &self.solver.pack_engine,
+            inst.pack(),
+            &self.solver.pack_pattern,
+            &x,
+            opts.psi_rebuild_period,
+        );
         let mut psi_c = PsiMaintainer::new(inst.cover(), &x, opts.psi_rebuild_period);
 
         let phase = PhaseEvent::SolveStarted { threshold: sigma, warm: warm_init };
@@ -588,14 +608,9 @@ impl<'i, 's> MixedSession<'i, 's> {
             t += 1;
 
             // Packing side: soft-max weights over Ψ_P.
-            let kappa_p = lambda_max_upper_bound(psi_p.matrix());
+            let kappa_p = psi_p.kappa_bound();
             kappa_max = kappa_max.max(kappa_p);
-            let pack = self.solver.pack_engine.compute(
-                psi_p.matrix(),
-                kappa_p,
-                inst.pack().mats(),
-                t as u64,
-            )?;
+            let pack = evaluate(&self.solver.pack_engine, &psi_p, kappa_p, inst.pack(), t as u64)?;
             engine_evals += 1;
             cost_total = cost_total + pack.cost;
 

@@ -151,6 +151,7 @@ impl DecisionOptions {
                 self.eps
             )));
         }
+        validate_engine(self.engine)?;
         if let ConstantsMode::Practical { alpha_boost, max_iters } = self.mode {
             if alpha_boost.is_nan() || alpha_boost <= 0.0 || max_iters == 0 {
                 return Err(crate::PsdpError::InvalidInstance(
@@ -174,6 +175,37 @@ impl DecisionOptions {
             _ => Ok(()),
         }
     }
+}
+
+/// Reject engine parameters the engines cannot run with: every engine
+/// `eps` must lie in `(0,1)` (the Taylor degree and the JL row count are
+/// undefined outside it) and a sketch multiplier must be finite and
+/// positive. Checked up front so a bad value fails the build of a solver,
+/// not an evaluation in the middle of a solve.
+///
+/// # Errors
+/// [`crate::PsdpError::InvalidInstance`] naming the offending parameter.
+pub(crate) fn validate_engine(engine: EngineKind) -> Result<(), crate::PsdpError> {
+    let (eps, sketch_const) = match engine {
+        EngineKind::Exact => return Ok(()),
+        EngineKind::Taylor { eps } | EngineKind::Expv { eps } | EngineKind::Auto { eps } => {
+            (eps, None)
+        }
+        EngineKind::TaylorJl { eps, sketch_const } => (eps, Some(sketch_const)),
+    };
+    if !(eps > 0.0 && eps < 1.0) {
+        return Err(crate::PsdpError::InvalidInstance(format!(
+            "{} engine eps must be in (0,1), got {eps}",
+            engine.name()
+        )));
+    }
+    if let Some(c) = sketch_const.filter(|c| !(c.is_finite() && *c > 0.0)) {
+        return Err(crate::PsdpError::InvalidInstance(format!(
+            "{} engine sketch_const must be finite and > 0, got {c}",
+            engine.name()
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -214,6 +246,26 @@ mod tests {
         }
         // Valid boundary: boost = 1.0 is the smallest allowed multiplier.
         let o = DecisionOptions::practical(0.1).with_rule(UpdateRule::Bucketed { boost: 1.0 });
+        assert!(o.validate().is_ok());
+    }
+
+    #[test]
+    fn rejects_bad_engine_parameters() {
+        for engine in [
+            EngineKind::Expv { eps: 2.5 },
+            EngineKind::Expv { eps: f64::NAN },
+            EngineKind::TaylorJl { eps: 2.5, sketch_const: 4.0 },
+            EngineKind::TaylorJl { eps: 0.2, sketch_const: 0.0 },
+            EngineKind::TaylorJl { eps: 0.2, sketch_const: f64::INFINITY },
+            EngineKind::Taylor { eps: 0.0 },
+            EngineKind::Taylor { eps: f64::NAN },
+            EngineKind::Auto { eps: 1.0 },
+        ] {
+            let o = DecisionOptions::practical(0.1).with_engine(engine);
+            assert!(o.validate().is_err(), "{engine:?} accepted");
+        }
+        let o = DecisionOptions::practical(0.1)
+            .with_engine(EngineKind::TaylorJl { eps: 0.5, sketch_const: 4.0 });
         assert!(o.validate().is_ok());
     }
 

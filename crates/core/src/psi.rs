@@ -17,9 +17,21 @@
 //! the rebuilt one. The largest observed drift is reported through
 //! [`crate::stats::SolveStats::psi_max_drift`], so every experiment that
 //! relies on the incremental path also measures its numerical honesty.
+//!
+//! **Pattern view.** Every entry of `Ψ` outside the symmetrized union of
+//! the constraints' entries stays exactly `+0.0` for the whole run: the
+//! scatter-adds, rebuilds and symmetrization never write anything else
+//! there. A [`PsiPattern`] records that union once (flat CSR
+//! `row_ptr`/`col_idx`, columns increasing), and [`PsiView`] applies the
+//! dense `Ψ` over it as a [`SymOp`]. Each row sum visits the pattern
+//! columns in increasing order and only products with an exact zero are
+//! dropped, so every nonzero entry of the view's products — and the `λmax`
+//! bound it computes — is bitwise the dense one, at `O(nnz(Ψ))` instead of
+//! `O(m²)` work (an exactly-zero entry may differ in sign; see `DESIGN.md`
+//! §4).
 
 use crate::instance::PackingInstance;
-use psdp_linalg::Mat;
+use psdp_linalg::{lambda_max_upper_bound, Mat, SymOp};
 use psdp_sparse::PsdMatrix;
 use rayon::prelude::*;
 
@@ -50,6 +62,9 @@ const PARALLEL_SCATTER_NNZ: usize = 1 << 14;
 pub struct PsiMaintainer<'a> {
     inst: &'a PackingInstance,
     psi: Mat,
+    /// Fixed sparsity pattern of `Ψ`, when the caller applies it through
+    /// a [`PsiView`].
+    pattern: Option<&'a PsiPattern>,
     /// Full rebuild cadence in updates; `0` disables periodic rebuilds.
     rebuild_period: usize,
     updates_since_rebuild: usize,
@@ -71,6 +86,7 @@ impl<'a> PsiMaintainer<'a> {
         PsiMaintainer {
             inst,
             psi,
+            pattern: None,
             rebuild_period,
             updates_since_rebuild: 0,
             rebuilds: 0,
@@ -79,9 +95,39 @@ impl<'a> PsiMaintainer<'a> {
         }
     }
 
+    /// Like [`PsiMaintainer::new`], but also carry `Ψ`'s sparsity pattern
+    /// (built by [`PsiPattern::new`] from the same instance), which enables
+    /// [`PsiMaintainer::view`] and the pattern-restricted
+    /// [`PsiMaintainer::kappa_bound`].
+    pub fn with_pattern(
+        inst: &'a PackingInstance,
+        x: &[f64],
+        rebuild_period: usize,
+        pattern: &'a PsiPattern,
+    ) -> Self {
+        assert_eq!(pattern.dim(), inst.dim(), "PsiMaintainer: pattern dimension mismatch");
+        PsiMaintainer { pattern: Some(pattern), ..PsiMaintainer::new(inst, x, rebuild_period) }
+    }
+
     /// The current dense `Ψ` (symmetric; what the engines exponentiate).
     pub fn matrix(&self) -> &Mat {
         &self.psi
+    }
+
+    /// The current `Ψ` as an operator over its sparsity pattern (`None`
+    /// unless built [`PsiMaintainer::with_pattern`]).
+    pub fn view(&self) -> Option<PsiView<'_>> {
+        self.pattern.map(|pattern| PsiView { psi: &self.psi, pattern })
+    }
+
+    /// The certified `λmax(Ψ)` upper bound
+    /// [`psdp_linalg::lambda_max_upper_bound`] of the current `Ψ`, computed
+    /// over the pattern when there is one (bitwise the same value).
+    pub fn kappa_bound(&self) -> f64 {
+        match self.view() {
+            Some(view) => view.lambda_max_upper_bound(),
+            None => lambda_max_upper_bound(&self.psi),
+        }
     }
 
     /// Apply one round of coordinate updates: `Ψ += Σ_{(i,δ)} δ·Aᵢ`.
@@ -164,6 +210,136 @@ impl<'a> PsiMaintainer<'a> {
     }
 }
 
+/// The fixed sparsity pattern of `Ψ = Σᵢ xᵢAᵢ` over an instance: the
+/// symmetrized union of every constraint's stored entries, as flat CSR
+/// (`row_ptr`/`col_idx`, columns strictly increasing within a row).
+///
+/// ```
+/// use psdp_core::{PackingInstance, PsiMaintainer, PsiPattern};
+/// use psdp_linalg::SymOp;
+/// use psdp_sparse::PsdMatrix;
+///
+/// let inst = PackingInstance::new(vec![
+///     PsdMatrix::Diagonal(vec![1.0, 0.0, 0.0]),
+///     PsdMatrix::Diagonal(vec![0.0, 2.0, 0.0]),
+/// ])?;
+/// let pattern = PsiPattern::new(&inst);
+/// assert_eq!(pattern.nnz(), 2);
+/// let psi = PsiMaintainer::with_pattern(&inst, &[0.5, 0.25], 16, &pattern);
+/// let view = psi.view().expect("built with a pattern");
+/// assert_eq!(view.apply_vec(&[1.0, 1.0, 1.0]), vec![0.5, 0.5, 0.0]);
+/// assert!(view.is_zero_row(2) && !view.is_zero_row(0));
+/// # Ok::<(), psdp_core::PsdpError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct PsiPattern {
+    row_ptr: Vec<usize>,
+    col_idx: Vec<usize>,
+}
+
+impl PsiPattern {
+    /// Collect the pattern of `inst`'s constraints. Work and memory are
+    /// proportional to their expanded entries, never `m²` unless they are.
+    pub fn new(inst: &PackingInstance) -> PsiPattern {
+        let m = inst.dim();
+        let mut entries: Vec<(usize, usize)> = Vec::new();
+        for a in inst.mats() {
+            a.for_each_entry(|r, c, _| {
+                entries.push((r, c));
+                entries.push((c, r));
+            });
+        }
+        entries.sort_unstable();
+        entries.dedup();
+        let mut row_ptr = vec![0; m + 1];
+        for &(r, _) in &entries {
+            row_ptr[r + 1] += 1;
+        }
+        for i in 0..m {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        let col_idx = entries.into_iter().map(|(_, c)| c).collect();
+        PsiPattern { row_ptr, col_idx }
+    }
+
+    /// Dimension `m`.
+    pub(crate) fn dim(&self) -> usize {
+        self.row_ptr.len() - 1
+    }
+
+    /// Number of structural entries.
+    pub fn nnz(&self) -> usize {
+        self.col_idx.len()
+    }
+
+    /// Columns of row `i`, increasing.
+    pub(crate) fn row(&self, i: usize) -> &[usize] {
+        &self.col_idx[self.row_ptr[i]..self.row_ptr[i + 1]]
+    }
+}
+
+/// The dense `Ψ` of a [`PsiMaintainer`] applied over its [`PsiPattern`]
+/// (from [`PsiMaintainer::view`]): every operation reads the maintained
+/// values at the pattern's positions only, in the dense kernels' order.
+#[derive(Debug, Clone, Copy)]
+pub struct PsiView<'p> {
+    psi: &'p Mat,
+    pattern: &'p PsiPattern,
+}
+
+impl PsiView<'_> {
+    /// [`psdp_linalg::lambda_max_upper_bound`] over the pattern:
+    /// `min(max row |·|-sum, Frobenius norm)`. The row sums and the
+    /// Frobenius sum run in the dense kernel's row-major order and only
+    /// skip `+0.0` terms, so the result is bitwise the dense one.
+    pub(crate) fn lambda_max_upper_bound(&self) -> f64 {
+        let mut gersh: f64 = 0.0;
+        let mut fro_sq = 0.0_f64;
+        for i in 0..self.pattern.dim() {
+            let row = self.psi.row(i);
+            let mut row_sum = 0.0_f64;
+            for &j in self.pattern.row(i) {
+                row_sum += row[j].abs();
+                fro_sq += row[j] * row[j];
+            }
+            gersh = gersh.max(row_sum);
+        }
+        gersh.min(fro_sq.sqrt())
+    }
+}
+
+impl SymOp for PsiView<'_> {
+    fn dim(&self) -> usize {
+        self.pattern.dim()
+    }
+
+    fn apply_vec(&self, x: &[f64]) -> Vec<f64> {
+        assert_eq!(x.len(), self.dim(), "PsiView: dim mismatch");
+        (0..self.dim())
+            .map(|i| {
+                let row = self.psi.row(i);
+                self.pattern.row(i).iter().fold(0.0, |acc, &j| acc + row[j] * x[j])
+            })
+            .collect()
+    }
+
+    fn nnz(&self) -> usize {
+        (0..self.dim())
+            .map(|i| {
+                let row = self.psi.row(i);
+                self.pattern.row(i).iter().filter(|&&j| row[j] != 0.0).count()
+            })
+            .sum()
+    }
+
+    /// Column `i` — what `apply_vec(eᵢ)` returns — is zero at every
+    /// pattern position (the pattern is symmetric, so row `i`'s columns
+    /// are column `i`'s rows).
+    fn is_zero_row(&self, i: usize) -> bool {
+        self.pattern.row(i).iter().all(|&r| self.psi[(r, i)] == 0.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,6 +362,34 @@ mod tests {
             PsdMatrix::Diagonal(vec![0.5, 0.0, 0.0, 1.5]),
         ])
         .unwrap()
+    }
+
+    #[test]
+    fn view_matches_dense_and_reports_zero_rows() {
+        // Rows: 0 holds one diagonal entry, 1–2 a factor block, 3 nothing,
+        // 4 a constraint whose weight is exactly zero.
+        let inst = PackingInstance::new(vec![
+            PsdMatrix::Diagonal(vec![1.0, 0.0, 0.0, 0.0, 0.0]),
+            PsdMatrix::Factor(FactorPsd::from_vector(&[0.0, 1.0, -1.0, 0.0, 0.0])),
+            PsdMatrix::Diagonal(vec![0.0, 0.0, 0.0, 0.0, 3.0]),
+        ])
+        .unwrap();
+        let pattern = PsiPattern::new(&inst);
+        assert_eq!(pattern.nnz(), 6);
+        assert_eq!(pattern.row(1), &[1, 2]);
+        let psi = PsiMaintainer::with_pattern(&inst, &[0.5, 0.25, 0.0], 0, &pattern);
+        let view = psi.view().unwrap();
+        let zero: Vec<bool> = (0..5).map(|i| view.is_zero_row(i)).collect();
+        assert_eq!(zero, [false, false, false, true, true]);
+        let x = [0.3, -1.25, 0.7, 2.0, -0.5];
+        let want = psdp_linalg::matvec(psi.matrix(), &x);
+        let got = view.apply_vec(&x);
+        for (a, b) in got.iter().zip(&want) {
+            // Bitwise, except that an exact zero may differ in sign.
+            assert!(a.to_bits() == b.to_bits() || (*a == 0.0 && *b == 0.0), "{a} vs {b}");
+        }
+        assert_eq!(view.nnz(), SymOp::nnz(psi.matrix()));
+        assert_eq!(psi.kappa_bound().to_bits(), lambda_max_upper_bound(psi.matrix()).to_bits());
     }
 
     #[test]

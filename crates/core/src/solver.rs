@@ -105,14 +105,14 @@ use crate::decision::DecisionResult;
 use crate::error::PsdpError;
 use crate::instance::PackingInstance;
 use crate::options::{ConstantsMode, DecisionOptions, UpdateRule};
-use crate::psi::PsiMaintainer;
+use crate::psi::{PsiMaintainer, PsiPattern};
 use crate::solution::{DualSolution, ExitReason, Outcome, PrimalSolution};
 use crate::stats::{BracketStats, SolveStats};
 use psdp_expdot::{Engine, EngineKind, ExpDots};
-use psdp_linalg::{lambda_max_upper_bound, sym_eigen, vecops, Mat};
+use psdp_linalg::{lambda_max_upper_bound, sym_eigenvalues, vecops, Mat};
 use psdp_mmw::paper_constants;
 use psdp_parallel::Cost;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Upper bound on the floats retained by the warm-start trajectory cache.
@@ -211,7 +211,7 @@ impl<'i> SolverBuilder<'i> {
         let traces: Vec<f64> = inst.mats().iter().map(|a| a.trace()).collect();
         let lambda_caps: Vec<f64> =
             inst.mats().iter().map(|a| 1.0 / a.lambda_max_est().max(1e-300)).collect();
-        Ok(Solver { inst, opts, engine, traces, lambda_caps })
+        Ok(Solver { inst, opts, engine, traces, lambda_caps, pattern: OnceLock::new() })
     }
 }
 
@@ -245,6 +245,44 @@ pub struct Solver<'i> {
     engine: Arc<Engine>,
     traces: Vec<f64>,
     lambda_caps: Vec<f64>,
+    /// `Ψ`'s sparsity pattern, built on the first solve and only for the
+    /// `Expv` engine (see [`psi_for_engine`]).
+    pattern: OnceLock<PsiPattern>,
+}
+
+/// Start maintaining `Ψ = Σ xᵢAᵢ` over `inst` for `engine`. The `Expv`
+/// engine takes `Ψ` through its pattern view ([`crate::PsiView`]), so its
+/// maintainer carries the pattern — built into `pattern` on first use and
+/// shared by every later solve of the same solver; the dense engines get a
+/// plain maintainer and never build one.
+pub(crate) fn psi_for_engine<'a>(
+    engine: &Engine,
+    inst: &'a PackingInstance,
+    pattern: &'a OnceLock<PsiPattern>,
+    x: &[f64],
+    rebuild_period: usize,
+) -> PsiMaintainer<'a> {
+    if matches!(engine.kind(), EngineKind::Expv { .. }) {
+        let pattern = pattern.get_or_init(|| PsiPattern::new(inst));
+        PsiMaintainer::with_pattern(inst, x, rebuild_period, pattern)
+    } else {
+        PsiMaintainer::new(inst, x, rebuild_period)
+    }
+}
+
+/// One engine evaluation at the current `Ψ`: through the pattern view when
+/// the maintainer has one (the `Expv` engine), else on the dense matrix.
+pub(crate) fn evaluate(
+    engine: &Engine,
+    psi: &PsiMaintainer<'_>,
+    kappa: f64,
+    inst: &PackingInstance,
+    stream: u64,
+) -> Result<ExpDots, PsdpError> {
+    Ok(match psi.view() {
+        Some(view) => engine.compute_op(&view, kappa, stream),
+        None => engine.compute(psi.matrix(), kappa, inst.mats(), stream)?,
+    })
 }
 
 impl<'i> Solver<'i> {
@@ -577,7 +615,8 @@ impl<'i, 's> Session<'i, 's> {
                 .map(|(&tr, &a)| if a { 1.0 / (n_active as f64 * tr) } else { 0.0 })
                 .collect(),
         };
-        let mut psi = PsiMaintainer::new(inst, &x, opts.psi_rebuild_period);
+        let mut psi =
+            psi_for_engine(engine, inst, &self.solver.pattern, &x, opts.psi_rebuild_period);
 
         let engine_kind = engine.kind();
         // Only the engines that can materialize a dense P (exact always,
@@ -625,7 +664,7 @@ impl<'i, 's> Session<'i, 's> {
         let mut empty_b_snapshot: Option<(Vec<f64>, Option<Mat>)> = None;
 
         if cert_seek {
-            let kappa0 = lambda_max_upper_bound(psi.matrix());
+            let kappa0 = psi.kappa_bound();
             if vecops::sum(&x) / sigma >= (kappa0 * (1.0 + 1e-6)).max(1.0) {
                 exit = ExitReason::DualNormCrossed;
             }
@@ -637,7 +676,7 @@ impl<'i, 's> Session<'i, 's> {
             t += 1;
             let idx = t - 1;
 
-            let mut kappa = lambda_max_upper_bound(psi.matrix());
+            let mut kappa = psi.kappa_bound();
             if matches!(opts.mode, ConstantsMode::PaperStrict) {
                 kappa = kappa.min(lemma_bound * 1.01);
             }
@@ -671,7 +710,7 @@ impl<'i, 's> Session<'i, 's> {
                         if accumulate_y {
                             engine.compute_dense(psi.matrix(), kappa, inst.mats(), t as u64)?
                         } else {
-                            engine.compute(psi.matrix(), kappa, inst.mats(), t as u64)?
+                            evaluate(engine, &psi, kappa, inst, t as u64)?
                         }
                     }
                 };
@@ -766,7 +805,7 @@ impl<'i, 's> Session<'i, 's> {
             if cert_seek {
                 // Strong-dual hunt: exit only once the measured value is
                 // guaranteed ≥ 1 (λmax(Ψ) ≤ κ, so ‖x‖₁ ≥ κ ⇒ value ≥ 1).
-                let kappa_now = lambda_max_upper_bound(psi.matrix());
+                let kappa_now = psi.kappa_bound();
                 if norm1 >= (kappa_now * (1.0 + 1e-6)).max(1.0) {
                     exit = ExitReason::DualNormCrossed;
                     break;
@@ -1223,8 +1262,8 @@ fn build_dual(
         ConstantsMode::PaperStrict => (1.0 + 10.0 * eps) * k_threshold,
         ConstantsMode::Practical { .. } => {
             // Certify by measurement: λmax(Σ xᵢAᵢ) from the maintained Ψ.
-            let lam = match sym_eigen(psi) {
-                Ok(eig) => eig.lambda_max(),
+            let lam = match sym_eigenvalues(psi) {
+                Ok(values) => values[values.len() - 1],
                 Err(_) => lambda_max_upper_bound(psi),
             };
             (lam * (1.0 + 1e-9)).max(1.0)

@@ -7,7 +7,7 @@
 
 use crate::instance::{MixedInstance, PackingInstance};
 use crate::solution::{DualSolution, MixedCertificate, MixedFeasible, PrimalSolution};
-use psdp_linalg::{sym_eigen, vecops};
+use psdp_linalg::{sym_eigen, sym_eigenvalues, vecops};
 
 /// Result of checking a dual (packing) solution.
 #[derive(Debug, Clone, Copy)]
@@ -40,8 +40,8 @@ pub struct PrimalCertificate {
 pub fn verify_dual(inst: &PackingInstance, sol: &DualSolution, tol: f64) -> DualCertificate {
     let nonneg = sol.x.iter().all(|&v| v >= -tol);
     let psi = inst.weighted_sum(&sol.x);
-    let lambda_max = match sym_eigen(&psi) {
-        Ok(e) => e.lambda_max(),
+    let lambda_max = match sym_eigenvalues(&psi) {
+        Ok(values) => values[values.len() - 1],
         Err(_) => f64::INFINITY,
     };
     let value = vecops::sum(&sol.x);

@@ -1,7 +1,7 @@
 //! The `exp(Φ) • Aᵢ` primitive (Theorem 4.1) behind a common interface.
 //!
 //! Every iteration of Algorithm 3.1 needs, for the current `Φ = Ψ(t)`:
-//! `Tr[exp(Φ)]` and `exp(Φ) • Aᵢ` for all `i`. Three engines provide these
+//! `Tr[exp(Φ)]` and `exp(Φ) • Aᵢ` for all `i`. Four engines provide these
 //! values at different cost/accuracy points:
 //!
 //! * [`EngineKind::Exact`] — eigendecompose `Φ` (`O(m³)`), exact up to
@@ -90,12 +90,14 @@ pub enum EngineKind {
         eps: f64,
     },
     /// Pick the engine from the instance's storage profile at
-    /// [`Engine::new`] time: small or storage-dense instances get
-    /// [`EngineKind::Exact`] (one `O(m³)` eigendecomposition beats a
-    /// high-degree Taylor sweep there), while large sparse/factorized
-    /// instances — total storage nonzeros `q` well below `m²` — get
-    /// [`EngineKind::TaylorJl`], whose work is nearly linear in `q`
-    /// (Corollary 1.2's regime). See [`EngineKind::resolve`].
+    /// [`Engine::new`] time: small (`m < 64`) or storage-dense (`q ≥ m²/4`,
+    /// `q` = total storage nonzeros) instances get [`EngineKind::Exact`]
+    /// (one `O(m³)` eigendecomposition beats a high-degree polynomial sweep
+    /// there); the remaining sparse/factorized instances get
+    /// [`EngineKind::TaylorJl`] below `m = 256`, whose work is nearly
+    /// linear in `q` (Corollary 1.2's regime), and [`EngineKind::Expv`] at
+    /// `m ≥ 256`, where its `O(κ)`-smaller degree dominates. See
+    /// [`EngineKind::resolve`].
     Auto {
         /// Accuracy handed to the approximate engine when one is chosen.
         eps: f64,
@@ -118,6 +120,27 @@ const EXPV_SKETCH_CONST: f64 = 4.0;
 /// Lanczos substep convergence — far below any solver `eps`, so the
 /// engine's end-to-end error is dominated by the trace's JL distortion.
 const EXPV_POLY_TOL: f64 = 1e-9;
+
+/// One operator application on every vector of an expv loop (`vectors ×
+/// (nnz(Φ) + m)`) below which the loop runs on the calling thread: its
+/// Krylov runs then take less time than starting the pool's threads, and
+/// the spawns would dominate, and jitter, the evaluation. The outputs do
+/// not depend on the choice (results are collected in vector order).
+const EXPV_PARALLEL_SWEEP: usize = 1 << 18;
+
+/// `f` over `items` in order — across the pool when `parallel`, else on
+/// the calling thread. The result is the same either way.
+fn map_maybe_par<T: Sync, R: Send>(
+    items: &[T],
+    parallel: bool,
+    f: impl Fn(&T) -> R + Sync + Send,
+) -> Vec<R> {
+    if parallel {
+        items.par_iter().map(f).collect()
+    } else {
+        items.iter().map(f).collect()
+    }
+}
 
 impl EngineKind {
     /// Short name for tables and telemetry.
@@ -281,13 +304,16 @@ impl Engine {
             EngineKind::TaylorJl { eps, sketch_const } => {
                 Ok(self.compute_taylor_jl(phi, kappa, eps, sketch_const, stream))
             }
-            EngineKind::Expv { eps } => Ok(self.expv_impl(phi, kappa, eps, stream)),
+            EngineKind::Expv { eps } => {
+                Ok(self.expv_impl(phi, kappa, eps, stream, EXPV_PARALLEL_SWEEP))
+            }
             EngineKind::Auto { .. } => unreachable!("Auto resolved in Engine::new"),
         }
     }
 
-    /// Evaluate through an abstract symmetric operator (sparse `Φ`, or the
-    /// implicit `Σ xᵢAᵢ` operator). This is the form in which the Theorem 4.1
+    /// Evaluate through an abstract symmetric operator (a sparse `Φ`, or
+    /// the solver's `psdp_core::PsiView` — the maintained `Ψ` applied over
+    /// its sparsity pattern). This is the form in which the Theorem 4.1
     /// work bound is nearly linear in `nnz(Φ) + q`; the exact engine cannot
     /// use it (it needs the dense matrix to eigendecompose).
     ///
@@ -303,7 +329,9 @@ impl Engine {
             EngineKind::TaylorJl { eps, sketch_const } => {
                 self.jl_impl(phi, kappa, eps, sketch_const, stream)
             }
-            EngineKind::Expv { eps } => self.expv_impl(phi, kappa, eps, stream),
+            EngineKind::Expv { eps } => {
+                self.expv_impl(phi, kappa, eps, stream, EXPV_PARALLEL_SWEEP)
+            }
             EngineKind::Auto { .. } => unreachable!("Auto resolved in Engine::new"),
         }
     }
@@ -433,16 +461,33 @@ impl Engine {
     /// Frame: everything is reported at `log_scale = κ` (the caller's `‖Φ‖₂`
     /// bound), i.e. `tr_w ≈ e^{−κ}·Tr[exp Φ]` and
     /// `dots[i] ≈ e^{−κ}·exp(Φ)•Aᵢ`, so no intermediate can overflow at any
-    /// `κ`. The trace uses `jl_rows(m, ε/2)` Gaussian probes through a
-    /// Chebyshev expansion of `exp(Φ/2)`; the dots run restarted Lanczos on
-    /// each dense factor column (deterministic — a Lanczos failure of the
-    /// tiny tridiagonal eigensolve falls back to the infallible Chebyshev
-    /// path for that column).
-    fn expv_impl(&self, phi: &dyn SymOp, kappa: f64, eps: f64, stream: u64) -> ExpDots {
+    /// `κ`. The trace uses `jl_rows(m, ε/2)` Gaussian probes, or the `m`
+    /// identity probes once that bound reaches `m`; the dots use each dense
+    /// factor column. Every probe and column runs the same restarted
+    /// log-domain Lanczos (deterministic — a Lanczos failure of the tiny
+    /// tridiagonal eigensolve falls back to the infallible Chebyshev path
+    /// for that vector). Identity probes on rows `Φ` reports as exactly
+    /// zero ([`SymOp::is_zero_row`]) are answered without Lanczos, and
+    /// `cost.work` counts only the operator applications actually run.
+    ///
+    /// A probe or column loop runs across the pool only when one operator
+    /// application on each of its vectors reaches `parallel_sweep` work
+    /// ([`EXPV_PARALLEL_SWEEP`] outside tests); the outputs never depend on
+    /// it.
+    fn expv_impl(
+        &self,
+        phi: &dyn SymOp,
+        kappa: f64,
+        eps: f64,
+        stream: u64,
+        parallel_sweep: usize,
+    ) -> ExpDots {
         let m = self.dim;
         let kappa_half = (kappa * 0.5).max(0.0);
         let log_scale = 2.0 * kappa_half;
         let half = HalfOp { inner: phi };
+        let phi_nnz = phi.nnz();
+        let parallel = |vectors: usize| vectors * (phi_nnz + m) >= parallel_sweep;
 
         // Tr[exp Φ]·e^{−κ} ≈ Σ_probes e^{2·ln‖exp(Φ/2)p‖ − κ}, each probe
         // through the same log-domain Lanczos as the dots below. Running
@@ -458,39 +503,47 @@ impl Engine {
         // When the JL row count reaches the dimension, the sketch is
         // pointless: m identity probes give Tr[exp Φ] exactly (up to the
         // Krylov tolerance) for no more work — so cap at m and drop the
-        // sketch distortion entirely.
+        // sketch distortion entirely. Identity probes are built one at a
+        // time, and a probe on a row the operator reports as exactly zero
+        // skips Lanczos: exp(Φ/2)e_j = e_j, log-norm 0, the very value the
+        // Krylov run returns there, so the trace keeps its bits.
         let jl = jl_rows(m, eps * 0.5, EXPV_SKETCH_CONST);
-        let (probes, rows) = if jl >= m {
-            let eye: Vec<Vec<f64>> = (0..m)
-                .map(|j| {
-                    let mut e = vec![0.0; m];
-                    e[j] = 1.0;
-                    e
-                })
-                .collect();
-            (eye, m)
+        let probe_term = |p: &[f64]| {
+            let (log_norm, mv) = expv_column_log_norm(&half, p, kappa_half);
+            ((2.0 * log_norm - log_scale).exp(), mv)
+        };
+        let (probe_terms, rows): (Vec<(f64, usize)>, usize) = if jl >= m {
+            // Split only the rows that need Lanczos across the pool, so
+            // the chunks stay balanced however the nonzero rows are
+            // spread over 0..m; the terms are then placed back in row
+            // order.
+            let live: Vec<usize> = (0..m).filter(|&j| !half.is_zero_row(j)).collect();
+            let live_terms = map_maybe_par(&live, parallel(live.len()), |&j| {
+                let mut e = vec![0.0; m];
+                e[j] = 1.0;
+                probe_term(&e)
+            });
+            let mut terms = vec![((-log_scale).exp(), 0); m];
+            for (&j, term) in live.iter().zip(live_terms) {
+                terms[j] = term;
+            }
+            (terms, m)
         } else {
             let pi = gaussian_sketch(jl, m, self.seed, stream);
-            ((0..jl).map(|r| pi.row(r).to_vec()).collect(), jl)
+            let rows: Vec<usize> = (0..jl).collect();
+            (map_maybe_par(&rows, parallel(jl), |&r| probe_term(pi.row(r))), jl)
         };
-        let probe_terms: Vec<(f64, usize)> = probes
-            .par_iter()
-            .map(|p| {
-                let (log_norm, mv) = expv_column_log_norm(&half, p, kappa_half);
-                ((2.0 * log_norm - log_scale).exp(), mv)
-            })
-            .collect();
         // Sequential sum in probe order: no parallel float reduction.
         let tr_w: f64 = probe_terms.iter().map(|&(v, _)| v).sum();
         let probe_matvecs: usize = probe_terms.iter().map(|&(_, mv)| mv).sum();
 
         // exp(Φ)•Aᵢ·e^{−κ} = Σ_cols e^{2·ln‖exp(Φ/2)c‖ − κ}, per-column
-        // Lanczos in log-scale. Parallel over factors; the per-factor sum is
-        // sequential (fixed order, no parallel float reduction).
-        let per_factor: Vec<(f64, usize)> = self
-            .expv_cols
-            .par_iter()
-            .map(|cols| {
+        // Lanczos in log-scale. Parallel over factors (when the columns
+        // are worth it); the per-factor sum is sequential (fixed order, no
+        // parallel float reduction).
+        let columns: usize = self.expv_cols.iter().map(Vec::len).sum();
+        let per_factor: Vec<(f64, usize)> =
+            map_maybe_par(&self.expv_cols, parallel(columns), |cols| {
                 let mut dot = 0.0;
                 let mut matvecs = 0usize;
                 for c in cols {
@@ -499,12 +552,10 @@ impl Engine {
                     dot += (2.0 * log_norm - log_scale).exp();
                 }
                 (dot, matvecs)
-            })
-            .collect();
+            });
         let dots: Vec<f64> = per_factor.iter().map(|&(d, _)| d).collect();
         let col_matvecs: usize = per_factor.iter().map(|&(_, mv)| mv).sum();
 
-        let phi_nnz = phi.nnz();
         // `degree` reports the largest matvec count any one probe (or
         // factor) evaluation needed — the serial depth of the evaluation.
         let degree = probe_terms
@@ -578,6 +629,10 @@ impl SymOp for HalfOp<'_> {
     fn nnz(&self) -> usize {
         self.inner.nnz()
     }
+
+    fn is_zero_row(&self, i: usize) -> bool {
+        self.inner.is_zero_row(i)
+    }
 }
 
 /// Reference helper: exact `exp(Φ) • A` for a single pair (tests, examples).
@@ -632,6 +687,27 @@ mod tests {
         }
         let want_tr = psdp_linalg::expm(&phi).unwrap().trace();
         assert!((out.tr_w * scale - want_tr).abs() < 1e-8 * want_tr);
+    }
+
+    #[test]
+    fn expv_serial_and_parallel_loops_agree_bitwise() {
+        // Identity probes (eps 0.4) and Gaussian probes (eps 0.95: 81 of
+        // m = 96 rows), each loop forced onto the pool and onto the calling
+        // thread under a 4-thread budget.
+        let (phi, mats) = fixture(96, 6.0);
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        for eps in [0.4, 0.95] {
+            let eng = Engine::new(EngineKind::Expv { eps }, &mats, 11).unwrap();
+            let run = |sweep| pool.install(|| eng.expv_impl(&phi, 6.2, eps, 3, sweep));
+            let (par, ser) = (run(0), run(usize::MAX));
+            assert_eq!(par.sketch_rows, if eps < 0.5 { 96 } else { 81 }, "eps {eps}");
+            assert_eq!(par.tr_w.to_bits(), ser.tr_w.to_bits(), "eps {eps}: trace");
+            assert_eq!((par.degree, par.sketch_rows), (ser.degree, ser.sketch_rows));
+            assert_eq!(par.cost.work.to_bits(), ser.cost.work.to_bits(), "eps {eps}: work");
+            for (a, b) in par.dots.iter().zip(&ser.dots) {
+                assert_eq!(a.to_bits(), b.to_bits(), "eps {eps}: a dot");
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //!
 //! Eigenvalues are returned in **ascending** order; column `j` of
 //! [`SymEigen::vectors`] is the unit eigenvector for `values[j]`.
+//! [`sym_eigenvalues`] returns the same values without accumulating the
+//! eigenvectors (bit for bit, up to the sign of an exact zero).
 
 use crate::error::LinalgError;
 use crate::mat::Mat;
@@ -92,6 +94,67 @@ const MAX_QL_ITERS: usize = 64;
 /// * [`LinalgError::NoConvergence`] if QL needs more than 64 sweeps for some
 ///   eigenvalue (does not happen for finite symmetric input in practice).
 pub fn sym_eigen(a: &Mat) -> Result<SymEigen, LinalgError> {
+    let mut v = validated_copy(a)?;
+    let n = v.nrows();
+    if n == 0 {
+        return Ok(SymEigen { values: vec![], vectors: v });
+    }
+    let mut d = vec![0.0; n];
+    let mut e = vec![0.0; n];
+    tred2_reduce(&mut v, &mut d, &mut e);
+    tred2_accumulate(&mut v, &mut d, &mut e);
+    tql2(Some(&mut v), &mut d, &mut e)?;
+    sort_ascending(Some(&mut v), &mut d);
+    Ok(SymEigen { values: d, vectors: v })
+}
+
+/// The eigenvalues of a symmetric matrix, ascending: [`SymEigen::values`]
+/// of [`sym_eigen`] on the same input, bit for bit except that an
+/// eigenvalue that is exactly zero may differ in sign. Validation and
+/// errors are the same.
+///
+/// The QL iteration never reads the eigenvectors it accumulates, so the
+/// values need neither them nor the Householder vectors. Without them the
+/// reduction can also skip the rows of the working matrix that are still
+/// exactly zero: every term it drops is a product with an exact zero. On
+/// a matrix whose nonzeros sit in `s` rows the work falls from `O(m³)` —
+/// which, for `sym_eigen`, also swings with *where* those rows sit — to
+/// `O(m·(m + s²))`. Use it wherever only `λmin`/`λmax` are needed, e.g.
+/// certificate checks.
+///
+/// ```
+/// use psdp_linalg::{sym_eigen, sym_eigenvalues, Mat};
+///
+/// let a = Mat::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]);
+/// let values = sym_eigenvalues(&a)?;
+/// assert_eq!(values, sym_eigen(&a)?.values);
+/// # Ok::<(), psdp_linalg::LinalgError>(())
+/// ```
+///
+/// # Errors
+/// As [`sym_eigen`].
+pub fn sym_eigenvalues(a: &Mat) -> Result<Vec<f64>, LinalgError> {
+    let mut v = validated_copy(a)?;
+    let n = v.nrows();
+    if n == 0 {
+        return Ok(vec![]);
+    }
+    let mut d = vec![0.0; n];
+    let mut e = vec![0.0; n];
+    tred2_reduce_live(&mut v, &mut d, &mut e);
+    // Where `tred2_accumulate` would leave the diagonal.
+    for (j, dj) in d.iter_mut().enumerate() {
+        *dj = v[(j, j)];
+    }
+    e[0] = 0.0;
+    tql2(None, &mut d, &mut e)?;
+    sort_ascending(None, &mut d);
+    Ok(d)
+}
+
+/// Check that `a` is square, finite and symmetric to within
+/// `1e-8 * max|A|`, and return its symmetrized copy.
+fn validated_copy(a: &Mat) -> Result<Mat, LinalgError> {
     if !a.is_square() {
         return Err(LinalgError::NotSquare { nrows: a.nrows(), ncols: a.ncols() });
     }
@@ -103,26 +166,16 @@ pub fn sym_eigen(a: &Mat) -> Result<SymEigen, LinalgError> {
     if asym > tol {
         return Err(LinalgError::NotSymmetric { asymmetry: asym });
     }
-
-    let n = a.nrows();
-    if n == 0 {
-        return Ok(SymEigen { values: vec![], vectors: Mat::zeros(0, 0) });
-    }
-
     let mut v = a.clone();
     v.symmetrize();
-    let mut d = vec![0.0; n];
-    let mut e = vec![0.0; n];
-    tred2(&mut v, &mut d, &mut e);
-    tql2(&mut v, &mut d, &mut e)?;
-    sort_ascending(&mut v, &mut d);
-    Ok(SymEigen { values: d, vectors: v })
+    Ok(v)
 }
 
-/// Householder reduction of `v` (symmetric, overwritten with the accumulated
-/// orthogonal transform) to tridiagonal form: `d` receives the diagonal and
-/// `e[1..]` the sub-diagonal. Port of EISPACK `tred2`.
-fn tred2(v: &mut Mat, d: &mut [f64], e: &mut [f64]) {
+/// Householder reduction of symmetric `v` to tridiagonal form, phase one
+/// of EISPACK `tred2`: afterwards `v`'s diagonal holds the tridiagonal's
+/// diagonal, `e[1..]` its sub-diagonal, and `v`'s upper triangle and `d`
+/// the Householder data [`tred2_accumulate`] needs.
+fn tred2_reduce(v: &mut Mat, d: &mut [f64], e: &mut [f64]) {
     let n = v.nrows();
     for j in 0..n {
         d[j] = v[(n - 1, j)];
@@ -193,8 +246,89 @@ fn tred2(v: &mut Mat, d: &mut [f64], e: &mut [f64]) {
         }
         d[i] = h;
     }
+}
 
-    // Accumulate the orthogonal transformations.
+/// [`tred2_reduce`] for [`sym_eigenvalues`]: the same arithmetic on the
+/// working matrix's lower triangle and diagonal, with the similarity
+/// transform restricted to the rows that can hold a nonzero. A row is live
+/// once the input has a nonzero in it or a Householder step has touched
+/// it (step `i` touches the live rows below `i` and row `i − 1`). A dead
+/// row and its `d` entry are exact zeros, so every term it would add is a
+/// product with an exact zero, and the kept sums run in the same order:
+/// the live entries, and with them the diagonal, come out bitwise the
+/// same. Dead entries may end as zeros of the other sign. The Householder
+/// vectors are not stored.
+fn tred2_reduce_live(v: &mut Mat, d: &mut [f64], e: &mut [f64]) {
+    let n = v.nrows();
+    let mut live: Vec<bool> = (0..n).map(|j| v.row(j).iter().any(|&x| x != 0.0)).collect();
+    let mut rows: Vec<usize> = Vec::with_capacity(n);
+    d.copy_from_slice(v.row(n - 1));
+
+    for i in (1..n).rev() {
+        let mut scale = 0.0;
+        let mut h = 0.0;
+        for item in d.iter().take(i) {
+            scale += item.abs();
+        }
+        if scale == 0.0 {
+            e[i] = d[i - 1];
+        } else {
+            for item in d.iter_mut().take(i) {
+                *item /= scale;
+                h += *item * *item;
+            }
+            let f = d[i - 1];
+            let mut g = h.sqrt();
+            if f > 0.0 {
+                g = -g;
+            }
+            e[i] = scale * g;
+            h -= f * g;
+            d[i - 1] = f - g;
+            for item in e.iter_mut().take(i) {
+                *item = 0.0;
+            }
+            live[i - 1] = true;
+            rows.clear();
+            rows.extend((0..i).filter(|&j| live[j]));
+
+            for (a, &j) in rows.iter().enumerate() {
+                let f = d[j];
+                let mut g = e[j] + v[(j, j)] * f;
+                for &k in &rows[a + 1..] {
+                    g += v[(k, j)] * d[k];
+                    e[k] += v[(k, j)] * f;
+                }
+                e[j] = g;
+            }
+            let mut f = 0.0;
+            for &j in &rows {
+                e[j] /= h;
+                f += e[j] * d[j];
+            }
+            let hh = f / (h + h);
+            for &j in &rows {
+                e[j] -= hh * d[j];
+            }
+            for (a, &j) in rows.iter().enumerate() {
+                let f = d[j];
+                let g = e[j];
+                for &k in &rows[a..] {
+                    let upd = f * e[k] + g * d[k];
+                    v[(k, j)] -= upd;
+                }
+            }
+        }
+        d[..i].copy_from_slice(&v.row(i - 1)[..i]);
+        d[i] = h;
+    }
+}
+
+/// Phase two of EISPACK `tred2`: overwrite `v` with the accumulated
+/// orthogonal transform of [`tred2_reduce`], `d` with the tridiagonal's
+/// diagonal and clear `e[0]`.
+fn tred2_accumulate(v: &mut Mat, d: &mut [f64], e: &mut [f64]) {
+    let n = v.nrows();
     for i in 0..(n - 1) {
         v[(n - 1, i)] = v[(i, i)];
         v[(i, i)] = 1.0;
@@ -227,8 +361,9 @@ fn tred2(v: &mut Mat, d: &mut [f64], e: &mut [f64]) {
 }
 
 /// Implicit-shift QL iteration on the tridiagonal (`d`, `e`), accumulating
-/// rotations into `v`. Port of EISPACK `tql2` with an added iteration cap.
-fn tql2(v: &mut Mat, d: &mut [f64], e: &mut [f64]) -> Result<(), LinalgError> {
+/// rotations into `v` when given. Port of EISPACK `tql2` with an added
+/// iteration cap. `d` and `e` never depend on `v`.
+fn tql2(mut v: Option<&mut Mat>, d: &mut [f64], e: &mut [f64]) -> Result<(), LinalgError> {
     let n = d.len();
     if n == 1 {
         return Ok(());
@@ -305,10 +440,12 @@ fn tql2(v: &mut Mat, d: &mut [f64], e: &mut [f64]) -> Result<(), LinalgError> {
                 d[i + 1] = h + s * (c * g + s * d[i]);
 
                 // Accumulate the rotation into the eigenvector matrix.
-                for k in 0..n {
-                    let h = v[(k, i + 1)];
-                    v[(k, i + 1)] = s * v[(k, i)] + c * h;
-                    v[(k, i)] = c * v[(k, i)] - s * h;
+                if let Some(v) = v.as_deref_mut() {
+                    for k in 0..n {
+                        let h = v[(k, i + 1)];
+                        v[(k, i + 1)] = s * v[(k, i)] + c * h;
+                        v[(k, i)] = c * v[(k, i)] - s * h;
+                    }
                 }
             }
             p = -s * s2 * c3 * el1 * e[l] / dl1;
@@ -326,7 +463,7 @@ fn tql2(v: &mut Mat, d: &mut [f64], e: &mut [f64]) -> Result<(), LinalgError> {
 }
 
 /// Sort eigenvalues ascending, permuting eigenvector columns to match.
-fn sort_ascending(v: &mut Mat, d: &mut [f64]) {
+fn sort_ascending(mut v: Option<&mut Mat>, d: &mut [f64]) {
     let n = d.len();
     // Selection sort: O(n^2) swaps on columns, negligible next to the O(n^3)
     // factorization, and it keeps the column permutation simple.
@@ -339,10 +476,12 @@ fn sort_ascending(v: &mut Mat, d: &mut [f64]) {
         }
         if k != i {
             d.swap(i, k);
-            for r in 0..v.nrows() {
-                let tmp = v[(r, i)];
-                v[(r, i)] = v[(r, k)];
-                v[(r, k)] = tmp;
+            if let Some(v) = v.as_deref_mut() {
+                for r in 0..v.nrows() {
+                    let tmp = v[(r, i)];
+                    v[(r, i)] = v[(r, k)];
+                    v[(r, k)] = tmp;
+                }
             }
         }
     }
@@ -475,6 +614,59 @@ mod tests {
         let a = Mat::zeros(0, 0);
         let eig = sym_eigen(&a).unwrap();
         assert!(eig.values.is_empty());
+    }
+
+    #[test]
+    fn values_only_path_is_bitwise_sym_eigen() {
+        // Bitwise, except that an exact zero may differ in sign.
+        let same = |a: &[f64], b: &[f64]| {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|(x, y)| x.to_bits() == y.to_bits() || (*x == 0.0 && *y == 0.0))
+        };
+        let mut cases = vec![Mat::zeros(0, 0), Mat::zeros(3, 3), Mat::from_diag(&[3.0, -1.0, 0.0])];
+        for &n in &[1usize, 2, 5, 13, 40] {
+            let mut a = Mat::from_fn(n, n, |i, j| ((i * 37 + j * 17 + 11) % 29) as f64 / 7.0 - 2.0);
+            a.symmetrize();
+            cases.push(a);
+        }
+        // Sums of sparse rank-one terms over a few scattered rows, as a
+        // maintained Ψ over factorized constraints has: zero rows on both
+        // sides of the support, which moves from draw to draw.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 11
+        };
+        for &(n, rows, terms) in
+            &[(24usize, 5usize, 3usize), (64, 10, 6), (96, 24, 8), (96, 90, 12)]
+        {
+            for _ in 0..6 {
+                let support: Vec<usize> = (0..rows).map(|_| next() as usize % n).collect();
+                let mut a = Mat::zeros(n, n);
+                for _ in 0..terms {
+                    let mut u = vec![0.0; n];
+                    for _ in 0..3 {
+                        u[support[next() as usize % rows]] = (next() % 2001) as f64 / 1000.0 - 1.0;
+                    }
+                    a.rank1_update((next() % 1000) as f64 / 250.0, &u);
+                }
+                cases.push(a);
+            }
+        }
+        for a in &cases {
+            let values = sym_eigenvalues(a).unwrap();
+            assert!(same(&values, &sym_eigen(a).unwrap().values), "n = {}", a.nrows());
+        }
+        let asym = Mat::from_rows(&[&[1.0, 5.0], &[0.0, 1.0]]);
+        assert!(matches!(sym_eigenvalues(&asym), Err(LinalgError::NotSymmetric { .. })));
+        assert!(matches!(sym_eigenvalues(&Mat::zeros(2, 3)), Err(LinalgError::NotSquare { .. })));
+        let mut nan = Mat::identity(2);
+        nan[(1, 1)] = f64::NAN;
+        assert!(matches!(sym_eigenvalues(&nan), Err(LinalgError::NotFinite)));
     }
 
     #[test]

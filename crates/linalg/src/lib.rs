@@ -38,7 +38,7 @@ pub mod qr;
 pub mod vecops;
 
 pub use chol::{cholesky, is_positive_semidefinite, Cholesky};
-pub use eigen::{sym_eigen, SymEigen};
+pub use eigen::{sym_eigen, sym_eigenvalues, SymEigen};
 pub use error::LinalgError;
 pub use expmv::{chebyshev_exp_block, expm_action_chebyshev, expm_action_lanczos, ExpmAction};
 pub use funcs::{expm, inv_sqrt_psd, psd_factor, sqrt_psd};

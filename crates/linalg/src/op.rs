@@ -1,9 +1,11 @@
 //! Abstract symmetric linear operators.
 //!
-//! The Taylor engine only ever *applies* `Φ` to blocks of vectors, so it is
-//! written against this trait instead of a concrete matrix type. Dense
-//! matrices implement it here; sparse CSR matrices and the solver's
-//! "sum of factorized constraints" operator implement it in their own crates.
+//! The Taylor and expm-action engines only ever *apply* `Φ` to vectors or
+//! blocks, so they are written against this trait instead of a concrete
+//! matrix type. Dense matrices implement it here; sparse CSR matrices
+//! implement it in `psdp-sparse`, and the solver's `psdp_core::PsiView` —
+//! the maintained dense `Ψ` applied over its fixed sparsity pattern —
+//! implements it in `psdp-core`.
 
 use crate::gemm::{matmul, matvec};
 use crate::mat::Mat;
@@ -34,6 +36,15 @@ pub trait SymOp: Sync {
     /// Number of nonzero entries used by one application (work accounting).
     fn nnz(&self) -> usize {
         self.dim() * self.dim()
+    }
+
+    /// Whether row `i` (equivalently column `i`: the operator is
+    /// symmetric) is known to be exactly zero, so that `A eᵢ = 0` and any
+    /// function `f(A)` maps `eᵢ` to `f(0)·eᵢ` without an application.
+    /// `false` means "unknown", which is always sound; the default never
+    /// claims a zero row.
+    fn is_zero_row(&self, _i: usize) -> bool {
+        false
     }
 }
 

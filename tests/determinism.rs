@@ -7,7 +7,7 @@
 
 use psdp_core::{
     decision_psdp, solve_mixed, solve_packing, verify_dual, ApproxOptions, DecisionOptions,
-    EngineKind, MixedApproxOptions, Outcome, PackingInstance,
+    EngineKind, MixedApproxOptions, Outcome, PackingInstance, Solver,
 };
 use psdp_parallel::run_with_threads;
 use psdp_test_support::{factorized_instance, FactorizedSpec};
@@ -573,4 +573,26 @@ fn generators_are_stable() {
     assert_eq!(r1.decision_calls, r2.decision_calls);
     assert!((r1.value_lower - r2.value_lower).abs() < 1e-12);
     assert!((r1.value_upper - r2.value_upper).abs() < 1e-12);
+}
+
+/// Golden pin for `Session::optimize` under an explicit `Expv` engine on a
+/// factorized instance whose constraints touch few of the m = 96
+/// coordinates, so the engine runs through the Ψ pattern view and skips
+/// the identity trace probes on zero rows. The bracket bits and the
+/// iteration/call/evaluation counts were recorded with the dense-Ψ engine
+/// path; the pattern view must reproduce them exactly.
+#[test]
+fn expv_optimize_golden_pin() {
+    let inst = factorized_instance(&FactorizedSpec::new(96, 6, 3));
+    let mut opts = ApproxOptions::practical(0.3);
+    opts.decision = opts.decision.with_engine(EngineKind::Expv { eps: 0.2 }).with_seed(9);
+    let solver = Solver::builder(&inst).options(opts.decision).build().unwrap();
+    assert!(matches!(solver.engine_kind(), EngineKind::Expv { .. }));
+    let r = solver.session().optimize(&opts).unwrap();
+    assert!(r.converged);
+    assert_eq!(r.value_lower.to_bits(), 0x4025afbb0fd2812c, "lower {}", r.value_lower);
+    assert_eq!(r.value_upper.to_bits(), 0x402a739acaac0d46, "upper {}", r.value_upper);
+    assert_eq!(r.total_iterations, 324);
+    assert_eq!(r.decision_calls, 4);
+    assert_eq!(r.total_engine_evals, 324);
 }

@@ -2,9 +2,11 @@
 //! solver → certified verification, across every instance family.
 
 use psdp_core::{
-    decision_psdp, solve_covering, solve_packing, verify_dual, verify_primal, ApproxOptions,
-    DecisionOptions, Outcome, PackingInstance, Solver,
+    decision_psdp, solve_covering, solve_mixed, solve_packing, verify_dual, verify_primal,
+    ApproxOptions, DecisionOptions, EngineKind, MixedApproxOptions, MixedInstance, Outcome,
+    PackingInstance, PsdpError, Solver,
 };
+use psdp_sparse::PsdMatrix;
 use psdp_workloads::{
     beamforming_sdp, edge_packing, edge_packing_sparse, figure1_instance, gnp, grid,
     random_factorized, set_cover_packing, Beamforming, RandomFactorized,
@@ -190,4 +192,42 @@ fn tighter_eps_tightens_bracket() {
     // Brackets must overlap (they bound the same OPT).
     assert!(tight.value_lower <= loose.value_upper + 1e-9);
     assert!(loose.value_lower <= tight.value_upper + 1e-9);
+}
+
+/// An engine `eps` outside (0,1) (or a non-positive sketch multiplier) is
+/// an option error returned before any solving, for the packing and the
+/// mixed entry points alike — never a panic inside an engine evaluation.
+#[test]
+fn out_of_range_engine_parameters_are_rejected_up_front() {
+    let inst = PackingInstance::new(random_factorized(&RandomFactorized {
+        dim: 8,
+        n: 5,
+        rank: 2,
+        nnz_per_col: 3,
+        width: 1.0,
+        seed: 4,
+    }))
+    .unwrap();
+    let mixed = MixedInstance::new(
+        vec![PsdMatrix::Diagonal(vec![2.0, 1.0])],
+        vec![PsdMatrix::Diagonal(vec![1.0, 1.0])],
+    )
+    .unwrap();
+    for engine in [
+        EngineKind::Expv { eps: 2.5 },
+        EngineKind::Expv { eps: f64::NAN },
+        EngineKind::TaylorJl { eps: 2.5, sketch_const: 4.0 },
+        EngineKind::Taylor { eps: 0.0 },
+        EngineKind::Taylor { eps: f64::NAN },
+    ] {
+        let mut opts = ApproxOptions::practical(0.2);
+        opts.decision = opts.decision.with_engine(engine);
+        let err = solve_packing(&inst, &opts).unwrap_err();
+        assert!(matches!(err, PsdpError::InvalidInstance(_)), "{engine:?}: {err:?}");
+
+        let mut mopts = MixedApproxOptions::practical(0.2);
+        mopts.decision = mopts.decision.with_engine(engine);
+        let err = solve_mixed(&mixed, &mopts).unwrap_err();
+        assert!(matches!(err, PsdpError::InvalidInstance(_)), "{engine:?}: {err:?}");
+    }
 }

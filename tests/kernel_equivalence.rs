@@ -12,7 +12,10 @@
 //!   `exp_dot_exact` reference within their documented tolerance (the
 //!   `1e-9` kernel floor plus factorization slack — we assert `1e-5`
 //!   relative) on random factorized and sparse instances, and be bitwise
-//!   pool-width invariant.
+//!   pool-width invariant;
+//! * the solver's Ψ pattern view (`PsiView`, DESIGN.md §4) must drive the
+//!   Expv engine to **bitwise** the dense-Ψ outputs, zero-row probe skips
+//!   included, and its `λmax` bound must equal the dense one bit for bit.
 //!
 //! CI runs this file in the fail-fast tier under both entries of the
 //! `RAYON_NUM_THREADS ∈ {1, 4}` matrix; the explicit `run_with_threads`
@@ -20,12 +23,14 @@
 //! other inside one process.
 
 use proptest::prelude::*;
+use psdp_core::{PackingInstance, PsiMaintainer, PsiPattern};
 use psdp_expdot::{exp_dot_exact, Engine, EngineKind};
 use psdp_linalg::{
-    chebyshev_exp_block, expm_action_lanczos, lambda_max_upper_bound, matmul, symmul, Mat,
+    chebyshev_exp_block, expm_action_lanczos, lambda_max_upper_bound, matmul, symmul, Mat, SymOp,
 };
 use psdp_parallel::run_with_threads;
-use psdp_test_support::{arb_factorized_instance, arb_sparse_graph_instance};
+use psdp_sparse::{FactorPsd, PsdMatrix};
+use psdp_test_support::{arb_factorized_instance, arb_sparse_graph_instance, det_stream};
 
 /// Textbook i-k-j scalar reference kernel: per output element, terms are
 /// added one at a time in increasing `k` order — the exact accumulation
@@ -102,6 +107,126 @@ proptest! {
     #[test]
     fn expv_engine_matches_exact_on_sparse(inst in arb_sparse_graph_instance()) {
         assert_expv_matches_exact(&inst);
+    }
+
+    /// The Ψ pattern view vs the dense Ψ on random factorized instances:
+    /// engine outputs and the κ bound bitwise, through incremental updates
+    /// and a rebuild, at pool widths {1, 4}.
+    #[test]
+    fn psi_view_bitwise_equals_dense_on_factorized(
+        inst in arb_factorized_instance(),
+        salt in 0u64..1000,
+    ) {
+        assert_view_matches_dense(&inst, salt, 0.2);
+    }
+
+    /// Same gate on random sparse (CSR edge-Laplacian) instances.
+    #[test]
+    fn psi_view_bitwise_equals_dense_on_sparse(
+        inst in arb_sparse_graph_instance(),
+        salt in 0u64..1000,
+    ) {
+        assert_view_matches_dense(&inst, salt, 0.2);
+    }
+}
+
+/// Random iterate for the view gate: positive weights with roughly a
+/// quarter of the coordinates at exactly zero.
+fn random_x(n: usize, next: &mut impl FnMut() -> u64) -> Vec<f64> {
+    (0..n)
+        .map(|_| {
+            let r = next();
+            if r.is_multiple_of(4) {
+                0.0
+            } else {
+                0.02 + (r >> 11) as f64 / (1u64 << 53) as f64 * 0.4
+            }
+        })
+        .collect()
+}
+
+/// Drive a pattern-carrying maintainer through updates and a rebuild,
+/// checking at every state that the κ bound and one Expv evaluation through
+/// the view equal the dense path bit for bit. Returns, for the final state,
+/// how many rows the view reports as exactly zero and the analytic work of
+/// the view and dense evaluations.
+fn assert_view_matches_dense(inst: &PackingInstance, salt: u64, eps: f64) -> (usize, f64, f64) {
+    let mut next = det_stream(salt);
+    let mut x = random_x(inst.n(), &mut next);
+    let pattern = PsiPattern::new(inst);
+    let mut psi = PsiMaintainer::with_pattern(inst, &x, 0, &pattern);
+    let eng = Engine::new(EngineKind::Expv { eps }, inst.mats(), 7).unwrap();
+    let mut work = (0.0, 0.0);
+    for round in 0..4 {
+        match round {
+            0 => {}
+            3 => psi.rebuild(&x),
+            _ => {
+                let mut deltas = Vec::new();
+                for (i, xi) in x.iter_mut().enumerate() {
+                    if next().is_multiple_of(2) {
+                        let d = 0.01 + (next() % 100) as f64 * 1e-3;
+                        *xi += d;
+                        deltas.push((i, d));
+                    }
+                }
+                psi.apply_updates(&deltas);
+            }
+        }
+        let kappa = psi.kappa_bound();
+        assert_eq!(
+            kappa.to_bits(),
+            lambda_max_upper_bound(psi.matrix()).to_bits(),
+            "round {round}: κ bound differs over the pattern"
+        );
+        let view = psi.view().expect("maintainer carries a pattern");
+        for threads in [1, 4] {
+            let sparse = run_with_threads(threads, || eng.compute_op(&view, kappa, 3));
+            let dense = run_with_threads(threads, || {
+                eng.compute(psi.matrix(), kappa, inst.mats(), 3).unwrap()
+            });
+            let ctx = format!("round {round}, pool {threads}, m={}", inst.dim());
+            assert_eq!(sparse.tr_w.to_bits(), dense.tr_w.to_bits(), "tr_w: {ctx}");
+            assert_eq!(sparse.log_scale.to_bits(), dense.log_scale.to_bits(), "log_scale: {ctx}");
+            assert_eq!(sparse.degree, dense.degree, "degree: {ctx}");
+            assert_eq!(sparse.dots.len(), dense.dots.len());
+            for (a, b) in sparse.dots.iter().zip(&dense.dots) {
+                assert_eq!(a.to_bits(), b.to_bits(), "dot: {ctx}");
+            }
+            assert!(sparse.cost.work <= dense.cost.work, "work grew: {ctx}");
+            work = (sparse.cost.work, dense.cost.work);
+        }
+    }
+    let view = psi.view().expect("maintainer carries a pattern");
+    let zero_rows = (0..inst.dim()).filter(|&j| view.is_zero_row(j)).count();
+    (zero_rows, work.0, work.1)
+}
+
+/// A fixed case where the zero-row skip must engage: ten rank-1
+/// constraints touch only 10 of m = 64 coordinates, and at `eps = 0.5`
+/// the JL bound exceeds m, so the trace runs identity probes — 54 of them
+/// on exactly zero rows. Outputs stay bitwise; only the analytic work
+/// drops.
+#[test]
+fn psi_view_skips_zero_row_probes_bitwise() {
+    let m = 64;
+    let coords = [3usize, 7, 12, 20, 25, 33, 41, 50, 58, 63];
+    let mats: Vec<PsdMatrix> = (0..coords.len())
+        .map(|k| {
+            let mut v = vec![0.0; m];
+            v[coords[k]] = 1.0;
+            v[coords[(k + 1) % coords.len()]] = -0.5 - 0.1 * k as f64;
+            v[coords[(k + 4) % coords.len()]] = 0.25;
+            PsdMatrix::Factor(FactorPsd::from_vector(&v))
+        })
+        .collect();
+    let inst = PackingInstance::new(mats).unwrap();
+    let pattern = PsiPattern::new(&inst);
+    assert!(pattern.nnz() <= 100, "pattern has {} entries", pattern.nnz());
+    for salt in [1u64, 2, 3] {
+        let (zero_rows, view_work, dense_work) = assert_view_matches_dense(&inst, salt, 0.5);
+        assert_eq!(zero_rows, m - coords.len(), "salt {salt}");
+        assert!(view_work < dense_work, "salt {salt}: {view_work} vs {dense_work}");
     }
 }
 
