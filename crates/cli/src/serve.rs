@@ -41,16 +41,15 @@ use crate::args::Args;
 use crate::commands::{format_of, Format};
 use crate::jsonfmt::{json_str, mixed_fields, optimize_fields, solve_fields};
 use psdp_core::{
-    fnv1a, is_binary_instance, mixed_content_hash, packing_content_hash, read_instance,
-    read_instance_bin, read_mixed_instance, read_mixed_instance_bin, ApproxOptions, ConstantsMode,
-    DecisionOptions, MixedApproxOptions, MixedInstance, PackingInstance,
+    fnv1a, is_binary_instance, ApproxOptions, ConstantsMode, DecisionOptions, MixedApproxOptions,
 };
 use psdp_serve::json::{parse, JsonValue};
 use psdp_serve::{
-    BatchReport, FairMux, InstancePayload, MemoKey, Scheduler, SchedulerOptions, ServeRequest,
-    ServeResponse, ServeResult, ServeStats, Service, ServiceOptions, ServiceReport, StreamItem,
-    StreamOutcome,
+    BatchReport, FairMux, Family, InstancePayload, MemoKey, RequestKind, Scheduler,
+    SchedulerOptions, ServeRequest, ServeResponse, ServeResult, ServeStats, Service,
+    ServiceOptions, ServiceReport, StreamItem, StreamOutcome,
 };
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, Write};
 use std::sync::Arc;
@@ -62,12 +61,11 @@ const DEFAULT_MAX_LINE_BYTES: usize = 4 * 1024 * 1024;
 /// peeked byte disambiguates frames from JSONL lines.
 const FRAME_MARKER: u8 = 0x00;
 
-/// Parsed-instance cache: source key → (instance, parse-once content
-/// hash). Carrying the hash means repeat sources never re-read, re-parse,
-/// or re-hash, and requests are built with their fingerprint attached.
-type PackSources = BTreeMap<String, (Arc<PackingInstance>, u64)>;
-/// Mixed-family counterpart of [`PackSources`].
-type MixedSources = BTreeMap<String, (Arc<MixedInstance>, u64)>;
+/// Parsed-instance cache: (family, source key) → (instance, parse-once
+/// content hash). Carrying the hash means repeat sources never re-read,
+/// re-parse, or re-hash, and requests are built with their fingerprint
+/// attached. A source used by both families parses once per family.
+type Sources = BTreeMap<(Family, String), (InstancePayload, u64)>;
 
 /// Outcome of one `psdp serve` run: the stdout JSONL stream and the human
 /// batch report for stderr.
@@ -142,8 +140,7 @@ pub fn serve_on_input(args: &Args, input: &str) -> Result<ServeRun, String> {
         other => return Err(format!("unknown --cache value `{other}` (on|off)")),
     };
 
-    let mut pack_sources: PackSources = BTreeMap::new();
-    let mut mixed_sources: MixedSources = BTreeMap::new();
+    let mut sources: Sources = BTreeMap::new();
     let mut seen_ids: BTreeSet<String> = BTreeSet::new();
     let mut lines: Vec<Line> = Vec::new();
     let mut parsed: Vec<ParsedLine> = Vec::new();
@@ -163,7 +160,7 @@ pub fn serve_on_input(args: &Args, input: &str) -> Result<ServeRun, String> {
             });
             continue;
         }
-        match parse_request_line(raw, fmt, &mut pack_sources, &mut mixed_sources) {
+        match parse_request_line(raw, fmt, &mut sources) {
             Ok(p) => {
                 if !seen_ids.insert(p.request.id.clone()) {
                     lines.push(Line::Error {
@@ -392,8 +389,7 @@ pub fn serve_listen_on(
     let max_line_bytes = cfg.max_line_bytes;
     let fmt = cfg.fmt;
 
-    let mut pack_sources: PackSources = BTreeMap::new();
-    let mut mixed_sources: MixedSources = BTreeMap::new();
+    let mut sources: Sources = BTreeMap::new();
     let mut seen_ids: BTreeSet<String> = BTreeSet::new();
     let mut read_err: Option<String> = None;
 
@@ -417,23 +413,19 @@ pub fn serve_listen_on(
                 ));
             }
             Ok(BoundedLine::Frame(bytes)) => {
-                return Some(
-                    match parse_frame_request(&bytes, &mut pack_sources, &mut mixed_sources) {
-                        Ok(p) => admit_item(p, &mut seen_ids),
-                        Err((id, msg)) => reject_item(id, msg),
-                    },
-                );
+                return Some(match parse_frame_request(&bytes, &mut sources) {
+                    Ok(p) => admit_item(p, &mut seen_ids),
+                    Err((id, msg)) => reject_item(id, msg),
+                });
             }
             Ok(BoundedLine::Line(raw)) => {
                 if raw.trim().is_empty() {
                     continue;
                 }
-                return Some(
-                    match parse_request_line(&raw, fmt, &mut pack_sources, &mut mixed_sources) {
-                        Ok(p) => admit_item(p, &mut seen_ids),
-                        Err((id, msg)) => reject_item(id, msg),
-                    },
-                );
+                return Some(match parse_request_line(&raw, fmt, &mut sources) {
+                    Ok(p) => admit_item(p, &mut seen_ids),
+                    Err((id, msg)) => reject_item(id, msg),
+                });
             }
         }
     });
@@ -740,8 +732,7 @@ fn client_reader(
     max_line_bytes: usize,
 ) {
     let mut r = std::io::BufReader::new(reader);
-    let mut pack_sources: PackSources = BTreeMap::new();
-    let mut mixed_sources: MixedSources = BTreeMap::new();
+    let mut sources: Sources = BTreeMap::new();
     let mut seen_ids: BTreeSet<String> = BTreeSet::new();
     loop {
         let item = match read_bounded_line(&mut r, max_line_bytes) {
@@ -756,17 +747,15 @@ fn client_reader(
                 None,
                 "truncated binary frame (stream ended before the declared length)".to_string(),
             ),
-            Ok(BoundedLine::Frame(bytes)) => {
-                match parse_frame_request(&bytes, &mut pack_sources, &mut mixed_sources) {
-                    Ok(p) => admit_item(p, &mut seen_ids),
-                    Err((id, msg)) => reject_item(id, msg),
-                }
-            }
+            Ok(BoundedLine::Frame(bytes)) => match parse_frame_request(&bytes, &mut sources) {
+                Ok(p) => admit_item(p, &mut seen_ids),
+                Err((id, msg)) => reject_item(id, msg),
+            },
             Ok(BoundedLine::Line(raw)) => {
                 if raw.trim().is_empty() {
                     continue;
                 }
-                match parse_request_line(&raw, fmt, &mut pack_sources, &mut mixed_sources) {
+                match parse_request_line(&raw, fmt, &mut sources) {
                     Ok(p) => admit_item(p, &mut seen_ids),
                     Err((id, msg)) => reject_item(id, msg),
                 }
@@ -1123,105 +1112,64 @@ fn id_and_command(
     Ok((id, command))
 }
 
-/// Look up or load one packing-instance source. Bytes are sniffed by
-/// magic: `psdp-bin-1` decodes through the verified binary reader (the
-/// returned hash is the header's content hash, already checked), text
-/// parses canonically and is hashed exactly once, here.
-fn packing_source(
-    sources: &mut PackSources,
-    key: &str,
+/// Build the request `command` asks for: load its instance source as the
+/// command's family through the source cache, then read the command's
+/// options. Shared by the text-line and binary-frame parsers. Bytes are
+/// sniffed by magic (per `fmt`): `psdp-bin-1` decodes through the verified
+/// binary reader, text parses canonically and is hashed once, here.
+fn command_request(
+    obj: &JsonValue,
+    command: &str,
+    id: String,
+    sources: &mut Sources,
+    key: String,
     fmt: Format,
     load: impl FnOnce() -> Result<Vec<u8>, String>,
-) -> Result<(Arc<PackingInstance>, u64), String> {
-    if let Some((inst, hash)) = sources.get(key) {
-        return Ok((Arc::clone(inst), *hash));
-    }
-    let bytes = load()?;
-    let (inst, hash) = if fmt.wants_binary(&bytes)? {
-        let (inst, hash) = read_instance_bin(&bytes).map_err(|e| e.to_string())?;
-        (Arc::new(inst), hash)
-    } else {
-        let inst = read_instance(&String::from_utf8_lossy(&bytes)).map_err(|e| e.to_string())?;
-        let hash = packing_content_hash(&inst);
-        (Arc::new(inst), hash)
-    };
-    sources.insert(key.to_string(), (Arc::clone(&inst), hash));
-    Ok((inst, hash))
-}
-
-/// Mixed-family counterpart of [`packing_source`].
-fn mixed_source(
-    sources: &mut MixedSources,
-    key: &str,
-    fmt: Format,
-    load: impl FnOnce() -> Result<Vec<u8>, String>,
-) -> Result<(Arc<MixedInstance>, u64), String> {
-    if let Some((inst, hash)) = sources.get(key) {
-        return Ok((Arc::clone(inst), *hash));
-    }
-    let bytes = load()?;
-    let (inst, hash) = if fmt.wants_binary(&bytes)? {
-        let (inst, hash) = read_mixed_instance_bin(&bytes).map_err(|e| e.to_string())?;
-        (Arc::new(inst), hash)
-    } else {
-        let inst =
-            read_mixed_instance(&String::from_utf8_lossy(&bytes)).map_err(|e| e.to_string())?;
-        let hash = mixed_content_hash(&inst);
-        (Arc::new(inst), hash)
-    };
-    sources.insert(key.to_string(), (Arc::clone(&inst), hash));
-    Ok((inst, hash))
-}
-
-/// Build a `solve` request from its JSON options (shared between the
-/// text-line and binary-frame parsers).
-fn solve_request(
-    obj: &JsonValue,
-    id: String,
-    inst: Arc<PackingInstance>,
-    hash: u64,
 ) -> Result<ServeRequest, String> {
-    let eps = get_f64(obj, "eps", 0.1)?;
-    let threshold = get_f64(obj, "threshold", 1.0)?;
-    let seed = get_u64(obj, "seed", 0)?;
-    let engine = crate::commands::engine_of(get_str(obj, "engine", "exact")?, eps)?;
-    let mode = match get_str(obj, "mode", "practical")? {
-        "practical" => ConstantsMode::practical_default(),
-        "strict" => ConstantsMode::PaperStrict,
-        other => return Err(format!("unknown mode `{other}` (practical|strict)")),
+    let family = if command == "mixed" { Family::Mixed } else { Family::Packing };
+    let (payload, content_hash) = match sources.entry((family, key)) {
+        Entry::Occupied(hit) => hit.get().clone(),
+        Entry::Vacant(slot) => {
+            let bytes = load()?;
+            let binary = fmt.wants_binary(&bytes)?;
+            let loaded =
+                InstancePayload::decode(family, &bytes, binary).map_err(|e| e.to_string())?;
+            slot.insert(loaded).clone()
+        }
     };
-    let mut opts = DecisionOptions::practical(eps).with_engine(engine).with_seed(seed);
-    opts.mode = mode;
-    Ok(ServeRequest::decision_hashed(id, inst, hash, threshold, opts))
-}
-
-/// Build an `optimize` request from its JSON options.
-fn optimize_request(
-    obj: &JsonValue,
-    id: String,
-    inst: Arc<PackingInstance>,
-    hash: u64,
-) -> Result<ServeRequest, String> {
     let eps = get_f64(obj, "eps", 0.1)?;
-    let mut opts = ApproxOptions::practical(eps);
-    opts.warm_start = get_bool(obj, "warm", true)?;
-    Ok(ServeRequest::optimize_hashed(id, inst, hash, opts))
-}
-
-/// Build a `mixed` request from its JSON options.
-fn mixed_request(
-    obj: &JsonValue,
-    id: String,
-    inst: Arc<MixedInstance>,
-    hash: u64,
-) -> Result<ServeRequest, String> {
-    let eps = get_f64(obj, "eps", 0.1)?;
-    let seed = get_u64(obj, "seed", 0)?;
-    let engine = crate::commands::engine_of(get_str(obj, "engine", "exact")?, eps)?;
-    let mut opts = MixedApproxOptions::practical(eps);
-    opts.warm_start = get_bool(obj, "warm", true)?;
-    opts.decision = opts.decision.with_engine(engine).with_seed(seed);
-    Ok(ServeRequest::mixed_hashed(id, inst, hash, opts))
+    let kind = match command {
+        "solve" => {
+            let threshold = get_f64(obj, "threshold", 1.0)?;
+            let seed = get_u64(obj, "seed", 0)?;
+            let engine = crate::commands::engine_of(get_str(obj, "engine", "exact")?, eps)?;
+            let mode = match get_str(obj, "mode", "practical")? {
+                "practical" => ConstantsMode::practical_default(),
+                "strict" => ConstantsMode::PaperStrict,
+                other => return Err(format!("unknown mode `{other}` (practical|strict)")),
+            };
+            let mut opts = DecisionOptions::practical(eps).with_engine(engine).with_seed(seed);
+            opts.mode = mode;
+            RequestKind::Decision { threshold, opts }
+        }
+        "optimize" => {
+            let mut opts = ApproxOptions::practical(eps);
+            opts.warm_start = get_bool(obj, "warm", true)?;
+            RequestKind::Optimize { opts }
+        }
+        "mixed" => {
+            let seed = get_u64(obj, "seed", 0)?;
+            let engine = crate::commands::engine_of(get_str(obj, "engine", "exact")?, eps)?;
+            let mut opts = MixedApproxOptions::practical(eps);
+            opts.warm_start = get_bool(obj, "warm", true)?;
+            opts.decision = opts.decision.with_engine(engine).with_seed(seed);
+            RequestKind::Mixed { opts }
+        }
+        // Already rejected by the `allowed_keys` check; keep the typed
+        // error anyway so this match can never panic as commands evolve.
+        other => return Err(format!("unknown command `{other}` (solve|optimize|mixed)")),
+    };
+    Ok(ServeRequest { id, payload, kind, content_hash })
 }
 
 /// Parse one request line. On failure returns `(best-effort id, message)`
@@ -1229,8 +1177,7 @@ fn mixed_request(
 fn parse_request_line(
     raw: &str,
     fmt: Format,
-    pack_sources: &mut PackSources,
-    mixed_sources: &mut MixedSources,
+    sources: &mut Sources,
 ) -> Result<ParsedLine, (Option<String>, String)> {
     let obj = parse(raw).map_err(|e| (None, e.to_string()))?;
     let (id, command) = id_and_command(&obj, false)?;
@@ -1264,26 +1211,8 @@ fn parse_request_line(
         (None, None) => return Err(fail("missing `file` or `instance`".to_string())),
     };
 
-    let request = match command.as_str() {
-        "solve" => {
-            let (inst, hash) =
-                packing_source(pack_sources, &source_key, fmt, load).map_err(&fail)?;
-            solve_request(&obj, id.clone(), inst, hash).map_err(&fail)?
-        }
-        "optimize" => {
-            let (inst, hash) =
-                packing_source(pack_sources, &source_key, fmt, load).map_err(&fail)?;
-            optimize_request(&obj, id.clone(), inst, hash).map_err(&fail)?
-        }
-        "mixed" => {
-            let (inst, hash) =
-                mixed_source(mixed_sources, &source_key, fmt, load).map_err(&fail)?;
-            mixed_request(&obj, id.clone(), inst, hash).map_err(&fail)?
-        }
-        // Already rejected by the `allowed_keys` check; keep the typed
-        // error anyway so this match can never panic as commands evolve.
-        other => return Err(fail(format!("unknown command `{other}` (solve|optimize|mixed)"))),
-    };
+    let request = command_request(&obj, &command, id.clone(), sources, source_key, fmt, load)
+        .map_err(fail)?;
     Ok(ParsedLine { request, file_json })
 }
 
@@ -1297,8 +1226,7 @@ fn parse_request_line(
 /// therefore never alias a cached instance).
 fn parse_frame_request(
     frame: &[u8],
-    pack_sources: &mut PackSources,
-    mixed_sources: &mut MixedSources,
+    sources: &mut Sources,
 ) -> Result<ParsedLine, (Option<String>, String)> {
     let mut len_bytes = [0u8; 4];
     let header = frame
@@ -1323,34 +1251,17 @@ fn parse_frame_request(
     }
     let source_key = format!("bin:{:016x}", fnv1a(inst_bytes));
 
-    let request = match command.as_str() {
-        "solve" => {
-            let (inst, hash) =
-                packing_source(pack_sources, &source_key, Format::Bin, || Ok(inst_bytes.to_vec()))
-                    .map_err(&fail)?;
-            solve_request(&obj, id.clone(), inst, hash).map_err(&fail)?
-        }
-        "optimize" => {
-            let (inst, hash) =
-                packing_source(pack_sources, &source_key, Format::Bin, || Ok(inst_bytes.to_vec()))
-                    .map_err(&fail)?;
-            optimize_request(&obj, id.clone(), inst, hash).map_err(&fail)?
-        }
-        "mixed" => {
-            let (inst, hash) =
-                mixed_source(mixed_sources, &source_key, Format::Bin, || Ok(inst_bytes.to_vec()))
-                    .map_err(&fail)?;
-            mixed_request(&obj, id.clone(), inst, hash).map_err(&fail)?
-        }
-        other => return Err(fail(format!("unknown command `{other}` (solve|optimize|mixed)"))),
-    };
+    let load = || Ok(inst_bytes.to_vec());
+    let request =
+        command_request(&obj, &command, id.clone(), sources, source_key, Format::Bin, load)
+            .map_err(fail)?;
     Ok(ParsedLine { request, file_json: "null".to_string() })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psdp_core::write_instance;
+    use psdp_core::{write_instance, PackingInstance};
     use psdp_sparse::PsdMatrix;
 
     fn args(v: &[&str]) -> Args {
@@ -1433,10 +1344,10 @@ mod tests {
     /// check every line of the replaying renderer against a from-scratch
     /// render of the same scheduler output. Returns the lines.
     fn replay_matches_uncached(input: &str, opts: SchedulerOptions) -> Vec<String> {
-        let (mut packs, mut mixeds) = (BTreeMap::new(), BTreeMap::new());
+        let mut sources = BTreeMap::new();
         let parsed: Vec<ParsedLine> = input
             .lines()
-            .map(|l| parse_request_line(l, Format::Auto, &mut packs, &mut mixeds).unwrap())
+            .map(|l| parse_request_line(l, Format::Auto, &mut sources).unwrap())
             .collect();
         let lines: Vec<Line> = (0..parsed.len()).map(Line::Request).collect();
         let replayed = run_one_shot(&lines, &parsed, opts).unwrap().stdout;
@@ -1591,7 +1502,9 @@ mod tests {
         let input = format!(
             "{{\"id\":\"r1\",\"command\":\"optimize\",\"instance\":\"{text}\",\"eps\":0.15}}\n\
              {{\"id\":\"r2\",\"command\":\"optimize\",\"instance\":\"{text}\",\"eps\":0.15}}\n\
-             {{\"id\":\"r3\",\"command\":\"solve\",\"instance\":\"{text}\",\"threshold\":0.7}}\n"
+             {{\"id\":\"r3\",\"command\":\"solve\",\"instance\":\"{text}\",\"threshold\":0.7}}\n\
+             {{\"id\":\"r4\",\"command\":\"solve\",\"instance\":\"{text}\",\"threshold\":0.5,\"engine\":\"expv\"}}\n\
+             {{\"id\":\"r5\",\"command\":\"solve\",\"instance\":\"{text}\",\"threshold\":0.6,\"engine\":\"expv\"}}\n"
         );
         let one_shot = serve_on_input(&args(&["serve"]), &input).unwrap();
         let listen = serve_listen_on_input(&args(&["serve", "--listen"]), &input).unwrap();

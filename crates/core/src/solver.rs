@@ -1084,13 +1084,17 @@ impl<'i, 's> Session<'i, 's> {
                 // weak cold solve's final iterate (rescaled to β·K mass so
                 // the overshot state can re-balance toward either
                 // certificate).
+                // An escalation that fails outright (its scaled-up Ψ can
+                // outgrow what the eigensolver converges on) is treated
+                // like a weak one: the cold solve's outcome stands.
                 let seed = self.last_u.as_ref().map(&rescale);
-                let retry = self.run_decision(sigma, &decision, mask_arg, seed, true)?;
-                if is_strong(&retry) || stopped_early(&retry) {
-                    discarded.push(res.stats.clone());
-                    res = retry;
-                } else {
-                    discarded.push(retry.stats);
+                match self.run_decision(sigma, &decision, mask_arg, seed, true) {
+                    Ok(retry) if is_strong(&retry) || stopped_early(&retry) => {
+                        discarded.push(res.stats.clone());
+                        res = retry;
+                    }
+                    Ok(retry) => discarded.push(retry.stats),
+                    Err(_) => {}
                 }
             }
             let wasted_iters: usize = discarded.iter().map(|s| s.iterations).sum();

@@ -22,7 +22,10 @@
 //! miss, never reuse the wrong prepared state.
 
 use crate::request::{InstancePayload, RequestKind, ServeRequest};
-use psdp_core::{Fnv1a, MixedInstance, PackingInstance};
+use psdp_core::{
+    DecisionOptions, Fnv1a, MixedInstance, MixedOptions, MixedSolver, PackingInstance, PsdpError,
+    Solver,
+};
 use psdp_expdot::{Engine, EngineKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -50,7 +53,64 @@ pub enum Prepared {
     },
 }
 
+/// A solver assembled over [`Prepared`] state, borrowing its instance.
+pub(crate) enum LiveSolver<'p> {
+    /// Packing family.
+    Packing(Solver<'p>),
+    /// Mixed family.
+    Mixed(MixedSolver<'p>),
+}
+
 impl Prepared {
+    /// Prepare `payload` cold for `(engine_kind, seed)`: validate the
+    /// options, resolve `Auto`, and build the engines (factorizations
+    /// included). Request execution and snapshot loading both prepare
+    /// through this.
+    pub(crate) fn build(
+        payload: &InstancePayload,
+        engine_kind: EngineKind,
+        seed: u64,
+    ) -> Result<Prepared, PsdpError> {
+        Ok(match payload {
+            InstancePayload::Packing(inst) => {
+                let opts = DecisionOptions::practical(0.1).with_engine(engine_kind).with_seed(seed);
+                let engine = Solver::builder(inst).options(opts).build()?.engine_handle();
+                Prepared::Packing { inst: Arc::clone(inst), engine }
+            }
+            InstancePayload::Mixed(inst) => {
+                let opts = MixedOptions::practical(0.1).with_engine(engine_kind).with_seed(seed);
+                let (pack_engine, cover_engine) =
+                    MixedSolver::builder(inst).options(opts).build()?.engine_handles();
+                Prepared::Mixed { inst: Arc::clone(inst), pack_engine, cover_engine }
+            }
+        })
+    }
+
+    /// A live solver over this prepared state, reusing its engines (see
+    /// [`psdp_core::SolverBuilder::build_with_engine`]). The only place
+    /// serving code builds a solver from prepared state.
+    pub(crate) fn attach(
+        &self,
+        engine_kind: EngineKind,
+        seed: u64,
+    ) -> Result<LiveSolver<'_>, PsdpError> {
+        Ok(match self {
+            Prepared::Packing { inst, engine } => {
+                let opts = DecisionOptions::practical(0.1).with_engine(engine_kind).with_seed(seed);
+                let builder = Solver::builder(inst).options(opts);
+                LiveSolver::Packing(builder.build_with_engine(Arc::clone(engine))?)
+            }
+            Prepared::Mixed { inst, pack_engine, cover_engine } => {
+                let opts = MixedOptions::practical(0.1).with_engine(engine_kind).with_seed(seed);
+                let builder = MixedSolver::builder(inst).options(opts);
+                LiveSolver::Mixed(
+                    builder
+                        .build_with_engines(Arc::clone(pack_engine), Arc::clone(cover_engine))?,
+                )
+            }
+        })
+    }
+
     /// The prepared instance as a request payload (for fingerprint
     /// verification against an incoming request).
     pub(crate) fn payload(&self) -> InstancePayload {
@@ -158,14 +218,6 @@ pub fn prep_engine_of(kind: &RequestKind) -> (EngineKind, u64) {
     }
 }
 
-/// Family tag folded into the prep hash (and the snapshot format).
-pub(crate) fn family_tag(payload: &InstancePayload) -> u8 {
-    match payload {
-        InstancePayload::Packing(_) => 0,
-        InstancePayload::Mixed(_) => 1,
-    }
-}
-
 /// The 64-bit preparation fingerprint from its parts: family, engine kind
 /// (via its stable-within-one-build `Debug` rendering), sketch seed, and
 /// the instance's structural content hash.
@@ -184,7 +236,7 @@ pub fn prep_hash_parts(family: u8, engine: EngineKind, seed: u64, content_hash: 
 /// time).
 pub fn prep_hash(req: &ServeRequest) -> u64 {
     let (engine, seed) = prep_engine_of(&req.kind);
-    prep_hash_parts(family_tag(&req.payload), engine, seed, req.content_hash)
+    prep_hash_parts(req.payload.family() as u8, engine, seed, req.content_hash)
 }
 
 /// The canonical request-parameters key: the request kind with every

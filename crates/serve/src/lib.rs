@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+mod exec;
 pub mod json;
 pub mod request;
 pub mod scheduler;
@@ -52,7 +53,7 @@ pub mod telemetry;
 pub mod transport;
 
 pub use cache::{MemoKey, SolverCache};
-pub use request::{InstancePayload, RequestKind, ServeRequest};
+pub use request::{Family, InstancePayload, RequestKind, ServeRequest};
 pub use scheduler::{
     BatchOutput, BatchReport, Scheduler, SchedulerOptions, ServeError, ServeResponse, ServeResult,
     ServeStats,

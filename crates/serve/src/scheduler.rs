@@ -7,14 +7,18 @@
 //! ([`crate::cache::prep_hash`], verified by structural instance equality
 //! so a 64-bit collision can only split a group, never merge two):
 //! requests over the same instance with the same engine kind and seed
-//! share one prepared solver and one session.
+//! share one cache entry. One session per request: a group is an
+//! id-ordered run of per-request executions over one cache entry.
+//! Each request goes through the same executor as the streaming
+//! [`crate::Service`], which takes the entry from the group's previous
+//! request and hands it on to the next.
 //! Groups are queued in canonical (prep-hash) order and **claimed**: up to
 //! [`SchedulerOptions::max_in_flight`] workers (capped by the rayon pool
 //! width) each take the next unclaimed group whenever they go idle, so one
 //! heavy group occupies one worker while the others drain the rest.
 //! Outcomes are put back in canonical order before cached entries are
-//! re-inserted. Within a group requests run sequentially **in request-id
-//! order**, so which request pays the cold costs — and every response
+//! re-inserted. Because requests run **in request-id order** within a
+//! group, which request pays the cold costs — and every response
 //! byte — is a function of the batch's *contents*, never of submission
 //! order, pool width, or which worker ran a group. Responses are returned
 //! in submission order (each carries its id).
@@ -22,36 +26,29 @@
 //! ## Reuse tiers
 //!
 //! 1. **Result memoization** — a request byte-identical to one already
-//!    served on this fingerprint returns the stored result. The whole
-//!    pipeline is deterministic, so this is exact, not approximate. The
-//!    response carries the stored entry's [`MemoKey`] in
-//!    [`ServeStats::memo`], so a front end can render the result once and
-//!    replay the bytes for later hits (`psdp serve` does).
+//!    served on this fingerprint returns the stored result, without
+//!    assembling a solver. The whole pipeline is deterministic, so this is
+//!    exact, not approximate. The response carries the stored entry's
+//!    [`MemoKey`] in [`ServeStats::memo`], so a front end can render the
+//!    result once and replay the bytes for later hits (`psdp serve` does).
 //! 2. **Prepared-state reuse** — constraint factorizations, `Auto` engine
 //!    resolution, and per-constraint scalars are built once per
 //!    fingerprint and shared via [`psdp_core::SolverBuilder::build_with_engine`].
 //!    Preparation never affects results, only wall clock.
-//! 3. **Warm session / bracket continuation** — requests in one group
-//!    share a session (trajectory replay is bitwise result-neutral), and
-//!    a repeated-but-perturbed `optimize` request starts from the prior
-//!    certified bracket via [`psdp_core::ApproxOptions::initial_bracket`].
+//! 3. **Bracket continuation** — a repeated-but-perturbed `optimize`
+//!    request starts from the prior certified bracket via
+//!    [`psdp_core::ApproxOptions::initial_bracket`].
 //!
 //! See `DESIGN.md` §10 for the soundness argument (what the fingerprint
 //! must cover so a cache hit can never change a verdict).
 
-use crate::cache::{
-    memo_lookup, memo_store, params_key, prep_engine_of, prep_hash, CacheEntry, MemoEntry, MemoKey,
-    Prepared,
-};
-use crate::request::{InstancePayload, RequestKind, ServeRequest};
+use crate::cache::{params_key, prep_engine_of, prep_hash, CacheEntry, MemoKey};
+use crate::exec::execute;
+use crate::request::ServeRequest;
 use parking_lot::Mutex;
-use psdp_core::{
-    DecisionOptions, DecisionResult, MixedInstance, MixedOptions, MixedReport, MixedSolver,
-    PackingReport, Solver,
-};
+use psdp_core::{DecisionResult, MixedReport, PackingReport};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Scheduler configuration.
@@ -102,11 +99,11 @@ impl std::error::Error for ServeError {}
 /// A successful request result.
 #[derive(Debug, Clone)]
 pub enum ServeResult {
-    /// Result of a [`RequestKind::Decision`] request.
+    /// Result of a [`crate::RequestKind::Decision`] request.
     Decision(DecisionResult),
-    /// Result of a [`RequestKind::Optimize`] request.
+    /// Result of a [`crate::RequestKind::Optimize`] request.
     Optimize(PackingReport),
-    /// Result of a [`RequestKind::Mixed`] request.
+    /// Result of a [`crate::RequestKind::Mixed`] request.
     Mixed(MixedReport),
 }
 
@@ -133,7 +130,8 @@ pub struct ServeStats {
     pub bracket_injected: bool,
     /// Live engine evaluations this request caused.
     pub engine_evals: usize,
-    /// Rounds replayed from the shared session's trajectory cache.
+    /// Rounds replayed from the trajectory cache of this request's own
+    /// session (an `optimize`'s bisection calls share it).
     pub replayed: usize,
     /// The stored memo entry this response's result equals: set on memo
     /// hits and on the request whose result was stored, `None` when the
@@ -245,7 +243,7 @@ fn fingerprint_eq(a: &ServeRequest, b: &ServeRequest) -> bool {
 struct GroupOutcome {
     responses: Vec<(usize, ServeResponse)>,
     entry: Option<CacheEntry>,
-    prep_built: bool,
+    prep_builds: usize,
 }
 
 impl Scheduler {
@@ -343,12 +341,7 @@ impl Scheduler {
             run_claimed(work, budget, |w| process_group(w, memo_cap, keep_entries, batch_start));
 
         // Re-insert surviving entries in canonical group order.
-        let mut prep_builds = 0usize;
-        for outcome in &outcomes {
-            if outcome.prep_built {
-                prep_builds += 1;
-            }
-        }
+        let prep_builds = outcomes.iter().map(|o| o.prep_builds).sum();
         let mut responses: Vec<Option<ServeResponse>> = requests.iter().map(|_| None).collect();
         for outcome in outcomes {
             if let Some(entry) = outcome.entry {
@@ -471,259 +464,28 @@ fn with_budget<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     }
 }
 
-/// Execute one fingerprint group sequentially (id order).
+/// Execute one fingerprint group: its requests in id order, each in its
+/// own session, handing the group's cache entry from one to the next.
 fn process_group(
     w: GroupWork<'_>,
     memo_cap: usize,
     keep_entry: bool,
     batch_start: Instant,
 ) -> GroupOutcome {
-    match w.items.first().map(|(_, req, _)| &req.payload) {
-        Some(InstancePayload::Packing(_)) => {
-            process_packing_group(w, memo_cap, keep_entry, batch_start)
-        }
-        Some(InstancePayload::Mixed(_)) => {
-            process_mixed_group(w, memo_cap, keep_entry, batch_start)
-        }
-        // An empty group produces no responses; the batch assembler backfills
-        // any unanswered request with an internal-error response.
-        None => GroupOutcome { responses: Vec::new(), entry: None, prep_built: false },
-    }
-}
-
-/// Respond to every item with the same (preparation-stage) error.
-fn error_group(items: Vec<(usize, &ServeRequest, String)>, msg: &str) -> GroupOutcome {
-    let responses = items
-        .into_iter()
-        .map(|(idx, req, _)| {
-            (
-                idx,
-                ServeResponse {
-                    id: req.id.clone(),
-                    result: Err(msg.to_string()),
-                    stats: ServeStats::default(),
-                },
-            )
-        })
-        .collect();
-    GroupOutcome { responses, entry: None, prep_built: false }
-}
-
-fn process_packing_group(
-    w: GroupWork<'_>,
-    memo_cap: usize,
-    keep_entry: bool,
-    batch_start: Instant,
-) -> GroupOutcome {
-    let GroupWork { hash, entry, items } = w;
-    let Some((_, first_req, _)) = items.first() else {
-        return GroupOutcome { responses: Vec::new(), entry: None, prep_built: false };
-    };
-    let (engine_kind, seed) = prep_engine_of(&first_req.kind);
-    let build_opts = DecisionOptions::practical(0.1).with_engine(engine_kind).with_seed(seed);
-
-    // Reuse or build the prepared state.
-    let first_payload = &first_req.payload;
-    let (inst, prior_engine, mut memo, mut bracket, prep_built) = match entry {
-        Some(e) => match e.prepared {
-            Prepared::Packing { inst, engine } => (inst, Some(engine), e.memo, e.bracket, false),
-            Prepared::Mixed { .. } => {
-                return error_group(items, "cache entry family mismatch (internal)");
-            }
-        },
-        None => match first_payload {
-            InstancePayload::Packing(i) => (Arc::clone(i), None, Vec::new(), None, true),
-            InstancePayload::Mixed(_) => {
-                return error_group(items, "mixed payload routed to a packing group (internal)");
-            }
-        },
-    };
-    let inst_ref = Arc::clone(&inst);
-    let solver = {
-        let builder = Solver::builder(&inst_ref).options(build_opts);
-        let built = match prior_engine {
-            Some(engine) => builder.build_with_engine(engine),
-            None => builder.build(),
-        };
-        match built {
-            Ok(s) => s,
-            Err(e) => return error_group(items, &format!("solver preparation failed: {e}")),
-        }
-    };
-    let mut session = solver.session();
-
+    let GroupWork { hash, mut entry, items } = w;
     let mut responses = Vec::with_capacity(items.len());
-    for (pos, (idx, req, params)) in items.iter().enumerate() {
+    let mut prep_builds = 0;
+    for (idx, req, params) in items {
         let started = Instant::now();
-        let mut stats = ServeStats {
+        let run = execute(req, hash, &params, entry.take(), memo_cap);
+        entry = run.entry;
+        prep_builds += usize::from(run.prep_built);
+        let stats = ServeStats {
             queue_wait: started.duration_since(batch_start),
-            prep_reused: !(prep_built && pos == 0),
-            ..ServeStats::default()
+            service: started.elapsed(),
+            ..run.stats
         };
-        let result: Result<ServeResult, String> = if let Some(hit) = memo_lookup(&memo, params) {
-            stats.memoized = true;
-            stats.memo = Some(hit.key);
-            Ok(hit.result.clone())
-        } else {
-            let run = match &req.kind {
-                RequestKind::Decision { threshold, opts } => session
-                    .solve_with(*threshold, opts)
-                    .map(ServeResult::Decision)
-                    .map_err(|e| e.to_string()),
-                RequestKind::Optimize { opts } => {
-                    let mut o = *opts;
-                    if let Some((prior_params, lo, hi)) = &bracket {
-                        if prior_params != params {
-                            // Perturbed resubmission: continue from the
-                            // prior certified bracket (tier 3).
-                            o.initial_bracket = Some(match o.initial_bracket {
-                                Some((l, h)) => (l.max(*lo), h.min(*hi)),
-                                None => (*lo, *hi),
-                            });
-                            stats.bracket_injected = true;
-                        }
-                    }
-                    session
-                        .optimize(&o)
-                        .map(|r| {
-                            bracket = Some((params.clone(), r.value_lower, r.value_upper));
-                            ServeResult::Optimize(r)
-                        })
-                        .map_err(|e| e.to_string())
-                }
-                RequestKind::Mixed { .. } => {
-                    Err("mixed request routed to a packing group (internal)".to_string())
-                }
-            };
-            if let Ok(res) = &run {
-                stats.memo = memo_store(&mut memo, memo_cap, params, res);
-            }
-            run
-        };
-        if let Ok(res) = &result {
-            let (evals, replayed) = match res {
-                ServeResult::Decision(d) if !stats.memoized => {
-                    (d.stats.engine_evals, d.stats.replayed)
-                }
-                ServeResult::Optimize(r) if !stats.memoized => {
-                    (r.total_engine_evals, r.total_replayed)
-                }
-                _ => (0, 0),
-            };
-            stats.engine_evals = evals;
-            stats.replayed = replayed;
-        }
-        stats.service = started.elapsed();
-        responses.push((*idx, ServeResponse { id: req.id.clone(), result, stats }));
+        responses.push((idx, ServeResponse { id: req.id.clone(), result: run.result, stats }));
     }
-
-    let engine = solver.engine_handle();
-    drop(session);
-    let entry = keep_entry.then_some(CacheEntry {
-        hash,
-        engine_kind,
-        seed,
-        prepared: Prepared::Packing { inst, engine },
-        memo,
-        bracket,
-        last_used: 0,
-    });
-    GroupOutcome { responses, entry, prep_built }
-}
-
-fn process_mixed_group(
-    w: GroupWork<'_>,
-    memo_cap: usize,
-    keep_entry: bool,
-    batch_start: Instant,
-) -> GroupOutcome {
-    let GroupWork { hash, entry, items } = w;
-    let Some((_, first_req, _)) = items.first() else {
-        return GroupOutcome { responses: Vec::new(), entry: None, prep_built: false };
-    };
-    let (engine_kind, seed) = prep_engine_of(&first_req.kind);
-    let build_opts = MixedOptions::practical(0.1).with_engine(engine_kind).with_seed(seed);
-
-    type EnginePair = (Arc<psdp_expdot::Engine>, Arc<psdp_expdot::Engine>);
-    let first_payload = &first_req.payload;
-    let (inst, prior_engines, mut memo, prep_built): (
-        Arc<MixedInstance>,
-        Option<EnginePair>,
-        Vec<MemoEntry>,
-        bool,
-    ) = match entry {
-        Some(e) => match e.prepared {
-            Prepared::Mixed { inst, pack_engine, cover_engine } => {
-                (inst, Some((pack_engine, cover_engine)), e.memo, false)
-            }
-            Prepared::Packing { .. } => {
-                return error_group(items, "cache entry family mismatch (internal)");
-            }
-        },
-        None => match first_payload {
-            InstancePayload::Mixed(i) => (Arc::clone(i), None, Vec::new(), true),
-            InstancePayload::Packing(_) => {
-                return error_group(items, "packing payload routed to a mixed group (internal)");
-            }
-        },
-    };
-    let inst_ref = Arc::clone(&inst);
-    let solver = {
-        let builder = MixedSolver::builder(&inst_ref).options(build_opts);
-        let built = match prior_engines {
-            Some((pack, cover)) => builder.build_with_engines(pack, cover),
-            None => builder.build(),
-        };
-        match built {
-            Ok(s) => s,
-            Err(e) => return error_group(items, &format!("solver preparation failed: {e}")),
-        }
-    };
-    let mut session = solver.session();
-
-    let mut responses = Vec::with_capacity(items.len());
-    for (pos, (idx, req, params)) in items.iter().enumerate() {
-        let started = Instant::now();
-        let mut stats = ServeStats {
-            queue_wait: started.duration_since(batch_start),
-            prep_reused: !(prep_built && pos == 0),
-            ..ServeStats::default()
-        };
-        let result: Result<ServeResult, String> = if let Some(hit) = memo_lookup(&memo, params) {
-            stats.memoized = true;
-            stats.memo = Some(hit.key);
-            Ok(hit.result.clone())
-        } else {
-            let run = match &req.kind {
-                RequestKind::Mixed { opts } => {
-                    session.optimize(opts).map(ServeResult::Mixed).map_err(|e| e.to_string())
-                }
-                _ => Err("packing request routed to a mixed group (internal)".to_string()),
-            };
-            if let Ok(res) = &run {
-                stats.memo = memo_store(&mut memo, memo_cap, params, res);
-            }
-            run
-        };
-        if let Ok(ServeResult::Mixed(r)) = &result {
-            if !stats.memoized {
-                stats.engine_evals = r.total_engine_evals;
-            }
-        }
-        stats.service = started.elapsed();
-        responses.push((*idx, ServeResponse { id: req.id.clone(), result, stats }));
-    }
-
-    let (pack_engine, cover_engine) = solver.engine_handles();
-    drop(session);
-    let entry = keep_entry.then_some(CacheEntry {
-        hash,
-        engine_kind,
-        seed,
-        prepared: Prepared::Mixed { inst, pack_engine, cover_engine },
-        memo,
-        bracket: None,
-        last_used: 0,
-    });
-    GroupOutcome { responses, entry, prep_built }
+    GroupOutcome { responses, entry: entry.filter(|_| keep_entry), prep_builds }
 }

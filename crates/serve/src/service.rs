@@ -14,9 +14,10 @@
 //!    routes to ([`crate::shard::shard_of`]).
 //! 2. **Shard workers** (one OS thread per shard) drain their bounded
 //!    queue in arrival order and execute requests against their shard of
-//!    the [`crate::shard::ShardedCache`] (same three reuse tiers as the
-//!    one-shot scheduler: result memo, prepared-engine reuse, certified
-//!    bracket continuation).
+//!    the [`crate::shard::ShardedCache`] through the one-shot scheduler's
+//!    request executor (same three reuse tiers: result memo,
+//!    prepared-engine reuse, certified bracket continuation; one session
+//!    per request).
 //! 3. The **sequencer** (one thread) re-orders completed responses by
 //!    sequence number and hands them to the caller's sink strictly in
 //!    submission order, regardless of how workers interleave.
@@ -58,19 +59,16 @@
 //! reproducible, which `tests/determinism.rs` pins across pools {1, 4} ×
 //! shard counts {1, 4} and snapshot cold/warm starts.
 
-use crate::cache::{
-    memo_lookup, memo_store, params_key, prep_engine_of, prep_hash, CacheEntry, Prepared,
-};
-use crate::request::{InstancePayload, RequestKind, ServeRequest};
+use crate::cache::{params_key, prep_hash};
+use crate::exec::execute;
+use crate::request::ServeRequest;
 use crate::scheduler::{ServeResponse, ServeResult, ServeStats};
 use crate::shard::ShardedCache;
 use crate::telemetry::{LatencyHistogram, TierCounters};
 use parking_lot::Mutex;
-use psdp_core::{DecisionOptions, MixedOptions, MixedSolver, Solver};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Service configuration.
@@ -565,9 +563,9 @@ where
     report
 }
 
-/// Execute one request against the sharded cache: the per-request
-/// analogue of the one-shot scheduler's group execution, with the same
-/// three reuse tiers. Returns `(result, stats, prep_built)`.
+/// Execute one request against the sharded cache through the shared
+/// executor: take its fingerprint's entry, execute, put the entry back.
+/// Returns `(result, stats, prep_built)`.
 fn execute_request(
     cache: &ShardedCache,
     cache_enabled: bool,
@@ -582,255 +580,18 @@ fn execute_request(
         );
     }
     let hash = prep_hash(req);
-    let params = params_key(&req.kind);
     let entry = if cache_enabled { cache.take(hash, req) } else { None };
-    let (result, stats, entry, prep_built) = match &req.payload {
-        InstancePayload::Packing(_) => run_packing_request(req, hash, &params, entry, memo_cap),
-        InstancePayload::Mixed(_) => run_mixed_request(req, hash, &params, entry, memo_cap),
-    };
-    if cache_enabled {
-        if let Some(entry) = entry {
-            cache.insert(entry);
-        }
+    let run = execute(req, hash, &params_key(&req.kind), entry, memo_cap);
+    if let Some(entry) = run.entry.filter(|_| cache_enabled) {
+        cache.insert(entry);
     }
-    (result, stats, prep_built)
-}
-
-#[allow(clippy::type_complexity)]
-fn run_packing_request(
-    req: &ServeRequest,
-    hash: u64,
-    params: &str,
-    entry: Option<CacheEntry>,
-    memo_cap: usize,
-) -> (Result<ServeResult, String>, ServeStats, Option<CacheEntry>, bool) {
-    let (engine_kind, seed) = prep_engine_of(&req.kind);
-    let build_opts = DecisionOptions::practical(0.1).with_engine(engine_kind).with_seed(seed);
-    let (inst, prior_engine, mut memo, mut bracket) = match entry {
-        Some(e) => match e.prepared {
-            Prepared::Packing { inst, engine } => (inst, Some(engine), e.memo, e.bracket),
-            Prepared::Mixed { .. } => {
-                return (
-                    Err("cache entry family mismatch (internal)".to_string()),
-                    ServeStats::default(),
-                    None,
-                    false,
-                );
-            }
-        },
-        None => match &req.payload {
-            InstancePayload::Packing(i) => (Arc::clone(i), None, Vec::new(), None),
-            InstancePayload::Mixed(_) => {
-                return (
-                    Err("mixed payload routed to a packing run (internal)".to_string()),
-                    ServeStats::default(),
-                    None,
-                    false,
-                );
-            }
-        },
-    };
-    let prep_built = prior_engine.is_none();
-    let mut stats = ServeStats { prep_reused: !prep_built, ..ServeStats::default() };
-
-    // Tier 1 first: a memo hit pays neither solver assembly nor a solve.
-    if let Some(m) = memo_lookup(&memo, params) {
-        let hit = m.result.clone();
-        stats.memoized = true;
-        stats.memo = Some(m.key);
-        let entry = CacheEntry {
-            hash,
-            engine_kind,
-            seed,
-            prepared: Prepared::Packing {
-                inst,
-                engine: match prior_engine {
-                    Some(e) => e,
-                    // A memo hit without prepared state cannot happen (the
-                    // memo lives inside the entry), but rebuild if it does.
-                    None => {
-                        return (Ok(hit), stats, None, false);
-                    }
-                },
-            },
-            memo,
-            bracket,
-            last_used: 0,
-        };
-        return (Ok(hit), stats, Some(entry), false);
-    }
-
-    let inst_ref = Arc::clone(&inst);
-    let builder = Solver::builder(&inst_ref).options(build_opts);
-    let solver = match match prior_engine {
-        Some(engine) => builder.build_with_engine(engine),
-        None => builder.build(),
-    } {
-        Ok(s) => s,
-        Err(e) => {
-            return (
-                Err(format!("solver preparation failed: {e}")),
-                ServeStats::default(),
-                None,
-                false,
-            );
-        }
-    };
-    let mut session = solver.session();
-    let result: Result<ServeResult, String> = match &req.kind {
-        RequestKind::Decision { threshold, opts } => session
-            .solve_with(*threshold, opts)
-            .map(ServeResult::Decision)
-            .map_err(|e| e.to_string()),
-        RequestKind::Optimize { opts } => {
-            let mut o = *opts;
-            if let Some((prior_params, lo, hi)) = &bracket {
-                if prior_params != params {
-                    // Tier 3: continue from the prior certified bracket.
-                    o.initial_bracket = Some(match o.initial_bracket {
-                        Some((l, h)) => (l.max(*lo), h.min(*hi)),
-                        None => (*lo, *hi),
-                    });
-                    stats.bracket_injected = true;
-                }
-            }
-            session
-                .optimize(&o)
-                .map(|r| {
-                    bracket = Some((params.to_string(), r.value_lower, r.value_upper));
-                    ServeResult::Optimize(r)
-                })
-                .map_err(|e| e.to_string())
-        }
-        RequestKind::Mixed { .. } => {
-            Err("mixed request routed to a packing run (internal)".to_string())
-        }
-    };
-    if let Ok(res) = &result {
-        let (evals, replayed) = match res {
-            ServeResult::Decision(d) => (d.stats.engine_evals, d.stats.replayed),
-            ServeResult::Optimize(r) => (r.total_engine_evals, r.total_replayed),
-            ServeResult::Mixed(_) => (0, 0),
-        };
-        stats.engine_evals = evals;
-        stats.replayed = replayed;
-        stats.memo = memo_store(&mut memo, memo_cap, params, res);
-    }
-    let engine = solver.engine_handle();
-    drop(session);
-    let entry = CacheEntry {
-        hash,
-        engine_kind,
-        seed,
-        prepared: Prepared::Packing { inst, engine },
-        memo,
-        bracket,
-        last_used: 0,
-    };
-    (result, stats, Some(entry), prep_built)
-}
-
-#[allow(clippy::type_complexity)]
-fn run_mixed_request(
-    req: &ServeRequest,
-    hash: u64,
-    params: &str,
-    entry: Option<CacheEntry>,
-    memo_cap: usize,
-) -> (Result<ServeResult, String>, ServeStats, Option<CacheEntry>, bool) {
-    let (engine_kind, seed) = prep_engine_of(&req.kind);
-    let build_opts = MixedOptions::practical(0.1).with_engine(engine_kind).with_seed(seed);
-    let (inst, prior_engines, mut memo) = match entry {
-        Some(e) => match e.prepared {
-            Prepared::Mixed { inst, pack_engine, cover_engine } => {
-                (inst, Some((pack_engine, cover_engine)), e.memo)
-            }
-            Prepared::Packing { .. } => {
-                return (
-                    Err("cache entry family mismatch (internal)".to_string()),
-                    ServeStats::default(),
-                    None,
-                    false,
-                );
-            }
-        },
-        None => match &req.payload {
-            InstancePayload::Mixed(i) => (Arc::clone(i), None, Vec::new()),
-            InstancePayload::Packing(_) => {
-                return (
-                    Err("packing payload routed to a mixed run (internal)".to_string()),
-                    ServeStats::default(),
-                    None,
-                    false,
-                );
-            }
-        },
-    };
-    let prep_built = prior_engines.is_none();
-    let mut stats = ServeStats { prep_reused: !prep_built, ..ServeStats::default() };
-
-    if let Some(m) = memo_lookup(&memo, params) {
-        let hit = m.result.clone();
-        stats.memoized = true;
-        stats.memo = Some(m.key);
-        let entry = prior_engines.map(|(pack_engine, cover_engine)| CacheEntry {
-            hash,
-            engine_kind,
-            seed,
-            prepared: Prepared::Mixed { inst, pack_engine, cover_engine },
-            memo,
-            bracket: None,
-            last_used: 0,
-        });
-        return (Ok(hit), stats, entry, false);
-    }
-
-    let inst_ref = Arc::clone(&inst);
-    let builder = MixedSolver::builder(&inst_ref).options(build_opts);
-    let solver = match match prior_engines {
-        Some((pack, cover)) => builder.build_with_engines(pack, cover),
-        None => builder.build(),
-    } {
-        Ok(s) => s,
-        Err(e) => {
-            return (
-                Err(format!("solver preparation failed: {e}")),
-                ServeStats::default(),
-                None,
-                false,
-            );
-        }
-    };
-    let mut session = solver.session();
-    let result: Result<ServeResult, String> = match &req.kind {
-        RequestKind::Mixed { opts } => {
-            session.optimize(opts).map(ServeResult::Mixed).map_err(|e| e.to_string())
-        }
-        _ => Err("packing request routed to a mixed run (internal)".to_string()),
-    };
-    if let Ok(res) = &result {
-        if let ServeResult::Mixed(r) = res {
-            stats.engine_evals = r.total_engine_evals;
-        }
-        stats.memo = memo_store(&mut memo, memo_cap, params, res);
-    }
-    let (pack_engine, cover_engine) = solver.engine_handles();
-    drop(session);
-    let entry = CacheEntry {
-        hash,
-        engine_kind,
-        seed,
-        prepared: Prepared::Mixed { inst, pack_engine, cover_engine },
-        memo,
-        bracket: None,
-        last_used: 0,
-    };
-    (result, stats, Some(entry), prep_built)
+    (run.result, run.stats, run.prep_built)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{InstancePayload, RequestKind};
     use psdp_core::{
         ApproxOptions, DecisionOptions, MixedApproxOptions, MixedInstance, PackingInstance,
     };

@@ -53,16 +53,11 @@
 //! live prepared-key set (sorted entries, LRU-evicted keys gone) — never
 //! a delta or append — so old garbage cannot accumulate across rotations.
 
-use crate::cache::{family_tag, prep_hash_parts, CacheEntry, Prepared};
+use crate::cache::{prep_hash_parts, CacheEntry, Prepared};
+use crate::request::{Family, InstancePayload};
 use crate::shard::ShardedCache;
-use psdp_core::{
-    read_instance, read_instance_bin, read_mixed_instance, read_mixed_instance_bin, write_instance,
-    write_instance_bin, write_mixed_instance, write_mixed_instance_bin, DecisionOptions,
-    MixedOptions, MixedSolver, Solver,
-};
 use psdp_expdot::EngineKind;
 use std::fmt;
-use std::sync::Arc;
 
 /// Snapshot format version header (line 1 of every snapshot).
 const HEADER: &str = "psdp snapshot v2";
@@ -247,21 +242,13 @@ pub fn save_to_path(path: &str, text: &str, keep: usize) -> Result<(), String> {
 }
 
 fn render_entry(e: &CacheEntry) -> String {
-    let (family, payload_kind, payload_lines) = match &e.prepared {
-        Prepared::Packing { inst, .. } => {
-            if inst.total_nnz() > BIN_PAYLOAD_NNZ_THRESHOLD {
-                ("packing", "bin", hex_lines(&write_instance_bin(inst)))
-            } else {
-                ("packing", "text", write_instance(inst).lines().map(String::from).collect())
-            }
-        }
-        Prepared::Mixed { inst, .. } => {
-            if inst.total_nnz() > BIN_PAYLOAD_NNZ_THRESHOLD {
-                ("mixed", "bin", hex_lines(&write_mixed_instance_bin(inst)))
-            } else {
-                ("mixed", "text", write_mixed_instance(inst).lines().map(String::from).collect())
-            }
-        }
+    let payload = e.prepared.payload();
+    let binary = payload.total_nnz() > BIN_PAYLOAD_NNZ_THRESHOLD;
+    let bytes = payload.encode(binary);
+    let (payload_kind, payload_lines): (_, Vec<String>) = if binary {
+        ("bin", hex_lines(&bytes))
+    } else {
+        ("text", String::from_utf8_lossy(&bytes).lines().map(String::from).collect())
     };
     let bracket = match &e.bracket {
         Some((params, lo, hi)) => {
@@ -271,7 +258,7 @@ fn render_entry(e: &CacheEntry) -> String {
     };
     let mut out = String::new();
     out.push_str("entry\n");
-    out.push_str(&format!("family {family}\n"));
+    out.push_str(&format!("family {}\n", payload.family().name()));
     out.push_str(&format!("engine {}\n", render_engine(e.engine_kind)));
     out.push_str(&format!("seed {}\n", e.seed));
     out.push_str(&format!("hash {:016x}\n", e.hash));
@@ -370,62 +357,33 @@ pub(crate) fn load_snapshot(text: &str) -> Result<Vec<CacheEntry>, SnapshotError
     Ok(entries)
 }
 
-/// The decoded instance payload of one snapshot entry, plus its
-/// structural content hash.
-enum LoadedInstance {
-    Packing(Arc<psdp_core::PackingInstance>, u64),
-    Mixed(Arc<psdp_core::MixedInstance>, u64),
-}
-
-/// Decode and canonicality-check one entry's payload.
+/// Decode and canonicality-check one entry's payload: the instance and
+/// its structural content hash.
 fn load_payload(
     family: &str,
     fam_no: usize,
     kind: &str,
-    text_payload: Option<String>,
-    bin_payload: Option<Vec<u8>>,
-) -> Result<LoadedInstance, SnapshotError> {
-    let not_canonical = || SnapshotError::Verify {
-        msg: "payload is not canonical (read→write is not a byte fixpoint)".to_string(),
+    bytes: &[u8],
+) -> Result<(InstancePayload, u64), SnapshotError> {
+    let binary = kind == "bin";
+    let family = match (family, kind) {
+        ("packing", "text" | "bin") => Family::Packing,
+        ("mixed", "text" | "bin") => Family::Mixed,
+        _ => {
+            return Err(SnapshotError::Format {
+                line: fam_no,
+                msg: format!("unknown family/payload combination `{family}`/`{kind}`"),
+            })
+        }
     };
-    let rejected =
-        |e: psdp_core::PsdpError| SnapshotError::Verify { msg: format!("instance rejected: {e}") };
-    match (family, kind, text_payload, bin_payload) {
-        ("packing", "text", Some(text), _) => {
-            let inst = read_instance(&text).map_err(rejected)?;
-            if write_instance(&inst) != text {
-                return Err(not_canonical());
-            }
-            let hash = psdp_core::packing_content_hash(&inst);
-            Ok(LoadedInstance::Packing(Arc::new(inst), hash))
-        }
-        ("packing", "bin", _, Some(bytes)) => {
-            let (inst, hash) = read_instance_bin(&bytes).map_err(rejected)?;
-            if write_instance_bin(&inst) != bytes {
-                return Err(not_canonical());
-            }
-            Ok(LoadedInstance::Packing(Arc::new(inst), hash))
-        }
-        ("mixed", "text", Some(text), _) => {
-            let inst = read_mixed_instance(&text).map_err(rejected)?;
-            if write_mixed_instance(&inst) != text {
-                return Err(not_canonical());
-            }
-            let hash = psdp_core::mixed_content_hash(&inst);
-            Ok(LoadedInstance::Mixed(Arc::new(inst), hash))
-        }
-        ("mixed", "bin", _, Some(bytes)) => {
-            let (inst, hash) = read_mixed_instance_bin(&bytes).map_err(rejected)?;
-            if write_mixed_instance_bin(&inst) != bytes {
-                return Err(not_canonical());
-            }
-            Ok(LoadedInstance::Mixed(Arc::new(inst), hash))
-        }
-        _ => Err(SnapshotError::Format {
-            line: fam_no,
-            msg: format!("unknown family/payload combination `{family}`/`{kind}`"),
-        }),
+    let (payload, hash) = InstancePayload::decode(family, bytes, binary)
+        .map_err(|e| SnapshotError::Verify { msg: format!("instance rejected: {e}") })?;
+    if payload.encode(binary) != bytes {
+        return Err(SnapshotError::Verify {
+            msg: "payload is not canonical (read→write is not a byte fixpoint)".to_string(),
+        });
     }
+    Ok((payload, hash))
 }
 
 fn load_entry(cur: &mut Cursor<'_>) -> Result<CacheEntry, SnapshotError> {
@@ -493,42 +451,22 @@ fn load_entry(cur: &mut Cursor<'_>) -> Result<CacheEntry, SnapshotError> {
     }
     cur.expect_literal("end")?;
 
-    let (text_payload, bin_payload) =
-        if kind == "text" { (Some(body), None) } else { (None, Some(hex_decode(&body, pay_no)?)) };
-    let loaded = load_payload(&family, fam_no, kind, text_payload, bin_payload)?;
+    let bytes = if kind == "text" { body.into_bytes() } else { hex_decode(&body, pay_no)? };
+    let (payload, content_hash) = load_payload(&family, fam_no, kind, &bytes)?;
 
     // Rebuild + verify: the prep hash is recomputed from the rebuilt
     // inputs exactly as `prep_hash` would compute it for a live request,
     // then checked against the stored fingerprint — a tampered or
     // bit-rotted entry cannot alias a different fingerprint.
-    let (prepared, content_hash) = match loaded {
-        LoadedInstance::Packing(inst, content_hash) => {
-            let opts = DecisionOptions::practical(0.1).with_engine(engine_kind).with_seed(seed);
-            let solver = Solver::builder(&inst)
-                .options(opts)
-                .build()
-                .map_err(|e| SnapshotError::Rebuild { msg: e.to_string() })?;
-            let engine = solver.engine_handle();
-            (Prepared::Packing { inst, engine }, content_hash)
-        }
-        LoadedInstance::Mixed(inst, content_hash) => {
-            let opts = MixedOptions::practical(0.1).with_engine(engine_kind).with_seed(seed);
-            let solver = MixedSolver::builder(&inst)
-                .options(opts)
-                .build()
-                .map_err(|e| SnapshotError::Rebuild { msg: e.to_string() })?;
-            let (pack_engine, cover_engine) = solver.engine_handles();
-            (Prepared::Mixed { inst, pack_engine, cover_engine }, content_hash)
-        }
-    };
-    let computed =
-        prep_hash_parts(family_tag(&prepared.payload()), engine_kind, seed, content_hash);
+    let prepared = Prepared::build(&payload, engine_kind, seed)
+        .map_err(|e| SnapshotError::Rebuild { msg: e.to_string() })?;
+    let computed = prep_hash_parts(payload.family() as u8, engine_kind, seed, content_hash);
     if computed != hash {
         return Err(SnapshotError::Verify {
             msg: format!("fingerprint hash mismatch (stored {hash:016x})"),
         });
     }
-    if bracket.is_some() && matches!(prepared, Prepared::Mixed { .. }) {
+    if bracket.is_some() && payload.family() == Family::Mixed {
         return Err(SnapshotError::Verify {
             msg: "mixed entries cannot carry a packing bracket".to_string(),
         });
@@ -543,6 +481,7 @@ mod tests {
     use crate::ServeRequest;
     use psdp_core::{ApproxOptions, MixedApproxOptions, MixedInstance, PackingInstance};
     use psdp_sparse::PsdMatrix;
+    use std::sync::Arc;
 
     fn warm_service() -> Service {
         let pack = Arc::new(

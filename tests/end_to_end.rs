@@ -231,3 +231,29 @@ fn out_of_range_engine_parameters_are_rejected_up_front() {
         assert!(matches!(err, PsdpError::InvalidInstance(_)), "{engine:?}: {err:?}");
     }
 }
+
+/// At large `eps` the bisection's certificate-seeking escalation can scale
+/// the iterate until Ψ's entries reach ~1e155, where the exact engine's
+/// eigensolver stops converging. That failure must count as a weak
+/// escalation (the cold outcome stands), not abort the whole `optimize`.
+#[test]
+fn failed_escalation_keeps_the_cold_outcome_at_large_eps() {
+    let inst = PackingInstance::new(edge_packing(&gnp(12, 0.3, 3))).unwrap();
+    for eps in [0.5, 0.8, 0.9, 0.99] {
+        let opts = ApproxOptions::practical(eps);
+        let solver = Solver::builder(&inst).options(opts.decision).build().unwrap();
+        let r = solver
+            .session()
+            .optimize(&opts)
+            .unwrap_or_else(|e| panic!("eps {eps}: optimize failed: {e}"));
+        assert!(
+            r.converged && r.value_lower > 0.0,
+            "eps {eps}: [{}, {}]",
+            r.value_lower,
+            r.value_upper
+        );
+        let d = r.best_dual.as_ref().expect("dual witness");
+        let c = verify_dual(&inst, d, 1e-7);
+        assert!(c.feasible && c.value >= r.value_lower * (1.0 - 1e-9), "eps {eps}: {c:?}");
+    }
+}
