@@ -33,9 +33,10 @@ use std::path::{Path, PathBuf};
 use report::{Finding, Report, Severity};
 use rules::FileInput;
 
-/// Directories never walked (fixtures are audit *inputs*, shims are
-/// test-only stand-ins for external crates, target/.git are artifacts).
-const SKIP_DIRS: &[&str] = &["target", ".git", "tests/fixtures", "crates/shims"];
+/// Directories never walked (fixtures are audit *inputs*, target/.git are
+/// artifacts). The vendored shims are walked: they sit outside every
+/// D/R rule's scope, but H1 inventories their `unsafe` like any other.
+const SKIP_DIRS: &[&str] = &["target", ".git", "tests/fixtures"];
 
 /// Audit options.
 #[derive(Debug, Default)]

@@ -66,9 +66,9 @@ const KIND_FACTOR: u32 = 2;
 const KIND_DENSE: u32 = 3;
 
 /// Total record bytes below which [`decode_records`] decodes on the
-/// calling thread: a smaller decode takes less time than starting the
-/// pool's threads, whose start-up cost would dominate, and jitter, the
-/// read.
+/// calling thread: a smaller decode takes less time than handing it to
+/// the pool's workers (and, on a process's first parallel call, starting
+/// them), which would dominate, and jitter, the read.
 const PARALLEL_DECODE_BYTES: usize = 1 << 17;
 
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;

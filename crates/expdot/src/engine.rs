@@ -122,11 +122,13 @@ const EXPV_SKETCH_CONST: f64 = 4.0;
 const EXPV_POLY_TOL: f64 = 1e-9;
 
 /// One operator application on every vector of an expv loop (`vectors ×
-/// (nnz(Φ) + m)`) below which the loop runs on the calling thread: its
-/// Krylov runs then take less time than starting the pool's threads, and
-/// the spawns would dominate, and jitter, the evaluation. The outputs do
-/// not depend on the choice (results are collected in vector order).
-const EXPV_PARALLEL_SWEEP: usize = 1 << 18;
+/// (nnz(Φ) + m)`) below which the loop runs on the calling thread. Handing
+/// a loop to the pool's parked workers costs a few µs and pays off from
+/// about 30 µs of work; a loop's Krylov runs take some tens of
+/// applications per vector, so they reach that at about `2¹¹`. The
+/// outputs do not depend on the choice (results are collected in vector
+/// order).
+const EXPV_PARALLEL_SWEEP: usize = 1 << 11;
 
 /// `f` over `items` in order — across the pool when `parallel`, else on
 /// the calling thread. The result is the same either way.

@@ -3,18 +3,29 @@
 //! The build environment has no access to crates.io, so the workspace
 //! vendors minimal shims for its external dependencies. This shim keeps
 //! rayon's *shape* — `prelude::*` parallel iterators, [`ThreadPool`] +
-//! [`ThreadPoolBuilder`], [`current_num_threads`] — while implementing
-//! execution with `std::thread::scope`:
+//! [`ThreadPoolBuilder`], [`current_num_threads`] — over a much smaller
+//! executor:
 //!
 //! * every parallel combinator splits its items into at most
-//!   [`current_num_threads`] contiguous chunks and runs them on scoped OS
-//!   threads, preserving item order in the output;
+//!   [`current_num_threads`] contiguous chunks and assembles the outputs
+//!   by chunk index, preserving item order;
+//! * the chunks run on one process-wide set of parked worker threads,
+//!   started lazily and grown to the largest budget ever asked for
+//!   minus one. The calling thread runs chunk 0 itself and then claims
+//!   every chunk no worker has started yet, so a call never waits idle
+//!   behind another caller's work; it waits only for chunks already
+//!   running elsewhere, and returns after all of them have finished;
 //! * [`ThreadPool::install`] scopes the effective thread count via a
-//!   thread-local (no persistent worker threads — pools here are just a
-//!   concurrency budget);
-//! * nested parallel calls inside a worker run sequentially, bounding the
+//!   thread-local — pools here are a concurrency budget over the shared
+//!   workers, not thread sets of their own;
+//! * nested parallel calls inside a chunk run sequentially, bounding the
 //!   total thread count by the installed budget (rayon bounds it via work
-//!   stealing; we bound it by disabling nested spawns).
+//!   stealing; we bound it by running nested calls inline).
+//!
+//! Real rayon's `in_worker`/latch design (a registry of workers, a job
+//! the caller waits on through a latch) is the model; this shim keeps
+//! only what fixed contiguous chunks need: one job list under one mutex,
+//! a per-job claim counter, and two condition variables.
 //!
 //! The result is deterministic for `map`/`collect` pipelines (order is by
 //! index, independent of scheduling) and genuinely parallel for the
@@ -23,6 +34,8 @@
 #![warn(missing_docs)]
 
 use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 thread_local! {
     /// Effective concurrency budget for parallel calls on this thread.
@@ -35,18 +48,24 @@ pub fn current_num_threads() -> usize {
     BUDGET.with(|b| b.get()).unwrap_or_else(default_threads)
 }
 
+/// The budget outside any [`ThreadPool::install`], fixed at first use as
+/// real rayon fixes its global pool's size.
 fn default_threads() -> usize {
-    // Real rayon sizes its global pool from RAYON_NUM_THREADS; honor it so
-    // CI can run the suite under an explicit thread matrix (invalid or
-    // zero values fall back to the machine's parallelism, as rayon does).
-    if let Ok(v) = std::env::var("RAYON_NUM_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        // Real rayon sizes its global pool from RAYON_NUM_THREADS; honor it
+        // so CI can run the suite under an explicit thread matrix (invalid
+        // or zero values fall back to the machine's parallelism, as rayon
+        // does).
+        if let Ok(v) = std::env::var("RAYON_NUM_THREADS") {
+            if let Ok(n) = v.trim().parse::<usize>() {
+                if n > 0 {
+                    return n;
+                }
             }
         }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    })
 }
 
 fn with_budget<R>(n: usize, f: impl FnOnce() -> R) -> R {
@@ -63,9 +82,11 @@ fn with_budget<R>(n: usize, f: impl FnOnce() -> R) -> R {
 
 /// A concurrency budget masquerading as a thread pool.
 ///
-/// Unlike real rayon there are no persistent workers; `install` simply
-/// scopes [`current_num_threads`] so parallel combinators invoked inside
-/// split into that many scoped threads.
+/// Unlike real rayon a pool owns no threads: every pool shares the
+/// process-wide parked workers, and `install` only scopes
+/// [`current_num_threads`] so parallel combinators invoked inside split
+/// into that many chunks (run by the caller and up to that many minus one
+/// workers).
 pub struct ThreadPool {
     threads: usize,
 }
@@ -123,8 +144,137 @@ impl ThreadPoolBuilder {
     }
 }
 
+/// Runs chunk `ci` of one call; borrowed from that call's stack frame.
+type Body = &'static (dyn Fn(usize) + Sync);
+
+/// One published call: its chunks are claimed in index order.
+struct Job {
+    id: u64,
+    body: Body,
+    chunks: usize,
+    /// Next chunk nobody has claimed yet.
+    next: usize,
+    /// Chunks claimed by workers and not finished yet.
+    running: usize,
+}
+
+struct State {
+    jobs: Vec<Job>,
+    workers: usize,
+    next_id: u64,
+}
+
+impl State {
+    fn job(&mut self, id: u64) -> &mut Job {
+        self.jobs.iter_mut().find(|j| j.id == id).expect("a job stays listed until its call joins")
+    }
+}
+
+/// The process-wide workers' shared state.
+struct Pool {
+    state: Mutex<State>,
+    /// Workers park here until a job has an unclaimed chunk.
+    work: Condvar,
+    /// Callers wait here for their workers' chunks to finish.
+    done: Condvar,
+}
+
+static POOL: Pool = Pool {
+    state: Mutex::new(State { jobs: Vec::new(), workers: 0, next_id: 0 }),
+    work: Condvar::new(),
+    done: Condvar::new(),
+};
+
+impl Pool {
+    /// No user code runs under this lock, so a poisoned lock still holds
+    /// consistent state.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Publish `body`'s chunks 1.. to the workers (the caller keeps chunk
+    /// 0), growing the worker set to `threads - 1` first.
+    fn publish(&self, body: Body, chunks: usize, threads: usize) -> u64 {
+        let mut st = self.lock();
+        while st.workers + 1 < threads {
+            let name = format!("rayon-shim-worker-{}", st.workers);
+            // Workers are never joined: they park between jobs for the
+            // life of the process, and a chunk's panic is caught inside
+            // `body`, so none ends early. One that cannot start costs
+            // parallelism, not progress: the caller claims every chunk
+            // nobody else has.
+            if std::thread::Builder::new().name(name).spawn(|| POOL.work_loop()).is_err() {
+                break;
+            }
+            st.workers += 1;
+        }
+        let id = st.next_id;
+        st.next_id += 1;
+        st.jobs.push(Job { id, body, chunks, next: 1, running: 0 });
+        drop(st);
+        for _ in 1..chunks {
+            self.work.notify_one();
+        }
+        id
+    }
+
+    /// The caller's claim on its own job: the next chunk nobody started.
+    fn claim_own(&self, id: u64) -> Option<usize> {
+        let mut st = self.lock();
+        let job = st.job(id);
+        (job.next < job.chunks).then(|| {
+            job.next += 1;
+            job.next - 1
+        })
+    }
+
+    /// Close the job to new claims, wait for the chunks workers are still
+    /// running, and withdraw it.
+    fn join(&self, id: u64) {
+        let mut st = self.lock();
+        let job = st.job(id);
+        job.next = job.chunks;
+        while st.job(id).running > 0 {
+            st = self.done.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        st.jobs.retain(|j| j.id != id);
+    }
+
+    fn work_loop(&self) {
+        let mut st = self.lock();
+        loop {
+            let claim = st.jobs.iter_mut().find(|j| j.next < j.chunks).map(|job| {
+                job.next += 1;
+                job.running += 1;
+                (job.id, job.body, job.next - 1)
+            });
+            let Some((id, body, ci)) = claim else {
+                st = self.work.wait(st).unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            drop(st);
+            body(ci);
+            st = self.lock();
+            st.job(id).running -= 1;
+            self.done.notify_all();
+        }
+    }
+}
+
+/// Withdraws a published job when the call's frame is left, on unwind
+/// too, so no worker can reach the borrowed body afterwards.
+struct Joined(u64);
+
+impl Drop for Joined {
+    fn drop(&mut self) {
+        POOL.join(self.0);
+    }
+}
+
 /// Split `items` into at most [`current_num_threads`] contiguous chunks and
-/// map `f(index, item)` over them on scoped threads, preserving order.
+/// map `f(index, item)` over them on the caller and the pool's workers,
+/// preserving order. A panic in any chunk is re-raised on the caller once
+/// every chunk has finished.
 fn par_map_vec<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -137,37 +287,50 @@ where
         return items.into_iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
     let chunk = len.div_ceil(threads);
-    let mut parts: Vec<Vec<T>> = Vec::with_capacity(threads);
+    let mut parts: Vec<Mutex<Option<Vec<T>>>> = Vec::with_capacity(threads);
     let mut rest = items;
     while rest.len() > chunk {
         let tail = rest.split_off(chunk);
-        parts.push(std::mem::replace(&mut rest, tail));
+        parts.push(Mutex::new(Some(std::mem::replace(&mut rest, tail))));
     }
-    parts.push(rest);
+    parts.push(Mutex::new(Some(rest)));
+    let chunks = parts.len();
+    let outs: Vec<Mutex<Option<std::thread::Result<Vec<R>>>>> =
+        (0..chunks).map(|_| Mutex::new(None)).collect();
 
-    let f = &f;
-    let mut out: Vec<Vec<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = parts
-            .into_iter()
-            .enumerate()
-            .map(|(ci, part)| {
-                scope.spawn(move || {
-                    // Nested parallel calls inside a worker run sequentially so
-                    // the total spawned-thread count stays within the budget.
-                    with_budget(1, || {
-                        part.into_iter()
-                            .enumerate()
-                            .map(|(j, x)| f(ci * chunk + j, x))
-                            .collect::<Vec<R>>()
-                    })
-                })
+    let run = |ci: usize| {
+        let part = parts[ci].lock().unwrap_or_else(PoisonError::into_inner).take();
+        let part = part.expect("each chunk is claimed once");
+        // Nested parallel calls inside a chunk run sequentially so the
+        // total thread count stays within the budget.
+        let out = catch_unwind(AssertUnwindSafe(|| {
+            with_budget(1, || {
+                part.into_iter().enumerate().map(|(j, x)| f(ci * chunk + j, x)).collect()
             })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("shim worker panicked")).collect()
-    });
+        }));
+        *outs[ci].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
+    };
+    let body: &(dyn Fn(usize) + Sync) = &run;
+    // Only the lifetime is erased. Workers reach `body` solely through
+    // this call's job, and `run` catches the chunks' panics.
+    // SAFETY: `Joined` withdraws the job, after waiting for every chunk a
+    // worker claimed to finish, before this frame is left (on unwind as
+    // well as on return), so no use of `body` outlives the borrow.
+    let body: Body = unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), Body>(body) };
+    let joined = Joined(POOL.publish(body, chunks, threads));
+    run(0);
+    while let Some(ci) = POOL.claim_own(joined.0) {
+        run(ci);
+    }
+    drop(joined);
+
     let mut flat = Vec::with_capacity(len);
-    for part in &mut out {
-        flat.append(part);
+    for out in outs {
+        match out.into_inner().unwrap_or_else(PoisonError::into_inner) {
+            Some(Ok(mut part)) => flat.append(&mut part),
+            Some(Err(payload)) => resume_unwind(payload),
+            None => unreachable!("every chunk ran before the join"),
+        }
     }
     flat
 }
@@ -493,10 +656,69 @@ mod tests {
 
     #[test]
     fn workers_run_nested_calls_sequentially() {
+        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
         let nested: Vec<usize> =
-            (0..4usize).into_par_iter().map(|_| current_num_threads()).collect();
-        // Inside a worker the budget is 1 whenever the outer loop actually
-        // split; with a single-thread budget it stays whatever it was.
-        assert!(nested.iter().all(|&n| n >= 1));
+            pool.install(|| (0..6usize).into_par_iter().map(|_| current_num_threads()).collect());
+        // Every chunk — the caller's and the workers' — sees a budget of 1.
+        assert_eq!(nested, vec![1; 6]);
+        // And the caller's own budget is back once the call returns.
+        assert_eq!(pool.install(current_num_threads), 3);
+    }
+
+    #[test]
+    fn panic_in_a_later_chunk_reaches_the_caller_and_the_pool_recovers() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let ran = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.install(|| {
+                (0..16usize)
+                    .into_par_iter()
+                    .map(|i| {
+                        assert!(i != 13, "chunk three fails");
+                        ran.fetch_add(1, Ordering::Relaxed);
+                    })
+                    .collect::<Vec<_>>()
+            })
+        }));
+        let payload = caught.expect_err("the chunk's panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"chunk three fails"));
+        // Chunks 0-2 and item 12 all finished before the panic was re-raised.
+        assert_eq!(ran.load(Ordering::Relaxed), 13);
+        let v: Vec<usize> = pool.install(|| (0..16usize).into_par_iter().map(|i| i * 3).collect());
+        assert_eq!(v, (0..16).map(|i| i * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn concurrent_callers_get_their_own_ordered_results() {
+        let start = std::sync::Arc::new(std::sync::Barrier::new(8));
+        let handles: Vec<_> = (0..8usize)
+            .map(|t| {
+                let start = start.clone();
+                std::thread::spawn(move || {
+                    let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+                    let data: Vec<usize> = (0..500).map(|i| i * 8 + t).collect();
+                    start.wait();
+                    for _ in 0..50 {
+                        let got: Vec<usize> =
+                            pool.install(|| data.par_iter().map(|x| x + 1).collect());
+                        assert_eq!(got, data.iter().map(|x| x + 1).collect::<Vec<_>>());
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().expect("caller thread");
+        }
+    }
+
+    #[test]
+    fn closures_borrow_the_callers_stack() {
+        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let offset = 1000usize;
+        let weights = [2usize, 3, 5];
+        let v: Vec<usize> = pool
+            .install(|| (0..9usize).into_par_iter().map(|i| offset + i * weights[i % 3]).collect());
+        assert_eq!(v, (0..9).map(|i| offset + i * weights[i % 3]).collect::<Vec<_>>());
     }
 }

@@ -158,6 +158,16 @@ fn live_workspace_is_audit_clean() {
     assert!(report.unsafe_sites.iter().all(|s| s.justified));
 }
 
+/// The walk reaches the vendored shims: the rayon shim's worker pool holds
+/// the tree's one `unsafe` block, and H1 inventories it as justified.
+#[test]
+fn live_workspace_inventories_the_rayon_shim_unsafe() {
+    let report = run_audit(&workspace_root(), &Options::default()).expect("audit runs");
+    let sites: Vec<(&str, bool)> =
+        report.unsafe_sites.iter().map(|s| (s.file.as_str(), s.justified)).collect();
+    assert_eq!(sites, [("crates/shims/rayon/src/lib.rs", true)], "{}", report.human());
+}
+
 /// Gate demo: seed violations into a scratch workspace and watch the
 /// audit fail with file:line-anchored findings — this is the regression
 /// CI's fail-fast `psdp-analyze --deny-warnings` step would catch.
@@ -185,4 +195,23 @@ fn seeded_violation_fails_the_gate() {
         report.findings.iter().map(|f| (f.rule, f.file.as_str(), f.line)).collect();
     assert!(rules.contains(&("D1", "crates/core/src/state.rs", 1)), "{rules:?}");
     assert!(rules.contains(&("R1", "crates/serve/src/handler.rs", 2)), "{rules:?}");
+}
+
+/// An unjustified `unsafe` in a vendored shim fails the gate too.
+#[test]
+fn unjustified_unsafe_in_a_shim_fails_the_gate() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("audit_shim_demo");
+    let shim = root.join("crates/shims/rayon/src");
+    std::fs::create_dir_all(&shim).expect("scratch workspace");
+    std::fs::write(
+        shim.join("lib.rs"),
+        "pub fn first(v: &[u8]) -> u8 {\n    unsafe { *v.get_unchecked(0) }\n}\n",
+    )
+    .expect("seed H1");
+
+    let report = run_audit(&root, &Options::default()).expect("audit runs");
+    let rules: Vec<(&str, &str, usize)> =
+        report.findings.iter().map(|f| (f.rule, f.file.as_str(), f.line)).collect();
+    assert_eq!(rules, [("H1", "crates/shims/rayon/src/lib.rs", 2)]);
+    assert_eq!(report.unsafe_sites.len(), 1);
 }
