@@ -122,12 +122,12 @@ const EXPV_SKETCH_CONST: f64 = 4.0;
 const EXPV_POLY_TOL: f64 = 1e-9;
 
 /// One operator application on every vector of an expv loop (`vectors ×
-/// (nnz(Φ) + m)`) below which the loop runs on the calling thread. Handing
-/// a loop to the pool's parked workers costs a few µs and pays off from
-/// about 30 µs of work; a loop's Krylov runs take some tens of
-/// applications per vector, so they reach that at about `2¹¹`. The
-/// outputs do not depend on the choice (results are collected in vector
-/// order).
+/// (nnz(Φ) + m)`) below which the loop runs on the calling thread. Timed
+/// on 2 vCPUs, whole evaluations with their loops on the pool ran 1.2–1.6×
+/// slower than on the calling thread at sweeps up to 320, up to 1.24×
+/// slower at 528–1200, within noise at 1656–4248 and faster at 12k
+/// (DESIGN.md §12), so the pool takes a loop from `2¹¹` on. The outputs do
+/// not depend on the choice (results are collected in vector order).
 const EXPV_PARALLEL_SWEEP: usize = 1 << 11;
 
 /// `f` over `items` in order — across the pool when `parallel`, else on

@@ -10,11 +10,13 @@
 //!   [`current_num_threads`] contiguous chunks and assembles the outputs
 //!   by chunk index, preserving item order;
 //! * the chunks run on one process-wide set of parked worker threads,
-//!   started lazily and grown to the largest budget ever asked for
-//!   minus one. The calling thread runs chunk 0 itself and then claims
-//!   every chunk no worker has started yet, so a call never waits idle
-//!   behind another caller's work; it waits only for chunks already
-//!   running elsewhere, and returns after all of them have finished;
+//!   started lazily and grown to the most chunks any call has split into
+//!   minus one, so no thread is started that no call could use (at most
+//!   the largest budget minus one). The calling thread runs chunk 0
+//!   itself and then claims every chunk no worker has started yet, so a
+//!   call never waits idle behind another caller's work; it waits only
+//!   for chunks already running elsewhere, and returns after all of them
+//!   have finished;
 //! * [`ThreadPool::install`] scopes the effective thread count via a
 //!   thread-local — pools here are a concurrency budget over the shared
 //!   workers, not thread sets of their own;
@@ -193,10 +195,10 @@ impl Pool {
     }
 
     /// Publish `body`'s chunks 1.. to the workers (the caller keeps chunk
-    /// 0), growing the worker set to `threads - 1` first.
-    fn publish(&self, body: Body, chunks: usize, threads: usize) -> u64 {
+    /// 0), growing the worker set to `chunks - 1` first.
+    fn publish(&self, body: Body, chunks: usize) -> u64 {
         let mut st = self.lock();
-        while st.workers + 1 < threads {
+        while st.workers + 1 < chunks {
             let name = format!("rayon-shim-worker-{}", st.workers);
             // Workers are never joined: they park between jobs for the
             // life of the process, and a chunk's panic is caught inside
@@ -317,7 +319,7 @@ where
     // worker claimed to finish, before this frame is left (on unwind as
     // well as on return), so no use of `body` outlives the borrow.
     let body: Body = unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), Body>(body) };
-    let joined = Joined(POOL.publish(body, chunks, threads));
+    let joined = Joined(POOL.publish(body, chunks));
     run(0);
     while let Some(ci) = POOL.claim_own(joined.0) {
         run(ci);
@@ -340,8 +342,8 @@ pub mod iter {
     use super::par_map_vec;
     use std::ops::Range;
 
-    /// A parallel iterator: drives `f(index, item)` over all items on a
-    /// bounded set of scoped threads, returning results in item order.
+    /// A parallel iterator: drives `f(index, item)` over all items on the
+    /// caller and the pool's workers, returning results in item order.
     pub trait ParallelIterator: Sized {
         /// The element type.
         type Item: Send;
@@ -710,6 +712,17 @@ mod tests {
         for h in handles {
             h.join().expect("caller thread");
         }
+    }
+
+    #[test]
+    fn a_wide_budget_over_few_items_starts_no_idle_workers() {
+        let pool = ThreadPoolBuilder::new().num_threads(256).build().unwrap();
+        let v: Vec<usize> = pool.install(|| (0..2usize).into_par_iter().map(|i| i + 1).collect());
+        assert_eq!(v, vec![1, 2]);
+        // The call split into 2 chunks, so it needed 1 worker. Other tests
+        // here split into at most 4 chunks, or the default budget's.
+        let widest = default_threads().max(4);
+        assert!(POOL.lock().workers < widest, "workers beyond any call's chunks");
     }
 
     #[test]
