@@ -58,11 +58,14 @@ header, which `serve` uses directly as its cache fingerprint.
 `serve` reads one JSON request per stdin line —
   {\"id\":\"r1\",\"command\":\"solve\",\"file\":\"inst.psdp\",\"threshold\":1.0,\"eps\":0.2}
   {\"id\":\"r2\",\"command\":\"optimize\",\"instance\":\"psdp 1\\n…\",\"eps\":0.1}
-— batches them through the fingerprint-cached scheduler (repeat instances
-share prepared solvers, identical requests are memoized), and emits one
-JSON response per request on stdout (submission order, same schemas as
-`--json` plus `id` and a `serve` reuse-telemetry object; `wall_ms` is null
-so response bytes are deterministic). The batch report goes to stderr.
+— or a binary frame (a NUL byte, a u32 LE length, then a JSON header and
+psdp-bin-1 instance bytes) — batches them through the fingerprint-cached
+scheduler (repeat instances share prepared solvers, identical requests
+are memoized), and streams one JSON response per request to stdout
+(submission order, same schemas as `--json` plus `id` and a `serve`
+reuse-telemetry object; `wall_ms` is null so response bytes are
+deterministic). Malformed lines and frames get in-place error lines. The
+batch report goes to stderr.
 With `--listen` the same protocol runs through the persistent streaming
 service (DESIGN.md §13): requests are admitted as they arrive into
 bounded per-shard queues (a full queue answers a typed `overloaded` line
@@ -74,7 +77,7 @@ warm-loads from the previous one — a missing or corrupted snapshot means
 a cold start, never a refusal to serve). `--shed-target-p99-ms` turns on
 adaptive shedding: queue admission tightens whenever the live p99
 service latency overshoots the target. Lines longer than
-`--max-line-bytes` (default 4 MiB) are rejected in place in both modes.
+`--max-line-bytes` (default 4 MiB) are rejected in place in every mode.
 The service report — throughput, p50/p99 latency, per-tier hit counters,
 queue high-water marks — goes to stderr.
 With `--bind` the listen-mode service accepts many concurrent socket

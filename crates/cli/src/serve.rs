@@ -1,7 +1,7 @@
 //! The `psdp serve` subcommand: a JSONL front door over the
-//! `psdp-serve` scheduler.
+//! `psdp-serve` scheduler and streaming service.
 //!
-//! One JSON request per stdin line; one JSON response per stdout line, in
+//! One JSON request per line; one JSON response per line, in
 //! submission order, reusing the `--json` schemas of `solve` / `optimize`
 //! / `mixed` with two additions: the request's `id` and a `serve` object
 //! carrying deterministic reuse telemetry. Response bytes are a pure
@@ -17,8 +17,8 @@
 //! unbounded `String` growth.
 //!
 //! Instances arrive as canonical text or as `psdp-bin-1` binary
-//! (`file` paths are sniffed by magic). Under `--listen` a request may
-//! also be a **binary frame**: a `0x00` marker byte (JSON never starts
+//! (`file` paths are sniffed by magic). In every mode a request may also
+//! be a **binary frame**: a `0x00` marker byte (JSON never starts
 //! with NUL), a `u32` LE payload length, then the payload — itself a
 //! `u32` LE JSON-header length, the JSON header (same schema as a text
 //! request, minus `file`/`instance`), and the instance as `psdp-bin-1`
@@ -28,6 +28,13 @@
 //! fingerprint cache, and the serve-cache fingerprint comes from the
 //! binary header's content hash — byte-identical responses to the
 //! equivalent text submission.
+//!
+//! All three front ends — one-shot, `--listen` over stdin, and one socket
+//! connection — read through one `RequestReader` and render through one
+//! `render_outcome`, so the same bytes in give the same bytes out. The
+//! one-shot front end streams: it reads requests off stdin into one
+//! scheduler batch and writes the responses to a buffered stdout, holding
+//! the parsed batch but never the input or output text.
 //!
 //! `--listen` switches from the one-shot batch scheduler to the
 //! persistent streaming service ([`psdp_serve::service`]): requests are
@@ -54,7 +61,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 
-/// Default per-line byte bound for the JSONL readers.
+/// Default per-line byte bound for the request reader.
 const DEFAULT_MAX_LINE_BYTES: usize = 4 * 1024 * 1024;
 
 /// First byte of a binary frame. JSON text never starts with NUL, so one
@@ -76,390 +83,106 @@ pub struct ServeRun {
     pub summary: String,
 }
 
-/// What a successfully parsed line contributes: the request plus the
-/// rendering context its response needs.
-struct ParsedLine {
-    request: ServeRequest,
-    /// `"path"` (JSON-escaped) or `null` for inline instances.
-    file_json: String,
-}
+/// A parsed request with its JSON `file` field (`"path"`, or `null` for
+/// inline and framed instances), or the best-effort id and message of
+/// its in-place error line.
+type Parsed = Result<(ServeRequest, String), (Option<String>, String)>;
 
-/// Per-line parse state: a scheduled request (by index into the batch) or
-/// an immediate error line.
-enum Line {
-    Request(usize),
-    Error { id: Option<String>, msg: String },
-}
-
-/// `psdp serve` — read JSONL requests from stdin, print the batch report
-/// to stderr, and return the response stream for stdout.
+/// `psdp serve` — read requests from stdin (or, with `--bind`, from
+/// socket clients), stream the responses to stdout, and print the
+/// report to stderr. Returns nothing left to print.
 ///
 /// # Errors
-/// Flag errors and stdin read failures as printable messages (per-request
+/// Flag errors and stream failures as printable messages (per-request
 /// failures become response lines instead).
 pub fn serve(args: &Args) -> Result<String, String> {
-    if args.bool_flag("listen") {
-        if let Some(spec) = args.opt_flag("bind") {
+    let listen = args.bool_flag("listen");
+    let summary = match args.opt_flag("bind") {
+        Some(spec) if listen => {
             let addr = psdp_serve::BindAddr::parse(spec)?;
             let listener = psdp_serve::Listener::bind(&addr)?;
             // Report the bound address before serving: a `tcp:…:0`
             // caller learns the OS-assigned port from this line.
             eprintln!("listening on {}", listener.local_addr_string());
-            let summary = serve_listen_socket_on(args, listener)?;
-            eprint!("{summary}");
-            return Ok(String::new());
+            serve_listen_socket_on(args, listener)?
         }
-        let stdin = std::io::stdin();
-        let mut stdout = std::io::stdout();
-        let summary = serve_listen_on(args, &mut stdin.lock(), &mut stdout)?;
-        eprint!("{summary}");
-        // Responses were streamed to stdout as they were sequenced;
-        // nothing is left to print at exit.
-        return Ok(String::new());
-    }
-    let mut input = String::new();
-    std::io::Read::read_to_string(&mut std::io::stdin(), &mut input)
-        .map_err(|e| format!("reading stdin: {e}"))?;
-    let run = serve_on_input(args, &input)?;
-    eprint!("{}", run.summary);
-    Ok(run.stdout)
-}
-
-/// The testable core of [`serve`]: everything except stdin/stderr wiring.
-///
-/// # Errors
-/// Flag errors as printable messages.
-pub fn serve_on_input(args: &Args, input: &str) -> Result<ServeRun, String> {
-    args.ensure_known(&["max-in-flight", "cache", "max-line-bytes", "format"])?;
-    let max_in_flight: usize = args.flag("max-in-flight", 0)?;
-    let max_line_bytes: usize = args.flag("max-line-bytes", DEFAULT_MAX_LINE_BYTES)?;
-    let fmt = format_of(&args.str_flag("format", "auto"))?;
-    let cache_enabled = match args.str_flag("cache", "on").as_str() {
-        "on" => true,
-        "off" => false,
-        other => return Err(format!("unknown --cache value `{other}` (on|off)")),
+        // `--listen` flushes every line itself, so bare stdout is right.
+        _ if listen => serve_listen_on(args, &mut std::io::stdin().lock(), &mut std::io::stdout())?,
+        // One-shot writes a whole batch at once: a block buffer turns
+        // one write per line into one per buffer.
+        _ => {
+            let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+            serve_on(args, &mut std::io::stdin().lock(), &mut out)?
+        }
     };
-
-    let mut sources: Sources = BTreeMap::new();
-    let mut seen_ids: BTreeSet<String> = BTreeSet::new();
-    let mut lines: Vec<Line> = Vec::new();
-    let mut parsed: Vec<ParsedLine> = Vec::new();
-
-    for raw in input.lines() {
-        if raw.trim().is_empty() {
-            continue;
-        }
-        if raw.len() > max_line_bytes {
-            // Best-effort correlate the error: scan the bounded prefix —
-            // the same bytes the streaming reader would have retained —
-            // for a leading id before discarding the line.
-            let prefix = raw.as_bytes().get(..max_line_bytes).unwrap_or(raw.as_bytes());
-            lines.push(Line::Error {
-                id: scan_leading_id(prefix),
-                msg: oversized_line_msg(raw.len(), max_line_bytes),
-            });
-            continue;
-        }
-        match parse_request_line(raw, fmt, &mut sources) {
-            Ok(p) => {
-                if !seen_ids.insert(p.request.id.clone()) {
-                    lines.push(Line::Error {
-                        id: Some(p.request.id.clone()),
-                        msg: format!("duplicate request id `{}`", p.request.id),
-                    });
-                } else {
-                    lines.push(Line::Request(parsed.len()));
-                    parsed.push(p);
-                }
-            }
-            Err((id, msg)) => lines.push(Line::Error { id, msg }),
-        }
-    }
-
-    let opts = SchedulerOptions { max_in_flight, cache_enabled, ..SchedulerOptions::default() };
-    run_one_shot(&lines, &parsed, opts)
+    eprint!("{summary}");
+    Ok(String::new())
 }
 
-/// Run the parsed batch through one scheduler and render every line in
-/// input order, replaying the rendered fields of stored memo results.
-fn run_one_shot(
-    lines: &[Line],
-    parsed: &[ParsedLine],
-    opts: SchedulerOptions,
-) -> Result<ServeRun, String> {
-    let requests: Vec<ServeRequest> = parsed.iter().map(|p| p.request.clone()).collect();
-    let output = Scheduler::new(opts).run_batch(&requests).map_err(|e| e.to_string())?;
-
-    let mut replay = RenderReplay::default();
-    let mut stdout = String::new();
-    for line in lines {
-        match line {
-            Line::Error { id, msg } => {
-                let id_json = match id {
-                    Some(s) => json_str(s),
-                    None => "null".to_string(),
-                };
-                stdout.push_str(&format!("{{\"id\":{id_json},\"error\":{}}}\n", json_str(msg)));
-            }
-            Line::Request(i) => match (parsed.get(*i), output.responses.get(*i)) {
-                (Some(p), Some(resp)) => {
-                    stdout.push_str(&render_response(p, resp, Some(&mut replay)))
-                }
-                // Indices are constructed in lockstep with the batch; if
-                // that invariant ever breaks, emit an error line in place
-                // rather than panicking mid-stream.
-                _ => stdout.push_str(
-                    "{\"id\":null,\"error\":\"response missing for request (internal)\"}\n",
-                ),
-            },
-        }
-    }
-    Ok(ServeRun { stdout, summary: summarize(&output.report) })
-}
-
-/// Caller context carried through the streaming service pipeline for each
-/// admitted line: what the sequenced outcome needs to render itself.
-enum LineCtx {
-    /// A parsed request (rendering needs its payload and `file` field).
-    Request(ParsedLine),
-    /// An admission-stage error; the id (already JSON-rendered) keys the
-    /// error line.
-    Error { id_json: String },
-}
-
-/// One item from the bounded request reader: a JSONL line or a
-/// `0x00`-marked binary frame.
-enum BoundedLine {
-    /// End of the stream.
-    Eof,
-    /// A complete line within the byte bound (without its newline).
-    Line(String),
-    /// A line over the bound: its bytes were discarded as they streamed
-    /// past (never accumulated beyond the bound), `bytes` is how long it
-    /// was, and `id` is the best-effort leading `"id"` scanned from the
-    /// retained prefix so the error line stays correlatable.
-    Oversized { bytes: usize, id: Option<String> },
-    /// A complete binary frame payload within the byte bound.
-    Frame(Vec<u8>),
-    /// A frame whose declared length exceeds the bound: exactly that many
-    /// bytes were consumed and dropped (never buffered), resyncing the
-    /// stream at the next request. `bytes` is the declared length.
-    OversizedFrame { bytes: usize },
-    /// A frame cut off by EOF before its declared length arrived. The
-    /// partial payload is dropped, never handed to a parser.
-    TruncatedFrame,
-}
-
-/// Read one request item. A leading [`FRAME_MARKER`] byte switches to the
-/// length-prefixed binary frame path; otherwise this reads one
-/// newline-terminated line, never buffering more than `max_bytes` of it —
-/// once a line exceeds the bound, the remainder is consumed and dropped
-/// chunk-by-chunk until the newline resyncs the stream.
-fn read_bounded_line(r: &mut impl BufRead, max_bytes: usize) -> Result<BoundedLine, String> {
-    let head = r.fill_buf().map_err(|e| format!("reading request stream: {e}"))?;
-    if head.is_empty() {
-        return Ok(BoundedLine::Eof);
-    }
-    if head.first() == Some(&FRAME_MARKER) {
-        r.consume(1);
-        return read_frame(r, max_bytes);
-    }
-    let mut buf: Vec<u8> = Vec::new();
-    let mut dropped = false;
-    let mut oversize_id: Option<String> = None;
-    let mut total = 0usize;
-    let mut saw_any = false;
-    loop {
-        let chunk = r.fill_buf().map_err(|e| format!("reading request stream: {e}"))?;
-        if chunk.is_empty() {
-            if !saw_any {
-                return Ok(BoundedLine::Eof);
-            }
-            break;
-        }
-        saw_any = true;
-        if let Some(pos) = chunk.iter().position(|&b| b == b'\n') {
-            total += pos;
-            if !dropped && total > max_bytes {
-                dropped = true;
-                // Scan the bounded prefix for a leading id before
-                // discarding, so the oversize error stays correlatable.
-                let room = max_bytes.saturating_sub(buf.len()).min(pos);
-                buf.extend_from_slice(chunk.get(..room).unwrap_or(&[]));
-                oversize_id = scan_leading_id(&buf);
-                buf.clear();
-            }
-            if !dropped {
-                buf.extend_from_slice(chunk.get(..pos).unwrap_or(&[]));
-            }
-            r.consume(pos + 1);
-            break;
-        }
-        let len = chunk.len();
-        total += len;
-        if !dropped && total > max_bytes {
-            dropped = true;
-            let room = max_bytes.saturating_sub(buf.len()).min(len);
-            buf.extend_from_slice(chunk.get(..room).unwrap_or(&[]));
-            oversize_id = scan_leading_id(&buf);
-            buf.clear();
-        }
-        if !dropped {
-            buf.extend_from_slice(chunk);
-        }
-        r.consume(len);
-    }
-    if dropped {
-        return Ok(BoundedLine::Oversized { bytes: total, id: oversize_id });
-    }
-    if buf.last() == Some(&b'\r') {
-        buf.pop();
-    }
-    // Invalid UTF-8 flows on as a (lossy) line so the JSON parser can
-    // reject it with a typed in-place error instead of aborting the loop.
-    Ok(BoundedLine::Line(String::from_utf8_lossy(&buf).into_owned()))
-}
-
-/// Read one binary frame body (the marker byte is already consumed): a
-/// `u32` LE payload length, then the payload. A declared length over
-/// `max_bytes` is discarded in place — exactly that many bytes are
-/// consumed without ever being buffered — so the stream resyncs on the
-/// next request instead of handing a partial buffer to a parser.
-fn read_frame(r: &mut impl BufRead, max_bytes: usize) -> Result<BoundedLine, String> {
-    let mut len_bytes = [0u8; 4];
-    if !read_exact_or_eof(r, &mut len_bytes)? {
-        return Ok(BoundedLine::TruncatedFrame);
-    }
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > max_bytes {
-        discard_exact(r, len)?;
-        return Ok(BoundedLine::OversizedFrame { bytes: len });
-    }
-    // Bounded by `max_bytes`: the declared length was just checked.
-    let mut payload = vec![0u8; len];
-    if !read_exact_or_eof(r, &mut payload)? {
-        return Ok(BoundedLine::TruncatedFrame);
-    }
-    Ok(BoundedLine::Frame(payload))
-}
-
-/// `read_exact` with a clean EOF reported as `Ok(false)` and real IO
-/// failures as typed errors.
-fn read_exact_or_eof(r: &mut impl BufRead, buf: &mut [u8]) -> Result<bool, String> {
-    match std::io::Read::read_exact(r, buf) {
-        Ok(()) => Ok(true),
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(false),
-        Err(e) => Err(format!("reading request stream: {e}")),
-    }
-}
-
-/// Consume and drop exactly `n` bytes (or until EOF) without buffering.
-fn discard_exact(r: &mut impl BufRead, n: usize) -> Result<(), String> {
-    let mut left = n;
-    while left > 0 {
-        let chunk = r.fill_buf().map_err(|e| format!("reading request stream: {e}"))?;
-        if chunk.is_empty() {
-            return Ok(());
-        }
-        let take = chunk.len().min(left);
-        r.consume(take);
-        left -= take;
-    }
-    Ok(())
-}
-
-/// `psdp serve --listen` — the persistent streaming service over an
-/// arbitrary reader/writer pair (stdin/stdout in production, buffers in
-/// tests). Responses stream to `writer` in submission order as the
-/// sequencer emits them; the returned string is the stderr summary.
+/// The testable core of one-shot [`serve`]: [`serve_on`] over an input
+/// string, capturing the response stream.
 ///
 /// # Errors
-/// Flag errors, stream read failures, and response write failures as
-/// printable messages. Per-request failures become response lines;
-/// snapshot load/save problems degrade to notes in the summary (a
-/// corrupted snapshot means a cold start, never a refusal to serve).
-pub fn serve_listen_on(
-    args: &Args,
-    reader: &mut impl BufRead,
-    writer: &mut (impl Write + Send),
-) -> Result<String, String> {
-    let cfg = listen_config(args)?;
-    let mut service = cfg.service();
-    let mut notes = cfg.load_snapshot_notes(&mut service);
-    let max_line_bytes = cfg.max_line_bytes;
-    let fmt = cfg.fmt;
-
-    let mut sources: Sources = BTreeMap::new();
-    let mut seen_ids: BTreeSet<String> = BTreeSet::new();
-    let mut read_err: Option<String> = None;
-
-    let items = std::iter::from_fn(|| loop {
-        match read_bounded_line(reader, max_line_bytes) {
-            Err(e) => {
-                read_err = Some(e);
-                return None;
-            }
-            Ok(BoundedLine::Eof) => return None,
-            Ok(BoundedLine::Oversized { bytes, id }) => {
-                return Some(reject_item(id, oversized_line_msg(bytes, max_line_bytes)));
-            }
-            Ok(BoundedLine::OversizedFrame { bytes }) => {
-                return Some(reject_item(None, oversized_frame_msg(bytes, max_line_bytes)));
-            }
-            Ok(BoundedLine::TruncatedFrame) => {
-                return Some(reject_item(
-                    None,
-                    "truncated binary frame (stream ended before the declared length)".to_string(),
-                ));
-            }
-            Ok(BoundedLine::Frame(bytes)) => {
-                return Some(match parse_frame_request(&bytes, &mut sources) {
-                    Ok(p) => admit_item(p, &mut seen_ids),
-                    Err((id, msg)) => reject_item(id, msg),
-                });
-            }
-            Ok(BoundedLine::Line(raw)) => {
-                if raw.trim().is_empty() {
-                    continue;
-                }
-                return Some(match parse_request_line(&raw, fmt, &mut sources) {
-                    Ok(p) => admit_item(p, &mut seen_ids),
-                    Err((id, msg)) => reject_item(id, msg),
-                });
-            }
-        }
-    });
-
-    let mut write_err: Option<std::io::Error> = None;
-    let report = service.run_stream(items, |ctx, outcome| {
-        if write_err.is_some() {
-            return;
-        }
-        let line = render_outcome(&ctx, &outcome);
-        // Flush per line: a streaming client must see each response as it
-        // is sequenced, not when a block buffer happens to fill.
-        if let Err(e) = writer.write_all(line.as_bytes()).and_then(|()| writer.flush()) {
-            write_err = Some(e);
-        }
-    });
-
-    if let Some(e) = read_err {
-        return Err(e);
-    }
-    if let Some(e) = write_err {
-        return Err(format!("writing response stream: {e}"));
-    }
-    notes.push_str(&cfg.save_snapshot_notes(&service));
-    Ok(format!("{notes}{}", summarize_service(&report)))
+/// Same contract as [`serve_on`].
+pub fn serve_on_input(args: &Args, input: &str) -> Result<ServeRun, String> {
+    run_on_bytes(input.as_bytes(), |r, w| serve_on(args, r, w))
 }
 
-/// The `--listen` flag set, shared by the stdin and socket front ends.
-struct ListenConfig {
-    shards: usize,
-    queue_cap: usize,
+/// The testable core of `--listen`: [`serve_listen_on`] over an input
+/// string, capturing the response stream.
+///
+/// # Errors
+/// Same contract as [`serve_listen_on`].
+pub fn serve_listen_on_input(args: &Args, input: &str) -> Result<ServeRun, String> {
+    run_on_bytes(input.as_bytes(), |r, w| serve_listen_on(args, r, w))
+}
+
+/// Run one reader/writer front end over an in-memory byte stream.
+fn run_on_bytes(
+    mut input: &[u8],
+    front_end: impl FnOnce(&mut &[u8], &mut Vec<u8>) -> Result<String, String>,
+) -> Result<ServeRun, String> {
+    let mut out: Vec<u8> = Vec::new();
+    let summary = front_end(&mut input, &mut out)?;
+    Ok(ServeRun { stdout: utf8_lossy(out), summary })
+}
+
+/// Bytes as UTF-8, copying only when invalid sequences must be replaced.
+fn utf8_lossy(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+}
+
+/// `psdp serve` flags without `--listen`.
+const ONE_SHOT_FLAGS: &[&str] = &["max-in-flight", "cache", "max-line-bytes", "format"];
+
+/// `psdp serve --listen` flags. Socket-only flags (`--bind`,
+/// `--max-clients`, `--client-inflight`) are accepted here too — the
+/// dispatcher routes `--bind` before either front end parses.
+const LISTEN_FLAGS: &[&str] = &[
+    "listen",
+    "cache",
+    "shards",
+    "queue-cap",
+    "snapshot",
+    "snapshot-keep",
+    "max-line-bytes",
+    "format",
+    "shed-target-p99-ms",
+    "bind",
+    "max-clients",
+    "client-inflight",
+];
+
+/// The `psdp serve` flag set of every front end. Each mode accepts only
+/// its own flag list; a flag outside it keeps its default.
+struct ServeConfig {
     max_line_bytes: usize,
     fmt: Format,
     cache_enabled: bool,
+    /// One-shot scheduler workers (`0` = the pool width).
+    max_in_flight: usize,
+    shards: usize,
+    queue_cap: usize,
     snapshot_path: Option<String>,
     snapshot_keep: usize,
     shed_target_p99: Option<std::time::Duration>,
@@ -472,33 +195,16 @@ struct ListenConfig {
     max_clients: u64,
 }
 
-/// Parse the shared `--listen` flags. Socket-only flags (`--bind`,
-/// `--max-clients`, `--client-inflight`) are accepted here too — the
-/// dispatcher routes `--bind` before either front end parses.
-fn listen_config(args: &Args) -> Result<ListenConfig, String> {
-    args.ensure_known(&[
-        "listen",
-        "cache",
-        "shards",
-        "queue-cap",
-        "snapshot",
-        "snapshot-keep",
-        "max-line-bytes",
-        "format",
-        "shed-target-p99-ms",
-        "bind",
-        "max-clients",
-        "client-inflight",
-    ])?;
+/// Parse the serve flags, rejecting any outside `known`.
+fn serve_config(args: &Args, known: &[&str]) -> Result<ServeConfig, String> {
+    args.ensure_known(known)?;
     let shed_ms: f64 = args.flag("shed-target-p99-ms", 0.0)?;
     if shed_ms < 0.0 || !shed_ms.is_finite() {
         return Err(format!(
             "--shed-target-p99-ms must be a finite non-negative number, got {shed_ms}"
         ));
     }
-    Ok(ListenConfig {
-        shards: args.flag("shards", 4)?,
-        queue_cap: args.flag("queue-cap", 1024)?,
+    Ok(ServeConfig {
         max_line_bytes: args.flag("max-line-bytes", DEFAULT_MAX_LINE_BYTES)?,
         fmt: format_of(&args.str_flag("format", "auto"))?,
         cache_enabled: match args.str_flag("cache", "on").as_str() {
@@ -506,6 +212,9 @@ fn listen_config(args: &Args) -> Result<ListenConfig, String> {
             "off" => false,
             other => return Err(format!("unknown --cache value `{other}` (on|off)")),
         },
+        max_in_flight: args.flag("max-in-flight", 0)?,
+        shards: args.flag("shards", 4)?,
+        queue_cap: args.flag("queue-cap", 1024)?,
         snapshot_path: args.opt_flag("snapshot").map(str::to_string),
         snapshot_keep: args.flag::<usize>("snapshot-keep", 1)?.max(1),
         shed_target_p99: (shed_ms > 0.0).then(|| std::time::Duration::from_secs_f64(shed_ms / 1e3)),
@@ -514,7 +223,7 @@ fn listen_config(args: &Args) -> Result<ListenConfig, String> {
     })
 }
 
-impl ListenConfig {
+impl ServeConfig {
     fn service(&self) -> Service {
         Service::new(ServiceOptions {
             shards: self.shards,
@@ -543,9 +252,7 @@ impl ListenConfig {
                     return format!("snapshot: warm-loaded {n} fingerprints from {gen_path}\n");
                 }
                 Err(e) => {
-                    if first_load_err.is_none() {
-                        first_load_err = Some(e.to_string());
-                    }
+                    first_load_err.get_or_insert_with(|| e.to_string());
                 }
             }
         }
@@ -578,16 +285,124 @@ impl ListenConfig {
     }
 }
 
-/// The testable core of `--listen`: run the streaming service over an
-/// input string and capture the response stream.
+/// One-shot `psdp serve` over a reader/writer pair (stdin and a buffered
+/// stdout in production, buffers in tests): read every request into one
+/// scheduler batch, then write one response line per request in
+/// submission order and flush once. Returns the stderr batch report.
 ///
 /// # Errors
-/// Same contract as [`serve_listen_on`].
-pub fn serve_listen_on_input(args: &Args, input: &str) -> Result<ServeRun, String> {
-    let mut reader = input.as_bytes();
-    let mut out: Vec<u8> = Vec::new();
-    let summary = serve_listen_on(args, &mut reader, &mut out)?;
-    Ok(ServeRun { stdout: String::from_utf8_lossy(&out).into_owned(), summary })
+/// Flag errors, stream read failures, and response write failures as
+/// printable messages. Per-request failures become response lines.
+pub fn serve_on(
+    args: &Args,
+    reader: &mut impl BufRead,
+    writer: &mut impl Write,
+) -> Result<String, String> {
+    let cfg = serve_config(args, ONE_SHOT_FLAGS)?;
+    let opts = SchedulerOptions {
+        max_in_flight: cfg.max_in_flight,
+        cache_enabled: cfg.cache_enabled,
+        ..SchedulerOptions::default()
+    };
+    let requests = RequestReader::new(reader, cfg.fmt, cfg.max_line_bytes);
+    Ok(summarize(&run_one_shot(requests, opts, writer)?))
+}
+
+/// Run every request `requests` yields through one scheduler batch and
+/// render every line in input order, replaying the rendered fields of
+/// stored memo results.
+fn run_one_shot(
+    mut requests: RequestReader<impl BufRead>,
+    opts: SchedulerOptions,
+    writer: &mut impl Write,
+) -> Result<BatchReport, String> {
+    // Per item: its context, and its outcome unless the batch answers it.
+    let mut lines: Vec<(LineCtx, Option<StreamOutcome>)> = Vec::new();
+    let mut batch: Vec<ServeRequest> = Vec::new();
+    while let Some(item) = requests.next_item()? {
+        lines.push(match item {
+            StreamItem::Execute { request, ctx } => {
+                batch.push(request);
+                (ctx, None)
+            }
+            StreamItem::Reject { error, ctx } => (ctx, Some(StreamOutcome::Rejected { error })),
+            StreamItem::Shed { id, ctx } => {
+                (ctx, Some(StreamOutcome::Overloaded { id, shard: None }))
+            }
+        });
+    }
+    let output = Scheduler::new(opts).run_batch(&batch).map_err(|e| e.to_string())?;
+
+    // Responses come back in batch order: input order without the
+    // lines answered at admission.
+    let mut responses = output.responses.into_iter().map(|r| StreamOutcome::Response(Box::new(r)));
+    let mut replay = RenderReplay::default();
+    for (ctx, outcome) in lines {
+        // The batch answers every request it was given; if that invariant
+        // ever breaks, emit an error line in place rather than panicking.
+        let outcome = outcome.or_else(|| responses.next()).unwrap_or_else(|| {
+            StreamOutcome::Rejected { error: "response missing for request (internal)".into() }
+        });
+        let line = render_outcome(&ctx, &outcome, Some(&mut replay));
+        writer.write_all(line.as_bytes()).map_err(write_failed)?;
+    }
+    writer.flush().map_err(write_failed)?;
+    Ok(output.report)
+}
+
+fn write_failed(e: std::io::Error) -> String {
+    format!("writing response stream: {e}")
+}
+
+/// `psdp serve --listen` — the persistent streaming service over an
+/// arbitrary reader/writer pair (stdin/stdout in production, buffers in
+/// tests). Responses stream to `writer` in submission order as the
+/// sequencer emits them; the returned string is the stderr summary.
+///
+/// # Errors
+/// Flag errors, stream read failures, and response write failures as
+/// printable messages. Per-request failures become response lines;
+/// snapshot load/save problems degrade to notes in the summary (a
+/// corrupted snapshot means a cold start, never a refusal to serve).
+pub fn serve_listen_on(
+    args: &Args,
+    reader: &mut impl BufRead,
+    writer: &mut (impl Write + Send),
+) -> Result<String, String> {
+    let cfg = serve_config(args, LISTEN_FLAGS)?;
+    let mut service = cfg.service();
+    let mut notes = cfg.load_snapshot_notes(&mut service);
+
+    let mut requests = RequestReader::new(reader, cfg.fmt, cfg.max_line_bytes);
+    let mut read_err: Option<String> = None;
+    let items = std::iter::from_fn(|| {
+        requests.next_item().unwrap_or_else(|e| {
+            read_err = Some(e);
+            None
+        })
+    });
+
+    let mut write_err: Option<std::io::Error> = None;
+    let report = service.run_stream(items, |ctx, outcome| {
+        if write_err.is_some() {
+            return;
+        }
+        let line = render_outcome(&ctx, &outcome, None);
+        // Flush per line: a streaming client must see each response as it
+        // is sequenced, not when a block buffer happens to fill.
+        if let Err(e) = writer.write_all(line.as_bytes()).and_then(|()| writer.flush()) {
+            write_err = Some(e);
+        }
+    });
+
+    if let Some(e) = read_err {
+        return Err(e);
+    }
+    if let Some(e) = write_err {
+        return Err(write_failed(e));
+    }
+    notes.push_str(&cfg.save_snapshot_notes(&service));
+    Ok(format!("{notes}{}", summarize_service(&report)))
 }
 
 /// Per-connection state the socket front end shares between the reader
@@ -625,7 +440,7 @@ pub fn serve_listen_socket_on(
 ) -> Result<String, String> {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    let cfg = listen_config(args)?;
+    let cfg = serve_config(args, LISTEN_FLAGS)?;
     let mut service = cfg.service();
     let mut notes = cfg.load_snapshot_notes(&mut service);
     let mux: FairMux<StreamItem<SocketCtx>> = FairMux::new(cfg.queue_cap.max(1));
@@ -659,15 +474,10 @@ pub fn serve_listen_socket_on(
                     client_writer(&rx, &mut w, &inflight);
                 }));
                 let reader_mux = mux.clone();
+                let reader = std::io::BufReader::new(conn.reader);
+                let requests = RequestReader::new(reader, fmt, max_line_bytes);
                 handles.push(std::thread::spawn(move || {
-                    client_reader(
-                        conn.reader,
-                        client_id,
-                        &reader_mux,
-                        &client,
-                        fmt,
-                        max_line_bytes,
-                    );
+                    client_reader(requests, client_id, &reader_mux, &client);
                 }));
             }
             mux.finish_accepting();
@@ -700,7 +510,7 @@ pub fn serve_listen_socket_on(
         // Hand the rendered line to the client's writer thread; a closed
         // channel means the writer is gone (client teardown), and the
         // response is dropped with it.
-        let _ = client.tx.send(render_outcome(&ctx, &outcome));
+        let _ = client.tx.send(render_outcome(&ctx, &outcome, None));
     });
 
     // run_stream returned, so the mux reported end-of-stream: accepting
@@ -717,50 +527,19 @@ pub fn serve_listen_socket_on(
     Ok(format!("{notes}{}", summarize_service(&report)))
 }
 
-/// Per-connection reader: parse this connection's byte stream with its
-/// own source/duplicate-id state — exactly the state a stdin run of the
-/// same bytes would hold, which is what keeps per-client responses
-/// bitwise identical to stdin serving — and push items into the fair
-/// mux. EOF or a read error closes the client (its queued items still
-/// drain).
+/// Per-connection reader: push each item of this connection's request
+/// stream into the fair mux. The connection has its own
+/// [`RequestReader`] — exactly the state a stdin run of the same bytes
+/// would hold, which is what keeps per-client responses bitwise identical
+/// to stdin serving. EOF or a read error closes the client (its queued
+/// items still drain).
 fn client_reader(
-    reader: Box<dyn std::io::Read + Send>,
+    mut requests: RequestReader<impl BufRead>,
     client_id: u64,
     mux: &FairMux<StreamItem<SocketCtx>>,
     client: &Arc<ClientState>,
-    fmt: Format,
-    max_line_bytes: usize,
 ) {
-    let mut r = std::io::BufReader::new(reader);
-    let mut sources: Sources = BTreeMap::new();
-    let mut seen_ids: BTreeSet<String> = BTreeSet::new();
-    loop {
-        let item = match read_bounded_line(&mut r, max_line_bytes) {
-            Err(_) | Ok(BoundedLine::Eof) => break,
-            Ok(BoundedLine::Oversized { bytes, id }) => {
-                reject_item(id, oversized_line_msg(bytes, max_line_bytes))
-            }
-            Ok(BoundedLine::OversizedFrame { bytes }) => {
-                reject_item(None, oversized_frame_msg(bytes, max_line_bytes))
-            }
-            Ok(BoundedLine::TruncatedFrame) => reject_item(
-                None,
-                "truncated binary frame (stream ended before the declared length)".to_string(),
-            ),
-            Ok(BoundedLine::Frame(bytes)) => match parse_frame_request(&bytes, &mut sources) {
-                Ok(p) => admit_item(p, &mut seen_ids),
-                Err((id, msg)) => reject_item(id, msg),
-            },
-            Ok(BoundedLine::Line(raw)) => {
-                if raw.trim().is_empty() {
-                    continue;
-                }
-                match parse_request_line(&raw, fmt, &mut sources) {
-                    Ok(p) => admit_item(p, &mut seen_ids),
-                    Err((id, msg)) => reject_item(id, msg),
-                }
-            }
-        };
+    while let Ok(Some(item)) = requests.next_item() {
         if !mux.push(client_id, attach_client(item, client)) {
             break;
         }
@@ -799,57 +578,187 @@ fn client_writer(
     }
 }
 
-/// Render one sequenced stream outcome as its JSONL line.
-fn render_outcome(ctx: &LineCtx, outcome: &StreamOutcome) -> String {
-    match outcome {
-        StreamOutcome::Rejected { error } => {
-            let id_json = match ctx {
-                LineCtx::Error { id_json } => id_json.as_str(),
-                LineCtx::Request(_) => "null",
-            };
-            format!("{{\"id\":{id_json},\"error\":{}}}\n", json_str(error))
+/// Caller context carried with each request stream item: what its
+/// outcome needs to render itself.
+enum LineCtx {
+    /// An admitted request: its instance and JSON `file` field.
+    Request { payload: InstancePayload, file_json: String },
+    /// An admission-stage error; the id (already JSON-rendered) keys the
+    /// error line.
+    Error { id_json: String },
+}
+
+/// The one request reader of every front end, over one request stream
+/// (stdin, or one socket connection): bounded line and frame reads, the
+/// parsed-source cache, and the duplicate-id set.
+struct RequestReader<R> {
+    reader: R,
+    fmt: Format,
+    max_line_bytes: usize,
+    sources: Sources,
+    seen_ids: BTreeSet<String>,
+}
+
+impl<R: BufRead> RequestReader<R> {
+    fn new(reader: R, fmt: Format, max_line_bytes: usize) -> Self {
+        RequestReader {
+            reader,
+            fmt,
+            max_line_bytes,
+            sources: Sources::new(),
+            seen_ids: BTreeSet::new(),
         }
-        StreamOutcome::Overloaded { id, shard } => crate::jsonfmt::overloaded_line(id, *shard),
-        StreamOutcome::Response(resp) => match ctx {
-            LineCtx::Request(p) => render_response(p, resp, None),
-            LineCtx::Error { id_json } => {
-                internal_error_line(id_json, "response without request context")
+    }
+
+    /// The next item in submission order, `None` at the end of the stream.
+    /// Blank lines are skipped; every other line or frame yields one item,
+    /// a failure as a reject that renders as an in-place error line.
+    ///
+    /// # Errors
+    /// Stream read failures.
+    fn next_item(&mut self) -> Result<Option<StreamItem<LineCtx>>, String> {
+        let parsed = loop {
+            match read_bounded_line(&mut self.reader, self.max_line_bytes)? {
+                BoundedLine::Eof => return Ok(None),
+                BoundedLine::Reject { id, msg } => return Ok(Some(reject_item(id, msg))),
+                BoundedLine::Frame(bytes) => break parse_frame_request(&bytes, &mut self.sources),
+                BoundedLine::Line(raw) if raw.trim().is_empty() => {}
+                BoundedLine::Line(raw) => {
+                    break parse_request_line(&raw, self.fmt, &mut self.sources)
+                }
             }
-        },
+        };
+        let (request, file_json) = match parsed {
+            Ok(p) => p,
+            Err((id, msg)) => return Ok(Some(reject_item(id, msg))),
+        };
+        if !self.seen_ids.insert(request.id.clone()) {
+            let msg = format!("duplicate request id `{}`", request.id);
+            return Ok(Some(reject_item(Some(request.id), msg)));
+        }
+        let ctx = LineCtx::Request { payload: request.payload.clone(), file_json };
+        Ok(Some(StreamItem::Execute { request, ctx }))
     }
 }
 
-fn summarize_service(r: &ServiceReport) -> String {
-    let ms = |d: std::time::Duration| format!("{:.2}", d.as_secs_f64() * 1e3);
-    let secs = r.wall.as_secs_f64();
-    let rps = if secs > 0.0 { r.executed as f64 / secs } else { 0.0 };
-    format!(
-        "listen: {} requests ({} executed, {} rejected, {} overloaded), {} errors\n\
-         reuse: {} prep builds, {} prep reuses, {} memo hits, {} bracket injections\n\
-         work:  {} engine evals, {} replayed rounds\n\
-         time:  wall {} ms ({rps:.0} req/s), latency service {}; queue {}\n\
-         queues: high-water {:?}\n",
-        r.requests,
-        r.executed,
-        r.rejected,
-        r.overloaded,
-        r.errors,
-        r.prep_builds,
-        r.tiers.prep_reuses,
-        r.tiers.memo_hits,
-        r.tiers.bracket_injections,
-        r.engine_evals,
-        r.replayed,
-        ms(r.wall),
-        r.service_hist.stats().render_ms(),
-        r.queue_hist.stats().render_ms(),
-        r.queue_high_water,
-    )
+/// An admission-stage reject keyed by the best-effort request id.
+fn reject_item(id: Option<String>, msg: String) -> StreamItem<LineCtx> {
+    let id_json = id.map_or_else(|| "null".to_string(), |s| json_str(&s));
+    StreamItem::Reject { error: msg, ctx: LineCtx::Error { id_json } }
 }
 
-/// Typed message for a line over the `--max-line-bytes` bound.
-fn oversized_line_msg(len: usize, max: usize) -> String {
-    format!("line exceeds --max-line-bytes ({len} > {max} bytes)")
+/// One item from the bounded request reader: a JSONL line, a
+/// `0x00`-marked binary frame, or a line or frame dropped in place.
+enum BoundedLine {
+    /// End of the stream.
+    Eof,
+    /// A complete line within the byte bound (without its newline).
+    Line(String),
+    /// A complete binary frame payload within the byte bound.
+    Frame(Vec<u8>),
+    /// An oversized line or frame, or a frame cut off by EOF: its bytes
+    /// were dropped, never buffered past the bound, and the stream
+    /// resyncs at the next request. `id` is the best-effort leading
+    /// `"id"` of an oversized line, so its error stays correlatable.
+    Reject { id: Option<String>, msg: String },
+}
+
+/// Read one request item. A leading [`FRAME_MARKER`] byte switches to the
+/// length-prefixed binary frame path; otherwise this reads one
+/// newline-terminated line, never buffering more than `max_bytes` of it —
+/// once a line exceeds the bound, the retained prefix is scanned for its
+/// id and the remainder is consumed and dropped chunk-by-chunk until the
+/// newline resyncs the stream.
+fn read_bounded_line(r: &mut impl BufRead, max_bytes: usize) -> Result<BoundedLine, String> {
+    let head = r.fill_buf().map_err(read_failed)?;
+    if head.is_empty() {
+        return Ok(BoundedLine::Eof);
+    }
+    if head.first() == Some(&FRAME_MARKER) {
+        r.consume(1);
+        return read_frame(r, max_bytes);
+    }
+    let mut buf: Vec<u8> = Vec::new();
+    let mut oversized: Option<Option<String>> = None;
+    let mut total = 0usize;
+    loop {
+        let chunk = r.fill_buf().map_err(read_failed)?;
+        if chunk.is_empty() {
+            break;
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let take = newline.unwrap_or(chunk.len());
+        total += take;
+        if oversized.is_none() {
+            let room = max_bytes.saturating_sub(buf.len()).min(take);
+            buf.extend_from_slice(chunk.get(..room).unwrap_or(&[]));
+            if total > max_bytes {
+                oversized = Some(scan_leading_id(&buf));
+                buf = Vec::new();
+            }
+        }
+        r.consume(take + usize::from(newline.is_some()));
+        if newline.is_some() {
+            break;
+        }
+    }
+    if let Some(id) = oversized {
+        let msg = format!("line exceeds --max-line-bytes ({total} > {max_bytes} bytes)");
+        return Ok(BoundedLine::Reject { id, msg });
+    }
+    if buf.last() == Some(&b'\r') {
+        buf.pop();
+    }
+    // Invalid UTF-8 flows on as a (lossy) line so the JSON parser can
+    // reject it with a typed in-place error instead of aborting the loop.
+    Ok(BoundedLine::Line(utf8_lossy(buf)))
+}
+
+fn read_failed(e: std::io::Error) -> String {
+    format!("reading request stream: {e}")
+}
+
+/// Read one binary frame body (the marker byte is already consumed): a
+/// `u32` LE payload length, then the payload. A declared length over
+/// `max_bytes` is discarded in place — exactly that many bytes are
+/// consumed without ever being buffered — so the stream resyncs on the
+/// next request instead of handing a partial buffer to a parser.
+fn read_frame(r: &mut impl BufRead, max_bytes: usize) -> Result<BoundedLine, String> {
+    let truncated = || BoundedLine::Reject {
+        id: None,
+        msg: "truncated binary frame (stream ended before the declared length)".to_string(),
+    };
+    let mut len_bytes = [0u8; 4];
+    if !read_exact_or_eof(r, &mut len_bytes)? {
+        return Ok(truncated());
+    }
+    let len = u32::from_le_bytes(len_bytes) as usize;
+    if len > max_bytes {
+        // Consume and drop exactly `len` bytes (or until EOF) through a
+        // fixed-size copy buffer.
+        let mut dropped = std::io::Read::take(&mut *r, len as u64);
+        std::io::copy(&mut dropped, &mut std::io::sink()).map_err(read_failed)?;
+        let msg = format!(
+            "binary frame exceeds --max-line-bytes ({len} > {max_bytes} bytes); payload discarded"
+        );
+        return Ok(BoundedLine::Reject { id: None, msg });
+    }
+    // Bounded by `max_bytes`: the declared length was just checked.
+    let mut payload = vec![0u8; len];
+    if !read_exact_or_eof(r, &mut payload)? {
+        return Ok(truncated());
+    }
+    Ok(BoundedLine::Frame(payload))
+}
+
+/// `read_exact` with a clean EOF reported as `Ok(false)` and real IO
+/// failures as typed errors.
+fn read_exact_or_eof(r: &mut impl BufRead, buf: &mut [u8]) -> Result<bool, String> {
+    match std::io::Read::read_exact(r, buf) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(false),
+        Err(e) => Err(read_failed(e)),
+    }
 }
 
 /// Best-effort scan of a (possibly truncated) request-line prefix for a
@@ -896,32 +805,62 @@ fn scan_leading_id(prefix: &[u8]) -> Option<String> {
     }
 }
 
-/// Typed message for a binary frame whose declared length is over the
-/// `--max-line-bytes` bound (the payload was consumed and dropped).
-fn oversized_frame_msg(len: usize, max: usize) -> String {
-    format!("binary frame exceeds --max-line-bytes ({len} > {max} bytes); payload discarded")
-}
-
-/// Admit one parsed request into the stream (duplicate ids become typed
-/// rejects, same as the one-shot path).
-fn admit_item(p: ParsedLine, seen_ids: &mut BTreeSet<String>) -> StreamItem<LineCtx> {
-    if !seen_ids.insert(p.request.id.clone()) {
-        return StreamItem::Reject {
-            error: format!("duplicate request id `{}`", p.request.id),
-            ctx: LineCtx::Error { id_json: json_str(&p.request.id) },
-        };
+/// Render one sequenced outcome as its JSONL line, in every mode. With
+/// `replay`, the result fields of a stored memo result are rendered once
+/// and reused (see [`RenderReplay`]); without it every line renders from
+/// scratch. Context/outcome mismatches cannot happen by construction, but
+/// render as in-place error lines rather than panics if they ever do.
+fn render_outcome(
+    ctx: &LineCtx,
+    outcome: &StreamOutcome,
+    replay: Option<&mut RenderReplay>,
+) -> String {
+    match (outcome, ctx) {
+        (StreamOutcome::Rejected { error }, LineCtx::Error { id_json }) => {
+            error_line(id_json, error)
+        }
+        (StreamOutcome::Rejected { error }, LineCtx::Request { .. }) => error_line("null", error),
+        (StreamOutcome::Overloaded { id, shard }, _) => crate::jsonfmt::overloaded_line(id, *shard),
+        (StreamOutcome::Response(resp), LineCtx::Request { payload, file_json }) => {
+            render_response(payload, file_json, resp, replay)
+        }
+        (StreamOutcome::Response(_), LineCtx::Error { id_json }) => {
+            error_line(id_json, "response without request context (internal)")
+        }
     }
-    let request = p.request.clone();
-    StreamItem::Execute { request, ctx: LineCtx::Request(p) }
 }
 
-/// An admission-stage reject keyed by the best-effort request id.
-fn reject_item(id: Option<String>, msg: String) -> StreamItem<LineCtx> {
-    let id_json = match id {
-        Some(s) => json_str(&s),
-        None => "null".to_string(),
-    };
-    StreamItem::Reject { error: msg, ctx: LineCtx::Error { id_json } }
+/// The in-place error line: `{"id":…,"error":…}`.
+fn error_line(id_json: &str, msg: &str) -> String {
+    format!("{{\"id\":{id_json},\"error\":{}}}\n", json_str(msg))
+}
+
+fn summarize_service(r: &ServiceReport) -> String {
+    let ms = |d: std::time::Duration| format!("{:.2}", d.as_secs_f64() * 1e3);
+    let secs = r.wall.as_secs_f64();
+    let rps = if secs > 0.0 { r.executed as f64 / secs } else { 0.0 };
+    format!(
+        "listen: {} requests ({} executed, {} rejected, {} overloaded), {} errors\n\
+         reuse: {} prep builds, {} prep reuses, {} memo hits, {} bracket injections\n\
+         work:  {} engine evals, {} replayed rounds\n\
+         time:  wall {} ms ({rps:.0} req/s), latency service {}; queue {}\n\
+         queues: high-water {:?}\n",
+        r.requests,
+        r.executed,
+        r.rejected,
+        r.overloaded,
+        r.errors,
+        r.prep_builds,
+        r.tiers.prep_reuses,
+        r.tiers.memo_hits,
+        r.tiers.bracket_injections,
+        r.engine_evals,
+        r.replayed,
+        ms(r.wall),
+        r.service_hist.stats().render_ms(),
+        r.queue_hist.stats().render_ms(),
+        r.queue_high_water,
+    )
 }
 
 fn summarize(r: &BatchReport) -> String {
@@ -951,20 +890,11 @@ fn summarize(r: &BatchReport) -> String {
 }
 
 fn serve_stats_json(s: &ServeStats) -> String {
-    let tier = match s.hit_tier() {
-        Some(t) => json_str(t),
-        None => "null".to_string(),
-    };
+    let tier = s.hit_tier().map_or_else(|| "null".to_string(), json_str);
     format!(
         "{{\"prep_reused\":{},\"memoized\":{},\"bracket_injected\":{},\"tier\":{tier},\"engine_evals\":{},\"replayed\":{}}}",
         s.prep_reused, s.memoized, s.bracket_injected, s.engine_evals, s.replayed,
     )
-}
-
-/// In-place error line for invariant breaches while rendering: the stream
-/// keeps flowing, the line says what went wrong.
-fn internal_error_line(id_json: &str, msg: &str) -> String {
-    format!("{{\"id\":{id_json},\"error\":{}}}\n", json_str(&format!("{msg} (internal)")))
 }
 
 /// Rendered result fields of stored memo results, keyed by memo identity,
@@ -982,38 +912,35 @@ struct RenderReplay(BTreeMap<MemoKey, ResultFields>);
 type ResultFields = Result<(&'static str, String), &'static str>;
 
 /// Render one response line (reusing the one-shot `--json` schemas; see
-/// the module docs for the determinism contract). With `replay`, the
-/// result fields of a stored memo result are rendered once and reused;
-/// without it every line renders from scratch. Family mismatches between
-/// result and payload cannot happen by construction, but render as
-/// in-place error lines rather than panics if they ever do.
+/// the module docs for the determinism contract), replaying stored
+/// result fields through `replay` when given.
 fn render_response(
-    p: &ParsedLine,
+    payload: &InstancePayload,
+    file_json: &str,
     resp: &ServeResponse,
     replay: Option<&mut RenderReplay>,
 ) -> String {
     let id_json = json_str(&resp.id);
     let res = match &resp.result {
-        Err(msg) => return format!("{{\"id\":{id_json},\"error\":{}}}\n", json_str(msg)),
+        Err(msg) => return error_line(&id_json, msg),
         Ok(res) => res,
     };
     let fresh;
     let fields = match (replay, resp.stats.memo) {
         (Some(replay), Some(key)) => {
-            &*replay.0.entry(key).or_insert_with(|| result_fields(&p.request.payload, res))
+            &*replay.0.entry(key).or_insert_with(|| result_fields(payload, res))
         }
         _ => {
-            fresh = result_fields(&p.request.payload, res);
+            fresh = result_fields(payload, res);
             &fresh
         }
     };
     match fields {
         Ok((command, fields)) => format!(
-            "{{\"id\":{id_json},\"command\":\"{command}\",\"file\":{},{fields},\"serve\":{}}}\n",
-            p.file_json,
+            "{{\"id\":{id_json},\"command\":\"{command}\",\"file\":{file_json},{fields},\"serve\":{}}}\n",
             serve_stats_json(&resp.stats),
         ),
-        Err(msg) => internal_error_line(&id_json, msg),
+        Err(msg) => error_line(&id_json, msg),
     }
 }
 
@@ -1029,7 +956,7 @@ fn result_fields(payload: &InstancePayload, res: &ServeResult) -> ResultFields {
         (ServeResult::Mixed(r), InstancePayload::Mixed(inst)) => {
             Ok(("mixed", mixed_fields(inst, r, false)))
         }
-        _ => Err("result family does not match its payload"),
+        _ => Err("result family does not match its payload (internal)"),
     }
 }
 
@@ -1174,11 +1101,7 @@ fn command_request(
 
 /// Parse one request line. On failure returns `(best-effort id, message)`
 /// so the error response can still be keyed.
-fn parse_request_line(
-    raw: &str,
-    fmt: Format,
-    sources: &mut Sources,
-) -> Result<ParsedLine, (Option<String>, String)> {
+fn parse_request_line(raw: &str, fmt: Format, sources: &mut Sources) -> Parsed {
     let obj = parse(raw).map_err(|e| (None, e.to_string()))?;
     let (id, command) = id_and_command(&obj, false)?;
     let fail = |msg: String| (Some(id.clone()), msg);
@@ -1191,29 +1114,22 @@ fn parse_request_line(
     // through the binary reader, anything else parses as canonical text.
     let file = obj.get("file").and_then(JsonValue::as_str);
     let inline = obj.get("instance").and_then(JsonValue::as_str);
-    type LoadFn = Box<dyn FnOnce() -> Result<Vec<u8>, String>>;
-    let (source_key, file_json, load): (String, String, LoadFn) = match (file, inline) {
-        (Some(path), None) => {
-            let p = path.to_string();
-            (
-                format!("file:{path}"),
-                json_str(path),
-                Box::new(move || std::fs::read(&p).map_err(|e| format!("reading {p}: {e}"))),
-            )
-        }
-        (None, Some(text)) => {
-            let t = text.to_string();
-            (format!("inline:{text}"), "null".to_string(), Box::new(move || Ok(t.into_bytes())))
-        }
+    let (source_key, file_json) = match (file, inline) {
+        (Some(path), None) => (format!("file:{path}"), json_str(path)),
+        (None, Some(text)) => (format!("inline:{text}"), "null".to_string()),
         (Some(_), Some(_)) => {
             return Err(fail("give either `file` or `instance`, not both".to_string()))
         }
         (None, None) => return Err(fail("missing `file` or `instance`".to_string())),
     };
+    let load = || match file {
+        Some(path) => std::fs::read(path).map_err(|e| format!("reading {path}: {e}")),
+        None => Ok(inline.unwrap_or_default().as_bytes().to_vec()),
+    };
 
     let request = command_request(&obj, &command, id.clone(), sources, source_key, fmt, load)
         .map_err(fail)?;
-    Ok(ParsedLine { request, file_json })
+    Ok((request, file_json))
 }
 
 /// Parse one binary frame payload: a `u32` LE JSON-header length, the
@@ -1224,16 +1140,12 @@ fn parse_request_line(
 /// the decoded content hash, which the first decode verified against the
 /// header and trailer (a forged header hash on different bytes can
 /// therefore never alias a cached instance).
-fn parse_frame_request(
-    frame: &[u8],
-    sources: &mut Sources,
-) -> Result<ParsedLine, (Option<String>, String)> {
-    let mut len_bytes = [0u8; 4];
-    let header = frame
+fn parse_frame_request(frame: &[u8], sources: &mut Sources) -> Parsed {
+    let header: [u8; 4] = frame
         .get(..4)
+        .and_then(|b| b.try_into().ok())
         .ok_or((None, "binary frame shorter than its JSON length prefix".to_string()))?;
-    len_bytes.copy_from_slice(header);
-    let json_len = u32::from_le_bytes(len_bytes) as usize;
+    let json_len = u32::from_le_bytes(header) as usize;
     let json_end = 4usize.saturating_add(json_len);
     let json_bytes = frame.get(4..json_end).ok_or((
         None,
@@ -1255,7 +1167,7 @@ fn parse_frame_request(
     let request =
         command_request(&obj, &command, id.clone(), sources, source_key, Format::Bin, load)
             .map_err(fail)?;
-    Ok(ParsedLine { request, file_json: "null".to_string() })
+    Ok((request, "null".to_string()))
 }
 
 #[cfg(test)]
@@ -1340,21 +1252,27 @@ mod tests {
         assert!(!cold.stdout.contains("\"memoized\":true"), "{}", cold.stdout);
     }
 
-    /// Parse `input` as the one-shot path does, run it with `opts`, and
-    /// check every line of the replaying renderer against a from-scratch
-    /// render of the same scheduler output. Returns the lines.
+    /// Run `input` through the one-shot path with `opts`, and check every
+    /// line of the replaying renderer against a from-scratch render of
+    /// the same scheduler output. Returns the lines.
     fn replay_matches_uncached(input: &str, opts: SchedulerOptions) -> Vec<String> {
-        let mut sources = BTreeMap::new();
-        let parsed: Vec<ParsedLine> = input
-            .lines()
-            .map(|l| parse_request_line(l, Format::Auto, &mut sources).unwrap())
-            .collect();
-        let lines: Vec<Line> = (0..parsed.len()).map(Line::Request).collect();
-        let replayed = run_one_shot(&lines, &parsed, opts).unwrap().stdout;
-        let requests: Vec<ServeRequest> = parsed.iter().map(|p| p.request.clone()).collect();
+        let reader = |input| RequestReader::new(input, Format::Auto, DEFAULT_MAX_LINE_BYTES);
+        let mut replayed: Vec<u8> = Vec::new();
+        run_one_shot(reader(input.as_bytes()), opts, &mut replayed).unwrap();
+        let (mut ctxs, mut requests) = (Vec::new(), Vec::new());
+        let mut items = reader(input.as_bytes());
+        while let Some(item) = items.next_item().unwrap() {
+            let StreamItem::Execute { request, ctx } = item else { panic!("every line parses") };
+            requests.push(request);
+            ctxs.push(ctx);
+        }
         let out = Scheduler::new(opts).run_batch(&requests).unwrap();
-        let uncached: String =
-            parsed.iter().zip(&out.responses).map(|(p, r)| render_response(p, r, None)).collect();
+        let uncached: String = ctxs
+            .iter()
+            .zip(out.responses)
+            .map(|(c, r)| render_outcome(c, &StreamOutcome::Response(Box::new(r)), None))
+            .collect();
+        let replayed = String::from_utf8(replayed).unwrap();
         assert_eq!(replayed, uncached, "replayed bytes differ from a fresh render");
         replayed.lines().map(str::to_string).collect()
     }
@@ -1533,10 +1451,19 @@ mod tests {
 
     /// `serve_listen_on_input` for byte streams (frames are not UTF-8).
     fn listen_on_bytes(args: &Args, input: &[u8]) -> ServeRun {
-        let mut reader = input;
-        let mut out: Vec<u8> = Vec::new();
-        let summary = serve_listen_on(args, &mut reader, &mut out).unwrap();
-        ServeRun { stdout: String::from_utf8_lossy(&out).into_owned(), summary }
+        run_on_bytes(input, |r, w| serve_listen_on(args, r, w)).unwrap()
+    }
+
+    /// Run `input` through `--listen` with `flags` and through one-shot
+    /// with the same flags minus `--listen`: both must send the same
+    /// bytes. Returns the `--listen` run.
+    fn same_bytes_in_both_modes(flags: &[&str], input: &[u8]) -> ServeRun {
+        let listen = listen_on_bytes(&args(flags), input);
+        let one_shot_flags: Vec<&str> =
+            flags.iter().copied().filter(|f| *f != "--listen").collect();
+        let one_shot = run_on_bytes(input, |r, w| serve_on(&args(&one_shot_flags), r, w)).unwrap();
+        assert_eq!(one_shot.stdout, listen.stdout, "one-shot bytes must equal --listen bytes");
+        listen
     }
 
     #[test]
@@ -1553,7 +1480,7 @@ mod tests {
         );
         let frame_input = frame("{\"id\":\"r1\",\"command\":\"solve\",\"threshold\":0.5}", &bin);
         let via_text = serve_listen_on_input(&args(&["serve", "--listen"]), &text_input).unwrap();
-        let via_frame = listen_on_bytes(&args(&["serve", "--listen"]), &frame_input);
+        let via_frame = same_bytes_in_both_modes(&["serve", "--listen"], &frame_input);
         // Same fingerprint, same cold-start telemetry: the whole response
         // line is byte-identical across the two encodings.
         assert_eq!(via_text.stdout, via_frame.stdout);
@@ -1565,7 +1492,7 @@ mod tests {
             "{\"id\":\"r2\",\"command\":\"solve\",\"threshold\":0.5}",
             &bin,
         ));
-        let run = listen_on_bytes(&args(&["serve", "--listen"]), &both);
+        let run = same_bytes_in_both_modes(&["serve", "--listen"], &both);
         let lines: Vec<&str> = run.stdout.lines().collect();
         assert_eq!(lines.len(), 2, "{}", run.stdout);
         assert!(lines[1].contains("\"memoized\":true"), "{}", lines[1]);
@@ -1596,7 +1523,8 @@ mod tests {
         input.extend_from_slice(
             format!("{{\"id\":\"ok\",\"command\":\"solve\",\"instance\":\"{text}\"}}\n").as_bytes(),
         );
-        let run = listen_on_bytes(&args(&["serve", "--listen", "--max-line-bytes", "256"]), &input);
+        let run =
+            same_bytes_in_both_modes(&["serve", "--listen", "--max-line-bytes", "256"], &input);
         let lines: Vec<&str> = run.stdout.lines().collect();
         assert_eq!(lines.len(), 2, "{}", run.stdout);
         // The oversized payload is consumed to its declared length and
@@ -1625,12 +1553,29 @@ mod tests {
         input.extend_from_slice(&not_bin);
         input.extend_from_slice(&banned);
         input.extend_from_slice(&truncated);
-        let run = listen_on_bytes(&args(&["serve", "--listen"]), &input);
+        let run = same_bytes_in_both_modes(&["serve", "--listen"], &input);
         let lines: Vec<&str> = run.stdout.lines().collect();
         assert_eq!(lines.len(), 3, "{}", run.stdout);
         assert!(lines[0].contains("not psdp-bin-1"), "{}", lines[0]);
         assert!(lines[1].contains("not allowed in a binary frame"), "{}", lines[1]);
         assert!(lines[2].contains("truncated binary frame"), "{}", lines[2]);
+    }
+
+    #[test]
+    fn invalid_utf8_lines_error_in_place_in_both_modes() {
+        let text = inline_packing();
+        let request = |id: &str| {
+            format!("{{\"id\":\"{id}\",\"command\":\"solve\",\"instance\":\"{text}\"}}\n")
+        };
+        let mut input = request("a").into_bytes();
+        input.extend_from_slice(b"{\"id\":\xff\xfe not utf-8\n");
+        input.extend_from_slice(request("b").as_bytes());
+        let run = same_bytes_in_both_modes(&["serve", "--listen"], &input);
+        let lines: Vec<&str> = run.stdout.lines().collect();
+        assert_eq!(lines.len(), 3, "{}", run.stdout);
+        assert!(lines[0].starts_with("{\"id\":\"a\",\"command\":\"solve\""), "{}", lines[0]);
+        assert!(lines[1].starts_with("{\"id\":null,\"error\":"), "{}", lines[1]);
+        assert!(lines[2].starts_with("{\"id\":\"b\",\"command\":\"solve\""), "{}", lines[2]);
     }
 
     #[test]
@@ -1776,15 +1721,18 @@ mod tests {
     #[test]
     fn overloaded_outcomes_render_through_the_shared_schema() {
         let ctx = LineCtx::Error { id_json: json_str("r9") };
-        let routed =
-            render_outcome(&ctx, &StreamOutcome::Overloaded { id: "r9".into(), shard: Some(3) });
+        let routed = render_outcome(
+            &ctx,
+            &StreamOutcome::Overloaded { id: "r9".into(), shard: Some(3) },
+            None,
+        );
         assert_eq!(
             routed,
             "{\"id\":\"r9\",\"error\":\"overloaded\",\"overloaded\":true,\"shard\":3}\n"
         );
         assert_eq!(routed, crate::jsonfmt::overloaded_line("r9", Some(3)));
         let unrouted =
-            render_outcome(&ctx, &StreamOutcome::Overloaded { id: "r9".into(), shard: None });
+            render_outcome(&ctx, &StreamOutcome::Overloaded { id: "r9".into(), shard: None }, None);
         assert_eq!(unrouted, crate::jsonfmt::overloaded_line("r9", None));
         assert!(unrouted.ends_with("\"shard\":null}\n"), "{unrouted}");
     }

@@ -309,11 +309,10 @@ impl Service {
             let (credits_tx, credits_rx) = mpsc::sync_channel::<()>(outstanding);
 
             let mut shard_txs: Vec<mpsc::SyncSender<ShardJob<C>>> = Vec::with_capacity(shards);
-            for (shard_idx, (depth, _)) in depths.iter().zip(high_water.iter()).enumerate() {
+            for depth in &depths {
                 let (tx, rx) = mpsc::sync_channel::<ShardJob<C>>(queue_cap);
                 shard_txs.push(tx);
                 let results_tx = results_tx.clone();
-                let _ = shard_idx;
                 scope.spawn(move || {
                     worker_loop(
                         rx,
