@@ -96,7 +96,8 @@ use crate::instance::MixedInstance;
 use crate::psi::{PsiMaintainer, PsiPattern};
 use crate::solution::{ExitReason, MixedCertificate, MixedFeasible, MixedOutcome};
 use crate::solver::{
-    evaluate, psi_for_engine, IterationEvent, Observer, ObserverControl, PhaseEvent,
+    check_prepared_engine, evaluate, psi_for_engine, IterationEvent, Observer, ObserverControl,
+    PhaseEvent,
 };
 use crate::stats::{BracketStats, SolveStats};
 use psdp_expdot::{Engine, EngineKind};
@@ -331,40 +332,16 @@ impl<'i> MixedSolverBuilder<'i> {
         cover_engine: Arc<Engine>,
     ) -> Result<MixedSolver<'i>, PsdpError> {
         self.opts.validate()?;
-        let checks = [
-            (&pack_engine, self.inst.pack_dim(), "packing"),
-            (&cover_engine, self.inst.cover_dim(), "covering"),
-        ];
-        for (engine, dim, side) in checks {
-            if engine.dim() != dim {
-                return Err(PsdpError::InvalidInstance(format!(
-                    "prepared {side} engine has dim {}, instance side has dim {dim}",
-                    engine.dim()
-                )));
-            }
-            if engine.seed() != self.opts.seed {
-                return Err(PsdpError::InvalidInstance(format!(
-                    "prepared {side} engine was built with seed {}, options ask for seed {}",
-                    engine.seed(),
-                    self.opts.seed
-                )));
-            }
-        }
-        let want_pack =
-            self.opts.engine.resolve(self.inst.pack_dim(), self.inst.pack().total_nnz());
-        if pack_engine.kind() != want_pack {
-            return Err(PsdpError::InvalidInstance(format!(
-                "prepared packing engine kind {:?} does not match requested kind {:?}",
-                pack_engine.kind(),
-                want_pack
-            )));
-        }
-        if cover_engine.kind() != EngineKind::Exact {
-            return Err(PsdpError::InvalidInstance(format!(
-                "prepared covering engine must be exact, got {:?}",
-                cover_engine.kind()
-            )));
-        }
+        let (inst, seed) = (self.inst, self.opts.seed);
+        let want_pack = self.opts.engine.resolve(inst.pack_dim(), inst.pack().total_nnz());
+        check_prepared_engine(&pack_engine, "packing", inst.pack_dim(), seed, want_pack)?;
+        check_prepared_engine(
+            &cover_engine,
+            "covering",
+            inst.cover_dim(),
+            seed,
+            EngineKind::Exact,
+        )?;
         Self::assemble(self.inst, self.opts, pack_engine, cover_engine)
     }
 
@@ -936,7 +913,7 @@ impl<'i, 's> MixedSession<'i, 's> {
                 fine.eps *= 0.5;
                 fine.alpha_boost = (fine.alpha_boost * 0.5).max(1.0);
                 let retry = self.run_decision(sigma, &fine, mask_arg, None)?;
-                if improves(&retry) {
+                if improves(&retry) || stopped_early(&retry) {
                     discarded.push(res.stats.clone());
                     res = retry;
                 } else {
@@ -1084,6 +1061,51 @@ mod tests {
     /// 1-coordinate instance 2x ≤ 1, x ≥ σ: σ* = 1/2 exactly.
     fn half_instance() -> MixedInstance {
         MixedInstance::new(vec![diag(&[2.0])], vec![diag(&[1.0])]).unwrap()
+    }
+
+    /// Prepared engines are reused only when each side's dimension, seed
+    /// and resolved kind match the builder's instance and options.
+    #[test]
+    fn build_with_engines_rejects_mismatched_engines() {
+        let inst = half_instance();
+        let wide = MixedInstance::new(vec![diag(&[2.0, 1.0])], vec![diag(&[1.0, 1.0])]).unwrap();
+        let opts = MixedOptions::practical(0.1);
+        let taylor = EngineKind::Taylor { eps: 0.1 };
+        let (pack, cover) =
+            MixedSolver::builder(&inst).options(opts).build().unwrap().engine_handles();
+        let (wide_pack, wide_cover) =
+            MixedSolver::builder(&wide).options(opts).build().unwrap().engine_handles();
+        let cover_engine =
+            |kind, seed| Arc::new(Engine::new(kind, inst.cover().mats(), seed).unwrap());
+        let reuse = |opts: MixedOptions, pack: &Arc<Engine>, cover: &Arc<Engine>| {
+            MixedSolver::builder(&inst)
+                .options(opts)
+                .build_with_engines(Arc::clone(pack), Arc::clone(cover))
+                .map(|_| ())
+        };
+        assert!(reuse(opts, &pack, &cover).is_ok());
+
+        let cases = [
+            ("packing engine has dim", reuse(opts, &wide_pack, &cover)),
+            (
+                "packing engine was built with seed",
+                reuse(opts.with_seed(opts.seed + 1), &pack, &cover),
+            ),
+            ("packing engine kind", reuse(opts.with_engine(taylor), &pack, &cover)),
+            ("covering engine has dim", reuse(opts, &pack, &wide_cover)),
+            (
+                "covering engine was built with seed",
+                reuse(opts, &pack, &cover_engine(EngineKind::Exact, opts.seed + 1)),
+            ),
+            ("covering engine", reuse(opts, &pack, &cover_engine(taylor, opts.seed))),
+        ];
+        for (what, built) in cases {
+            match built {
+                Err(PsdpError::InvalidInstance(msg)) => assert!(msg.contains(what), "{msg}"),
+                Err(e) => panic!("{what}: wrong error {e}"),
+                Ok(()) => panic!("{what}: mismatch was accepted"),
+            }
+        }
     }
 
     #[test]

@@ -178,28 +178,8 @@ impl<'i> SolverBuilder<'i> {
     /// instance/options pair.
     pub fn build_with_engine(self, engine: Arc<Engine>) -> Result<Solver<'i>, PsdpError> {
         self.opts.validate()?;
-        if engine.dim() != self.inst.dim() {
-            return Err(PsdpError::InvalidInstance(format!(
-                "prepared engine has dim {}, instance has dim {}",
-                engine.dim(),
-                self.inst.dim()
-            )));
-        }
-        if engine.seed() != self.opts.seed {
-            return Err(PsdpError::InvalidInstance(format!(
-                "prepared engine was built with seed {}, options ask for seed {}",
-                engine.seed(),
-                self.opts.seed
-            )));
-        }
         let want = self.opts.engine.resolve(self.inst.dim(), self.inst.total_nnz());
-        if engine.kind() != want {
-            return Err(PsdpError::InvalidInstance(format!(
-                "prepared engine kind {:?} does not match requested kind {:?}",
-                engine.kind(),
-                want
-            )));
-        }
+        check_prepared_engine(&engine, "packing", self.inst.dim(), self.opts.seed, want)?;
         Self::assemble(self.inst, self.opts, engine)
     }
 
@@ -213,6 +193,38 @@ impl<'i> SolverBuilder<'i> {
             inst.mats().iter().map(|a| 1.0 / a.lambda_max_est().max(1e-300)).collect();
         Ok(Solver { inst, opts, engine, traces, lambda_caps, pattern: OnceLock::new() })
     }
+}
+
+/// Check everything observable about a prepared engine before a builder
+/// reuses it: its dimension, its seed, and its concrete kind against
+/// `want` (the requested kind resolved for this instance side). `side`
+/// names the constraint family in the error.
+pub(crate) fn check_prepared_engine(
+    engine: &Engine,
+    side: &str,
+    dim: usize,
+    seed: u64,
+    want: EngineKind,
+) -> Result<(), PsdpError> {
+    if engine.dim() != dim {
+        return Err(PsdpError::InvalidInstance(format!(
+            "prepared {side} engine has dim {}, instance has dim {dim}",
+            engine.dim()
+        )));
+    }
+    if engine.seed() != seed {
+        return Err(PsdpError::InvalidInstance(format!(
+            "prepared {side} engine was built with seed {}, options ask for seed {seed}",
+            engine.seed()
+        )));
+    }
+    if engine.kind() != want {
+        return Err(PsdpError::InvalidInstance(format!(
+            "prepared {side} engine kind {:?} does not match requested kind {want:?}",
+            engine.kind()
+        )));
+    }
+    Ok(())
 }
 
 /// A prepared positive-SDP solver bound to one [`PackingInstance`].
@@ -1286,6 +1298,33 @@ mod tests {
     fn diag_instance(rows: &[&[f64]]) -> PackingInstance {
         PackingInstance::new(rows.iter().map(|r| PsdMatrix::Diagonal(r.to_vec())).collect())
             .unwrap()
+    }
+
+    /// A prepared engine is reused only when its dimension, seed and
+    /// resolved kind all match the builder's instance and options.
+    #[test]
+    fn build_with_engine_rejects_mismatched_engines() {
+        let inst = diag_instance(&[&[1.0, 0.0], &[0.0, 1.0]]);
+        let wide = diag_instance(&[&[1.0, 0.0, 0.0], &[0.0, 1.0, 1.0]]);
+        let opts = DecisionOptions::practical(0.2);
+        let engine = Solver::builder(&inst).options(opts).build().unwrap().engine_handle();
+        let reuse = |inst: &PackingInstance, opts: DecisionOptions| {
+            Solver::builder(inst).options(opts).build_with_engine(Arc::clone(&engine)).map(|_| ())
+        };
+        assert!(reuse(&inst, opts).is_ok());
+
+        let cases = [
+            ("engine has dim", reuse(&wide, opts)),
+            ("engine was built with seed", reuse(&inst, opts.with_seed(opts.seed + 1))),
+            ("engine kind", reuse(&inst, opts.with_engine(EngineKind::Taylor { eps: 0.2 }))),
+        ];
+        for (what, built) in cases {
+            match built {
+                Err(PsdpError::InvalidInstance(msg)) => assert!(msg.contains(what), "{msg}"),
+                Err(e) => panic!("{what}: wrong error {e}"),
+                Ok(()) => panic!("{what}: mismatch was accepted"),
+            }
+        }
     }
 
     #[test]

@@ -13,12 +13,13 @@ pub enum LinalgError {
         /// Iterations spent before giving up.
         iters: usize,
     },
-    /// Cholesky hit a non-positive pivot: the matrix is not (numerically)
-    /// positive definite. Carries the offending pivot index and value.
+    /// A PSD check found an eigenvalue below its negative-noise tolerance:
+    /// the matrix is not (numerically) positive semidefinite. Carries the
+    /// offending index and value.
     NotPositiveDefinite {
-        /// Offending pivot index.
+        /// Offending index.
         index: usize,
-        /// Offending pivot value.
+        /// Offending value (the most negative eigenvalue).
         pivot: f64,
     },
     /// The operation requires a square matrix.

@@ -15,11 +15,6 @@ pub fn expm(a: &Mat) -> Result<Mat, LinalgError> {
     Ok(sym_eigen(a)?.apply_fn(f64::exp))
 }
 
-/// `exp(A)` reusing an existing eigendecomposition.
-pub fn expm_from_eigen(eig: &SymEigen) -> Mat {
-    eig.apply_fn(f64::exp)
-}
-
 /// Principal square root of a PSD matrix. Eigenvalues in `[-tol, 0)` are
 /// clamped to 0 (numerical noise); more negative ones are an error.
 pub fn sqrt_psd(a: &Mat, tol: f64) -> Result<Mat, LinalgError> {

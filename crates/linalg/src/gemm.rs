@@ -189,24 +189,6 @@ pub fn gram(a: &Mat) -> Mat {
     g
 }
 
-/// `C = A · Aᵀ`, exploiting symmetry of the output. Parallel over row pairs.
-pub fn outer_gram(a: &Mat) -> Mat {
-    let m = a.nrows();
-    let mut c = Mat::zeros(m, m);
-    let entries: Vec<(usize, usize, f64)> = (0..m)
-        .into_par_iter()
-        .flat_map_iter(|i| {
-            let ri = a.row(i);
-            (i..m).map(move |j| (i, j, crate::vecops::dot(ri, a.row(j))))
-        })
-        .collect();
-    for (i, j, v) in entries {
-        c[(i, j)] = v;
-        c[(j, i)] = v;
-    }
-    c
-}
-
 /// Quadratic form `xᵀ A x` for square `A`.
 pub fn quad_form(a: &Mat, x: &[f64]) -> f64 {
     crate::vecops::dot(&matvec(a, x), x)
@@ -364,18 +346,6 @@ mod tests {
         let g2 = matmul(&a.transpose(), &a);
         for i in 0..3 {
             for j in 0..3 {
-                assert!((g[(i, j)] - g2[(i, j)]).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn outer_gram_matches_explicit() {
-        let a = Mat::from_fn(5, 3, |i, j| (2 * i + 3 * j) as f64 * 0.25);
-        let g = outer_gram(&a);
-        let g2 = matmul(&a, &a.transpose());
-        for i in 0..5 {
-            for j in 0..5 {
                 assert!((g[(i, j)] - g2[(i, j)]).abs() < 1e-12);
             }
         }

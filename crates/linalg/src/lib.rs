@@ -9,13 +9,11 @@
 //! * [`mat::Mat`] — dense row-major matrices with elementwise ops,
 //! * [`gemm`] — rayon-parallel GEMM / GEMV,
 //! * [`eigen`] — symmetric eigendecomposition (Householder + implicit QL),
-//! * [`chol`] — Cholesky and PSD certification,
 //! * [`mod@qr`] — Householder QR / orthonormalization,
 //! * [`funcs`] — matrix functions `exp`, `√`, pseudo `⁻¹ᐟ²`, PSD factorization,
 //! * [`poly`] — the Lemma 4.2 truncated-Taylor operator applied to blocks,
 //! * [`expmv`] — restarted-Lanczos / Chebyshev `exp(B)·x` without forming `exp(B)`,
 //! * [`norms`] — spectral-norm estimation (power iteration + certified bounds),
-//! * [`lanczos`] — Krylov extreme-eigenvalue estimation for large operators,
 //! * [`op`] — the [`op::SymOp`] abstraction the engines are written against.
 //!
 //! The crate is deliberately dependency-light (rayon only) so every numeric
@@ -23,13 +21,11 @@
 
 #![warn(missing_docs)]
 
-pub mod chol;
 pub mod eigen;
 pub mod error;
 pub mod expmv;
 pub mod funcs;
 pub mod gemm;
-pub mod lanczos;
 pub mod mat;
 pub mod norms;
 pub mod op;
@@ -37,13 +33,11 @@ pub mod poly;
 pub mod qr;
 pub mod vecops;
 
-pub use chol::{cholesky, is_positive_semidefinite, Cholesky};
 pub use eigen::{sym_eigen, sym_eigenvalues, SymEigen};
 pub use error::LinalgError;
 pub use expmv::{chebyshev_exp_block, expm_action_chebyshev, expm_action_lanczos, ExpmAction};
 pub use funcs::{expm, inv_sqrt_psd, psd_factor, sqrt_psd};
 pub use gemm::{matmul, matvec, matvec_transpose, quad_form, symmul};
-pub use lanczos::{lambda_max_lanczos, lanczos_extreme, LanczosResult};
 pub use mat::Mat;
 pub use norms::{lambda_max_estimate, lambda_max_power, lambda_max_upper_bound};
 pub use op::SymOp;

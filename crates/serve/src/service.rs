@@ -71,6 +71,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+/// Fingerprint capacity per shard (deterministic per-shard LRU).
+const MAX_ENTRIES_PER_SHARD: usize = 256;
+/// Memoized results kept per fingerprint.
+const MEMO_PER_ENTRY: usize = 64;
+
 /// Service configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceOptions {
@@ -85,10 +90,6 @@ pub struct ServiceOptions {
     /// Master switch for the fingerprint cache (off = every request is
     /// cold, the uncached baseline).
     pub cache_enabled: bool,
-    /// Fingerprint capacity per shard (deterministic per-shard LRU).
-    pub max_entries_per_shard: usize,
-    /// Memoized results kept per fingerprint.
-    pub memo_per_entry: usize,
     /// Adaptive shed target: when set, the admissible depth of each
     /// shard queue shrinks below `queue_capacity` in proportion to how
     /// far the live p99 service latency exceeds this target (clamped to
@@ -105,8 +106,6 @@ impl Default for ServiceOptions {
             queue_capacity: 1024,
             max_outstanding: 0,
             cache_enabled: true,
-            max_entries_per_shard: 256,
-            memo_per_entry: 64,
             shed_target_p99: None,
         }
     }
@@ -228,7 +227,7 @@ impl Service {
     /// [`Service::load_snapshot`] for warm starts).
     pub fn new(opts: ServiceOptions) -> Self {
         let shards = opts.shards.max(1);
-        Service { opts, cache: ShardedCache::new(shards, opts.max_entries_per_shard) }
+        Service { opts, cache: ShardedCache::new(shards, MAX_ENTRIES_PER_SHARD) }
     }
 
     /// Number of fingerprints currently cached across all shards.
@@ -289,7 +288,6 @@ impl Service {
         // the caller's pool; tests vary this via `run_with_threads`).
         let pool_width = rayon::current_num_threads();
         let cache_enabled = self.opts.cache_enabled;
-        let memo_cap = self.opts.memo_per_entry;
         let shed_target = self.opts.shed_target_p99;
         let cache = &self.cache;
 
@@ -297,8 +295,10 @@ impl Service {
         let high_water: Vec<AtomicUsize> = (0..shards).map(|_| AtomicUsize::new(0)).collect();
         // Live service-latency histogram feeding the adaptive shed
         // policy: workers record as they finish, admission reads the p99.
+        // Without a shed target nothing reads it, so workers skip the lock.
         let live_hist = Mutex::new(LatencyHistogram::default());
         let live_hist = &live_hist;
+        let worker_hist = shed_target.is_some().then_some(live_hist);
 
         let mut report = std::thread::scope(|scope| {
             let (results_tx, results_rx) = mpsc::channel::<Sequenced<C>>();
@@ -319,10 +319,9 @@ impl Service {
                         results_tx,
                         cache,
                         cache_enabled,
-                        memo_cap,
                         pool_width,
                         depth,
-                        live_hist,
+                        worker_hist,
                     );
                 });
             }
@@ -461,16 +460,15 @@ fn shed_allowance(
 
 /// One shard worker: drain the queue in arrival order, execute each
 /// request against the shared sharded cache, send sequenced outcomes.
-#[allow(clippy::too_many_arguments)]
+/// Service latencies go into `live_hist` only when adaptive shed is on.
 fn worker_loop<C: Send>(
     rx: mpsc::Receiver<ShardJob<C>>,
     results_tx: mpsc::Sender<Sequenced<C>>,
     cache: &ShardedCache,
     cache_enabled: bool,
-    memo_cap: usize,
     pool_width: usize,
     depth: &AtomicUsize,
-    live_hist: &Mutex<LatencyHistogram>,
+    live_hist: Option<&Mutex<LatencyHistogram>>,
 ) {
     // Propagate the caller's rayon width into this worker thread. Pool
     // construction is infallible in the shim and cheap either way; on
@@ -480,7 +478,7 @@ fn worker_loop<C: Send>(
         depth.fetch_sub(1, Ordering::SeqCst);
         let started = Instant::now();
         let queue_wait = started.duration_since(job.admitted_at);
-        let exec = || execute_request(cache, cache_enabled, memo_cap, &job.request);
+        let exec = || execute_request(cache, cache_enabled, &job.request);
         // A panic inside one request (a solver-internal bug) must not
         // kill the worker and starve the whole shard: answer with a
         // typed internal error and keep serving.
@@ -498,7 +496,9 @@ fn worker_loop<C: Send>(
         };
         stats.queue_wait = queue_wait;
         stats.service = started.elapsed();
-        live_hist.lock().record(stats.service);
+        if let Some(hist) = live_hist {
+            hist.lock().record(stats.service);
+        }
         let response = ServeResponse { id: job.request.id.clone(), result, stats };
         let _ = results_tx.send(Sequenced {
             seq: job.seq,
@@ -568,7 +568,6 @@ where
 fn execute_request(
     cache: &ShardedCache,
     cache_enabled: bool,
-    memo_cap: usize,
     req: &ServeRequest,
 ) -> (Result<ServeResult, String>, ServeStats, bool) {
     if !req.payload_matches_kind() {
@@ -580,7 +579,7 @@ fn execute_request(
     }
     let hash = prep_hash(req);
     let entry = if cache_enabled { cache.take(hash, req) } else { None };
-    let run = execute(req, hash, &params_key(&req.kind), entry, memo_cap);
+    let run = execute(req, hash, &params_key(&req.kind), entry, MEMO_PER_ENTRY);
     if let Some(entry) = run.entry.filter(|_| cache_enabled) {
         cache.insert(entry);
     }

@@ -22,26 +22,6 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Build from raw CSR arrays.
-    ///
-    /// # Panics
-    /// Panics if the arrays are inconsistent (wrong lengths, column index out
-    /// of range, row pointers not non-decreasing).
-    pub fn from_raw(
-        nrows: usize,
-        ncols: usize,
-        row_ptr: Vec<usize>,
-        col_idx: Vec<usize>,
-        values: Vec<f64>,
-    ) -> Self {
-        assert_eq!(row_ptr.len(), nrows + 1, "row_ptr length");
-        assert_eq!(col_idx.len(), values.len(), "col/val length mismatch");
-        assert_eq!(*row_ptr.last().unwrap(), col_idx.len(), "row_ptr end");
-        assert!(row_ptr.windows(2).all(|w| w[0] <= w[1]), "row_ptr not monotone");
-        assert!(col_idx.iter().all(|&c| c < ncols), "column index out of range");
-        Csr { nrows, ncols, row_ptr, col_idx, values }
-    }
-
     /// Build from (row, col, value) triplets; duplicates are summed.
     pub fn from_triplets(nrows: usize, ncols: usize, triplets: &[(usize, usize, f64)]) -> Self {
         let mut sorted: Vec<(usize, usize, f64)> = triplets.to_vec();

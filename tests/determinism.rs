@@ -596,3 +596,19 @@ fn expv_optimize_golden_pin() {
     assert_eq!(r.decision_calls, 4);
     assert_eq!(r.total_engine_evals, 324);
 }
+
+/// Golden pin for the mixed bisection: the observer-stop fixture's
+/// unobserved warm `optimize` must reproduce these bracket bits and
+/// call/iteration/evaluation counts exactly.
+#[test]
+fn mixed_optimize_golden_pin() {
+    let inst = mixed_edge_cover(&gnp(6, 0.5, 1), 0.5);
+    let opts = MixedApproxOptions::practical(0.3);
+    let r = solve_mixed(&inst, &opts).unwrap();
+    assert!(r.converged);
+    assert_eq!(r.threshold_lower.to_bits(), 0x3fd6587874318cc8, "lower {}", r.threshold_lower);
+    assert_eq!(r.threshold_upper.to_bits(), 0x3fd8e5746b0c11d2, "upper {}", r.threshold_upper);
+    assert_eq!(r.decision_calls, 6);
+    assert_eq!(r.total_iterations, 509);
+    assert_eq!(r.total_engine_evals, 1018);
+}

@@ -10,6 +10,9 @@ use psdp_core::{
 };
 use psdp_sparse::PsdMatrix;
 use psdp_test_support::{factorized_instance, FactorizedSpec};
+use psdp_workloads::{gnp, mixed_edge_cover};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Stops after `stop_after_iters` iteration events, counting everything
 /// it sees on the way.
@@ -157,14 +160,79 @@ fn mixed_optimize_stop_mid_bisection() {
     assert!(r.threshold_lower > 0.0 && r.threshold_upper >= r.threshold_lower);
 }
 
+/// What [`StopInEscalation`] saw, shared with the test body.
+#[derive(Default)]
+struct EscalationLog {
+    last_start: Option<(u64, bool)>,
+    armed: bool,
+    stopped: bool,
+    solves_started: usize,
+    starts_after_stop: usize,
+}
+
+/// Stops on the first iteration of the mixed bisection's ε/2 escalation
+/// (the second cold solve in a row at one `σ`), then records whether any
+/// solve starts after the stop.
+struct StopInEscalation(Rc<RefCell<EscalationLog>>);
+
+impl Observer for StopInEscalation {
+    fn on_phase(&mut self, event: &PhaseEvent<'_>) {
+        if let PhaseEvent::SolveStarted { threshold, warm } = event {
+            let mut log = self.0.borrow_mut();
+            log.solves_started += 1;
+            if log.stopped {
+                log.starts_after_stop += 1;
+            }
+            let start = (threshold.to_bits(), *warm);
+            log.armed |= !warm && log.last_start == Some(start);
+            log.last_start = Some(start);
+        }
+    }
+
+    fn on_iteration(&mut self, _: &IterationEvent) -> ObserverControl {
+        let mut log = self.0.borrow_mut();
+        if log.armed && !log.stopped {
+            log.stopped = true;
+            ObserverControl::Stop
+        } else {
+            ObserverControl::Continue
+        }
+    }
+}
+
+/// A stop during the mixed ε/2 escalation ends the bisection, as a stop in
+/// the warm or cold attempt does: the stopped retry is kept, no further
+/// solve starts, and the report does not claim convergence.
+#[test]
+fn mixed_optimize_stop_during_escalation_ends_bisection() {
+    let inst = mixed_edge_cover(&gnp(6, 0.5, 1), 0.5);
+    let opts = MixedApproxOptions::practical(0.3);
+    let solver = MixedSolver::builder(&inst).options(opts.decision).build().expect("build");
+
+    let log = Rc::new(RefCell::new(EscalationLog::default()));
+    let mut session = solver.session();
+    session.add_observer(Box::new(StopInEscalation(Rc::clone(&log))));
+    let r = session.optimize(&opts).expect("stopped run");
+
+    let log = log.borrow();
+    assert!(log.stopped, "fixture never escalated: {r:?}");
+    assert_eq!(log.starts_after_stop, 0, "a solve started after the observer stop");
+    assert_eq!(log.solves_started, 8, "the escalation is the 8th solve");
+    assert!(!r.converged, "stopped bisection must not claim convergence");
+    assert_eq!(r.call_stats.last().map(|s| s.exit), Some(ExitReason::ObserverStopped));
+    assert_eq!(r.brackets.len(), r.decision_calls, "every call needs a bracket row");
+    assert_eq!(r.call_stats.len(), r.decision_calls);
+    let bracket_iters: usize = r.brackets.iter().map(|b| b.iterations).sum();
+    let bracket_evals: usize = r.brackets.iter().map(|b| b.engine_evals).sum();
+    assert_eq!(bracket_iters, r.total_iterations);
+    assert_eq!(bracket_evals, r.total_engine_evals);
+}
+
 /// Observers see the phase stream in a consistent order during a stopped
 /// bisection: every solve start has a finish (the stopped one included),
 /// and `BracketUpdated` fires for exactly the calls that completed.
 #[test]
 fn observer_event_stream_is_consistent_after_stop() {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
     struct Recorder {
         inner: StopAfter,
         log: Rc<RefCell<Vec<&'static str>>>,
