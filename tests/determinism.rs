@@ -612,3 +612,28 @@ fn mixed_optimize_golden_pin() {
     assert_eq!(r.total_iterations, 509);
     assert_eq!(r.total_engine_evals, 1018);
 }
+
+/// Golden pin for packing `Session::optimize` under the default practical
+/// options on a fixture whose third bracket discards work: its warm
+/// attempt and its cold solve are weak, and the certificate-seeking
+/// escalation is kept. The bracket bits and the call/iteration/evaluation/
+/// replay counts were recorded before the packing and mixed bisections
+/// shared one driver; the shared driver must reproduce them exactly.
+#[test]
+fn packing_optimize_golden_pin() {
+    let inst = factorized_instance(&FactorizedSpec::new(6, 4, 1));
+    let opts = ApproxOptions::practical(0.3);
+    let solver = Solver::builder(&inst).options(opts.decision).build().unwrap();
+    let r = solver.session().optimize(&opts).unwrap();
+    assert!(r.converged);
+    let discarding: Vec<usize> = (0..r.decision_calls)
+        .filter(|&i| r.brackets[i].iterations > r.call_stats[i].iterations)
+        .collect();
+    assert_eq!(discarding, [2], "the fixture must hit the discard path");
+    assert_eq!(r.value_lower.to_bits(), 0x401306fe0a31b715, "lower {}", r.value_lower);
+    assert_eq!(r.value_upper.to_bits(), 0x4016a09e667f3bcd, "upper {}", r.value_upper);
+    assert_eq!(r.decision_calls, 4);
+    assert_eq!(r.total_iterations, 555);
+    assert_eq!(r.total_engine_evals, 555);
+    assert_eq!(r.total_replayed, 0);
+}

@@ -1,7 +1,7 @@
 //! Observer stop paths: `ExitReason::ObserverStopped` must surface
 //! cleanly from every loop an observer can halt — a bare decision solve,
-//! `Session::optimize` mid-bisection, and `MixedSession::optimize`
-//! mid-bisection — with telemetry (engine_evals, replayed, bracket
+//! `Session::optimize` and `MixedSession::optimize` mid-bisection and
+//! during their escalations — with telemetry (engine_evals, replayed, bracket
 //! accounting) still consistent after the early stop.
 
 use psdp_core::{
@@ -170,27 +170,33 @@ struct EscalationLog {
     starts_after_stop: usize,
 }
 
-/// Stops on the first iteration of the mixed bisection's ε/2 escalation
-/// (the second cold solve in a row at one `σ`), then records whether any
-/// solve starts after the stop.
-struct StopInEscalation(Rc<RefCell<EscalationLog>>);
+/// Stops on the first iteration of a bisection's escalation, then records
+/// whether any solve starts after the stop. An escalation is the solve
+/// that starts right after a cold solve at the same `σ`: cold again for
+/// the mixed ε/2 re-run (`seeded == false`), seeded from the cold solve's
+/// final iterate for the packing certificate-seeking continuation
+/// (`seeded == true`).
+struct StopInEscalation {
+    log: Rc<RefCell<EscalationLog>>,
+    seeded: bool,
+}
 
 impl Observer for StopInEscalation {
     fn on_phase(&mut self, event: &PhaseEvent<'_>) {
         if let PhaseEvent::SolveStarted { threshold, warm } = event {
-            let mut log = self.0.borrow_mut();
+            let mut log = self.log.borrow_mut();
             log.solves_started += 1;
             if log.stopped {
                 log.starts_after_stop += 1;
             }
-            let start = (threshold.to_bits(), *warm);
-            log.armed |= !warm && log.last_start == Some(start);
-            log.last_start = Some(start);
+            let sigma = threshold.to_bits();
+            log.armed |= *warm == self.seeded && log.last_start == Some((sigma, false));
+            log.last_start = Some((sigma, *warm));
         }
     }
 
     fn on_iteration(&mut self, _: &IterationEvent) -> ObserverControl {
-        let mut log = self.0.borrow_mut();
+        let mut log = self.log.borrow_mut();
         if log.armed && !log.stopped {
             log.stopped = true;
             ObserverControl::Stop
@@ -211,7 +217,7 @@ fn mixed_optimize_stop_during_escalation_ends_bisection() {
 
     let log = Rc::new(RefCell::new(EscalationLog::default()));
     let mut session = solver.session();
-    session.add_observer(Box::new(StopInEscalation(Rc::clone(&log))));
+    session.add_observer(Box::new(StopInEscalation { log: Rc::clone(&log), seeded: false }));
     let r = session.optimize(&opts).expect("stopped run");
 
     let log = log.borrow();
@@ -226,6 +232,44 @@ fn mixed_optimize_stop_during_escalation_ends_bisection() {
     let bracket_evals: usize = r.brackets.iter().map(|b| b.engine_evals).sum();
     assert_eq!(bracket_iters, r.total_iterations);
     assert_eq!(bracket_evals, r.total_engine_evals);
+}
+
+/// A stop during the packing certificate-seeking escalation ends the
+/// bisection too. On this fixture the third bracket's warm attempt and its
+/// cold solve are both weak, so the escalation starts seeded right after
+/// the cold solve at the same `σ`. The stopped escalation is kept as the
+/// bracket's call, no further solve starts, the report does not claim
+/// convergence, and the discarded attempts stay in the totals.
+#[test]
+fn packing_optimize_stop_during_escalation_ends_bisection() {
+    let inst = factorized_instance(&FactorizedSpec::new(6, 4, 1));
+    let opts = ApproxOptions::practical(0.3);
+    let solver = Solver::builder(&inst).options(opts.decision).build().expect("build");
+
+    let log = Rc::new(RefCell::new(EscalationLog::default()));
+    let mut session = solver.session();
+    session.add_observer(Box::new(StopInEscalation { log: Rc::clone(&log), seeded: true }));
+    let r = session.optimize(&opts).expect("stopped run");
+
+    let log = log.borrow();
+    assert!(log.stopped, "fixture never escalated: {r:?}");
+    assert_eq!(log.starts_after_stop, 0, "a solve started after the observer stop");
+    assert_eq!(log.solves_started, 5, "the escalation is the 5th solve");
+    assert!(!r.converged, "stopped bisection must not claim convergence");
+    let kept = r.call_stats.last().expect("the stopped call is recorded");
+    assert_eq!(kept.exit, ExitReason::ObserverStopped);
+    assert!(kept.warm_started, "the kept call must be the seeded escalation");
+    assert_eq!(kept.iterations, 1);
+    assert_eq!(r.brackets.len(), r.decision_calls, "every call needs a bracket row");
+    assert_eq!(r.call_stats.len(), r.decision_calls);
+    let last = r.brackets.last().expect("bracket row");
+    assert!(last.iterations > kept.iterations, "the discarded cold solve was not counted");
+    let bracket_iters: usize = r.brackets.iter().map(|b| b.iterations).sum();
+    let bracket_evals: usize = r.brackets.iter().map(|b| b.engine_evals).sum();
+    let bracket_replayed: usize = r.brackets.iter().map(|b| b.replayed).sum();
+    assert_eq!(bracket_iters, r.total_iterations);
+    assert_eq!(bracket_evals, r.total_engine_evals);
+    assert_eq!(bracket_replayed, r.total_replayed);
 }
 
 /// Observers see the phase stream in a consistent order during a stopped
