@@ -415,9 +415,7 @@ pub fn mixed(args: &Args) -> Result<String, String> {
 
     let solver =
         MixedSolver::builder(&inst).options(approx.decision).build().map_err(|e| e.to_string())?;
-    let mut session = solver.session();
-    session.set_warm_start(warm);
-    let r = session.optimize(&approx).map_err(|e| e.to_string())?;
+    let r = solver.session().optimize(&approx).map_err(|e| e.to_string())?;
 
     if args.bool_flag("json") {
         // `mixed_payload` performs the certificate re-verification itself.

@@ -8,8 +8,9 @@
 //! schema unchanged) while the one-shot commands keep real timings.
 
 use psdp_core::{
-    verify_dual, verify_mixed_feasible, verify_mixed_infeasible, verify_primal, DecisionResult,
-    MixedInstance, MixedReport, Outcome, PackingInstance, PackingReport,
+    verify_dual, verify_mixed_feasible, verify_mixed_infeasible, verify_primal, BracketStats,
+    DecisionResult, MixedInstance, MixedReport, Outcome, PackingInstance, PackingReport,
+    SolveStats,
 };
 
 /// Minimal JSON string escaping (our strings are ASCII identifiers and
@@ -151,21 +152,7 @@ pub fn optimize_fields(inst: &PackingInstance, r: &PackingReport, include_wall: 
         }
         None => "null".to_string(),
     };
-    let brackets: Vec<String> = r
-        .brackets
-        .iter()
-        .zip(&r.call_stats)
-        .map(|(b, s)| {
-            format!(
-                "{{\"sigma\":{},\"dual_side\":{},\"lo\":{},\"hi\":{},\"stats\":{}}}",
-                json_f64(b.sigma),
-                b.dual_side,
-                json_f64(b.lo),
-                json_f64(b.hi),
-                json_stats(s, include_wall),
-            )
-        })
-        .collect();
+    let brackets = bracket_rows("dual_side", &r.brackets, &r.call_stats, include_wall);
     format!(
         "\"value_lower\":{},\"value_upper\":{},\"converged\":{},\"decision_calls\":{},\"total_iterations\":{},\"engine_evals\":{},\"replayed\":{},\"best_dual\":{},\"brackets\":[{}]",
         json_f64(r.value_lower),
@@ -176,8 +163,33 @@ pub fn optimize_fields(inst: &PackingInstance, r: &PackingReport, include_wall: 
         r.total_engine_evals,
         r.total_replayed,
         dual,
-        brackets.join(","),
+        brackets,
     )
+}
+
+/// The `brackets` array body of an `optimize` or `mixed` response: one row
+/// per call, its certified side under `side_key`.
+fn bracket_rows(
+    side_key: &str,
+    brackets: &[BracketStats],
+    calls: &[SolveStats],
+    include_wall: bool,
+) -> String {
+    let rows: Vec<String> = brackets
+        .iter()
+        .zip(calls)
+        .map(|(b, s)| {
+            format!(
+                "{{\"sigma\":{},\"{side_key}\":{},\"lo\":{},\"hi\":{},\"stats\":{}}}",
+                json_f64(b.sigma),
+                b.dual_side,
+                json_f64(b.lo),
+                json_f64(b.hi),
+                json_stats(s, include_wall),
+            )
+        })
+        .collect();
+    rows.join(",")
 }
 
 /// Body fields of a `mixed` response (see [`solve_payload`]).
@@ -218,21 +230,7 @@ pub fn mixed_fields(inst: &MixedInstance, r: &MixedReport, include_wall: bool) -
         }
         None => "null".to_string(),
     };
-    let brackets: Vec<String> = r
-        .brackets
-        .iter()
-        .zip(&r.call_stats)
-        .map(|(b, s)| {
-            format!(
-                "{{\"sigma\":{},\"feasible_side\":{},\"lo\":{},\"hi\":{},\"stats\":{}}}",
-                json_f64(b.sigma),
-                b.dual_side,
-                json_f64(b.lo),
-                json_f64(b.hi),
-                json_stats(s, include_wall),
-            )
-        })
-        .collect();
+    let brackets = bracket_rows("feasible_side", &r.brackets, &r.call_stats, include_wall);
     format!(
         "\"threshold_lower\":{},\"threshold_upper\":{},\"converged\":{},\"decision_calls\":{},\"total_iterations\":{},\"engine_evals\":{},\"pruned_max\":{},\"best_point\":{},\"infeasibility\":{},\"brackets\":[{}]",
         json_f64(r.threshold_lower),
@@ -244,7 +242,7 @@ pub fn mixed_fields(inst: &MixedInstance, r: &MixedReport, include_wall: bool) -
         r.pruned_max,
         point,
         witness,
-        brackets.join(","),
+        brackets,
     )
 }
 

@@ -32,6 +32,7 @@
 
 pub mod approx;
 pub mod bin_io;
+mod bisect;
 pub mod decision;
 pub mod error;
 pub mod instance;

@@ -87,17 +87,20 @@
 //! (a deliberate departure from the packing optimizer's
 //! degenerate-progress nudge). Warm starts continue each bracket from the
 //! previous bracket's final iterate, rescaled to half the coverage
-//! target; a warm attempt that fails to move the bracket is discarded and
-//! the bracket re-runs cold, so warm starts never weaken the report
-//! (discarded work is still counted in every exported total).
+//! target. The attempt protocol (warm → cold → this escalation), the
+//! accounting of discarded work and the bracket rows are the driver's that
+//! the packing optimizer shares (`crate::bisect`): a warm attempt that
+//! fails to move the bracket is discarded, so warm starts never weaken the
+//! report.
 
+use crate::bisect::{bisect, Call, Family, Probe};
 use crate::error::PsdpError;
 use crate::instance::MixedInstance;
 use crate::psi::{PsiMaintainer, PsiPattern};
 use crate::solution::{ExitReason, MixedCertificate, MixedFeasible, MixedOutcome};
 use crate::solver::{
-    check_prepared_engine, evaluate, psi_for_engine, IterationEvent, Observer, ObserverControl,
-    PhaseEvent,
+    check_prepared_engine, emit_iteration, emit_phase, evaluate, psi_for_engine, IterationEvent,
+    Observer, PhaseEvent,
 };
 use crate::stats::{BracketStats, SolveStats};
 use psdp_expdot::{Engine, EngineKind};
@@ -431,12 +434,13 @@ impl<'i> MixedSolver<'i> {
         (Arc::clone(&self.pack_engine), Arc::clone(&self.cover_engine))
     }
 
-    /// Open a fresh session (no observers, warm starts armed).
+    /// Open a fresh session (no observers). Whether
+    /// [`MixedSession::optimize`] warm-starts its brackets is
+    /// [`MixedApproxOptions::warm_start`].
     pub fn session(&self) -> MixedSession<'i, '_> {
         MixedSession {
             solver: self,
             observers: Vec::new(),
-            warm: true,
             solves: 0,
             last_x: None,
             last_mask: Vec::new(),
@@ -450,7 +454,6 @@ impl<'i> MixedSolver<'i> {
 pub struct MixedSession<'i, 's> {
     solver: &'s MixedSolver<'i>,
     observers: Vec<Box<dyn Observer>>,
-    warm: bool,
     solves: usize,
     /// Final iterate of the most recent solve (original coordinates), the
     /// seed for warm continuation in [`MixedSession::optimize`].
@@ -460,18 +463,6 @@ pub struct MixedSession<'i, 's> {
 }
 
 impl<'i, 's> MixedSession<'i, 's> {
-    /// Enable or disable cross-bracket warm starts.
-    pub fn set_warm_start(&mut self, warm: bool) {
-        self.warm = warm;
-    }
-
-    /// Builder-style form of [`MixedSession::set_warm_start`].
-    #[must_use]
-    pub fn with_warm_start(mut self, warm: bool) -> Self {
-        self.warm = warm;
-        self
-    }
-
     /// Register an observer for subsequent solves (shared
     /// [`Observer`] trait with the packing session; `norm1` in
     /// [`IterationEvent`] carries the soft-min coverage bound here).
@@ -492,12 +483,6 @@ impl<'i, 's> MixedSession<'i, 's> {
     pub fn solve(&mut self, sigma: f64) -> Result<MixedDecision, PsdpError> {
         let opts = self.solver.opts;
         self.run_decision(sigma, &opts, None, None)
-    }
-
-    fn emit_phase(&mut self, event: &PhaseEvent<'_>) {
-        for obs in &mut self.observers {
-            obs.on_phase(event);
-        }
     }
 
     /// The Jain–Yao price loop at coverage threshold `sigma`, optionally
@@ -568,7 +553,7 @@ impl<'i, 's> MixedSession<'i, 's> {
         let mut psi_c = PsiMaintainer::new(inst.cover(), &x, opts.psi_rebuild_period);
 
         let phase = PhaseEvent::SolveStarted { threshold: sigma, warm: warm_init };
-        self.emit_phase(&phase);
+        emit_phase(&mut self.observers, &phase);
 
         let mut cost_total = Cost::ZERO;
         let mut selected_total = 0usize;
@@ -670,13 +655,7 @@ impl<'i, 's> MixedSession<'i, 's> {
                     min_ratio,
                     replayed: false,
                 };
-                let mut stop = false;
-                for obs in &mut self.observers {
-                    if obs.on_iteration(&event) == ObserverControl::Stop {
-                        stop = true;
-                    }
-                }
-                if stop {
+                if emit_iteration(&mut self.observers, &event) {
                     exit = ExitReason::ObserverStopped;
                     break;
                 }
@@ -730,7 +709,8 @@ impl<'i, 's> MixedSession<'i, 's> {
         };
         self.last_x = Some(x);
         self.last_mask = active;
-        self.emit_phase(&PhaseEvent::SolveFinished { threshold: sigma, stats: &stats });
+        let finished = PhaseEvent::SolveFinished { threshold: sigma, stats: &stats };
+        emit_phase(&mut self.observers, &finished);
         Ok(MixedDecision { outcome, stats })
     }
 
@@ -765,8 +745,6 @@ impl<'i, 's> MixedSession<'i, 's> {
         opts.decision.validate()?;
         let inst = self.solver.inst;
         let n = inst.n();
-        let warm = self.warm && opts.warm_start;
-        let t_target = coverage_target(opts.decision.eps, inst.pack_dim(), inst.cover_dim());
 
         // Structural upper bound: caps[k] = m_P / Tr Pₖ dominates any
         // packing-feasible coordinate.
@@ -800,220 +778,157 @@ impl<'i, 's> MixedSession<'i, 's> {
                 "non-finite eigenvalue while initializing the coverage bracket".into(),
             ));
         }
-        if lo_witness <= 0.0 || hi_structural <= 0.0 {
-            // A strictly positive witness with zero coverage means some
-            // vector v has vᵀCₖv = 0 for every k, so λmin(Σ xCᵢ) = 0 for
-            // *every* x: the coverage optimum is exactly 0.
-            return Ok(MixedReport {
-                threshold_lower: 0.0,
-                threshold_upper: 0.0,
-                best_point: None,
-                infeasibility_witness: None,
-                decision_calls: 0,
-                total_iterations: 0,
-                total_engine_evals: 0,
-                converged: true,
-                pruned_max: 0,
-                call_stats: Vec::new(),
-                brackets: Vec::new(),
-            });
-        }
-
-        let mut lo = lo_witness;
-        let mut hi = hi_structural.max(lo * (1.0 + 2.0 * opts.eps));
-        let mut best_point = Some(MixedFeasible {
-            x: w,
-            pack_lambda_max: (lam_w / (lam_w * (1.0 + 1e-9))).min(1.0),
-            cover_lambda_min: lo_witness,
-        });
-        let mut infeasibility_witness: Option<MixedCertificate> = None;
-        let mut call_stats = Vec::new();
-        let mut brackets: Vec<BracketStats> = Vec::new();
-        let mut total_iterations = 0usize;
-        let mut total_engine_evals = 0usize;
-        let mut calls = 0usize;
-        let mut pruned_max = 0usize;
-        let mut stalls = 0usize;
-        let mut stopped = false;
-
-        while hi > lo * (1.0 + opts.eps) && calls < opts.max_calls && stalls < MAX_STALLS {
-            calls += 1;
-            let sigma = (lo * hi).sqrt();
-
-            // Pruning: coordinate k's total coverage contribution in any
-            // packing-feasible point is ≤ caps[k]·λmax(Cₖ) ≤ caps[k]·Tr Cₖ;
-            // drop it when that is ≤ ε·σ/(2n), so the dropped set's
-            // certified slack is ≤ ε·σ/2.
-            let cutoff = opts.eps * sigma / (2.0 * n as f64);
-            let mut mask = vec![true; n];
-            let mut dropped_slack = 0.0_f64;
-            let mut dropped = 0usize;
-            for k in 0..n {
-                let contribution = caps[k] * self.solver.cover_traces[k];
-                if contribution <= cutoff {
-                    mask[k] = false;
-                    dropped += 1;
-                    dropped_slack += contribution;
-                }
-            }
-            let use_mask = dropped > 0 && dropped < n;
-            if !use_mask {
-                dropped_slack = 0.0;
-            }
-            pruned_max = pruned_max.max(if use_mask { dropped } else { 0 });
-            let active: Vec<bool> = if use_mask { mask } else { vec![true; n] };
-
-            // Warm continuation: previous bracket's final iterate rescaled
-            // so its threshold-frame aggregate norm is half the coverage
-            // target (room to re-balance before either exit fires).
-            let warm_seed = if warm && self.last_x.is_some() && self.last_mask == active {
-                self.last_x.as_ref().map(|u| {
-                    let cur = lambda_max_upper_bound(&inst.pack().weighted_sum(u))
-                        .max(lambda_max_upper_bound(&inst.cover().weighted_sum(u)) / sigma)
-                        .max(1e-300);
-                    let gamma = WARM_TARGET_FRACTION * t_target / cur;
-                    u.iter().map(|v| v * gamma).collect::<Vec<f64>>()
-                })
-            } else {
-                None
-            };
-            let mask_arg = use_mask.then(|| active.clone());
-
-            // A call "moves the bracket" when its outcome improves the
-            // side it certifies. Warm attempts that fail to do so are
-            // discarded and the bracket re-runs cold; a cold run that
-            // still fails escalates once to a finer configuration
-            // (ε and α halved — the coverage target T doubles and the
-            // per-step overshoot halves, so the loop's intrinsic
-            // resolution tightens past the stall). Discarded work is
-            // counted in every exported total.
-            let decision = opts.decision;
-            let improves = |r: &MixedDecision| match &r.outcome {
-                MixedOutcome::Feasible(f) => f.cover_lambda_min > lo,
-                MixedOutcome::Infeasible(c) => sigma / c.margin.max(1e-300) + dropped_slack < hi,
-            };
-            let stopped_early = |r: &MixedDecision| r.stats.exit == ExitReason::ObserverStopped;
-
-            let mut discarded: Vec<SolveStats> = Vec::new();
-            let mut res = match warm_seed {
-                Some(seed) => {
-                    let attempt =
-                        self.run_decision(sigma, &decision, mask_arg.clone(), Some(seed))?;
-                    if improves(&attempt) || stopped_early(&attempt) {
-                        attempt
-                    } else {
-                        discarded.push(attempt.stats);
-                        self.run_decision(sigma, &decision, mask_arg.clone(), None)?
-                    }
-                }
-                None => self.run_decision(sigma, &decision, mask_arg.clone(), None)?,
-            };
-            if !improves(&res) && !stopped_early(&res) {
-                let mut fine = decision;
-                fine.eps *= 0.5;
-                fine.alpha_boost = (fine.alpha_boost * 0.5).max(1.0);
-                let retry = self.run_decision(sigma, &fine, mask_arg, None)?;
-                if improves(&retry) || stopped_early(&retry) {
-                    discarded.push(res.stats.clone());
-                    res = retry;
-                } else {
-                    discarded.push(retry.stats);
-                }
-            }
-            let wasted_iters: usize = discarded.iter().map(|s| s.iterations).sum();
-            let wasted_evals: usize = discarded.iter().map(|s| s.engine_evals).sum();
-            let wasted_wall: std::time::Duration = discarded.iter().map(|s| s.wall).sum();
-            total_iterations += res.stats.iterations + wasted_iters;
-            total_engine_evals += res.stats.engine_evals + wasted_evals;
-
-            if stopped_early(&res) {
-                brackets.push(BracketStats {
-                    sigma,
-                    dual_side: false,
-                    lo,
-                    hi,
-                    iterations: res.stats.iterations + wasted_iters,
-                    engine_evals: res.stats.engine_evals + wasted_evals,
-                    replayed: 0,
-                    warm_started: res.stats.warm_started
-                        || discarded.iter().any(|s| s.warm_started),
-                    wall: res.stats.wall + wasted_wall,
-                });
-                call_stats.push(res.stats);
-                stopped = true;
-                break;
-            }
-
-            let moved = improves(&res);
-            let feasible_side = res.outcome.is_feasible();
-            match &res.outcome {
-                MixedOutcome::Feasible(f) => {
-                    if f.cover_lambda_min > lo {
-                        lo = f.cover_lambda_min;
-                    }
-                    let better =
-                        best_point.as_ref().is_none_or(|b| f.cover_lambda_min > b.cover_lambda_min);
-                    if better {
-                        best_point = Some(f.clone());
-                    }
-                }
-                MixedOutcome::Infeasible(c) => {
-                    let new_hi = sigma / c.margin.max(1e-300) + dropped_slack;
-                    if new_hi < hi {
-                        hi = new_hi;
-                    }
-                    let tighter = infeasibility_witness
-                        .as_ref()
-                        .is_none_or(|b| c.refuted_threshold() < b.refuted_threshold());
-                    if tighter {
-                        infeasibility_witness = Some(c.clone());
-                    }
-                }
-            }
-            stalls = if moved { 0 } else { stalls + 1 };
-            if lo > hi {
-                // Certified bounds crossed: numerical noise at
-                // convergence; collapse the bracket.
-                let mid = (lo * hi).sqrt();
-                lo = mid;
-                hi = mid;
-            }
-            brackets.push(BracketStats {
-                sigma,
-                dual_side: feasible_side,
-                lo,
-                hi,
-                iterations: res.stats.iterations + wasted_iters,
-                engine_evals: res.stats.engine_evals + wasted_evals,
-                replayed: 0,
-                warm_started: res.stats.warm_started || discarded.iter().any(|s| s.warm_started),
-                wall: res.stats.wall + wasted_wall,
-            });
-            call_stats.push(res.stats);
-            self.emit_phase(&PhaseEvent::BracketUpdated {
-                sigma,
-                lo,
-                hi,
-                dual_side: feasible_side,
-            });
-            if lo == hi {
-                break;
-            }
-        }
-
+        // A strictly positive witness with zero coverage means some vector
+        // v has vᵀCₖv = 0 for every k, so λmin(Σ xCᵢ) = 0 for *every* x:
+        // the coverage optimum is exactly 0, and the bracket starts closed.
+        let zero = lo_witness <= 0.0 || hi_structural <= 0.0;
+        let lo = if zero { 0.0 } else { lo_witness };
+        let hi = if zero { 0.0 } else { hi_structural.max(lo * (1.0 + 2.0 * opts.eps)) };
+        let mut family = MixedBisection {
+            session: self,
+            opts,
+            caps,
+            best_point: (!zero).then(|| MixedFeasible {
+                x: w,
+                pack_lambda_max: (lam_w / (lam_w * (1.0 + 1e-9))).min(1.0),
+                cover_lambda_min: lo_witness,
+            }),
+            infeasibility_witness: None,
+            pruned_max: 0,
+            stalls: 0,
+        };
+        let run = bisect(&mut family, (lo, hi), opts.eps, opts.max_calls)?;
         Ok(MixedReport {
-            threshold_lower: lo,
-            threshold_upper: hi,
-            best_point,
-            infeasibility_witness,
-            decision_calls: calls,
-            total_iterations,
-            total_engine_evals,
-            converged: !stopped && hi <= lo * (1.0 + opts.eps) * (1.0 + 1e-12),
-            pruned_max,
-            call_stats,
-            brackets,
+            threshold_lower: run.lo,
+            threshold_upper: run.hi,
+            best_point: family.best_point,
+            infeasibility_witness: family.infeasibility_witness,
+            decision_calls: run.brackets.len(),
+            total_iterations: run.brackets.iter().map(|b| b.iterations).sum(),
+            total_engine_evals: run.brackets.iter().map(|b| b.engine_evals).sum(),
+            converged: run.converged,
+            pruned_max: family.pruned_max,
+            call_stats: run.call_stats,
+            brackets: run.brackets,
         })
+    }
+}
+
+/// The mixed pieces of the shared bisection (`crate::bisect`).
+struct MixedBisection<'a, 'i, 's> {
+    session: &'a mut MixedSession<'i, 's>,
+    opts: &'a MixedApproxOptions,
+    /// `m_P / Tr Pₖ`, the structural cap of each coordinate.
+    caps: Vec<f64>,
+    best_point: Option<MixedFeasible>,
+    infeasibility_witness: Option<MixedCertificate>,
+    pruned_max: usize,
+    /// Consecutive calls that moved neither bound.
+    stalls: usize,
+}
+
+impl Family for MixedBisection<'_, '_, '_> {
+    type Outcome = MixedOutcome;
+
+    fn observers(&mut self) -> &mut [Box<dyn Observer>] {
+        &mut self.session.observers
+    }
+
+    /// Coordinate k's total coverage contribution in any packing-feasible
+    /// point is ≤ caps[k]·λmax(Cₖ) ≤ caps[k]·Tr Cₖ; drop it when that is
+    /// ≤ ε·σ/(2n), so the dropped set's certified slack is ≤ ε·σ/2.
+    fn probe(&mut self, sigma: f64) -> Probe {
+        let n = self.caps.len();
+        let cutoff = self.opts.eps * sigma / (2.0 * n as f64);
+        let (caps, cover_traces) = (&self.caps, &self.session.solver.cover_traces);
+        let probe = Probe::new(sigma, n, |k| {
+            let contribution = caps[k] * cover_traces[k];
+            (contribution <= cutoff).then_some(contribution)
+        });
+        self.pruned_max = self.pruned_max.max(if probe.masked { probe.dropped } else { 0 });
+        probe
+    }
+
+    /// The previous bracket's final iterate rescaled so its threshold-frame
+    /// aggregate norm is half the coverage target (room to re-balance
+    /// before either exit fires), when it ran under the same mask.
+    fn warm_seed(&self, probe: &Probe) -> Option<Vec<f64>> {
+        if !self.opts.warm_start || self.session.last_mask != probe.active {
+            return None;
+        }
+        let inst = self.session.solver.inst;
+        let t_target = coverage_target(self.opts.decision.eps, inst.pack_dim(), inst.cover_dim());
+        self.session.last_x.as_ref().map(|u| {
+            let cur = lambda_max_upper_bound(&inst.pack().weighted_sum(u))
+                .max(lambda_max_upper_bound(&inst.cover().weighted_sum(u)) / probe.sigma)
+                .max(1e-300);
+            let gamma = WARM_TARGET_FRACTION * t_target / cur;
+            u.iter().map(|v| v * gamma).collect()
+        })
+    }
+
+    fn solve(&mut self, probe: &Probe, seed: Option<Vec<f64>>) -> Call<MixedOutcome> {
+        let r = self.session.run_decision(probe.sigma, &self.opts.decision, probe.mask(), seed)?;
+        Ok((r.outcome, r.stats))
+    }
+
+    /// Re-run cold with ε and α halved: the coverage target T doubles and
+    /// the per-step overshoot halves, so the loop's intrinsic resolution
+    /// tightens past the stall. Its errors propagate.
+    fn escalate(&mut self, probe: &Probe) -> Option<Call<MixedOutcome>> {
+        let mut fine = self.opts.decision;
+        fine.eps *= 0.5;
+        fine.alpha_boost = (fine.alpha_boost * 0.5).max(1.0);
+        let r = self.session.run_decision(probe.sigma, &fine, probe.mask(), None);
+        Some(r.map(|r| (r.outcome, r.stats)))
+    }
+
+    /// A call is kept when it improves the side it certifies.
+    fn accepts(&self, outcome: &MixedOutcome, probe: &Probe, lo: f64, hi: f64) -> bool {
+        match outcome {
+            MixedOutcome::Feasible(f) => f.cover_lambda_min > lo,
+            MixedOutcome::Infeasible(c) => probe.sigma / c.margin.max(1e-300) + probe.slack < hi,
+        }
+    }
+
+    fn advance(
+        &mut self,
+        outcome: MixedOutcome,
+        probe: &Probe,
+        lo: &mut f64,
+        hi: &mut f64,
+    ) -> bool {
+        let moved = self.accepts(&outcome, probe, *lo, *hi);
+        self.stalls = if moved { 0 } else { self.stalls + 1 };
+        match outcome {
+            MixedOutcome::Feasible(f) => {
+                if f.cover_lambda_min > *lo {
+                    *lo = f.cover_lambda_min;
+                }
+                let best = &self.best_point;
+                if best.as_ref().is_none_or(|b| f.cover_lambda_min > b.cover_lambda_min) {
+                    self.best_point = Some(f);
+                }
+                true
+            }
+            MixedOutcome::Infeasible(c) => {
+                let new_hi = probe.sigma / c.margin.max(1e-300) + probe.slack;
+                if new_hi < *hi {
+                    *hi = new_hi;
+                }
+                let best = &self.infeasibility_witness;
+                if best.as_ref().is_none_or(|b| c.refuted_threshold() < b.refuted_threshold()) {
+                    self.infeasibility_witness = Some(c);
+                }
+                false
+            }
+        }
+    }
+
+    /// [`MAX_STALLS`] consecutive stalls end the search with
+    /// `converged = false` rather than move the bracket uncertified.
+    fn exhausted(&self) -> bool {
+        self.stalls >= MAX_STALLS
     }
 }
 
@@ -1042,15 +957,13 @@ pub fn solve_mixed(
     inst: &MixedInstance,
     opts: &MixedApproxOptions,
 ) -> Result<MixedReport, PsdpError> {
-    let solver = MixedSolver::builder(inst).options(opts.decision).build()?;
-    let mut session = solver.session();
-    session.set_warm_start(opts.warm_start);
-    session.optimize(opts)
+    MixedSolver::builder(inst).options(opts.decision).build()?.session().optimize(opts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::ObserverControl;
     use crate::verify::{verify_mixed_feasible, verify_mixed_infeasible};
     use psdp_sparse::PsdMatrix;
 
@@ -1178,9 +1091,10 @@ mod tests {
         )
         .unwrap();
         let opts = MixedApproxOptions::practical(0.15);
+        let cold_opts = MixedApproxOptions { warm_start: false, ..opts };
         let solver = MixedSolver::builder(&inst).options(opts.decision).build().unwrap();
-        let warm = solver.session().with_warm_start(true).optimize(&opts).unwrap();
-        let cold = solver.session().with_warm_start(false).optimize(&opts).unwrap();
+        let warm = solver.session().optimize(&opts).unwrap();
+        let cold = solver.session().optimize(&cold_opts).unwrap();
         // Warm starts may change the *path*, never certification: both
         // brackets must be valid and overlap around the same optimum.
         assert!(warm.threshold_lower <= cold.threshold_upper * (1.0 + 1e-9));

@@ -17,7 +17,8 @@
 //!   [`PsiMaintainer`], the warm-start trajectory cache, and the registered
 //!   [`Observer`]s. [`Session::solve`] answers one ε-decision question
 //!   "is the packing optimum ≥ `threshold`?"; [`Session::optimize`] runs
-//!   the full certified bisection over one session.
+//!   the full certified bisection over one session, through the driver
+//!   the mixed optimizer shares (`crate::bisect`).
 //!
 //! ## Cross-bracket warm starts
 //!
@@ -101,13 +102,14 @@
 //! longer require forking the solver loop.
 
 use crate::approx::{ApproxOptions, PackingReport};
+use crate::bisect::{bisect, Call, Family, Probe};
 use crate::decision::DecisionResult;
 use crate::error::PsdpError;
 use crate::instance::PackingInstance;
 use crate::options::{ConstantsMode, DecisionOptions, UpdateRule};
 use crate::psi::{PsiMaintainer, PsiPattern};
 use crate::solution::{DualSolution, ExitReason, Outcome, PrimalSolution};
-use crate::stats::{BracketStats, SolveStats};
+use crate::stats::SolveStats;
 use psdp_expdot::{Engine, EngineKind, ExpDots};
 use psdp_linalg::{lambda_max_upper_bound, sym_eigenvalues, vecops, Mat};
 use psdp_mmw::paper_constants;
@@ -421,6 +423,23 @@ pub trait Observer {
     }
 }
 
+/// Deliver a phase event to every observer, in registration order.
+pub(crate) fn emit_phase(observers: &mut [Box<dyn Observer>], event: &PhaseEvent<'_>) {
+    for obs in observers {
+        obs.on_phase(event);
+    }
+}
+
+/// Deliver an iteration event to every observer, in registration order;
+/// `true` when any of them asked to stop.
+pub(crate) fn emit_iteration(observers: &mut [Box<dyn Observer>], event: &IterationEvent) -> bool {
+    let mut stop = false;
+    for obs in observers {
+        stop |= obs.on_iteration(event) == ObserverControl::Stop;
+    }
+    stop
+}
+
 /// One cached trajectory round: the engine output (only for rounds that
 /// refreshed it — `None` for stale-rule reuse rounds) and the step vector
 /// the cached trajectory took.
@@ -543,13 +562,7 @@ impl<'i, 's> Session<'i, 's> {
         opts: &DecisionOptions,
     ) -> Result<DecisionResult, PsdpError> {
         opts.validate()?;
-        self.run_decision(threshold, opts, None, None, false)
-    }
-
-    fn emit_phase(&mut self, event: &PhaseEvent<'_>) {
-        for obs in &mut self.observers {
-            obs.on_phase(event);
-        }
+        self.run_decision(threshold, opts, None, None, false, self.warm)
     }
 
     /// The decision loop (Algorithm 3.1) at threshold `sigma`, optionally
@@ -566,6 +579,7 @@ impl<'i, 's> Session<'i, 's> {
     /// the measured dual value is ≥ 1 since `λmax(Ψ) ≤ κ` — and the
     /// primal running-average check runs regardless of
     /// [`DecisionOptions::early_exit`].
+    /// `replay` arms trajectory replay for a cold start.
     fn run_decision(
         &mut self,
         sigma: f64,
@@ -573,6 +587,7 @@ impl<'i, 's> Session<'i, 's> {
         mask: Option<Vec<bool>>,
         start: Option<Vec<f64>>,
         cert_seek: bool,
+        replay: bool,
     ) -> Result<DecisionResult, PsdpError> {
         if !(sigma > 0.0 && sigma.is_finite()) {
             return Err(PsdpError::InvalidInstance(format!(
@@ -646,7 +661,7 @@ impl<'i, 's> Session<'i, 's> {
         // (cold) solve.
         let key = CacheKey::of(opts);
         let compatible = self.cache.key == Some(key) && self.cache.mask == active;
-        let mut replaying = self.warm && compatible && !accumulate_y && !warm_init;
+        let mut replaying = replay && compatible && !accumulate_y && !warm_init;
         let recording = if warm_init {
             false
         } else if self.cache.rounds.is_empty() {
@@ -659,7 +674,7 @@ impl<'i, 's> Session<'i, 's> {
         let max_rounds = (CACHE_MAX_FLOATS / (2 * n.max(1))).clamp(64, 1 << 14);
 
         let phase = PhaseEvent::SolveStarted { threshold: sigma, warm: replaying || warm_init };
-        self.emit_phase(&phase);
+        emit_phase(&mut self.observers, &phase);
 
         let mut dot_sums = vec![0.0_f64; n];
         let mut rounds_accumulated = 0usize;
@@ -843,13 +858,7 @@ impl<'i, 's> Session<'i, 's> {
                     min_ratio: active_min(&ratios),
                     replayed: from_cache,
                 };
-                let mut stop = false;
-                for obs in &mut self.observers {
-                    if obs.on_iteration(&event) == ObserverControl::Stop {
-                        stop = true;
-                    }
-                }
-                if stop {
+                if emit_iteration(&mut self.observers, &event) {
                     exit = ExitReason::ObserverStopped;
                     break;
                 }
@@ -922,7 +931,8 @@ impl<'i, 's> Session<'i, 's> {
         self.last_u = Some(x);
         self.last_mask = active;
         self.last_key = Some(key);
-        self.emit_phase(&PhaseEvent::SolveFinished { threshold: sigma, stats: &stats });
+        let finished = PhaseEvent::SolveFinished { threshold: sigma, stats: &stats };
+        emit_phase(&mut self.observers, &finished);
         Ok(DecisionResult { outcome, stats })
     }
 
@@ -947,25 +957,13 @@ impl<'i, 's> Session<'i, 's> {
     /// Validation or solver failures; a bracket that fails to close within
     /// `max_calls` is reported with `converged = false`, not an error.
     pub fn optimize(&mut self, opts: &ApproxOptions) -> Result<PackingReport, PsdpError> {
-        // Warm starts require BOTH the session flag and the options flag:
-        // [`ApproxOptions::warm_start`] must not be silently ignored.
-        let session_warm = self.warm;
-        self.warm = session_warm && opts.warm_start;
-        let result = self.optimize_inner(opts);
-        self.warm = session_warm;
-        result
-    }
-
-    fn optimize_inner(&mut self, opts: &ApproxOptions) -> Result<PackingReport, PsdpError> {
         if !(opts.eps > 0.0 && opts.eps < 1.0) {
             return Err(PsdpError::InvalidInstance(format!("eps {} not in (0,1)", opts.eps)));
         }
         opts.decision.validate()?;
-        let inst = self.solver.inst;
-        let n = inst.n();
-
-        let mut lo = self.solver.lambda_caps.iter().fold(0.0_f64, |m, &v| m.max(v)) * 0.5;
-        let mut hi = self.solver.lambda_caps.iter().sum::<f64>() * 2.0;
+        let caps = &self.solver.lambda_caps;
+        let mut lo = caps.iter().fold(0.0_f64, |m, &v| m.max(v)) * 0.5;
+        let mut hi = caps.iter().sum::<f64>() * 2.0;
         if lo.is_nan() || lo <= 0.0 || !hi.is_finite() {
             return Err(PsdpError::InvalidInstance("degenerate λmax estimates".into()));
         }
@@ -985,235 +983,183 @@ impl<'i, 's> Session<'i, 's> {
             }
         }
 
-        let mut best_dual: Option<DualSolution> = None;
-        let mut upper_witness: Option<(f64, PrimalSolution)> = None;
-        let mut call_stats = Vec::new();
-        let mut brackets: Vec<BracketStats> = Vec::new();
-        let mut total_iterations = 0;
-        let mut total_engine_evals = 0usize;
-        let mut total_replayed = 0usize;
-        let mut calls = 0;
-        let mut pruned_max = 0usize;
-        let mut stopped = false;
-        let decision = opts.decision;
-        let key = CacheKey::of(&decision);
-        // Strong duals are unreachable under the paper's strict scaling
-        // (the dual exit fires just above K while the value is scaled by
-        // (1+10ε)K, so measured value ≈ 1/(1+10ε) < 1): warm attempts and
-        // the certificate-seeking escalation would always be discarded.
-        // Strict-mode bisections therefore run every bracket cold with
-        // measured-value updates, exactly like the pre-session optimizer.
-        let practical = matches!(decision.mode, ConstantsMode::Practical { .. });
+        let mut family = PackingBisection {
+            // Warm starts require BOTH the session flag and the options
+            // flag: [`ApproxOptions::warm_start`] must not be silently
+            // ignored.
+            warm: self.warm && opts.warm_start,
+            session: self,
+            opts,
+            // Strong duals are unreachable under the paper's strict scaling
+            // (the dual exit fires just above K while the value is scaled
+            // by (1+10ε)K, so measured value ≈ 1/(1+10ε) < 1): warm
+            // attempts and the certificate-seeking escalation would always
+            // be discarded. Strict-mode bisections therefore run every
+            // bracket cold with measured-value updates.
+            practical: matches!(opts.decision.mode, ConstantsMode::Practical { .. }),
+            best_dual: None,
+            upper_witness: None,
+            pruned_max: 0,
+        };
+        let run = bisect(&mut family, (lo, hi), opts.eps, opts.max_calls)?;
+        Ok(PackingReport {
+            value_lower: run.lo,
+            value_upper: run.hi,
+            best_dual: family.best_dual,
+            upper_witness: family.upper_witness,
+            decision_calls: run.brackets.len(),
+            total_iterations: run.brackets.iter().map(|b| b.iterations).sum(),
+            converged: run.converged,
+            pruned_max: family.pruned_max,
+            total_engine_evals: run.brackets.iter().map(|b| b.engine_evals).sum(),
+            total_replayed: run.brackets.iter().map(|b| b.replayed).sum(),
+            call_stats: run.call_stats,
+            brackets: run.brackets,
+        })
+    }
+}
 
-        while hi > lo * (1.0 + opts.eps) && calls < opts.max_calls {
-            calls += 1;
-            let sigma = (lo * hi).sqrt();
-            // Lemma 2.2 trace pruning with the certified cutoff
-            // max(n³, 2nm/ε): at threshold 1 any feasible x has
-            // xᵢ ≤ m/Tr(Aᵢ'), so dropped coordinates carry ≤ ε/2 total mass.
-            let n_f = n as f64;
-            let cutoff = (n_f * n_f * n_f).max(2.0 * n_f * inst.dim() as f64 / opts.eps);
-            let mut mask = vec![true; n];
-            let mut dropped: Vec<usize> = Vec::new();
-            for (i, &tr) in self.solver.traces.iter().enumerate() {
-                if sigma * tr > cutoff {
-                    mask[i] = false;
-                    dropped.push(i);
-                }
-            }
-            pruned_max = pruned_max.max(dropped.len());
-            let use_mask = !dropped.is_empty() && dropped.len() < n;
-            let active: Vec<bool> = if use_mask { mask } else { vec![true; n] };
-            // Certified repair for pruned coordinates: any feasible x of
-            // the scaled instance has xᵢ ≤ m/Tr(Aᵢ'), so the dropped
-            // coordinates contribute at most Σ_dropped m/(σ·Tr Aᵢ) to the
-            // scaled value. Deterministic in (σ, mask).
-            let dropped_slack: f64 = if use_mask {
-                dropped
-                    .iter()
-                    .map(|&i| inst.dim() as f64 / (sigma * self.solver.traces[i]).max(1e-300))
-                    .sum()
-            } else {
-                0.0
-            };
+/// Packing's pieces of the shared bisection (`crate::bisect`).
+struct PackingBisection<'a, 'i, 's> {
+    session: &'a mut Session<'i, 's>,
+    opts: &'a ApproxOptions,
+    /// Warm attempts and the escalation run only in practical mode.
+    practical: bool,
+    /// Trajectory replay and warm attempts are armed.
+    warm: bool,
+    best_dual: Option<DualSolution>,
+    upper_witness: Option<(f64, PrimalSolution)>,
+    pruned_max: usize,
+}
 
-            // Rescale an iterate to threshold-frame mass β·K — "the
-            // previous iterate rescaled to remain feasible for the new
-            // threshold" (the loop has room to re-balance before any exit
-            // can trigger).
-            let n_active = active.iter().filter(|&&b| b).count();
-            let k_threshold = paper_constants(n_active, decision.eps).k_threshold;
-            let rescale = |u: &Vec<f64>| {
-                let gamma = WARM_MASS_FRACTION * k_threshold * sigma / vecops::sum(u).max(1e-300);
-                u.iter().map(|v| v * gamma).collect::<Vec<f64>>()
-            };
-            // Iterate continuation: warm-start from the previous bracket's
-            // final iterate and accept its outcome only if strong;
-            // otherwise fall back to a cold solve, which reproduces the
-            // cold bisection bitwise.
-            let warm_seed =
-                if practical && self.warm && self.last_key == Some(key) && self.last_mask == active
-                {
-                    self.last_u.as_ref().map(&rescale)
+impl PackingBisection<'_, '_, '_> {
+    /// The last solve's final iterate rescaled to threshold-frame mass β·K
+    /// at the probed `σ` — "the previous iterate rescaled to remain
+    /// feasible for the new threshold" (the loop has room to re-balance
+    /// before any exit can trigger).
+    fn rescaled_last(&self, probe: &Probe) -> Option<Vec<f64>> {
+        let n_active = probe.active.iter().filter(|&&b| b).count();
+        let k_threshold = paper_constants(n_active, self.opts.decision.eps).k_threshold;
+        self.session.last_u.as_ref().map(|u| {
+            let gamma = WARM_MASS_FRACTION * k_threshold * probe.sigma / vecops::sum(u).max(1e-300);
+            u.iter().map(|v| v * gamma).collect()
+        })
+    }
+
+    fn run(&mut self, probe: &Probe, seed: Option<Vec<f64>>, cert_seek: bool) -> Call<Outcome> {
+        let (opts, mask) = (self.opts.decision, probe.mask());
+        let r = self.session.run_decision(probe.sigma, &opts, mask, seed, cert_seek, self.warm)?;
+        Ok((r.outcome, r.stats))
+    }
+}
+
+impl Family for PackingBisection<'_, '_, '_> {
+    type Outcome = Outcome;
+
+    fn observers(&mut self) -> &mut [Box<dyn Observer>] {
+        &mut self.session.observers
+    }
+
+    /// Lemma 2.2 trace pruning with the certified cutoff max(n³, 2nm/ε):
+    /// at threshold 1 any feasible x has xᵢ ≤ m/Tr(Aᵢ'), so dropped
+    /// coordinates carry ≤ ε/2 total mass, and they add at most
+    /// Σ_dropped m/(σ·Tr Aᵢ) to the scaled value — the certified repair of
+    /// the upper bound, deterministic in (σ, mask).
+    fn probe(&mut self, sigma: f64) -> Probe {
+        let traces = &self.session.solver.traces;
+        let n = traces.len() as f64;
+        let m = self.session.solver.inst.dim() as f64;
+        let cutoff = (n * n * n).max(2.0 * n * m / self.opts.eps);
+        let probe = Probe::new(sigma, traces.len(), |i| {
+            (sigma * traces[i] > cutoff).then(|| m / (sigma * traces[i]).max(1e-300))
+        });
+        self.pruned_max = self.pruned_max.max(probe.dropped);
+        probe
+    }
+
+    /// Iterate continuation from the previous bracket's final iterate,
+    /// when it ran under the same options and mask.
+    fn warm_seed(&self, probe: &Probe) -> Option<Vec<f64>> {
+        let s = &self.session;
+        let same =
+            s.last_key == Some(CacheKey::of(&self.opts.decision)) && s.last_mask == probe.active;
+        if self.practical && self.warm && same {
+            self.rescaled_last(probe)
+        } else {
+            None
+        }
+    }
+
+    fn solve(&mut self, probe: &Probe, seed: Option<Vec<f64>>) -> Call<Outcome> {
+        self.run(probe, seed, false)
+    }
+
+    /// Certificate-seeking continuation, deterministic from the weak cold
+    /// solve's final iterate (rescaled to β·K mass so the overshot state
+    /// can re-balance toward either certificate). An escalation that fails
+    /// outright (its scaled-up Ψ can outgrow what the eigensolver
+    /// converges on) is treated like a weak one: the cold solve's outcome
+    /// stands.
+    fn escalate(&mut self, probe: &Probe) -> Option<Call<Outcome>> {
+        if !self.practical {
+            return None;
+        }
+        let seed = self.rescaled_last(probe);
+        Some(Ok(self.run(probe, seed, true).ok()?))
+    }
+
+    /// Strong outcomes only: a dual of measured value ≥ 1 or a primal with
+    /// min-dot ≥ 1.
+    fn accepts(&self, outcome: &Outcome, _: &Probe, _: f64, _: f64) -> bool {
+        match outcome {
+            Outcome::Dual(d) => d.value >= 1.0,
+            Outcome::Primal(p) => p.min_dot >= 1.0,
+        }
+    }
+
+    fn advance(&mut self, outcome: Outcome, probe: &Probe, lo: &mut f64, hi: &mut f64) -> bool {
+        let sigma = probe.sigma;
+        match outcome {
+            Outcome::Dual(d) => {
+                // x' feasible for σAᵢ ⇒ x = σx' feasible for Aᵢ (masked
+                // coordinates are already zero).
+                let x: Vec<f64> = d.x.iter().map(|v| v * sigma).collect();
+                let value = sigma * d.value;
+                if d.value >= 1.0 {
+                    // Strong: a feasible dual of scaled value ≥ 1 proves
+                    // OPT ≥ σ. Quantized, deterministic update.
+                    *lo = lo.max(sigma);
+                } else if value > *lo {
+                    *lo = value;
                 } else {
-                    None
+                    // Degenerate progress (very weak dual): still move the
+                    // bracket a little to guarantee termination.
+                    *lo = (*lo * sigma).sqrt().max(*lo);
+                }
+                if self.best_dual.as_ref().is_none_or(|b| value > b.value) {
+                    let feasibility_scale = d.feasibility_scale;
+                    self.best_dual = Some(DualSolution { x, value, feasibility_scale });
+                }
+                true
+            }
+            Outcome::Primal(p) => {
+                let new_hi = if p.min_dot >= 1.0 {
+                    // Strong: a trace-1 covering witness proves OPT ≤ σ
+                    // (plus pruning slack). Quantized update.
+                    sigma * (1.0 + probe.slack)
+                } else {
+                    let margin = p.min_dot.max(1e-12);
+                    sigma * (1.0 / margin + probe.slack)
                 };
-            let mask_arg = use_mask.then(|| active.clone());
-            let is_strong = |r: &DecisionResult| match &r.outcome {
-                Outcome::Dual(d) => d.value >= 1.0,
-                Outcome::Primal(p) => p.min_dot >= 1.0,
-            };
-            let stopped_early = |r: &DecisionResult| r.stats.exit == ExitReason::ObserverStopped;
-
-            // Per-σ decision protocol (identical for warm and cold runs —
-            // warm attempts are only *accepted* when strong, and every
-            // fallback step is cold-deterministic):
-            //   1. warm-seeded attempt (if available); accept if strong;
-            //   2. cold solve; accept if strong;
-            //   3. certificate-seeking continuation from the cold solve's
-            //      final iterate; accept if strong;
-            //   4. otherwise use the cold solve's weak outcome with
-            //      measured-value bracket updates.
-            // Work spent on discarded attempts still happened: count it in
-            // every exported total so warm-start savings are never
-            // overstated.
-            let mut discarded: Vec<SolveStats> = Vec::new();
-            let mut res = match warm_seed {
-                Some(seed) => {
-                    let attempt =
-                        self.run_decision(sigma, &decision, mask_arg.clone(), Some(seed), false)?;
-                    if is_strong(&attempt) || stopped_early(&attempt) {
-                        attempt
-                    } else {
-                        discarded.push(attempt.stats);
-                        self.run_decision(sigma, &decision, mask_arg.clone(), None, false)?
-                    }
+                if new_hi < *hi {
+                    *hi = new_hi;
+                } else {
+                    *hi = (*hi * sigma).sqrt().min(*hi);
                 }
-                None => self.run_decision(sigma, &decision, mask_arg.clone(), None, false)?,
-            };
-            if practical && !is_strong(&res) && !stopped_early(&res) {
-                // Certificate-seeking escalation, deterministic from the
-                // weak cold solve's final iterate (rescaled to β·K mass so
-                // the overshot state can re-balance toward either
-                // certificate).
-                // An escalation that fails outright (its scaled-up Ψ can
-                // outgrow what the eigensolver converges on) is treated
-                // like a weak one: the cold solve's outcome stands.
-                let seed = self.last_u.as_ref().map(&rescale);
-                match self.run_decision(sigma, &decision, mask_arg, seed, true) {
-                    Ok(retry) if is_strong(&retry) || stopped_early(&retry) => {
-                        discarded.push(res.stats.clone());
-                        res = retry;
-                    }
-                    Ok(retry) => discarded.push(retry.stats),
-                    Err(_) => {}
-                }
-            }
-            let wasted_iters: usize = discarded.iter().map(|s| s.iterations).sum();
-            let wasted_evals: usize = discarded.iter().map(|s| s.engine_evals).sum();
-            let wasted_replayed: usize = discarded.iter().map(|s| s.replayed).sum();
-            let wasted_wall: std::time::Duration = discarded.iter().map(|s| s.wall).sum();
-            total_iterations += res.stats.iterations + wasted_iters;
-            total_engine_evals += res.stats.engine_evals + wasted_evals;
-            total_replayed += res.stats.replayed + wasted_replayed;
-            if res.stats.exit == ExitReason::ObserverStopped {
-                // Keep the brackets-cover-every-call invariant: record the
-                // aborted call (bracket unchanged) before stopping.
-                brackets.push(BracketStats {
-                    sigma,
-                    dual_side: false,
-                    lo,
-                    hi,
-                    iterations: res.stats.iterations + wasted_iters,
-                    engine_evals: res.stats.engine_evals + wasted_evals,
-                    replayed: res.stats.replayed + wasted_replayed,
-                    warm_started: res.stats.warm_started
-                        || discarded.iter().any(|s| s.warm_started),
-                    wall: res.stats.wall + wasted_wall,
-                });
-                call_stats.push(res.stats);
-                stopped = true;
-                break;
-            }
-            let dual_side = res.outcome.is_dual();
-            match res.outcome {
-                Outcome::Dual(d) => {
-                    // x' feasible for σAᵢ ⇒ x = σx' feasible for Aᵢ (masked
-                    // coordinates are already zero).
-                    let x: Vec<f64> = d.x.iter().map(|v| v * sigma).collect();
-                    let value = sigma * d.value;
-                    if d.value >= 1.0 {
-                        // Strong: a feasible dual of scaled value ≥ 1
-                        // proves OPT ≥ σ. Quantized, deterministic update.
-                        lo = lo.max(sigma);
-                    } else if value > lo {
-                        lo = value;
-                    } else {
-                        // Degenerate progress (very weak dual): still move
-                        // the bracket a little to guarantee termination.
-                        lo = (lo * sigma).sqrt().max(lo);
-                    }
-                    if best_dual.as_ref().is_none_or(|b| value > b.value) {
-                        best_dual =
-                            Some(DualSolution { x, value, feasibility_scale: d.feasibility_scale });
-                    }
-                }
-                Outcome::Primal(p) => {
-                    let new_hi = if p.min_dot >= 1.0 {
-                        // Strong: a trace-1 covering witness proves
-                        // OPT ≤ σ (plus pruning slack). Quantized update.
-                        sigma * (1.0 + dropped_slack)
-                    } else {
-                        let margin = p.min_dot.max(1e-12);
-                        sigma * (1.0 / margin + dropped_slack)
-                    };
-                    if new_hi < hi {
-                        hi = new_hi;
-                    } else {
-                        hi = (hi * sigma).sqrt().min(hi);
-                    }
-                    upper_witness = Some((sigma, p));
-                }
-            }
-            if lo > hi {
-                // Certified bounds crossed: numerical noise at convergence;
-                // collapse the bracket.
-                let mid = (lo * hi).sqrt();
-                lo = mid;
-                hi = mid;
-            }
-            brackets.push(BracketStats {
-                sigma,
-                dual_side,
-                lo,
-                hi,
-                iterations: res.stats.iterations + wasted_iters,
-                engine_evals: res.stats.engine_evals + wasted_evals,
-                replayed: res.stats.replayed + wasted_replayed,
-                warm_started: res.stats.warm_started || discarded.iter().any(|s| s.warm_started),
-                wall: res.stats.wall + wasted_wall,
-            });
-            call_stats.push(res.stats);
-            self.emit_phase(&PhaseEvent::BracketUpdated { sigma, lo, hi, dual_side });
-            if lo == hi {
-                break;
+                self.upper_witness = Some((sigma, p));
+                false
             }
         }
-
-        Ok(PackingReport {
-            value_lower: lo,
-            value_upper: hi,
-            best_dual,
-            upper_witness,
-            decision_calls: calls,
-            total_iterations,
-            converged: !stopped && hi <= lo * (1.0 + opts.eps) * (1.0 + 1e-12),
-            pruned_max,
-            call_stats,
-            brackets,
-            total_engine_evals,
-            total_replayed,
-        })
     }
 }
 
@@ -1492,6 +1438,7 @@ mod tests {
                 Some(vec![true, true, false]),
                 None,
                 false,
+                true,
             )
             .unwrap();
         let d = res.outcome.dual().expect("dual side");
