@@ -637,3 +637,18 @@ fn packing_optimize_golden_pin() {
     assert_eq!(r.total_engine_evals, 555);
     assert_eq!(r.total_replayed, 0);
 }
+
+/// Golden pin for the packing bisection's cap-bound path: on this fixture
+/// one bracket's cold solve is weak and its certificate-seeking escalation
+/// never reaches a certificate, so the escalation is discarded. The
+/// bracket bits must not depend on how long the discarded escalation runs.
+#[test]
+fn packing_discarded_escalation_golden_pin() {
+    let inst = factorized_instance(&FactorizedSpec::new(4, 5, 0));
+    let opts = ApproxOptions::practical(0.3);
+    let solver = Solver::builder(&inst).options(opts.decision).build().unwrap();
+    let r = solver.session().optimize(&opts).unwrap();
+    assert!(r.converged);
+    assert_eq!(r.value_lower.to_bits(), 0x401172554c5268b9, "lower {}", r.value_lower);
+    assert_eq!(r.value_upper.to_bits(), 0x40151adb647f118c, "upper {}", r.value_upper);
+}
