@@ -70,8 +70,9 @@ pub(crate) trait Family {
     /// The seed of a warm attempt, if there is one.
     fn warm_seed(&self, probe: &Probe) -> Option<Vec<f64>>;
     fn solve(&mut self, probe: &Probe, seed: Option<Vec<f64>>) -> Call<Self::Outcome>;
-    /// The escalation after a cold solve that was not kept (`None`: none ran).
-    fn escalate(&mut self, probe: &Probe) -> Option<Call<Self::Outcome>>;
+    /// The escalation after a cold solve that was not kept (`None`: none
+    /// ran); `cold` is that solve's telemetry.
+    fn escalate(&mut self, probe: &Probe, cold: &SolveStats) -> Option<Call<Self::Outcome>>;
     /// Whether to keep `outcome`, judged against the bracket before the move.
     fn accepts(&self, outcome: &Self::Outcome, probe: &Probe, lo: f64, hi: f64) -> bool;
     /// Move the bracket and the best witnesses on a kept outcome; returns
@@ -132,7 +133,7 @@ pub(crate) fn bisect<F: Family>(
             None => family.solve(&probe, None)?,
         };
         if !kept(family, &call) {
-            if let Some(retry) = family.escalate(&probe) {
+            if let Some(retry) = family.escalate(&probe, &call.1) {
                 let retry = retry?;
                 let loser =
                     if kept(family, &retry) { std::mem::replace(&mut call, retry) } else { retry };
@@ -158,6 +159,7 @@ pub(crate) fn bisect<F: Family>(
             lo,
             hi,
             iterations: all().map(|s| s.iterations).sum(),
+            discarded_iterations: discarded.iter().map(|s| s.iterations).sum(),
             engine_evals: all().map(|s| s.engine_evals).sum(),
             replayed: all().map(|s| s.replayed).sum(),
             warm_started: all().any(|s| s.warm_started),
@@ -190,19 +192,28 @@ mod tests {
     type Step = (bool, bool, usize);
 
     /// A family that replays a script of attempts. An accepted call moves
-    /// `lo` up to `σ`; `cross` instead moves `lo` past `hi`.
+    /// `lo` up to `σ`; `cross` instead moves `lo` past `hi`. `escalated`
+    /// logs the cold iterations each escalation was handed.
     struct Script {
         steps: VecDeque<Step>,
         seeded: bool,
         escalates: bool,
         cross: bool,
+        escalated: Vec<usize>,
         observers: Vec<Box<dyn Observer>>,
     }
 
     impl Script {
         fn new(steps: &[Step]) -> Self {
             let steps = steps.iter().copied().collect();
-            Script { steps, seeded: true, escalates: true, cross: false, observers: Vec::new() }
+            Script {
+                steps,
+                seeded: true,
+                escalates: true,
+                cross: false,
+                escalated: Vec::new(),
+                observers: Vec::new(),
+            }
         }
 
         fn next(&mut self, warm: bool) -> Call<bool> {
@@ -257,7 +268,8 @@ mod tests {
             self.next(seed.is_some())
         }
 
-        fn escalate(&mut self, _: &Probe) -> Option<Call<bool>> {
+        fn escalate(&mut self, _: &Probe, cold: &SolveStats) -> Option<Call<bool>> {
+            self.escalated.push(cold.iterations);
             self.escalates.then(|| self.next(true))
         }
 
@@ -291,6 +303,8 @@ mod tests {
         let row = &run.brackets[0];
         assert_eq!((row.sigma, row.lo, row.hi), (2.0, 2.0, 4.0));
         assert_eq!((row.iterations, row.engine_evals), (15, 15));
+        assert_eq!(row.discarded_iterations, 8, "the warm attempt and the cold solve");
+        assert_eq!(family.escalated, [5], "the escalation sees the cold solve, not the warm one");
         assert_eq!(row.wall, Duration::from_millis(15));
         assert!(row.warm_started && row.dual_side);
         assert!(!run.converged, "max_calls ended the bisection");
@@ -304,6 +318,7 @@ mod tests {
         assert_eq!(run.call_stats[0].iterations, 5);
         assert!(!run.call_stats[0].warm_started);
         assert_eq!(run.brackets[0].iterations, 14);
+        assert_eq!(run.brackets[0].discarded_iterations, 9, "the escalation");
         assert!(run.brackets[0].warm_started, "the discarded escalation started seeded");
     }
 
@@ -317,6 +332,7 @@ mod tests {
         (family.seeded, family.escalates) = (false, false);
         let run = bisect(&mut family, (1.0, 4.0), 0.1, 1).unwrap();
         assert_eq!(run.brackets[0].iterations, 5);
+        assert_eq!(run.brackets[0].discarded_iterations, 0);
     }
 
     #[test]

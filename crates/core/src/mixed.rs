@@ -874,8 +874,9 @@ impl Family for MixedBisection<'_, '_, '_> {
 
     /// Re-run cold with ε and α halved: the coverage target T doubles and
     /// the per-step overshoot halves, so the loop's intrinsic resolution
-    /// tightens past the stall. Its errors propagate.
-    fn escalate(&mut self, probe: &Probe) -> Option<Call<MixedOutcome>> {
+    /// tightens past the stall. Its errors propagate. It takes no budget
+    /// from the cold solve: a kept retry can run several times as long.
+    fn escalate(&mut self, probe: &Probe, _: &SolveStats) -> Option<Call<MixedOutcome>> {
         let mut fine = self.opts.decision;
         fine.eps *= 0.5;
         fine.alpha_boost = (fine.alpha_boost * 0.5).max(1.0);

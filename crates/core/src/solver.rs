@@ -68,8 +68,8 @@
 //! of `σ` alone. Weak warm outcomes are discarded and the bracket re-runs
 //! cold (replay-assisted), reproducing exactly what the cold bisection
 //! would have done; a weak *cold* outcome escalates to a deterministic
-//! certificate-seeking continuation before falling back to the
-//! measured-value update.
+//! certificate-seeking continuation, run within the cold solve's
+//! iteration count, before falling back to the measured-value update.
 //!
 //! Strong certificates are true statements about `OPT` regardless of the
 //! path that found them, so warm and cold bisections walk the same `σ`
@@ -562,7 +562,7 @@ impl<'i, 's> Session<'i, 's> {
         opts: &DecisionOptions,
     ) -> Result<DecisionResult, PsdpError> {
         opts.validate()?;
-        self.run_decision(threshold, opts, None, None, false, self.warm)
+        self.run_decision(threshold, opts, None, None, None, self.warm)
     }
 
     /// The decision loop (Algorithm 3.1) at threshold `sigma`, optionally
@@ -573,12 +573,13 @@ impl<'i, 's> Session<'i, 's> {
     /// original coordinates `u = σ·x` (see the module docs), which is what
     /// makes the replay cache threshold-invariant.
     ///
-    /// `cert_seek` switches the exit logic to *strong-certificate hunting*
-    /// (the bisection's deterministic escalation for weak outcomes): the
-    /// dual exit fires only once `‖x‖₁ ≥ κ·(1+1e-6)` — which guarantees
-    /// the measured dual value is ≥ 1 since `λmax(Ψ) ≤ κ` — and the
-    /// primal running-average check runs regardless of
-    /// [`DecisionOptions::early_exit`].
+    /// `cert_seek: Some(budget)` switches the exit logic to
+    /// *strong-certificate hunting* (the bisection's deterministic
+    /// escalation for weak outcomes): the dual exit fires only once
+    /// `‖x‖₁ ≥ κ·(1+1e-6)` — which guarantees the measured dual value is
+    /// ≥ 1 since `λmax(Ψ) ≤ κ` — the primal running-average check runs
+    /// regardless of [`DecisionOptions::early_exit`], and the iteration cap
+    /// drops to `budget` (at least 1).
     /// `replay` arms trajectory replay for a cold start.
     fn run_decision(
         &mut self,
@@ -586,7 +587,7 @@ impl<'i, 's> Session<'i, 's> {
         opts: &DecisionOptions,
         mask: Option<Vec<bool>>,
         start: Option<Vec<f64>>,
-        cert_seek: bool,
+        cert_seek: Option<usize>,
         replay: bool,
     ) -> Result<DecisionResult, PsdpError> {
         if !(sigma > 0.0 && sigma.is_finite()) {
@@ -622,6 +623,7 @@ impl<'i, 's> Session<'i, 's> {
                 (pc.k_threshold, pc.alpha * alpha_boost, max_iters)
             }
         };
+        let cap = cert_seek.map_or(cap, |budget| cap.min(budget.max(1)));
         let lemma_bound = (1.0 + 10.0 * eps) * k_threshold;
 
         // Original-coordinate start point u⁰ᵢ = 1/(n_active·Tr Aᵢ)
@@ -690,7 +692,7 @@ impl<'i, 's> Session<'i, 's> {
         let mut t = 0usize;
         let mut empty_b_snapshot: Option<(Vec<f64>, Option<Mat>)> = None;
 
-        if cert_seek {
+        if cert_seek.is_some() {
             let kappa0 = psi.kappa_bound();
             if vecops::sum(&x) / sigma >= (kappa0 * (1.0 + 1e-6)).max(1.0) {
                 exit = ExitReason::DualNormCrossed;
@@ -829,7 +831,7 @@ impl<'i, 's> Session<'i, 's> {
             if t.is_multiple_of(sample_every) {
                 trajectory.push((t, norm1));
             }
-            if cert_seek {
+            if cert_seek.is_some() {
                 // Strong-dual hunt: exit only once the measured value is
                 // guaranteed ≥ 1 (λmax(Ψ) ≤ κ, so ‖x‖₁ ≥ κ ⇒ value ≥ 1).
                 let kappa_now = psi.kappa_bound();
@@ -841,7 +843,7 @@ impl<'i, 's> Session<'i, 's> {
                 exit = ExitReason::DualNormCrossed;
                 break;
             }
-            if (opts.early_exit || cert_seek) && rounds_accumulated > 0 {
+            if (opts.early_exit || cert_seek.is_some()) && rounds_accumulated > 0 {
                 let min_avg = active_min(&dot_sums) / rounds_accumulated as f64;
                 if min_avg >= 1.0 {
                     exit = ExitReason::PrimalEarly;
@@ -949,7 +951,8 @@ impl<'i, 's> Session<'i, 's> {
     /// deterministic value — which is what lets warm and cold runs walk
     /// identical `σ` sequences. A weak outcome from a warm-started solve
     /// is discarded and the bracket re-runs cold; a weak cold outcome
-    /// escalates to a certificate-seeking continuation and then falls
+    /// escalates to a certificate-seeking continuation (at most as many
+    /// iterations as the cold solve) and then falls
     /// back to the measured-value update (`lo ← σ·value`,
     /// `hi ← σ/min_dot`), still certified.
     ///
@@ -1046,7 +1049,12 @@ impl PackingBisection<'_, '_, '_> {
         })
     }
 
-    fn run(&mut self, probe: &Probe, seed: Option<Vec<f64>>, cert_seek: bool) -> Call<Outcome> {
+    fn run(
+        &mut self,
+        probe: &Probe,
+        seed: Option<Vec<f64>>,
+        cert_seek: Option<usize>,
+    ) -> Call<Outcome> {
         let (opts, mask) = (self.opts.decision, probe.mask());
         let r = self.session.run_decision(probe.sigma, &opts, mask, seed, cert_seek, self.warm)?;
         Ok((r.outcome, r.stats))
@@ -1091,21 +1099,24 @@ impl Family for PackingBisection<'_, '_, '_> {
     }
 
     fn solve(&mut self, probe: &Probe, seed: Option<Vec<f64>>) -> Call<Outcome> {
-        self.run(probe, seed, false)
+        self.run(probe, seed, None)
     }
 
     /// Certificate-seeking continuation, deterministic from the weak cold
     /// solve's final iterate (rescaled to β·K mass so the overshot state
-    /// can re-balance toward either certificate). An escalation that fails
-    /// outright (its scaled-up Ψ can outgrow what the eigensolver
-    /// converges on) is treated like a weak one: the cold solve's outcome
-    /// stands.
-    fn escalate(&mut self, probe: &Probe) -> Option<Call<Outcome>> {
+    /// can re-balance toward either certificate). Its budget is the cold
+    /// solve's iteration count: an escalation that reaches a certificate
+    /// does so well within it (DESIGN.md §8), and one that does not would
+    /// otherwise run to `max_iters`. An escalation that fails outright
+    /// (its scaled-up Ψ can outgrow what the eigensolver converges on)
+    /// still counts as weak, so the cold solve's outcome stands; the
+    /// budget bounds what such a failure costs.
+    fn escalate(&mut self, probe: &Probe, cold: &SolveStats) -> Option<Call<Outcome>> {
         if !self.practical {
             return None;
         }
         let seed = self.rescaled_last(probe);
-        Some(Ok(self.run(probe, seed, true).ok()?))
+        Some(Ok(self.run(probe, seed, Some(cold.iterations)).ok()?))
     }
 
     /// Strong outcomes only: a dual of measured value ≥ 1 or a primal with
@@ -1437,7 +1448,7 @@ mod tests {
                 &DecisionOptions::practical(0.2),
                 Some(vec![true, true, false]),
                 None,
-                false,
+                None,
                 true,
             )
             .unwrap();

@@ -83,6 +83,9 @@ pub struct BracketStats {
     /// Total iterations spent on this bracket, including any discarded
     /// warm attempts and certificate-seeking escalations.
     pub iterations: usize,
+    /// The part of `iterations` spent on discarded attempts: warm attempts,
+    /// cold solves or escalations whose outcome the bracket did not keep.
+    pub discarded_iterations: usize,
     /// Live engine evaluations spent on this bracket, including discarded
     /// attempts.
     pub engine_evals: usize,

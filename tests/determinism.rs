@@ -639,9 +639,11 @@ fn packing_optimize_golden_pin() {
 }
 
 /// Golden pin for the packing bisection's cap-bound path: on this fixture
-/// one bracket's cold solve is weak and its certificate-seeking escalation
-/// never reaches a certificate, so the escalation is discarded. The
-/// bracket bits must not depend on how long the discarded escalation runs.
+/// the first bracket's cold solve is weak and its certificate-seeking
+/// escalation never reaches a certificate, so the escalation is discarded.
+/// The bracket bits were recorded while that escalation still ran to the
+/// 20 000-iteration cap (20 259 iterations in all); bounded by its cold
+/// solve's iterations, it must reproduce them exactly.
 #[test]
 fn packing_discarded_escalation_golden_pin() {
     let inst = factorized_instance(&FactorizedSpec::new(4, 5, 0));
@@ -651,4 +653,9 @@ fn packing_discarded_escalation_golden_pin() {
     assert!(r.converged);
     assert_eq!(r.value_lower.to_bits(), 0x401172554c5268b9, "lower {}", r.value_lower);
     assert_eq!(r.value_upper.to_bits(), 0x40151adb647f118c, "upper {}", r.value_upper);
+    let (cold, first) = (&r.call_stats[0], &r.brackets[0]);
+    assert_eq!(cold.iterations, 256);
+    assert!(first.discarded_iterations > 0, "the fixture must discard its escalation");
+    assert!(first.discarded_iterations <= cold.iterations, "the escalation outran its budget");
+    assert_eq!(r.total_iterations, 515);
 }

@@ -2,7 +2,8 @@
 //! cleanly from every loop an observer can halt — a bare decision solve,
 //! `Session::optimize` and `MixedSession::optimize` mid-bisection and
 //! during their escalations — with telemetry (engine_evals, replayed, bracket
-//! accounting) still consistent after the early stop.
+//! accounting) still consistent after the early stop. The phase stream of
+//! an unstopped packing escalation that ends at its budget balances too.
 
 use psdp_core::{
     ApproxOptions, ExitReason, IterationEvent, MixedApproxOptions, MixedInstance, MixedSolver,
@@ -318,4 +319,45 @@ fn observer_event_stream_is_consistent_after_stop() {
         r.decision_calls - 1,
         "brackets fire for completed calls only: {log:?}"
     );
+}
+
+/// The packing certificate-seeking escalation runs within a budget of its
+/// cold solve's iterations. On this fixture the escalation at the first `σ`
+/// never reaches a certificate: unbudgeted, it ran until the eigensolver
+/// failed, and the failed escalation left no `SolveFinished` and no count
+/// in the totals. Now every solve start has a finish, the report's total
+/// is the finished solves' sum, and the bracket bits are unchanged.
+#[test]
+fn packing_escalation_finishes_within_its_budget() {
+    /// Counts solve starts and logs each finished solve's iterations.
+    struct Solves(Rc<RefCell<(usize, Vec<usize>)>>);
+    impl Observer for Solves {
+        fn on_phase(&mut self, event: &PhaseEvent<'_>) {
+            let mut log = self.0.borrow_mut();
+            match event {
+                PhaseEvent::SolveStarted { .. } => log.0 += 1,
+                PhaseEvent::SolveFinished { stats, .. } => log.1.push(stats.iterations),
+                PhaseEvent::BracketUpdated { .. } => {}
+            }
+        }
+    }
+
+    let inst = factorized_instance(&FactorizedSpec::new(8, 5, 9));
+    let opts = ApproxOptions::practical(0.3);
+    let solver = Solver::builder(&inst).options(opts.decision).build().expect("build");
+    let log = Rc::new(RefCell::new((0, Vec::new())));
+    let mut session = solver.session();
+    session.add_observer(Box::new(Solves(Rc::clone(&log))));
+    let r = session.optimize(&opts).expect("run");
+
+    let (started, finished) = &*log.borrow();
+    assert_eq!(*started, finished.len(), "every solve start needs a finish: {finished:?}");
+    assert_eq!(r.total_iterations, finished.iter().sum::<usize>());
+    assert_eq!(r.total_iterations, 527);
+    let (cold, first) = (&r.call_stats[0], &r.brackets[0]);
+    assert_eq!(cold.iterations, 262);
+    assert_eq!(first.discarded_iterations, 262, "the escalation ran its whole budget");
+    assert!(r.converged);
+    assert_eq!(r.value_lower.to_bits(), 0x40119d4df2a28bee, "lower {}", r.value_lower);
+    assert_eq!(r.value_upper.to_bits(), 0x4015485052c413c4, "upper {}", r.value_upper);
 }
