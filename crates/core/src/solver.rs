@@ -1105,8 +1105,8 @@ impl Family for PackingBisection<'_, '_, '_> {
     /// Certificate-seeking continuation, deterministic from the weak cold
     /// solve's final iterate (rescaled to β·K mass so the overshot state
     /// can re-balance toward either certificate). Its budget is the cold
-    /// solve's iteration count: an escalation that reaches a certificate
-    /// does so well within it (DESIGN.md §8), and one that does not would
+    /// solve's iteration count: escalations that reach a certificate do so
+    /// within it (DESIGN.md §8 has the sweep), and one that does not would
     /// otherwise run to `max_iters`. An escalation that fails outright
     /// (its scaled-up Ψ can outgrow what the eigensolver converges on)
     /// still counts as weak, so the cold solve's outcome stands; the
