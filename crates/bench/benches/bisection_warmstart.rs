@@ -14,16 +14,17 @@ fn instances() -> Vec<(&'static str, PackingInstance)> {
 }
 
 fn bench_bisection(c: &mut Criterion) {
-    let opts = ApproxOptions::serving(0.1);
+    let warm = ApproxOptions::serving(0.1);
+    let cold = ApproxOptions { warm_start: false, ..warm };
     let mut g = c.benchmark_group("bisection_warmstart");
     g.sample_size(10);
     for (name, inst) in instances() {
-        let solver = Solver::builder(&inst).options(opts.decision).build().expect("build");
+        let solver = Solver::builder(&inst).options(warm.decision).build().expect("build");
         g.bench_with_input(BenchmarkId::new("cold", name), &inst, |b, _| {
-            b.iter(|| solver.session().with_warm_start(false).optimize(&opts).expect("solve"))
+            b.iter(|| solver.session().optimize(&cold).expect("solve"))
         });
         g.bench_with_input(BenchmarkId::new("warm", name), &inst, |b, _| {
-            b.iter(|| solver.session().with_warm_start(true).optimize(&opts).expect("solve"))
+            b.iter(|| solver.session().optimize(&warm).expect("solve"))
         });
     }
     g.finish();

@@ -22,8 +22,8 @@ use psdp_workloads::{commuting_family, edge_packing, gnp, random_lp_diagonal};
 /// Run the session bisection with warm starts on or off.
 fn bisect(inst: &PackingInstance, opts: &ApproxOptions, warm: bool) -> PackingReport {
     let solver = Solver::builder(inst).options(opts.decision).build().expect("build");
-    let mut session = solver.session().with_warm_start(warm);
-    session.optimize(opts).expect("solve")
+    let opts = ApproxOptions { warm_start: warm, ..*opts };
+    solver.session().optimize(&opts).expect("solve")
 }
 
 /// The instance families E11 sweeps (the E8 quality families).

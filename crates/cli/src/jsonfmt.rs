@@ -65,11 +65,10 @@ pub fn json_f64(v: f64) -> String {
 pub fn json_stats(s: &psdp_core::SolveStats, include_wall: bool) -> String {
     let wall = if include_wall { json_f64(s.wall.as_secs_f64() * 1e3) } else { "null".into() };
     format!(
-        "{{\"threshold\":{},\"iterations\":{},\"engine_evals\":{},\"replayed\":{},\"warm_started\":{},\"exit\":{},\"engine\":{},\"final_norm1\":{},\"k_threshold\":{},\"kappa_max\":{},\"avg_selected\":{},\"psi_rebuilds\":{},\"psi_max_drift\":{},\"wall_ms\":{}}}",
+        "{{\"threshold\":{},\"iterations\":{},\"engine_evals\":{},\"warm_started\":{},\"exit\":{},\"engine\":{},\"final_norm1\":{},\"k_threshold\":{},\"kappa_max\":{},\"avg_selected\":{},\"psi_rebuilds\":{},\"psi_max_drift\":{},\"wall_ms\":{}}}",
         json_f64(s.threshold),
         s.iterations,
         s.engine_evals,
-        s.replayed,
         s.warm_started,
         json_str(&format!("{:?}", s.exit)),
         json_str(s.engine),
@@ -154,14 +153,13 @@ pub fn optimize_fields(inst: &PackingInstance, r: &PackingReport, include_wall: 
     };
     let brackets = bracket_rows("dual_side", &r.brackets, &r.call_stats, include_wall);
     format!(
-        "\"value_lower\":{},\"value_upper\":{},\"converged\":{},\"decision_calls\":{},\"total_iterations\":{},\"engine_evals\":{},\"replayed\":{},\"best_dual\":{},\"brackets\":[{}]",
+        "\"value_lower\":{},\"value_upper\":{},\"converged\":{},\"decision_calls\":{},\"total_iterations\":{},\"engine_evals\":{},\"best_dual\":{},\"brackets\":[{}]",
         json_f64(r.value_lower),
         json_f64(r.value_upper),
         r.converged,
         r.decision_calls,
         r.total_iterations,
         r.total_engine_evals,
-        r.total_replayed,
         dual,
         brackets,
     )

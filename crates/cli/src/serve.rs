@@ -842,7 +842,7 @@ fn summarize_service(r: &ServiceReport) -> String {
     format!(
         "listen: {} requests ({} executed, {} rejected, {} overloaded), {} errors\n\
          reuse: {} prep builds, {} prep reuses, {} memo hits, {} bracket injections\n\
-         work:  {} engine evals, {} replayed rounds\n\
+         work:  {} engine evals\n\
          time:  wall {} ms ({rps:.0} req/s), latency service {}; queue {}\n\
          queues: high-water {:?}\n",
         r.requests,
@@ -855,7 +855,6 @@ fn summarize_service(r: &ServiceReport) -> String {
         r.tiers.memo_hits,
         r.tiers.bracket_injections,
         r.engine_evals,
-        r.replayed,
         ms(r.wall),
         r.service_hist.stats().render_ms(),
         r.queue_hist.stats().render_ms(),
@@ -868,7 +867,7 @@ fn summarize(r: &BatchReport) -> String {
     format!(
         "serve: {} requests in {} groups, {} errors\n\
          reuse: {} prep builds, {} prep reuses, {} memo hits, {} bracket injections\n\
-         work:  {} engine evals, {} replayed rounds\n\
+         work:  {} engine evals\n\
          time:  wall {} ms, queue wait total {} ms (max {} ms), service total {} ms\n\
          latency: service {}; queue {}\n",
         r.requests,
@@ -879,7 +878,6 @@ fn summarize(r: &BatchReport) -> String {
         r.tiers.memo_hits,
         r.tiers.bracket_injections,
         r.engine_evals,
-        r.replayed,
         ms(r.wall),
         ms(r.total_queue_wait),
         ms(r.max_queue_wait),
@@ -892,8 +890,8 @@ fn summarize(r: &BatchReport) -> String {
 fn serve_stats_json(s: &ServeStats) -> String {
     let tier = s.hit_tier().map_or_else(|| "null".to_string(), json_str);
     format!(
-        "{{\"prep_reused\":{},\"memoized\":{},\"bracket_injected\":{},\"tier\":{tier},\"engine_evals\":{},\"replayed\":{}}}",
-        s.prep_reused, s.memoized, s.bracket_injected, s.engine_evals, s.replayed,
+        "{{\"prep_reused\":{},\"memoized\":{},\"bracket_injected\":{},\"tier\":{tier},\"engine_evals\":{}}}",
+        s.prep_reused, s.memoized, s.bracket_injected, s.engine_evals,
     )
 }
 

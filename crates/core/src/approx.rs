@@ -20,9 +20,9 @@
 //!
 //! The bisection itself is implemented by
 //! [`crate::solver::Session::optimize`], which prepares the engine once and
-//! warm-starts brackets from the shared trajectory prefix (see
-//! `crate::solver`); [`solve_packing`] and [`solve_covering`] are kept as
-//! one-shot convenience wrappers over that API.
+//! warm-starts each bracket from the previous bracket's rescaled iterate
+//! (see `crate::solver`); [`solve_packing`] and [`solve_covering`] are kept
+//! as one-shot convenience wrappers over that API.
 
 use crate::error::PsdpError;
 use crate::instance::{PackingInstance, PositiveSdp};
@@ -43,11 +43,11 @@ pub struct ApproxOptions {
     pub decision: DecisionOptions,
     /// Cap on decision calls.
     pub max_calls: usize,
-    /// Reuse the session's trajectory cache across brackets (bitwise
-    /// result-neutral; see `crate::solver`). Replay only engages when the
-    /// dense primal matrix is not being accumulated — set
-    /// [`DecisionOptions::primal_matrix_dim_limit`] to 0 to maximize reuse
-    /// when only values and dual certificates are needed.
+    /// Start each bracket after the first with a warm attempt from the
+    /// previous bracket's kept iterate, rescaled to the new threshold (see
+    /// `crate::solver`; practical constants mode only). The one switch for
+    /// warm starts: off, every bracket runs cold. On the tested families
+    /// the certified bracket is the same bits either way.
     pub warm_start: bool,
     /// An externally supplied *certified* bracket `(lo, hi)` on OPT for
     /// this exact instance, intersected with the structural bounds before
@@ -77,8 +77,8 @@ impl ApproxOptions {
     }
 
     /// Serving configuration: like [`ApproxOptions::practical`] but with
-    /// dense-`Y` accumulation disabled so cross-bracket trajectory replay
-    /// is fully effective (experiment E11's configuration). Use when only
+    /// dense-`Y` accumulation disabled, so no decision call pays for the
+    /// `m×m` primal average (experiment E11's configuration). Use when only
     /// the value bracket and the dual certificate are needed.
     pub fn serving(eps: f64) -> Self {
         let mut o = ApproxOptions::practical(eps);
@@ -119,9 +119,8 @@ pub struct PackingReport {
     /// Total live engine evaluations across all solves, **including**
     /// discarded warm attempts and certificate-seeking escalations.
     pub total_engine_evals: usize,
-    /// Total rounds replayed from the warm-start cache across all solves
-    /// (replayed rounds skip the engine evaluation; results are bitwise
-    /// unchanged).
+    /// Always 0 and not rendered: nothing is replayed (`crate::solver`).
+    /// Kept only because the `perfbench` harness still reads it.
     pub total_replayed: usize,
 }
 
@@ -136,7 +135,8 @@ impl PackingReport {
 ///
 /// One-shot convenience over [`crate::Solver`] / [`crate::Session`]: the
 /// engine is constructed exactly once and every bracket of the bisection
-/// reuses it (plus the warm-start trajectory cache when enabled).
+/// reuses it (and continues from the previous bracket's iterate when
+/// [`ApproxOptions::warm_start`] is on).
 ///
 /// ```
 /// use psdp_core::{solve_packing, ApproxOptions, PackingInstance};
@@ -359,7 +359,7 @@ mod tests {
     }
 
     /// `ApproxOptions::warm_start = false` must actually disable warm
-    /// starts, even on a fresh session whose own flag defaults to on.
+    /// starts.
     #[test]
     fn warm_start_option_is_respected() {
         let inst = PackingInstance::new(vec![diag(&[2.0, 0.0]), diag(&[0.0, 4.0])]).unwrap();
@@ -370,8 +370,8 @@ mod tests {
         assert_eq!(r.total_replayed, 0);
     }
 
-    /// The serving preset disables dense-Y accumulation, maximizing replay,
-    /// and returns the same certified bracket as the practical preset.
+    /// The serving preset disables dense-Y accumulation and returns the
+    /// same certified bracket as the practical preset.
     #[test]
     fn serving_matches_practical_bracket() {
         let inst = PackingInstance::new(vec![diag(&[2.0, 0.0]), diag(&[0.0, 4.0])]).unwrap();

@@ -2,23 +2,34 @@
 //! [`Session::optimize`](crate::Session::optimize) and mixed
 //! [`MixedSession::optimize`](crate::MixedSession::optimize) share
 //! (DESIGN.md §8): [`bisect`] owns the loop, the attempt protocol, the
-//! accounting of discarded work and the bracket rows; a [`Family`]
-//! supplies the rest.
+//! warm-start iterate, the accounting of discarded work and the bracket
+//! rows; a [`Family`] supplies the rest.
 //!
-//! At each `σ` a warm attempt runs when the family has a seed, then a
-//! cold solve unless the warm attempt is kept, then at most one
-//! escalation unless the cold solve is kept. An attempt is *kept* when the
-//! family accepts it or an observer stopped it. The other attempts are
-//! discarded, but their work counts in the bracket's [`BracketStats`], so
-//! warm-start savings are never overstated.
+//! At each `σ` a warm attempt runs when the previous bracket's kept call
+//! ran under the same mask and the family rescales its final iterate into
+//! a seed, then a cold solve unless the warm attempt is kept, then at most
+//! one escalation, handed the cold solve, unless the cold solve is kept.
+//! An attempt is *kept* when the family accepts it or an observer stopped
+//! it. The other attempts are discarded, but their work counts in the
+//! bracket's [`BracketStats`], so warm-start savings are never overstated.
+//! A kept call that leaves the bracket where it was ends the bisection
+//! unconverged: the next `σ` would be the same, and so would its calls.
 
 use crate::error::PsdpError;
 use crate::solution::ExitReason;
 use crate::solver::{emit_phase, Observer, PhaseEvent};
 use crate::stats::{BracketStats, SolveStats};
 
-/// One decision call: its certified outcome and its telemetry.
-pub(crate) type Call<O> = Result<(O, SolveStats), PsdpError>;
+/// One decision call's certified outcome, its telemetry and its final
+/// iterate (original coordinates), which later attempts may start from.
+pub(crate) struct Attempt<O> {
+    pub(crate) outcome: O,
+    pub(crate) stats: SolveStats,
+    pub(crate) iterate: Vec<f64>,
+}
+
+/// One decision call.
+pub(crate) type Call<O> = Result<Attempt<O>, PsdpError>;
 
 /// The tested threshold and its Lemma-2.2-style pruning.
 pub(crate) struct Probe {
@@ -67,12 +78,18 @@ pub(crate) trait Family {
     /// The session's observers, which see `BracketUpdated`.
     fn observers(&mut self) -> &mut [Box<dyn Observer>];
     fn probe(&mut self, sigma: f64) -> Probe;
-    /// The seed of a warm attempt, if there is one.
-    fn warm_seed(&self, probe: &Probe) -> Option<Vec<f64>>;
+    /// The seed of a warm attempt at `probe`, rescaled from `iterate`, the
+    /// final iterate of the previous bracket's kept call (`None`: no warm
+    /// attempt).
+    fn warm_seed(&self, probe: &Probe, iterate: &[f64]) -> Option<Vec<f64>>;
     fn solve(&mut self, probe: &Probe, seed: Option<Vec<f64>>) -> Call<Self::Outcome>;
-    /// The escalation after a cold solve that was not kept (`None`: none
-    /// ran); `cold` is that solve's telemetry.
-    fn escalate(&mut self, probe: &Probe, cold: &SolveStats) -> Option<Call<Self::Outcome>>;
+    /// The escalation after `cold`, a cold solve that was not kept
+    /// (`None`: none ran).
+    fn escalate(
+        &mut self,
+        probe: &Probe,
+        cold: &Attempt<Self::Outcome>,
+    ) -> Option<Call<Self::Outcome>>;
     /// Whether to keep `outcome`, judged against the bracket before the move.
     fn accepts(&self, outcome: &Self::Outcome, probe: &Probe, lo: f64, hi: f64) -> bool;
     /// Move the bracket and the best witnesses on a kept outcome; returns
@@ -84,10 +101,6 @@ pub(crate) trait Family {
         lo: &mut f64,
         hi: &mut f64,
     ) -> bool;
-    /// Whether the family gives up before the bracket closes.
-    fn exhausted(&self) -> bool {
-        false
-    }
 }
 
 /// The bracket [`bisect`] ends with, and its rows. Report totals are sums
@@ -102,7 +115,8 @@ pub(crate) struct Bisection {
 }
 
 /// Bisect the certified bracket `(lo, hi)` until it closes to `1+eps`, an
-/// observer stops a call, `max_calls` calls ran or the family gives up.
+/// observer stops a call, a kept call leaves the bracket unchanged or
+/// `max_calls` calls ran.
 ///
 /// # Errors
 /// The family's decision-call errors.
@@ -113,36 +127,44 @@ pub(crate) fn bisect<F: Family>(
     max_calls: usize,
 ) -> Result<Bisection, PsdpError> {
     let (mut call_stats, mut brackets) = (Vec::new(), Vec::new());
-    let mut stopped = false;
-    while hi > lo * (1.0 + eps) && brackets.len() < max_calls && !family.exhausted() {
+    // The mask and final iterate of the previous bracket's kept call.
+    let mut last: Option<(Vec<bool>, Vec<f64>)> = None;
+    let (mut stopped, mut stalled) = (false, false);
+    while hi > lo * (1.0 + eps) && brackets.len() < max_calls {
         let probe = family.probe((lo * hi).sqrt());
-        let kept = |family: &F, (outcome, stats): &(F::Outcome, SolveStats)| {
-            stats.exit == ExitReason::ObserverStopped || family.accepts(outcome, &probe, lo, hi)
+        let kept = |family: &F, attempt: &Attempt<F::Outcome>| {
+            attempt.stats.exit == ExitReason::ObserverStopped
+                || family.accepts(&attempt.outcome, &probe, lo, hi)
+        };
+        let seed = match &last {
+            Some((mask, iterate)) if *mask == probe.active => family.warm_seed(&probe, iterate),
+            _ => None,
         };
         let mut discarded: Vec<SolveStats> = Vec::new();
-        let mut call = match family.warm_seed(&probe) {
+        let mut call = match seed {
             Some(seed) => {
                 let attempt = family.solve(&probe, Some(seed))?;
                 if kept(family, &attempt) {
                     attempt
                 } else {
-                    discarded.push(attempt.1);
+                    discarded.push(attempt.stats);
                     family.solve(&probe, None)?
                 }
             }
             None => family.solve(&probe, None)?,
         };
         if !kept(family, &call) {
-            if let Some(retry) = family.escalate(&probe, &call.1) {
+            if let Some(retry) = family.escalate(&probe, &call) {
                 let retry = retry?;
                 let loser =
                     if kept(family, &retry) { std::mem::replace(&mut call, retry) } else { retry };
-                discarded.push(loser.1);
+                discarded.push(loser.stats);
             }
         }
 
-        let (outcome, stats) = call;
+        let Attempt { outcome, stats, iterate } = call;
         stopped = stats.exit == ExitReason::ObserverStopped;
+        let before = (lo, hi);
         // A stopped call leaves the bracket where it was.
         let dual_side = !stopped && family.advance(outcome, &probe, &mut lo, &mut hi);
         if lo > hi {
@@ -152,6 +174,7 @@ pub(crate) fn bisect<F: Family>(
             lo = mid;
             hi = mid;
         }
+        stalled = !stopped && (lo, hi) == before;
         let all = || std::iter::once(&stats).chain(&discarded);
         brackets.push(BracketStats {
             sigma: probe.sigma,
@@ -161,7 +184,6 @@ pub(crate) fn bisect<F: Family>(
             iterations: all().map(|s| s.iterations).sum(),
             discarded_iterations: discarded.iter().map(|s| s.iterations).sum(),
             engine_evals: all().map(|s| s.engine_evals).sum(),
-            replayed: all().map(|s| s.replayed).sum(),
             warm_started: all().any(|s| s.warm_started),
             wall: all().map(|s| s.wall).sum(),
         });
@@ -173,8 +195,12 @@ pub(crate) fn bisect<F: Family>(
             family.observers(),
             &PhaseEvent::BracketUpdated { sigma: probe.sigma, lo, hi, dual_side },
         );
+        if stalled {
+            break;
+        }
+        last = Some((probe.active, iterate));
     }
-    let converged = !stopped && hi <= lo * (1.0 + eps) * (1.0 + 1e-12);
+    let converged = !stopped && !stalled && hi <= lo * (1.0 + eps) * (1.0 + 1e-12);
     Ok(Bisection { lo, hi, converged, call_stats, brackets })
 }
 
@@ -191,15 +217,22 @@ mod tests {
     /// observer stopped it, and its iteration count.
     type Step = (bool, bool, usize);
 
-    /// A family that replays a script of attempts. An accepted call moves
-    /// `lo` up to `σ`; `cross` instead moves `lo` past `hi`. `escalated`
-    /// logs the cold iterations each escalation was handed.
+    /// A family that replays a script of attempts. Every kept call moves
+    /// `lo` up to `σ`; `cross` instead moves `lo` past `hi`, and `stall`
+    /// leaves the bracket alone. Probe `k` drops one of two coordinates
+    /// when `masked` lists `k`. An attempt's final iterate is `[its
+    /// iteration count]`: `seeds` logs the iterates warm attempts were
+    /// offered, `escalated` the cold solves the escalations were handed.
     struct Script {
         steps: VecDeque<Step>,
         seeded: bool,
         escalates: bool,
         cross: bool,
-        escalated: Vec<usize>,
+        stall: bool,
+        masked: Vec<usize>,
+        probes: usize,
+        seeds: Vec<Vec<f64>>,
+        escalated: Vec<Vec<f64>>,
         observers: Vec<Box<dyn Observer>>,
     }
 
@@ -211,6 +244,10 @@ mod tests {
                 seeded: true,
                 escalates: true,
                 cross: false,
+                stall: false,
+                masked: Vec::new(),
+                probes: 0,
+                seeds: Vec::new(),
                 escalated: Vec::new(),
                 observers: Vec::new(),
             }
@@ -222,7 +259,8 @@ mod tests {
             };
             let exit =
                 if stopped { ExitReason::ObserverStopped } else { ExitReason::DualNormCrossed };
-            Ok((accepted, stats(iterations, exit, warm)))
+            let stats = stats(iterations, exit, warm);
+            Ok(Attempt { outcome: accepted, stats, iterate: vec![iterations as f64] })
         }
     }
 
@@ -243,7 +281,6 @@ mod tests {
             threshold: 1.0,
             warm_started,
             engine_evals: iterations,
-            replayed: 0,
             wall: Duration::from_millis(iterations as u64),
             norm_trajectory: Vec::new(),
         }
@@ -257,19 +294,24 @@ mod tests {
         }
 
         fn probe(&mut self, sigma: f64) -> Probe {
-            Probe::new(sigma, 1, |_| None)
+            let masked = self.masked.contains(&self.probes);
+            self.probes += 1;
+            Probe::new(sigma, 2, |i| (masked && i == 0).then_some(0.0))
         }
 
-        fn warm_seed(&self, _: &Probe) -> Option<Vec<f64>> {
-            self.seeded.then(Vec::new)
+        fn warm_seed(&self, _: &Probe, iterate: &[f64]) -> Option<Vec<f64>> {
+            self.seeded.then(|| iterate.to_vec())
         }
 
         fn solve(&mut self, _: &Probe, seed: Option<Vec<f64>>) -> Call<bool> {
+            if let Some(seed) = &seed {
+                self.seeds.push(seed.clone());
+            }
             self.next(seed.is_some())
         }
 
-        fn escalate(&mut self, _: &Probe, cold: &SolveStats) -> Option<Call<bool>> {
-            self.escalated.push(cold.iterations);
+        fn escalate(&mut self, _: &Probe, cold: &Attempt<bool>) -> Option<Call<bool>> {
+            self.escalated.push(cold.iterate.clone());
             self.escalates.then(|| self.next(true))
         }
 
@@ -278,7 +320,9 @@ mod tests {
         }
 
         fn advance(&mut self, _: bool, probe: &Probe, lo: &mut f64, hi: &mut f64) -> bool {
-            *lo = if self.cross { *hi * 2.0 } else { probe.sigma };
+            if !self.stall {
+                *lo = if self.cross { *hi * 2.0 } else { probe.sigma };
+            }
             true
         }
     }
@@ -296,15 +340,23 @@ mod tests {
 
     #[test]
     fn discarded_warm_and_cold_attempts_count_in_the_kept_escalations_row() {
-        let mut family = Script::new(&[(false, false, 3), (false, false, 5), (true, false, 7)]);
-        let run = bisect(&mut family, (1.0, 4.0), 0.1, 1).unwrap();
-        assert_eq!(run.call_stats.len(), 1);
-        assert_eq!(run.call_stats[0].iterations, 7, "the escalation is the kept call");
-        let row = &run.brackets[0];
-        assert_eq!((row.sigma, row.lo, row.hi), (2.0, 2.0, 4.0));
+        // The first bracket has no kept call to continue from, so it runs
+        // cold; the second runs the whole warm → cold → escalation protocol.
+        let steps = [(true, false, 2), (false, false, 3), (false, false, 5), (true, false, 7)];
+        let mut family = Script::new(&steps);
+        let run = bisect(&mut family, (1.0, 4.0), 0.1, 2).unwrap();
+        assert_eq!(run.call_stats.len(), 2);
+        assert!(!run.call_stats[0].warm_started && !run.brackets[0].warm_started);
+        assert_eq!(run.call_stats[1].iterations, 7, "the escalation is the kept call");
+        let row = &run.brackets[1];
+        assert_eq!((row.sigma, row.lo, row.hi), (8.0_f64.sqrt(), 8.0_f64.sqrt(), 4.0));
         assert_eq!((row.iterations, row.engine_evals), (15, 15));
         assert_eq!(row.discarded_iterations, 8, "the warm attempt and the cold solve");
-        assert_eq!(family.escalated, [5], "the escalation sees the cold solve, not the warm one");
+        assert_eq!(
+            family.escalated,
+            [[5.0]],
+            "the escalation sees the cold solve, not the warm one"
+        );
         assert_eq!(row.wall, Duration::from_millis(15));
         assert!(row.warm_started && row.dual_side);
         assert!(!run.converged, "max_calls ended the bisection");
@@ -320,6 +372,47 @@ mod tests {
         assert_eq!(run.brackets[0].iterations, 14);
         assert_eq!(run.brackets[0].discarded_iterations, 9, "the escalation");
         assert!(run.brackets[0].warm_started, "the discarded escalation started seeded");
+    }
+
+    /// Each warm attempt starts from the previous bracket's kept call:
+    /// the cold solve after a discarded escalation, the escalation when it
+    /// is kept, and the warm attempt itself when that is kept.
+    #[test]
+    fn bisect_seeds_each_warm_attempt_from_the_kept_call() {
+        let steps = [
+            (false, false, 5),
+            (false, false, 9), // discarded escalation: the cold solve (5) is kept
+            (true, false, 2),  // kept warm attempt
+            (false, false, 4),
+            (false, false, 6),
+            (true, false, 8), // kept escalation
+            (true, false, 1),
+        ];
+        let mut family = Script::new(&steps);
+        let run = bisect(&mut family, (1.0, 4.0), 0.1, 4).unwrap();
+        assert_eq!(run.brackets.len(), 4);
+        assert_eq!(family.escalated, [[5.0], [6.0]], "escalations start from their cold solve");
+        assert_eq!(family.seeds, [[5.0], [2.0], [8.0]], "warm seeds come from the kept calls");
+        let kept: Vec<usize> = run.call_stats.iter().map(|s| s.iterations).collect();
+        assert_eq!(kept, [5, 2, 8, 1]);
+    }
+
+    /// The iterate of a kept call seeds the next bracket only when that
+    /// bracket prunes the same coordinates.
+    #[test]
+    fn bisect_offers_no_warm_seed_across_a_mask_change() {
+        let mut family = Script::new(&[(true, false, 1), (true, false, 2), (true, false, 3)]);
+        family.masked = vec![1];
+        let run = bisect(&mut family, (1.0, 4.0), 0.1, 3).unwrap();
+        assert_eq!(run.brackets.len(), 3);
+        assert!(run.brackets.iter().all(|b| !b.warm_started), "the mask changed at every probe");
+        assert!(family.seeds.is_empty());
+
+        let mut family = Script::new(&[(true, false, 1), (true, false, 2)]);
+        family.masked = vec![0, 1];
+        let run = bisect(&mut family, (1.0, 4.0), 0.1, 2).unwrap();
+        assert_eq!(family.seeds, [[1.0]], "both probes drop the same coordinate");
+        assert!(run.brackets[1].warm_started);
     }
 
     #[test]
@@ -347,6 +440,23 @@ mod tests {
         assert_eq!((stopped.lo, stopped.hi), (run.brackets[0].lo, run.brackets[0].hi));
         assert!(!stopped.dual_side);
         assert_eq!(run.call_stats[1].exit, ExitReason::ObserverStopped);
+        assert!(!run.converged);
+    }
+
+    /// A kept call that moves neither bound would leave the next `σ` — and
+    /// so the next calls — exactly as they were: the bisection ends
+    /// unconverged instead of probing the same `σ` again.
+    #[test]
+    fn bisect_ends_unconverged_on_a_call_that_leaves_the_bracket_unchanged() {
+        let updates = Rc::new(Cell::new(0));
+        let mut family = Script::new(&[(false, false, 4), (false, false, 6)]);
+        (family.stall, family.seeded) = (true, false);
+        family.observers.push(Box::new(Brackets(Rc::clone(&updates))));
+        let run = bisect(&mut family, (1.0, 4.0), 0.1, 10).unwrap();
+        assert_eq!(run.brackets.len(), 1, "the same σ was probed again");
+        assert_eq!((run.lo, run.hi), (1.0, 4.0));
+        assert_eq!(run.brackets[0].iterations, 10, "the cold solve and its escalation");
+        assert_eq!(updates.get(), 1, "the stalled call still reports its bracket");
         assert!(!run.converged);
     }
 

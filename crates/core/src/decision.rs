@@ -26,7 +26,7 @@
 //!
 //! The iterate loop itself is implemented by [`crate::solver::Session`]
 //! (see `crate::solver` for the Solver/Session/Observer architecture and
-//! the warm-start trajectory cache); this module keeps the classic
+//! the bisection's warm starts); this module keeps the classic
 //! one-shot entry point [`decision_psdp`] as a **convenience wrapper**
 //! that prepares a [`crate::Solver`], opens a session, and answers the
 //! threshold-1 question. Implementation notes that still apply verbatim:

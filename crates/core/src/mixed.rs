@@ -81,19 +81,19 @@
 //! `σ` re-runs once with `ε` and `α` halved, which doubles the coverage
 //! target `T` and halves the per-step overshoot — the loop's intrinsic
 //! resolution (the bracket ratio it can distinguish) tightens past the
-//! stall. If even the escalation improves nothing, that is a *stall*;
-//! after two consecutive stalls the bisection stops with
+//! stall. If even the escalation improves nothing, that is a *stall*: the
+//! next `σ` would be the same one, so the bisection stops with
 //! `converged = false` rather than move the bracket without a certificate
 //! (a deliberate departure from the packing optimizer's
 //! degenerate-progress nudge). Warm starts continue each bracket from the
-//! previous bracket's final iterate, rescaled to half the coverage
-//! target. The attempt protocol (warm → cold → this escalation), the
-//! accounting of discarded work and the bracket rows are the driver's that
-//! the packing optimizer shares (`crate::bisect`): a warm attempt that
-//! fails to move the bracket is discarded, so warm starts never weaken the
-//! report.
+//! previous bracket's kept iterate, rescaled to half the coverage target.
+//! The attempt protocol (warm → cold → this escalation), the warm-start
+//! iterate, the accounting of discarded work and the bracket rows are the
+//! driver's that the packing optimizer shares (`crate::bisect`): a warm
+//! attempt that fails to move the bracket is discarded, so warm starts
+//! never weaken the report.
 
-use crate::bisect::{bisect, Call, Family, Probe};
+use crate::bisect::{bisect, Attempt, Call, Family, Probe};
 use crate::error::PsdpError;
 use crate::instance::MixedInstance;
 use crate::psi::{PsiMaintainer, PsiPattern};
@@ -114,10 +114,6 @@ use std::time::Instant;
 /// before either exit can trigger — the mixed analog of the packing
 /// session's warm-mass fraction.
 const WARM_TARGET_FRACTION: f64 = 0.5;
-
-/// Consecutive bracket stalls (decision calls that improve neither bound)
-/// tolerated before the bisection gives up with `converged = false`.
-const MAX_STALLS: usize = 2;
 
 /// Configuration for one mixed feasibility solve.
 ///
@@ -438,28 +434,16 @@ impl<'i> MixedSolver<'i> {
     /// [`MixedSession::optimize`] warm-starts its brackets is
     /// [`MixedApproxOptions::warm_start`].
     pub fn session(&self) -> MixedSession<'i, '_> {
-        MixedSession {
-            solver: self,
-            observers: Vec::new(),
-            solves: 0,
-            last_x: None,
-            last_mask: Vec::new(),
-        }
+        MixedSession { solver: self, observers: Vec::new(), solves: 0 }
     }
 }
 
 /// A stateful mixed-solve session over a prepared [`MixedSolver`],
-/// mirroring [`crate::Session`]: it owns the registered [`Observer`]s and
-/// the cross-bracket warm-start iterate.
+/// mirroring [`crate::Session`]: it owns the registered [`Observer`]s.
 pub struct MixedSession<'i, 's> {
     solver: &'s MixedSolver<'i>,
     observers: Vec<Box<dyn Observer>>,
     solves: usize,
-    /// Final iterate of the most recent solve (original coordinates), the
-    /// seed for warm continuation in [`MixedSession::optimize`].
-    last_x: Option<Vec<f64>>,
-    /// Active mask of the most recent solve.
-    last_mask: Vec<bool>,
 }
 
 impl<'i, 's> MixedSession<'i, 's> {
@@ -482,19 +466,21 @@ impl<'i, 's> MixedSession<'i, 's> {
     /// Invalid threshold or linear-algebra failures.
     pub fn solve(&mut self, sigma: f64) -> Result<MixedDecision, PsdpError> {
         let opts = self.solver.opts;
-        self.run_decision(sigma, &opts, None, None)
+        let Attempt { outcome, stats, .. } = self.run_decision(sigma, &opts, None, None)?;
+        Ok(MixedDecision { outcome, stats })
     }
 
     /// The Jain–Yao price loop at coverage threshold `sigma`, optionally
     /// restricted to an active-coordinate mask and optionally starting
-    /// from a warm iterate (original coordinates).
+    /// from a warm iterate (original coordinates); the call returns its
+    /// final iterate with its outcome.
     fn run_decision(
         &mut self,
         sigma: f64,
         opts: &MixedOptions,
         mask: Option<Vec<bool>>,
         start: Option<Vec<f64>>,
-    ) -> Result<MixedDecision, PsdpError> {
+    ) -> Call<MixedOutcome> {
         if !(sigma > 0.0 && sigma.is_finite()) {
             return Err(PsdpError::InvalidInstance(format!(
                 "coverage threshold must be positive and finite, got {sigma}"
@@ -653,7 +639,6 @@ impl<'i, 's> MixedSession<'i, 's> {
                     selected: deltas.len(),
                     kappa: kappa_p,
                     min_ratio,
-                    replayed: false,
                 };
                 if emit_iteration(&mut self.observers, &event) {
                     exit = ExitReason::ObserverStopped;
@@ -703,15 +688,12 @@ impl<'i, 's> MixedSession<'i, 's> {
             threshold: sigma,
             warm_started: warm_init,
             engine_evals,
-            replayed: 0,
             wall: wall_start.elapsed(),
             norm_trajectory: trajectory,
         };
-        self.last_x = Some(x);
-        self.last_mask = active;
         let finished = PhaseEvent::SolveFinished { threshold: sigma, stats: &stats };
         emit_phase(&mut self.observers, &finished);
-        Ok(MixedDecision { outcome, stats })
+        Ok(Attempt { outcome, stats, iterate: x })
     }
 
     /// Optimize the coverage threshold `σ*` to `(1+ε)` relative accuracy
@@ -730,9 +712,10 @@ impl<'i, 's> MixedSession<'i, 's> {
     ///   short-circuits.
     ///
     /// Every bracket move is backed by a feasible point or a pricing
-    /// certificate; stalled brackets end the search with
+    /// certificate; a stalled bracket ends the search with
     /// `converged = false` instead of moving uncertified (see the module
-    /// docs).
+    /// docs). The report depends on the solver and `opts` alone, not on
+    /// earlier calls on this session.
     ///
     /// # Errors
     /// Validation or linear-algebra failures. A bracket that fails to
@@ -795,7 +778,6 @@ impl<'i, 's> MixedSession<'i, 's> {
             }),
             infeasibility_witness: None,
             pruned_max: 0,
-            stalls: 0,
         };
         let run = bisect(&mut family, (lo, hi), opts.eps, opts.max_calls)?;
         Ok(MixedReport {
@@ -823,8 +805,6 @@ struct MixedBisection<'a, 'i, 's> {
     best_point: Option<MixedFeasible>,
     infeasibility_witness: Option<MixedCertificate>,
     pruned_max: usize,
-    /// Consecutive calls that moved neither bound.
-    stalls: usize,
 }
 
 impl Family for MixedBisection<'_, '_, '_> {
@@ -849,39 +829,35 @@ impl Family for MixedBisection<'_, '_, '_> {
         probe
     }
 
-    /// The previous bracket's final iterate rescaled so its threshold-frame
+    /// The previous bracket's kept iterate rescaled so its threshold-frame
     /// aggregate norm is half the coverage target (room to re-balance
-    /// before either exit fires), when it ran under the same mask.
-    fn warm_seed(&self, probe: &Probe) -> Option<Vec<f64>> {
-        if !self.opts.warm_start || self.session.last_mask != probe.active {
+    /// before either exit fires).
+    fn warm_seed(&self, probe: &Probe, u: &[f64]) -> Option<Vec<f64>> {
+        if !self.opts.warm_start {
             return None;
         }
         let inst = self.session.solver.inst;
         let t_target = coverage_target(self.opts.decision.eps, inst.pack_dim(), inst.cover_dim());
-        self.session.last_x.as_ref().map(|u| {
-            let cur = lambda_max_upper_bound(&inst.pack().weighted_sum(u))
-                .max(lambda_max_upper_bound(&inst.cover().weighted_sum(u)) / probe.sigma)
-                .max(1e-300);
-            let gamma = WARM_TARGET_FRACTION * t_target / cur;
-            u.iter().map(|v| v * gamma).collect()
-        })
+        let cur = lambda_max_upper_bound(&inst.pack().weighted_sum(u))
+            .max(lambda_max_upper_bound(&inst.cover().weighted_sum(u)) / probe.sigma)
+            .max(1e-300);
+        let gamma = WARM_TARGET_FRACTION * t_target / cur;
+        Some(u.iter().map(|v| v * gamma).collect())
     }
 
     fn solve(&mut self, probe: &Probe, seed: Option<Vec<f64>>) -> Call<MixedOutcome> {
-        let r = self.session.run_decision(probe.sigma, &self.opts.decision, probe.mask(), seed)?;
-        Ok((r.outcome, r.stats))
+        self.session.run_decision(probe.sigma, &self.opts.decision, probe.mask(), seed)
     }
 
     /// Re-run cold with ε and α halved: the coverage target T doubles and
     /// the per-step overshoot halves, so the loop's intrinsic resolution
     /// tightens past the stall. Its errors propagate. It takes no budget
     /// from the cold solve: a kept retry can run several times as long.
-    fn escalate(&mut self, probe: &Probe, _: &SolveStats) -> Option<Call<MixedOutcome>> {
+    fn escalate(&mut self, probe: &Probe, _: &Attempt<MixedOutcome>) -> Option<Call<MixedOutcome>> {
         let mut fine = self.opts.decision;
         fine.eps *= 0.5;
         fine.alpha_boost = (fine.alpha_boost * 0.5).max(1.0);
-        let r = self.session.run_decision(probe.sigma, &fine, probe.mask(), None);
-        Some(r.map(|r| (r.outcome, r.stats)))
+        Some(self.session.run_decision(probe.sigma, &fine, probe.mask(), None))
     }
 
     /// A call is kept when it improves the side it certifies.
@@ -899,8 +875,6 @@ impl Family for MixedBisection<'_, '_, '_> {
         lo: &mut f64,
         hi: &mut f64,
     ) -> bool {
-        let moved = self.accepts(&outcome, probe, *lo, *hi);
-        self.stalls = if moved { 0 } else { self.stalls + 1 };
         match outcome {
             MixedOutcome::Feasible(f) => {
                 if f.cover_lambda_min > *lo {
@@ -924,12 +898,6 @@ impl Family for MixedBisection<'_, '_, '_> {
                 false
             }
         }
-    }
-
-    /// [`MAX_STALLS`] consecutive stalls end the search with
-    /// `converged = false` rather than move the bracket uncertified.
-    fn exhausted(&self) -> bool {
-        self.stalls >= MAX_STALLS
     }
 }
 

@@ -13,83 +13,59 @@
 //! * [`Solver`] — the prepared problem: instance validated once, engine
 //!   constructed (and `Auto` resolved, support-local factorizations built)
 //!   once, per-constraint traces and `λmax` estimates cached once.
-//! * [`Session`] — mutable solve state: the iterate, the incremental
-//!   [`PsiMaintainer`], the warm-start trajectory cache, and the registered
-//!   [`Observer`]s. [`Session::solve`] answers one ε-decision question
-//!   "is the packing optimum ≥ `threshold`?"; [`Session::optimize`] runs
-//!   the full certified bisection over one session, through the driver
-//!   the mixed optimizer shares (`crate::bisect`).
+//! * [`Session`] — runs solves over the prepared solver and owns the
+//!   registered [`Observer`]s; each solve builds its own iterate and
+//!   incremental [`PsiMaintainer`]. [`Session::solve`] answers one
+//!   ε-decision question "is the packing optimum ≥ `threshold`?";
+//!   [`Session::optimize`] runs the full certified bisection over one
+//!   session, through the driver the mixed optimizer shares
+//!   (`crate::bisect`).
 //!
 //! ## Cross-bracket warm starts
 //!
-//! Two complementary mechanisms, designed so that the certified brackets
-//! of [`Session::optimize`] are **bitwise-identical** to a cold-start run
-//! (the first unconditionally; the second whenever warm and cold resolve
-//! each tested threshold to the same strong certificate — see below;
-//! `tests/warmstart_bisection.rs` and experiment E11 verify the equality
-//! end to end):
+//! The bisection has one warm start: iterate continuation, "the previous
+//! iterate rescaled to remain feasible for the new threshold". State is
+//! kept in original coordinates `u = σ·x`, where the start point
+//! `u⁰ᵢ = σ·x⁰ᵢ = 1/(n·Tr Aᵢ)` and `Ψ = Σ xᵢ·σAᵢ = Σ uᵢAᵢ` do not depend on
+//! `σ`. Every decision call returns its final `u` with its outcome; the
+//! shared driver keeps the `u` of each bracket's kept call and, when the
+//! next bracket prunes the same coordinates, [`Session::optimize`]
+//! rescales it so its threshold-frame mass is `β·K` (β = 1/2) at the new
+//! `σ` and runs a warm attempt from it. The iterate travels with the
+//! bisection, not the session, so `optimize` depends on the solver and
+//! its options alone, never on earlier calls on the same session.
 //!
-//! **1. The trajectory replay cache (bitwise-neutral, per-solve).**
-//! The decision loop at threshold `σ` nominally runs on the scaled
-//! constraints `σAᵢ`. In *original* coordinates `u = σ·x` the whole state
-//! is `σ`-invariant:
-//!
-//! * start point: `u⁰ᵢ = σ·x⁰ᵢ = σ/(n·Tr(σAᵢ)) = 1/(n·Tr Aᵢ)`,
-//! * maintained matrix: `Ψ = Σ xᵢ·σAᵢ = Σ uᵢAᵢ`,
-//! * engine output: `exp(Ψ)•(σAᵢ) = σ·(exp(Ψ)•Aᵢ)`.
-//!
-//! The threshold enters only through the eligibility test
-//! `σ·ρᵢ(t) ≤ 1+ε` (where `ρᵢ = (exp Ψ • Aᵢ)/Tr exp Ψ`) and the exit test
-//! `‖u‖₁ > σK`. Two cold solves therefore share a bitwise-identical
-//! trajectory prefix for as long as they select the same step vectors. The
-//! session caches, per round, the engine output `ρ(t)` and the step vector
-//! taken; a later cold solve *replays* the cached rounds — skipping the
-//! engine evaluation, the dominant per-round cost — until its own step
-//! vector (computed from the cached `ρ` under the *new* threshold)
-//! diverges. Because replay re-derives every decision from cached engine
-//! values, a replayed solve returns **bitwise-identical results** to a
-//! from-scratch one — only [`SolveStats::engine_evals`] /
-//! [`SolveStats::replayed`] differ. Replay pays off when thresholds are
-//! close (repeated or clustered queries over one session); it is disabled
-//! for solves that accumulate the dense primal matrix `Y` (the cache holds
-//! dot products, not `m×m` probability matrices).
-//!
-//! **2. Iterate continuation in the bisection (certified-quantized).**
-//! Distant thresholds share essentially no trajectory prefix, so
-//! [`Session::optimize`] additionally warm-starts each bracket's iterate
-//! from the previous bracket's final `u`, rescaled so its threshold-frame
-//! mass is `β·K` (β = 1/2) — the "previous iterate rescaled to remain
-//! feasible for the new threshold". A warm-started trajectory differs
-//! numerically from the cold one, so the bisection only accepts its
-//! outcome when it is **strong** — a dual with measured value ≥ 1
-//! (certifying `OPT ≥ σ` exactly) or a primal with min-dot ≥ 1 (certifying
-//! `OPT ≤ σ·(1+pruning slack)` exactly) — and then applies the *quantized*
-//! bracket update `lo ← σ` / `hi ← σ·(1+slack)`, a deterministic function
-//! of `σ` alone. Weak warm outcomes are discarded and the bracket re-runs
-//! cold (replay-assisted), reproducing exactly what the cold bisection
-//! would have done; a weak *cold* outcome escalates to a deterministic
-//! certificate-seeking continuation, run within the cold solve's
-//! iteration count, before falling back to the measured-value update.
+//! A warm-started trajectory differs numerically from the cold one, so the
+//! bisection only accepts its outcome when it is **strong** — a dual with
+//! measured value ≥ 1 (certifying `OPT ≥ σ` exactly) or a primal with
+//! min-dot ≥ 1 (certifying `OPT ≤ σ·(1+pruning slack)` exactly) — and then
+//! applies the *quantized* bracket update `lo ← σ` / `hi ← σ·(1+slack)`, a
+//! deterministic function of `σ` alone. Weak warm outcomes are discarded
+//! and the bracket re-runs cold, reproducing exactly what the cold
+//! bisection would have done; a weak *cold* outcome escalates to a
+//! deterministic certificate-seeking continuation from the cold solve's
+//! final iterate, run within the cold solve's iteration count, before
+//! falling back to the measured-value update.
 //!
 //! Strong certificates are true statements about `OPT` regardless of the
-//! path that found them, so warm and cold bisections walk the same `σ`
-//! sequence — and report the same certified bracket — **whenever each
-//! tested `σ` resolves to the same strong side on both paths** (or both
-//! end weak, where the shared fallback is cold-deterministic). The two
-//! sides are simultaneously certifiable only when `σ` sits within the
-//! solver's ε-resolution of `OPT`; there, and when only one path finds a
-//! strong certificate at all, warm and cold could in principle diverge —
-//! both brackets stay individually certified. The warm-start unit tests,
-//! the `tests/warmstart_bisection.rs` property test, and experiment E11
-//! check that on the tested families the brackets are in fact equal bit
-//! for bit, while the warm run reaches each certificate in far fewer
-//! live iterations (the cold path must ramp `‖x‖₁` from `‖x⁰‖₁ ≪ 1` to
-//! `K` at rate `(1+α)` per round). Warm attempts and the escalation
-//! engage only in practical constants mode: under
-//! [`ConstantsMode::PaperStrict`] the dual is scaled by `(1+10ε)K` while
-//! the exit fires just above `K`, so a strong dual is unreachable and
-//! strict-mode bisections run every bracket cold with measured-value
-//! updates.
+//! path that found them, so warm and cold bisections
+//! ([`ApproxOptions::warm_start`] on and off) walk the same `σ` sequence —
+//! and report the same certified bracket — **whenever each tested `σ`
+//! resolves to the same strong side on both paths** (or both end weak,
+//! where the shared fallback is cold-deterministic). The two sides are
+//! simultaneously certifiable only when `σ` sits within the solver's
+//! ε-resolution of `OPT`; there, and when only one path finds a strong
+//! certificate at all, warm and cold could in principle diverge — both
+//! brackets stay individually certified. The warm-start unit tests, the
+//! `tests/warmstart_bisection.rs` property test, and experiment E11 check
+//! that on the tested families the brackets are in fact equal bit for
+//! bit, while the warm run reaches each certificate in far fewer
+//! iterations (the cold path must ramp `‖x‖₁` from `‖x⁰‖₁ ≪ 1` to `K` at
+//! rate `(1+α)` per round). Warm attempts and the escalation engage only
+//! in practical constants mode: under [`ConstantsMode::PaperStrict`] the
+//! dual is scaled by `(1+10ε)K` while the exit fires just above `K`, so a
+//! strong dual is unreachable and strict-mode bisections run every bracket
+//! cold with measured-value updates.
 //!
 //! ## Observers
 //!
@@ -102,7 +78,7 @@
 //! longer require forking the solver loop.
 
 use crate::approx::{ApproxOptions, PackingReport};
-use crate::bisect::{bisect, Call, Family, Probe};
+use crate::bisect::{bisect, Attempt, Call, Family, Probe};
 use crate::decision::DecisionResult;
 use crate::error::PsdpError;
 use crate::instance::PackingInstance;
@@ -116,12 +92,6 @@ use psdp_mmw::paper_constants;
 use psdp_parallel::Cost;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-
-/// Upper bound on the floats retained by the warm-start trajectory cache.
-/// Each cached round stores up to `2n` floats (an `n`-length dot-product
-/// vector plus an `n`-length step vector), so the cap corresponds to
-/// ≈ 32 MB of `f64`s.
-const CACHE_MAX_FLOATS: usize = 1 << 22;
 
 /// Threshold-frame `‖x‖₁` mass (as a fraction of the dual-exit threshold
 /// `K`) a warm-started bracket iterate is rescaled to. Half of `K` leaves
@@ -328,18 +298,9 @@ impl<'i> Solver<'i> {
         Arc::clone(&self.engine)
     }
 
-    /// Open a fresh session (empty warm-start cache, no observers).
+    /// Open a fresh session (no observers).
     pub fn session(&self) -> Session<'i, '_> {
-        Session {
-            solver: self,
-            cache: TrajectoryCache::default(),
-            observers: Vec::new(),
-            warm: true,
-            solves: 0,
-            last_u: None,
-            last_mask: Vec::new(),
-            last_key: None,
-        }
+        Session { solver: self, observers: Vec::new(), solves: 0 }
     }
 }
 
@@ -371,9 +332,6 @@ pub struct IterationEvent {
     /// Smallest constraint ratio `P•Aᵢ` this iteration (over active
     /// coordinates).
     pub min_ratio: f64,
-    /// Whether this iteration was replayed from the warm-start cache
-    /// (engine evaluation skipped).
-    pub replayed: bool,
 }
 
 /// Phase-boundary events delivered to [`Observer::on_phase`].
@@ -383,7 +341,7 @@ pub enum PhaseEvent<'a> {
     SolveStarted {
         /// Threshold `σ` being tested.
         threshold: f64,
-        /// Whether the warm-start cache is armed for this solve.
+        /// Whether the solve starts from a warm iterate.
         warm: bool,
     },
     /// A decision solve finished; full telemetry attached.
@@ -440,98 +398,22 @@ pub(crate) fn emit_iteration(observers: &mut [Box<dyn Observer>], event: &Iterat
     stop
 }
 
-/// One cached trajectory round: the engine output (only for rounds that
-/// refreshed it — `None` for stale-rule reuse rounds) and the step vector
-/// the cached trajectory took.
-struct CachedRound {
-    dots: Option<ExpDots>,
-    steps: Vec<f64>,
-}
-
-/// Options fingerprint a cached trajectory is valid for. Anything that
-/// changes the per-round state evolution (or the engine inputs) must be
-/// part of this key; `threshold` deliberately is not — sharing across
-/// thresholds is the whole point.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct CacheKey {
-    eps: f64,
-    mode: ConstantsMode,
-    rule: UpdateRule,
-    psi_rebuild_period: usize,
-}
-
-impl CacheKey {
-    fn of(opts: &DecisionOptions) -> CacheKey {
-        CacheKey {
-            eps: opts.eps,
-            mode: opts.mode,
-            rule: opts.rule,
-            psi_rebuild_period: opts.psi_rebuild_period,
-        }
-    }
-}
-
-#[derive(Default)]
-struct TrajectoryCache {
-    key: Option<CacheKey>,
-    mask: Vec<bool>,
-    rounds: Vec<CachedRound>,
-}
-
 /// A stateful solve session over a prepared [`Solver`].
 ///
-/// Owns the warm-start trajectory cache and the registered observers.
-/// Create with [`Solver::session`]; run ε-decision solves with
-/// [`Session::solve`] / [`Session::solve_with`] and full certified
-/// optimization with [`Session::optimize`].
+/// Owns the registered observers. Create with [`Solver::session`]; run
+/// ε-decision solves with [`Session::solve`] / [`Session::solve_with`] and
+/// full certified optimization with [`Session::optimize`]. No solve leaves
+/// state behind for a later one.
 pub struct Session<'i, 's> {
     solver: &'s Solver<'i>,
-    cache: TrajectoryCache,
     observers: Vec<Box<dyn Observer>>,
-    warm: bool,
     solves: usize,
-    /// Final original-coordinate iterate of the most recent solve, the
-    /// seed for iterate continuation in [`Session::optimize`].
-    last_u: Option<Vec<f64>>,
-    /// Active mask of the most recent solve (iterate continuation requires
-    /// an identical mask).
-    last_mask: Vec<bool>,
-    /// Options fingerprint of the most recent solve.
-    last_key: Option<CacheKey>,
 }
 
 impl<'i, 's> Session<'i, 's> {
-    /// Enable or disable cross-bracket warm starts (trajectory replay).
-    /// Warm and cold solves return bitwise-identical results; disabling is
-    /// useful for measuring the savings (experiment E11 does exactly that).
-    pub fn set_warm_start(&mut self, warm: bool) {
-        self.warm = warm;
-    }
-
-    /// Builder-style form of [`Session::set_warm_start`].
-    #[must_use]
-    pub fn with_warm_start(mut self, warm: bool) -> Self {
-        self.warm = warm;
-        self
-    }
-
     /// Register an observer for subsequent solves.
     pub fn add_observer(&mut self, obs: Box<dyn Observer>) {
         self.observers.push(obs);
-    }
-
-    /// Drop the warm-start cache (subsequent solves start cold and rebuild
-    /// it). Needed after switching to per-solve options the cache is not
-    /// keyed for — the session does this implicitly by refusing to replay,
-    /// but an explicit reset lets the new configuration take over the
-    /// cache.
-    pub fn reset_cache(&mut self) {
-        self.cache = TrajectoryCache::default();
-    }
-
-    /// Number of rounds currently held by the warm-start cache.
-    pub fn cached_rounds(&self) -> usize {
-        self.cache.rounds.len()
     }
 
     /// Number of decision solves this session has run.
@@ -562,16 +444,16 @@ impl<'i, 's> Session<'i, 's> {
         opts: &DecisionOptions,
     ) -> Result<DecisionResult, PsdpError> {
         opts.validate()?;
-        self.run_decision(threshold, opts, None, None, None, self.warm)
+        let Attempt { outcome, stats, .. } =
+            self.run_decision(threshold, opts, None, None, None)?;
+        Ok(DecisionResult { outcome, stats })
     }
 
     /// The decision loop (Algorithm 3.1) at threshold `sigma`, optionally
     /// restricted to an active-coordinate mask (Lemma 2.2 trace pruning)
-    /// and optionally starting from a warm iterate (`start`, original
-    /// coordinates; replay and recording are disabled for warm starts —
-    /// the cache only ever holds cold trajectories). State is kept in
-    /// original coordinates `u = σ·x` (see the module docs), which is what
-    /// makes the replay cache threshold-invariant.
+    /// and optionally starting from a warm iterate (`start`). State is kept
+    /// in original coordinates `u = σ·x` (see the module docs); the call
+    /// returns its final `u` with its outcome.
     ///
     /// `cert_seek: Some(budget)` switches the exit logic to
     /// *strong-certificate hunting* (the bisection's deterministic
@@ -580,7 +462,6 @@ impl<'i, 's> Session<'i, 's> {
     /// ≥ 1 since `λmax(Ψ) ≤ κ` — the primal running-average check runs
     /// regardless of [`DecisionOptions::early_exit`], and the iteration cap
     /// drops to `budget` (at least 1).
-    /// `replay` arms trajectory replay for a cold start.
     fn run_decision(
         &mut self,
         sigma: f64,
@@ -588,8 +469,7 @@ impl<'i, 's> Session<'i, 's> {
         mask: Option<Vec<bool>>,
         start: Option<Vec<f64>>,
         cert_seek: Option<usize>,
-        replay: bool,
-    ) -> Result<DecisionResult, PsdpError> {
+    ) -> Call<Outcome> {
         if !(sigma > 0.0 && sigma.is_finite()) {
             return Err(PsdpError::InvalidInstance(format!(
                 "decision threshold must be positive and finite, got {sigma}"
@@ -656,26 +536,7 @@ impl<'i, 's> Session<'i, 's> {
             && matches!(engine_kind, EngineKind::Exact | EngineKind::Taylor { .. });
         let mut y_acc: Option<Mat> = accumulate_y.then(|| Mat::zeros(m, m));
 
-        // Replay arming: needs a cold start, a compatible cached
-        // trajectory, and no dense-Y accumulation (the cache has no P
-        // matrices). Recording is allowed when extending a verified prefix
-        // (replay armed) or when the cache is empty and can adopt this
-        // (cold) solve.
-        let key = CacheKey::of(opts);
-        let compatible = self.cache.key == Some(key) && self.cache.mask == active;
-        let mut replaying = replay && compatible && !accumulate_y && !warm_init;
-        let recording = if warm_init {
-            false
-        } else if self.cache.rounds.is_empty() {
-            self.cache.key = Some(key);
-            self.cache.mask = active.clone();
-            true
-        } else {
-            replaying
-        };
-        let max_rounds = (CACHE_MAX_FLOATS / (2 * n.max(1))).clamp(64, 1 << 14);
-
-        let phase = PhaseEvent::SolveStarted { threshold: sigma, warm: replaying || warm_init };
+        let phase = PhaseEvent::SolveStarted { threshold: sigma, warm: warm_init };
         emit_phase(&mut self.observers, &phase);
 
         let mut dot_sums = vec![0.0_f64; n];
@@ -684,7 +545,6 @@ impl<'i, 's> Session<'i, 's> {
         let mut selected_total = 0usize;
         let mut kappa_max = 0.0_f64;
         let mut engine_evals = 0usize;
-        let mut replayed = 0usize;
         let mut exit = ExitReason::IterationCap;
         let sample_every = (cap / 200).max(1);
         let mut trajectory: Vec<(usize, f64)> = Vec::new();
@@ -703,7 +563,6 @@ impl<'i, 's> Session<'i, 's> {
 
         while t < cap && exit != ExitReason::DualNormCrossed {
             t += 1;
-            let idx = t - 1;
 
             let mut kappa = psi.kappa_bound();
             if matches!(opts.mode, ConstantsMode::PaperStrict) {
@@ -715,39 +574,15 @@ impl<'i, 's> Session<'i, 's> {
                 UpdateRule::Stale { period } => (t - 1).is_multiple_of(period) || cur.is_none(),
                 _ => true,
             };
-            let mut from_cache = false;
             if refresh {
-                let cached_dots = if replaying {
-                    self.cache.rounds.get(idx).and_then(|r| r.dots.clone())
+                engine_evals += 1;
+                let dots = if accumulate_y {
+                    engine.compute_dense(psi.matrix(), kappa, inst.mats(), t as u64)?
                 } else {
-                    None
-                };
-                let dots = match cached_dots {
-                    Some(d) => {
-                        from_cache = true;
-                        replayed += 1;
-                        d
-                    }
-                    None => {
-                        if replaying {
-                            // Cache exhausted (or misaligned): go live and
-                            // let recording extend it from here.
-                            self.cache.rounds.truncate(idx);
-                            replaying = false;
-                        }
-                        engine_evals += 1;
-                        if accumulate_y {
-                            engine.compute_dense(psi.matrix(), kappa, inst.mats(), t as u64)?
-                        } else {
-                            evaluate(engine, &psi, kappa, inst, t as u64)?
-                        }
-                    }
+                    evaluate(engine, &psi, kappa, inst, t as u64)?
                 };
                 cost_total = cost_total + dots.cost;
                 cur = Some(dots);
-            } else if replaying && self.cache.rounds.get(idx).is_none() {
-                self.cache.rounds.truncate(idx);
-                replaying = false;
             }
             let dots = cur.as_ref().expect("engine output present");
 
@@ -766,51 +601,11 @@ impl<'i, 's> Session<'i, 's> {
             }
 
             let steps = select_steps(&ratios, eps, alpha, opts.rule, Some(&active));
-            if replaying && idx < self.cache.rounds.len() && self.cache.rounds[idx].steps != steps {
-                // Divergence: the new threshold selects differently here.
-                // The cached dots were still valid for this round (the state
-                // was shared up to it); everything after is not.
-                self.cache.rounds.truncate(idx);
-                replaying = false;
-            }
-            if recording && idx == self.cache.rounds.len() && self.cache.rounds.len() < max_rounds {
-                let stored = if refresh {
-                    cur.as_ref().map(|d| ExpDots {
-                        tr_w: d.tr_w,
-                        dots: d.dots.clone(),
-                        log_scale: d.log_scale,
-                        cost: d.cost,
-                        degree: d.degree,
-                        sketch_rows: d.sketch_rows,
-                        dense_p: None,
-                    })
-                } else {
-                    None
-                };
-                self.cache.rounds.push(CachedRound { dots: stored, steps: steps.clone() });
-            }
-            let dots = cur.as_ref().expect("engine output present");
-
             let selected = steps.iter().filter(|&&s| s > 0.0).count();
             if selected == 0 {
                 // Every active constraint has P•Aᵢ > 1+ε: the current P is a
-                // feasible primal. Replayed rounds carry no dense P, so
-                // re-evaluate the engine once to rebuild the snapshot the
-                // cold path would have had — but only for the exact engine,
-                // the only one whose plain `compute` produces a dense P
-                // (replay implies `accumulate_y` is off, so a cold Taylor/
-                // sketched solve would have had `None` here anyway).
-                let dense_p = if from_cache {
-                    if matches!(engine_kind, EngineKind::Exact) {
-                        engine_evals += 1;
-                        engine.compute(psi.matrix(), kappa, inst.mats(), t as u64)?.dense_p
-                    } else {
-                        None
-                    }
-                } else {
-                    dots.dense_p.clone()
-                };
-                empty_b_snapshot = Some((ratios.clone(), dense_p));
+                // feasible primal.
+                empty_b_snapshot = Some((ratios, dots.dense_p.clone()));
                 exit = ExitReason::EmptyEligibleSet;
                 break;
             }
@@ -858,7 +653,6 @@ impl<'i, 's> Session<'i, 's> {
                     selected,
                     kappa,
                     min_ratio: active_min(&ratios),
-                    replayed: from_cache,
                 };
                 if emit_iteration(&mut self.observers, &event) {
                     exit = ExitReason::ObserverStopped;
@@ -924,26 +718,24 @@ impl<'i, 's> Session<'i, 's> {
             psi_rebuilds: psi.rebuilds(),
             psi_max_drift: psi.max_drift(),
             threshold: sigma,
-            warm_started: replayed > 0 || warm_init,
+            warm_started: warm_init,
             engine_evals,
-            replayed,
             wall: wall_start.elapsed(),
             norm_trajectory: trajectory,
         };
-        self.last_u = Some(x);
-        self.last_mask = active;
-        self.last_key = Some(key);
         let finished = PhaseEvent::SolveFinished { threshold: sigma, stats: &stats };
         emit_phase(&mut self.observers, &finished);
-        Ok(DecisionResult { outcome, stats })
+        Ok(Attempt { outcome, stats, iterate: x })
     }
 
     /// Optimize the packing instance to `(1+ε)` relative accuracy by
     /// certified geometric bisection (Lemma 2.2) over this session: every
-    /// bracket reuses the prepared engine, and — when warm starts are on
-    /// and the constants mode is practical — continues from the previous
-    /// bracket's iterate (rescaled to the new threshold; see the module
-    /// docs for the warm-vs-cold equivalence and its caveat).
+    /// bracket reuses the prepared engine, and — when
+    /// [`ApproxOptions::warm_start`] is on and the constants mode is
+    /// practical — continues from the previous bracket's kept iterate
+    /// (rescaled to the new threshold; see the module docs for the
+    /// warm-vs-cold equivalence and its caveat). The report depends on the
+    /// solver and `opts` alone, not on earlier calls on this session.
     ///
     /// Bracket moves are driven by certified quantities only. A **strong**
     /// outcome (dual value ≥ 1, or primal min-dot ≥ 1) proves `OPT ≥ σ` /
@@ -987,10 +779,6 @@ impl<'i, 's> Session<'i, 's> {
         }
 
         let mut family = PackingBisection {
-            // Warm starts require BOTH the session flag and the options
-            // flag: [`ApproxOptions::warm_start`] must not be silently
-            // ignored.
-            warm: self.warm && opts.warm_start,
             session: self,
             opts,
             // Strong duals are unreachable under the paper's strict scaling
@@ -1015,7 +803,7 @@ impl<'i, 's> Session<'i, 's> {
             converged: run.converged,
             pruned_max: family.pruned_max,
             total_engine_evals: run.brackets.iter().map(|b| b.engine_evals).sum(),
-            total_replayed: run.brackets.iter().map(|b| b.replayed).sum(),
+            total_replayed: 0,
             call_stats: run.call_stats,
             brackets: run.brackets,
         })
@@ -1028,25 +816,21 @@ struct PackingBisection<'a, 'i, 's> {
     opts: &'a ApproxOptions,
     /// Warm attempts and the escalation run only in practical mode.
     practical: bool,
-    /// Trajectory replay and warm attempts are armed.
-    warm: bool,
     best_dual: Option<DualSolution>,
     upper_witness: Option<(f64, PrimalSolution)>,
     pruned_max: usize,
 }
 
 impl PackingBisection<'_, '_, '_> {
-    /// The last solve's final iterate rescaled to threshold-frame mass β·K
-    /// at the probed `σ` — "the previous iterate rescaled to remain
-    /// feasible for the new threshold" (the loop has room to re-balance
-    /// before any exit can trigger).
-    fn rescaled_last(&self, probe: &Probe) -> Option<Vec<f64>> {
+    /// A final iterate `u` rescaled to threshold-frame mass β·K at the
+    /// probed `σ` — "the previous iterate rescaled to remain feasible for
+    /// the new threshold" (the loop has room to re-balance before any exit
+    /// can trigger).
+    fn rescaled(&self, probe: &Probe, u: &[f64]) -> Vec<f64> {
         let n_active = probe.active.iter().filter(|&&b| b).count();
         let k_threshold = paper_constants(n_active, self.opts.decision.eps).k_threshold;
-        self.session.last_u.as_ref().map(|u| {
-            let gamma = WARM_MASS_FRACTION * k_threshold * probe.sigma / vecops::sum(u).max(1e-300);
-            u.iter().map(|v| v * gamma).collect()
-        })
+        let gamma = WARM_MASS_FRACTION * k_threshold * probe.sigma / vecops::sum(u).max(1e-300);
+        u.iter().map(|v| v * gamma).collect()
     }
 
     fn run(
@@ -1056,8 +840,7 @@ impl PackingBisection<'_, '_, '_> {
         cert_seek: Option<usize>,
     ) -> Call<Outcome> {
         let (opts, mask) = (self.opts.decision, probe.mask());
-        let r = self.session.run_decision(probe.sigma, &opts, mask, seed, cert_seek, self.warm)?;
-        Ok((r.outcome, r.stats))
+        self.session.run_decision(probe.sigma, &opts, mask, seed, cert_seek)
     }
 }
 
@@ -1085,17 +868,9 @@ impl Family for PackingBisection<'_, '_, '_> {
         probe
     }
 
-    /// Iterate continuation from the previous bracket's final iterate,
-    /// when it ran under the same options and mask.
-    fn warm_seed(&self, probe: &Probe) -> Option<Vec<f64>> {
-        let s = &self.session;
-        let same =
-            s.last_key == Some(CacheKey::of(&self.opts.decision)) && s.last_mask == probe.active;
-        if self.practical && self.warm && same {
-            self.rescaled_last(probe)
-        } else {
-            None
-        }
+    /// Iterate continuation from the previous bracket's kept iterate.
+    fn warm_seed(&self, probe: &Probe, iterate: &[f64]) -> Option<Vec<f64>> {
+        (self.practical && self.opts.warm_start).then(|| self.rescaled(probe, iterate))
     }
 
     fn solve(&mut self, probe: &Probe, seed: Option<Vec<f64>>) -> Call<Outcome> {
@@ -1111,12 +886,12 @@ impl Family for PackingBisection<'_, '_, '_> {
     /// (its scaled-up Ψ can outgrow what the eigensolver converges on)
     /// still counts as weak, so the cold solve's outcome stands; the
     /// budget bounds what such a failure costs.
-    fn escalate(&mut self, probe: &Probe, cold: &SolveStats) -> Option<Call<Outcome>> {
+    fn escalate(&mut self, probe: &Probe, cold: &Attempt<Outcome>) -> Option<Call<Outcome>> {
         if !self.practical {
             return None;
         }
-        let seed = self.rescaled_last(probe);
-        Some(Ok(self.run(probe, seed, Some(cold.iterations)).ok()?))
+        let seed = self.rescaled(probe, &cold.iterate);
+        Some(Ok(self.run(probe, Some(seed), Some(cold.stats.iterations)).ok()?))
     }
 
     /// Strong outcomes only: a dual of measured value ≥ 1 or a primal with
@@ -1300,55 +1075,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_and_cold_solves_are_bitwise_identical() {
-        let inst = diag_instance(&[&[1.0, 0.0, 0.5], &[0.0, 1.0, 0.5], &[0.5, 0.5, 0.0]]);
-        let mut opts = DecisionOptions::practical(0.15);
-        opts.primal_matrix_dim_limit = 0; // enable replay
-        let solver = Solver::builder(&inst).options(opts).build().unwrap();
-
-        let thresholds = [0.8, 1.1, 0.95, 1.02];
-        let mut warm = solver.session();
-        let warm_results: Vec<DecisionResult> =
-            thresholds.iter().map(|&s| warm.solve(s).unwrap()).collect();
-        assert!(warm_results.iter().any(|r| r.stats.replayed > 0), "warm session never replayed");
-
-        for (&sigma, wr) in thresholds.iter().zip(&warm_results) {
-            let mut cold = solver.session().with_warm_start(false);
-            let cr = cold.solve(sigma).unwrap();
-            assert_eq!(cr.stats.iterations, wr.stats.iterations, "σ={sigma}");
-            assert_eq!(cr.stats.exit, wr.stats.exit, "σ={sigma}");
-            match (&cr.outcome, &wr.outcome) {
-                (Outcome::Dual(a), Outcome::Dual(b)) => {
-                    assert_eq!(a.x, b.x, "σ={sigma}: dual iterates diverged");
-                    assert_eq!(a.value.to_bits(), b.value.to_bits(), "σ={sigma}");
-                }
-                (Outcome::Primal(a), Outcome::Primal(b)) => {
-                    assert_eq!(a.constraint_dots, b.constraint_dots, "σ={sigma}");
-                    assert_eq!(a.min_dot.to_bits(), b.min_dot.to_bits(), "σ={sigma}");
-                }
-                _ => panic!("σ={sigma}: outcome sides diverged warm vs cold"),
-            }
-        }
-    }
-
-    #[test]
-    fn replay_skips_engine_evaluations() {
-        let inst = diag_instance(&[&[2.0, 0.0], &[0.0, 4.0]]);
-        let mut opts = DecisionOptions::practical(0.1);
-        opts.primal_matrix_dim_limit = 0;
-        let solver = Solver::builder(&inst).options(opts).build().unwrap();
-        let mut s = solver.session();
-        let first = s.solve(0.7).unwrap();
-        assert_eq!(first.stats.replayed, 0);
-        assert!(s.cached_rounds() > 0);
-        // A nearby threshold shares a long prefix.
-        let second = s.solve(0.71).unwrap();
-        assert!(second.stats.replayed > 0, "no rounds replayed: {:?}", second.stats);
-        assert!(second.stats.engine_evals < second.stats.iterations + 1);
-        assert!(second.stats.warm_started);
-    }
-
-    #[test]
     fn session_optimize_matches_known_optimum() {
         // OPT = 1/2 + 1/4 = 0.75.
         let inst = diag_instance(&[&[2.0, 0.0], &[0.0, 4.0]]);
@@ -1372,8 +1098,8 @@ mod tests {
         let mut opts = ApproxOptions::practical(0.2);
         opts.decision = DecisionOptions::strict(0.05);
         let solver = Solver::builder(&inst).options(opts.decision).build().unwrap();
-        let warm = solver.session().with_warm_start(true).optimize(&opts).unwrap();
-        let cold = solver.session().with_warm_start(false).optimize(&opts).unwrap();
+        let warm = solver.session().optimize(&opts).unwrap();
+        let cold = solver.session().optimize(&ApproxOptions { warm_start: false, ..opts }).unwrap();
         assert_eq!(warm.value_lower.to_bits(), cold.value_lower.to_bits());
         assert_eq!(warm.value_upper.to_bits(), cold.value_upper.to_bits());
         assert_eq!(warm.total_iterations, cold.total_iterations);
@@ -1449,7 +1175,6 @@ mod tests {
                 Some(vec![true, true, false]),
                 None,
                 None,
-                true,
             )
             .unwrap();
         let d = res.outcome.dual().expect("dual side");

@@ -42,14 +42,12 @@ pub struct SolveStats {
     /// The decision threshold `σ` this solve tested (1.0 for the classic
     /// one-shot [`crate::decision_psdp`]).
     pub threshold: f64,
-    /// Whether any iterations were replayed from the session's warm-start
-    /// trajectory cache (see `crate::solver`).
+    /// Whether the solve started from a warm iterate — a rescaled earlier
+    /// iterate instead of the cold start point `x⁰` (see `crate::solver`).
     pub warm_started: bool,
-    /// Live engine evaluations performed (excludes replayed rounds).
+    /// Engine evaluations performed (one per iteration that refreshed the
+    /// engine output; the mixed loop evaluates both sides).
     pub engine_evals: usize,
-    /// Iterations replayed from the warm-start cache (engine evaluation
-    /// skipped; results are bitwise-identical to a cold run).
-    pub replayed: usize,
     /// Wall-clock time of the solve.
     pub wall: Duration,
     /// Sampled `‖x(t)‖₁` trajectory (every `sample_every` iterations).
@@ -86,14 +84,10 @@ pub struct BracketStats {
     /// The part of `iterations` spent on discarded attempts: warm attempts,
     /// cold solves or escalations whose outcome the bracket did not keep.
     pub discarded_iterations: usize,
-    /// Live engine evaluations spent on this bracket, including discarded
+    /// Engine evaluations spent on this bracket, including discarded
     /// attempts.
     pub engine_evals: usize,
-    /// Rounds replayed from the warm-start cache, including discarded
-    /// attempts.
-    pub replayed: usize,
-    /// Whether any solve of this bracket used a warm start (replay or
-    /// iterate continuation).
+    /// Whether any solve of this bracket started from a warm iterate.
     pub warm_started: bool,
     /// Wall-clock time spent on this bracket, including discarded
     /// attempts.
@@ -122,7 +116,6 @@ mod tests {
             threshold: 1.0,
             warm_started: false,
             engine_evals: 0,
-            replayed: 0,
             wall: Duration::ZERO,
             norm_trajectory: vec![],
         };

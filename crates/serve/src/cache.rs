@@ -6,10 +6,9 @@
 //! text and binary submissions of the same instance share), the requested
 //! engine kind, and the sketch seed. Per-solve options (eps, constants
 //! mode, update rule, bisection accuracy, …) deliberately are **not** part
-//! of it: the session API re-validates them per call, and its internal
-//! warm-start caches carry their own option keys and refuse stale reuse,
-//! so requests that differ only in solve options can safely share one
-//! prepared solver. `DESIGN.md` §10 and §14 walk through why this key is
+//! of it: the session API re-validates them per call and keeps no state
+//! between solves, so requests that differ only in solve options can
+//! safely share one prepared solver. `DESIGN.md` §10 and §14 walk through why this key is
 //! sound — i.e. why a cache hit can never change a verdict.
 //!
 //! The content hash is computed **once** — at parse time for text

@@ -74,7 +74,7 @@ pub(crate) fn execute(
     let run = match (&solver, &req.kind) {
         (LiveSolver::Packing(s), RequestKind::Decision { threshold, opts }) => {
             s.session().solve_with(*threshold, opts).map(|d| {
-                (stats.engine_evals, stats.replayed) = (d.stats.engine_evals, d.stats.replayed);
+                stats.engine_evals = d.stats.engine_evals;
                 ServeResult::Decision(d)
             })
         }
@@ -90,7 +90,7 @@ pub(crate) fn execute(
                 }
             }
             s.session().optimize(&o).map(|r| {
-                (stats.engine_evals, stats.replayed) = (r.total_engine_evals, r.total_replayed);
+                stats.engine_evals = r.total_engine_evals;
                 entry.bracket = Some((params.to_string(), r.value_lower, r.value_upper));
                 ServeResult::Optimize(r)
             })

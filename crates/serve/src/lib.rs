@@ -324,12 +324,11 @@ mod tests {
                 .iter()
                 .map(|r| {
                     format!(
-                        "{} memo={} prep={} evals={} replayed={}",
+                        "{} memo={} prep={} evals={}",
                         response_fingerprint(r),
                         r.stats.memoized,
                         r.stats.prep_reused,
-                        r.stats.engine_evals,
-                        r.stats.replayed
+                        r.stats.engine_evals
                     )
                 })
                 .collect();

@@ -130,9 +130,6 @@ pub struct ServeStats {
     pub bracket_injected: bool,
     /// Live engine evaluations this request caused.
     pub engine_evals: usize,
-    /// Rounds replayed from the trajectory cache of this request's own
-    /// session (an `optimize`'s bisection calls share it).
-    pub replayed: usize,
     /// The stored memo entry this response's result equals: set on memo
     /// hits and on the request whose result was stored, `None` when the
     /// result was not stored (memo full, error). An identity for replaying
@@ -186,8 +183,6 @@ pub struct BatchReport {
     pub tiers: crate::telemetry::TierCounters,
     /// Total live engine evaluations across the batch.
     pub engine_evals: usize,
-    /// Total trajectory-cache rounds replayed across the batch.
-    pub replayed: usize,
     /// Sum of per-request queue waits.
     pub total_queue_wait: Duration,
     /// Largest single queue wait.
@@ -395,7 +390,6 @@ impl Scheduler {
             let s = &resp.stats;
             report.tiers.record(s);
             report.engine_evals += s.engine_evals;
-            report.replayed += s.replayed;
             report.total_queue_wait += s.queue_wait;
             report.max_queue_wait = report.max_queue_wait.max(s.queue_wait);
             report.total_service += s.service;

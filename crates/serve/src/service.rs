@@ -186,8 +186,6 @@ pub struct ServiceReport {
     pub prep_builds: usize,
     /// Total live engine evaluations.
     pub engine_evals: usize,
-    /// Total trajectory-cache rounds replayed.
-    pub replayed: usize,
     /// Per-shard queue-depth high-water marks.
     pub queue_high_water: Vec<usize>,
     /// Service-time (execution only) latency histogram.
@@ -537,7 +535,6 @@ where
                 }
                 report.tiers.record(&resp.stats);
                 report.engine_evals += resp.stats.engine_evals;
-                report.replayed += resp.stats.replayed;
                 report.service_hist.record(resp.stats.service);
                 report.queue_hist.record(resp.stats.queue_wait);
             }

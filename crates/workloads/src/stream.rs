@@ -29,8 +29,7 @@ pub struct RequestStreamSpec {
     pub zipf_s: f64,
     /// Distinct decision thresholds cycled per instance. `1` makes
     /// repeats byte-identical (pure memoization traffic); larger values
-    /// emit perturbed repeats that exercise prepared-state reuse and
-    /// trajectory replay instead.
+    /// emit perturbed repeats that exercise prepared-state reuse instead.
     pub thresholds: usize,
     /// Stream seed.
     pub seed: u64,

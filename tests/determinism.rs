@@ -613,11 +613,36 @@ fn mixed_optimize_golden_pin() {
     assert_eq!(r.total_engine_evals, 1018);
 }
 
+/// Golden pin for the mixed bisection's stall: on these graphs at ε = 0.2
+/// a kept call moves neither bound, so the next σ would be the same one.
+/// The search ends there, unconverged, instead of repeating that call. The
+/// final bracket bits were recorded while the stalled σ was still probed
+/// a second time (8 calls; 4 005 and 2 505 iterations).
+#[test]
+fn mixed_optimize_stall_golden_pin() {
+    let pins = [
+        (1, 0x3fd55d21be95cb61_u64, 0x3fda20386630c795_u64, 3018),
+        (3, 0x3fd489d33e3c7f57, 0x3fd8e58f3fb3e7b5, 1488),
+    ];
+    for (seed, lo, hi, iterations) in pins {
+        let inst = mixed_edge_cover(&gnp(32, 0.25, seed), 0.5);
+        let r = solve_mixed(&inst, &MixedApproxOptions::practical(0.2)).unwrap();
+        let mut sigmas: Vec<u64> = r.brackets.iter().map(|b| b.sigma.to_bits()).collect();
+        sigmas.sort_unstable();
+        sigmas.dedup();
+        assert_eq!(sigmas.len(), r.brackets.len(), "seed {seed}: a σ was probed twice");
+        assert!(!r.converged, "seed {seed}");
+        assert_eq!(r.threshold_lower.to_bits(), lo, "seed {seed}: lower {}", r.threshold_lower);
+        assert_eq!(r.threshold_upper.to_bits(), hi, "seed {seed}: upper {}", r.threshold_upper);
+        assert_eq!((r.decision_calls, r.total_iterations), (7, iterations), "seed {seed}");
+    }
+}
+
 /// Golden pin for packing `Session::optimize` under the default practical
 /// options on a fixture whose third bracket discards work: its warm
 /// attempt and its cold solve are weak, and the certificate-seeking
-/// escalation is kept. The bracket bits and the call/iteration/evaluation/
-/// replay counts were recorded before the packing and mixed bisections
+/// escalation is kept. The bracket bits and the call/iteration/evaluation
+/// counts were recorded before the packing and mixed bisections
 /// shared one driver; the shared driver must reproduce them exactly.
 #[test]
 fn packing_optimize_golden_pin() {

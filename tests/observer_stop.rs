@@ -1,7 +1,7 @@
 //! Observer stop paths: `ExitReason::ObserverStopped` must surface
 //! cleanly from every loop an observer can halt — a bare decision solve,
 //! `Session::optimize` and `MixedSession::optimize` mid-bisection and
-//! during their escalations — with telemetry (engine_evals, replayed, bracket
+//! during their escalations — with telemetry (engine_evals, bracket
 //! accounting) still consistent after the early stop. The phase stream of
 //! an unstopped packing escalation that ends at its budget balances too.
 
@@ -105,16 +105,12 @@ fn session_optimize_stop_mid_bisection() {
     // accepted-call sums never exceed them.
     let bracket_iters: usize = r.brackets.iter().map(|b| b.iterations).sum();
     let bracket_evals: usize = r.brackets.iter().map(|b| b.engine_evals).sum();
-    let bracket_replayed: usize = r.brackets.iter().map(|b| b.replayed).sum();
     assert_eq!(bracket_iters, r.total_iterations);
     assert_eq!(bracket_evals, r.total_engine_evals);
-    assert_eq!(bracket_replayed, r.total_replayed);
     let accepted_iters: usize = r.call_stats.iter().map(|s| s.iterations).sum();
     let accepted_evals: usize = r.call_stats.iter().map(|s| s.engine_evals).sum();
-    let accepted_replayed: usize = r.call_stats.iter().map(|s| s.replayed).sum();
     assert!(accepted_iters <= r.total_iterations);
     assert!(accepted_evals <= r.total_engine_evals);
-    assert!(accepted_replayed <= r.total_replayed);
     // The certified bounds that were established before the stop survive.
     assert!(r.value_lower > 0.0 && r.value_upper >= r.value_lower);
 }
@@ -267,10 +263,8 @@ fn packing_optimize_stop_during_escalation_ends_bisection() {
     assert!(last.iterations > kept.iterations, "the discarded cold solve was not counted");
     let bracket_iters: usize = r.brackets.iter().map(|b| b.iterations).sum();
     let bracket_evals: usize = r.brackets.iter().map(|b| b.engine_evals).sum();
-    let bracket_replayed: usize = r.brackets.iter().map(|b| b.replayed).sum();
     assert_eq!(bracket_iters, r.total_iterations);
     assert_eq!(bracket_evals, r.total_engine_evals);
-    assert_eq!(bracket_replayed, r.total_replayed);
 }
 
 /// Observers see the phase stream in a consistent order during a stopped
