@@ -206,9 +206,9 @@ pub struct MixedApproxOptions {
     pub decision: MixedOptions,
     /// Cap on decision calls.
     pub max_calls: usize,
-    /// Warm-start each bracket from the previous bracket's final iterate
-    /// (rescaled). Discarded when it fails to move the bracket, so the
-    /// report is certified either way.
+    /// Warm-start each bracket after the first from the previous bracket's
+    /// kept iterate (rescaled). Discarded when it fails to move the
+    /// bracket, so the report is certified either way.
     pub warm_start: bool,
 }
 

@@ -8,8 +8,9 @@
 //! mode, update rule, bisection accuracy, …) deliberately are **not** part
 //! of it: the session API re-validates them per call and keeps no state
 //! between solves, so requests that differ only in solve options can
-//! safely share one prepared solver. `DESIGN.md` §10 and §14 walk through why this key is
-//! sound — i.e. why a cache hit can never change a verdict.
+//! safely share one prepared solver. `DESIGN.md` §10 and §14 walk through
+//! why this key is sound — i.e. why a cache hit can never change a
+//! verdict.
 //!
 //! The content hash is computed **once** — at parse time for text
 //! requests, straight off the `psdp-bin-1` header for binary ones — and
