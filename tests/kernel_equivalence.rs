@@ -15,7 +15,9 @@
 //!   pool-width invariant;
 //! * the solver's Ψ pattern view (`PsiView`, DESIGN.md §4) must drive the
 //!   Expv engine to **bitwise** the dense-Ψ outputs, zero-row probe skips
-//!   included, and its `λmax` bound must equal the dense one bit for bit.
+//!   included, and its `λmax` bound must equal the dense one bit for bit;
+//! * the dense eigensolver (`sym_eigen`, `sym_eigenvalues`) must reproduce
+//!   its golden bits on a fixed family of matrices.
 //!
 //! CI runs this file in the fail-fast tier under both entries of the
 //! `RAYON_NUM_THREADS ∈ {1, 4}` matrix; the explicit `run_with_threads`
@@ -356,5 +358,75 @@ fn symmul_tracks_general_gemm_on_taylor_blocks() {
     let scale = via_gemm.max_abs();
     for (a, b) in via_symmul.as_slice().iter().zip(via_gemm.as_slice()) {
         assert!((a - b).abs() <= 1e-12 * scale, "{a} vs {b}");
+    }
+}
+
+/// FNV-1a over the bit patterns of `xs`, continuing from `h`.
+fn fold_bits(mut h: u64, xs: &[f64]) -> u64 {
+    for x in xs {
+        for byte in x.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Golden pin for the dense eigensolver: the bits of `sym_eigen`'s values
+/// and eigenvectors and of `sym_eigenvalues` over a fixed family of
+/// matrices, one hash per kind. Any change to the eigensolver's loops must
+/// keep its arithmetic, and so these hashes, unchanged. The kinds are dense
+/// pseudo-random matrices, diagonals with ties and zeros, repeated
+/// eigenvalues (`c·I` and the complete graph's Laplacian `nI − J`), the
+/// zero matrix, and sums of rank-one terms over a few scattered rows with
+/// zero rows around them.
+#[test]
+fn sym_eigen_golden_pin() {
+    let sizes = [1usize, 2, 3, 5, 8, 13, 32, 33, 64, 128];
+    let mut next = det_stream(0x5EED_E16E);
+    let mut kinds: Vec<(&str, Vec<Mat>)> = vec![
+        ("dense", vec![]),
+        ("diagonal", vec![]),
+        ("repeated", vec![]),
+        ("zero", vec![]),
+        ("scattered", vec![]),
+    ];
+    for &n in &sizes {
+        let mut dense = pseudo(n, n, n as u64);
+        dense.symmetrize();
+        kinds[0].1.push(dense);
+        let diag: Vec<f64> = (0..n).map(|i| ((i * 7) % 5) as f64 - 2.0).collect();
+        kinds[1].1.push(Mat::from_diag(&diag));
+        kinds[2].1.push(Mat::identity(n).scaled(4.0));
+        kinds[2].1.push(Mat::from_fn(n, n, |i, j| if i == j { n as f64 - 1.0 } else { -1.0 }));
+        kinds[3].1.push(Mat::zeros(n, n));
+        let rows = (n / 4).max(1);
+        let support: Vec<usize> = (0..rows).map(|_| next() as usize % n).collect();
+        let mut scattered = Mat::zeros(n, n);
+        for _ in 0..4 {
+            let mut u = vec![0.0; n];
+            for _ in 0..3 {
+                u[support[next() as usize % rows]] = (next() % 2001) as f64 / 1000.0 - 1.0;
+            }
+            scattered.rank1_update((next() % 1000) as f64 / 250.0, &u);
+        }
+        kinds[4].1.push(scattered);
+    }
+    let pins = [
+        ("dense", 0x0022_32d5_e194_4a8a_u64),
+        ("diagonal", 0xe8c5_26ea_3066_8078),
+        ("repeated", 0x2d86_3058_6746_fb7a),
+        ("zero", 0x5478_0e53_488e_7b38),
+        ("scattered", 0x0765_8f30_9e13_5f41),
+    ];
+    for ((kind, mats), (pin_kind, pin)) in kinds.iter().zip(pins) {
+        assert_eq!(*kind, pin_kind);
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for a in mats {
+            let eig = psdp_linalg::sym_eigen(a).unwrap();
+            h = fold_bits(h, &eig.values);
+            h = fold_bits(h, eig.vectors.as_slice());
+            h = fold_bits(h, &psdp_linalg::sym_eigenvalues(a).unwrap());
+        }
+        assert_eq!(h, pin, "{kind}: {h:#018x}");
     }
 }
