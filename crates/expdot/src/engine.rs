@@ -380,11 +380,12 @@ impl Engine {
         let eig = sym_eigen(phi)?;
         // Spectral shift so exp never overflows: work with exp(λ - λmax).
         let shift = eig.lambda_max().max(0.0);
-        let w = eig.apply_fn(|lam| (lam - shift).exp());
+        let mut w = eig.apply_fn(|lam| (lam - shift).exp());
         let tr_w = w.trace();
         let dots: Vec<f64> = mats.par_iter().map(|a| a.dot_dense(&w).max(0.0)).collect();
         let cost = Cost::seq(8.0 * (m * m * m) as f64) + Cost::reduce(mats.len(), (m * m) as f64);
-        let dense_p = Some(w.scaled(1.0 / tr_w));
+        w.scale(1.0 / tr_w);
+        let dense_p = Some(w);
         Ok(ExpDots { tr_w, dots, log_scale: shift, cost, degree: 0, sketch_rows: 0, dense_p })
     }
 

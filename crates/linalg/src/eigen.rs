@@ -16,6 +16,13 @@
 //! [`SymEigen::vectors`] is the unit eigenvector for `values[j]`.
 //! [`sym_eigenvalues`] returns the same values without accumulating the
 //! eigenvectors (bit for bit, up to the sign of an exact zero).
+//!
+//! EISPACK walks columns and [`Mat`] stores rows, so the phases work on the
+//! transpose: row `j` of the working matrix plays EISPACK's column `j` (a
+//! Householder vector, then eigenvector `j` as a row of `Vᵀ`), and every
+//! inner loop walks a contiguous row. The validated input is exactly
+//! symmetric, i.e. its own transpose, and the arithmetic keeps EISPACK's
+//! order, so the bits are the column-walking port's. `V` is transposed once.
 
 use crate::error::LinalgError;
 use crate::mat::Mat;
@@ -47,14 +54,13 @@ impl SymEigen {
     pub fn apply_fn(&self, f: impl Fn(f64) -> f64) -> Mat {
         let m = self.vectors.nrows();
         let mut out = Mat::zeros(m, m);
-        // out = sum_j f(lambda_j) v_j v_j^T, accumulated column by column.
+        // out = sum_j f(lambda_j) v_j v_j^T, reading v_j as a row of Vᵀ.
+        let vt = self.vectors.transpose();
         for (j, &lam) in self.values.iter().enumerate() {
             let flam = f(lam);
-            if flam == 0.0 {
-                continue;
+            if flam != 0.0 {
+                out.rank1_update(flam, vt.row(j));
             }
-            let v = self.vectors.col(j);
-            out.rank1_update(flam, &v);
         }
         out.symmetrize();
         out
@@ -105,7 +111,7 @@ pub fn sym_eigen(a: &Mat) -> Result<SymEigen, LinalgError> {
     tred2_accumulate(&mut v, &mut d, &mut e);
     tql2(Some(&mut v), &mut d, &mut e)?;
     sort_ascending(Some(&mut v), &mut d);
-    Ok(SymEigen { values: d, vectors: v })
+    Ok(SymEigen { values: d, vectors: v.transpose() })
 }
 
 /// The eigenvalues of a symmetric matrix, ascending: [`SymEigen::values`]
@@ -171,85 +177,88 @@ fn validated_copy(a: &Mat) -> Result<Mat, LinalgError> {
     Ok(v)
 }
 
+/// Turn `d[..i]` into step `i`'s Householder vector as EISPACK `tred2`
+/// does, setting `e[i]` and clearing `e[..i]`. Returns `h`, or `None` with
+/// `e[i] = d[i − 1]` when `d[..i]` is zero.
+fn householder(d: &mut [f64], e: &mut [f64], i: usize) -> Option<f64> {
+    // Scale to avoid under/overflow.
+    let mut scale = 0.0;
+    for item in &d[..i] {
+        scale += item.abs();
+    }
+    if scale == 0.0 {
+        e[i] = d[i - 1];
+        return None;
+    }
+    let mut h = 0.0;
+    for item in &mut d[..i] {
+        *item /= scale;
+        h += *item * *item;
+    }
+    let f = d[i - 1];
+    let g = if f > 0.0 { -h.sqrt() } else { h.sqrt() };
+    e[i] = scale * g;
+    d[i - 1] = f - g;
+    e[..i].fill(0.0);
+    Some(h - f * g)
+}
+
 /// Householder reduction of symmetric `v` to tridiagonal form, phase one
 /// of EISPACK `tred2`: afterwards `v`'s diagonal holds the tridiagonal's
-/// diagonal, `e[1..]` its sub-diagonal, and `v`'s upper triangle and `d`
-/// the Householder data [`tred2_accumulate`] needs.
+/// diagonal, `e[1..]` its sub-diagonal, and `v`'s lower triangle (step `i`
+/// in row `i`) and `d` the Householder data [`tred2_accumulate`] needs.
 fn tred2_reduce(v: &mut Mat, d: &mut [f64], e: &mut [f64]) {
     let n = v.nrows();
-    for j in 0..n {
-        d[j] = v[(n - 1, j)];
-    }
-
+    d.copy_from_slice(v.row(n - 1));
+    let w = v.as_mut_slice();
     for i in (1..n).rev() {
-        // Scale to avoid under/overflow.
-        let mut scale = 0.0;
-        let mut h = 0.0;
-        for item in d.iter().take(i) {
-            scale += item.abs();
-        }
-        if scale == 0.0 {
-            e[i] = d[i - 1];
+        let Some(h) = householder(d, e, i) else {
             for j in 0..i {
-                d[j] = v[(i - 1, j)];
-                v[(i, j)] = 0.0;
-                v[(j, i)] = 0.0;
+                d[j] = w[j * n + i - 1];
+                w[i * n + j] = 0.0;
+                w[j * n + i] = 0.0;
             }
-        } else {
-            // Generate the Householder vector.
-            for item in d.iter_mut().take(i) {
-                *item /= scale;
-                h += *item * *item;
-            }
-            let f = d[i - 1];
-            let mut g = h.sqrt();
-            if f > 0.0 {
-                g = -g;
-            }
-            e[i] = scale * g;
-            h -= f * g;
-            d[i - 1] = f - g;
-            for item in e.iter_mut().take(i) {
-                *item = 0.0;
-            }
+            d[i] = 0.0;
+            continue;
+        };
+        w[i * n..i * n + i].copy_from_slice(&d[..i]);
 
-            // Apply the similarity transformation to the remaining rows.
-            for j in 0..i {
-                let f = d[j];
-                v[(j, i)] = f;
-                let mut g = e[j] + v[(j, j)] * f;
-                for k in (j + 1)..i {
-                    g += v[(k, j)] * d[k];
-                    e[k] += v[(k, j)] * f;
-                }
-                e[j] = g;
+        // Apply the similarity transformation to the remaining rows.
+        for j in 0..i {
+            let f = d[j];
+            let row = &w[j * n..j * n + i];
+            let mut g = e[j] + row[j] * f;
+            let (dk, ek) = (&d[j + 1..i], &mut e[j + 1..i]);
+            for ((&x, &dk), ek) in row[j + 1..].iter().zip(dk).zip(ek) {
+                g += x * dk;
+                *ek += x * f;
             }
-            let mut f = 0.0;
-            for j in 0..i {
-                e[j] /= h;
-                f += e[j] * d[j];
+            e[j] = g;
+        }
+        let mut f = 0.0;
+        for j in 0..i {
+            e[j] /= h;
+            f += e[j] * d[j];
+        }
+        let hh = f / (h + h);
+        for j in 0..i {
+            e[j] -= hh * d[j];
+        }
+        for j in 0..i {
+            let (f, g) = (d[j], e[j]);
+            let row = &mut w[j * n..(j + 1) * n];
+            for ((x, &ek), &dk) in row[j..i].iter_mut().zip(&e[j..i]).zip(&d[j..i]) {
+                *x -= f * ek + g * dk;
             }
-            let hh = f / (h + h);
-            for j in 0..i {
-                e[j] -= hh * d[j];
-            }
-            for j in 0..i {
-                let f = d[j];
-                let g = e[j];
-                for k in j..i {
-                    let upd = f * e[k] + g * d[k];
-                    v[(k, j)] -= upd;
-                }
-                d[j] = v[(i - 1, j)];
-                v[(i, j)] = 0.0;
-            }
+            d[j] = row[i - 1];
+            row[i] = 0.0;
         }
         d[i] = h;
     }
 }
 
 /// [`tred2_reduce`] for [`sym_eigenvalues`]: the same arithmetic on the
-/// working matrix's lower triangle and diagonal, with the similarity
+/// working matrix's upper triangle and diagonal, with the similarity
 /// transform restricted to the rows that can hold a nonzero. A row is live
 /// once the input has a nonzero in it or a Householder step has touched
 /// it (step `i` touches the live rows below `i` and row `i − 1`). A dead
@@ -265,39 +274,19 @@ fn tred2_reduce_live(v: &mut Mat, d: &mut [f64], e: &mut [f64]) {
     d.copy_from_slice(v.row(n - 1));
 
     for i in (1..n).rev() {
-        let mut scale = 0.0;
-        let mut h = 0.0;
-        for item in d.iter().take(i) {
-            scale += item.abs();
-        }
-        if scale == 0.0 {
-            e[i] = d[i - 1];
-        } else {
-            for item in d.iter_mut().take(i) {
-                *item /= scale;
-                h += *item * *item;
-            }
-            let f = d[i - 1];
-            let mut g = h.sqrt();
-            if f > 0.0 {
-                g = -g;
-            }
-            e[i] = scale * g;
-            h -= f * g;
-            d[i - 1] = f - g;
-            for item in e.iter_mut().take(i) {
-                *item = 0.0;
-            }
+        let h = householder(d, e, i);
+        if let Some(h) = h {
             live[i - 1] = true;
             rows.clear();
             rows.extend((0..i).filter(|&j| live[j]));
 
             for (a, &j) in rows.iter().enumerate() {
                 let f = d[j];
-                let mut g = e[j] + v[(j, j)] * f;
+                let row = v.row(j);
+                let mut g = e[j] + row[j] * f;
                 for &k in &rows[a + 1..] {
-                    g += v[(k, j)] * d[k];
-                    e[k] += v[(k, j)] * f;
+                    g += row[k] * d[k];
+                    e[k] += row[k] * f;
                 }
                 e[j] = g;
             }
@@ -310,59 +299,61 @@ fn tred2_reduce_live(v: &mut Mat, d: &mut [f64], e: &mut [f64]) {
             for &j in &rows {
                 e[j] -= hh * d[j];
             }
+            let w = v.as_mut_slice();
             for (a, &j) in rows.iter().enumerate() {
-                let f = d[j];
-                let g = e[j];
+                let (f, g) = (d[j], e[j]);
+                let row = &mut w[j * n..(j + 1) * n];
                 for &k in &rows[a..] {
-                    let upd = f * e[k] + g * d[k];
-                    v[(k, j)] -= upd;
+                    row[k] -= f * e[k] + g * d[k];
                 }
             }
         }
-        d[..i].copy_from_slice(&v.row(i - 1)[..i]);
-        d[i] = h;
+        for (j, dj) in d[..i].iter_mut().enumerate() {
+            *dj = v[(j, i - 1)];
+        }
+        d[i] = h.unwrap_or(0.0);
     }
 }
 
-/// Phase two of EISPACK `tred2`: overwrite `v` with the accumulated
-/// orthogonal transform of [`tred2_reduce`], `d` with the tridiagonal's
-/// diagonal and clear `e[0]`.
+/// Phase two of EISPACK `tred2`: overwrite `v` with the transpose of the
+/// accumulated orthogonal transform of [`tred2_reduce`], `d` with the
+/// tridiagonal's diagonal and clear `e[0]`.
 fn tred2_accumulate(v: &mut Mat, d: &mut [f64], e: &mut [f64]) {
     let n = v.nrows();
+    let w = v.as_mut_slice();
     for i in 0..(n - 1) {
-        v[(n - 1, i)] = v[(i, i)];
-        v[(i, i)] = 1.0;
+        w[i * n + n - 1] = w[i * n + i];
+        w[i * n + i] = 1.0;
         let h = d[i + 1];
+        let (done, rest) = w.split_at_mut((i + 1) * n);
+        let house = &mut rest[..=i];
         if h != 0.0 {
-            for k in 0..=i {
-                d[k] = v[(k, i + 1)] / h;
+            for (dk, &x) in d.iter_mut().zip(house.iter()) {
+                *dk = x / h;
             }
-            for j in 0..=i {
+            for row in done.chunks_exact_mut(n) {
                 let mut g = 0.0;
-                for k in 0..=i {
-                    g += v[(k, i + 1)] * v[(k, j)];
+                for (&x, &y) in house.iter().zip(&row[..=i]) {
+                    g += x * y;
                 }
-                for k in 0..=i {
-                    let upd = g * d[k];
-                    v[(k, j)] -= upd;
+                for (y, &dk) in row[..=i].iter_mut().zip(&d[..=i]) {
+                    *y -= g * dk;
                 }
             }
         }
-        for k in 0..=i {
-            v[(k, i + 1)] = 0.0;
-        }
+        house.fill(0.0);
     }
-    for j in 0..n {
-        d[j] = v[(n - 1, j)];
-        v[(n - 1, j)] = 0.0;
+    for (j, dj) in d.iter_mut().enumerate() {
+        *dj = w[j * n + n - 1];
+        w[j * n + n - 1] = 0.0;
     }
-    v[(n - 1, n - 1)] = 1.0;
+    w[n * n - 1] = 1.0;
     e[0] = 0.0;
 }
 
 /// Implicit-shift QL iteration on the tridiagonal (`d`, `e`), accumulating
-/// rotations into `v` when given. Port of EISPACK `tql2` with an added
-/// iteration cap. `d` and `e` never depend on `v`.
+/// rotations into the rows of `v` when given. Port of EISPACK `tql2` with
+/// an added iteration cap. `d` and `e` never depend on `v`.
 fn tql2(mut v: Option<&mut Mat>, d: &mut [f64], e: &mut [f64]) -> Result<(), LinalgError> {
     let n = d.len();
     if n == 1 {
@@ -439,12 +430,13 @@ fn tql2(mut v: Option<&mut Mat>, d: &mut [f64], e: &mut [f64]) -> Result<(), Lin
                 p = c * d[i] - s * g;
                 d[i + 1] = h + s * (c * g + s * d[i]);
 
-                // Accumulate the rotation into the eigenvector matrix.
+                // Accumulate the rotation into eigenvectors `i` and `i + 1`.
                 if let Some(v) = v.as_deref_mut() {
-                    for k in 0..n {
-                        let h = v[(k, i + 1)];
-                        v[(k, i + 1)] = s * v[(k, i)] + c * h;
-                        v[(k, i)] = c * v[(k, i)] - s * h;
+                    let (lo, hi) = v.as_mut_slice().split_at_mut((i + 1) * n);
+                    for (x, y) in lo[i * n..].iter_mut().zip(&mut hi[..n]) {
+                        let h = *y;
+                        *y = s * *x + c * h;
+                        *x = c * *x - s * h;
                     }
                 }
             }
@@ -462,11 +454,11 @@ fn tql2(mut v: Option<&mut Mat>, d: &mut [f64], e: &mut [f64]) -> Result<(), Lin
     Ok(())
 }
 
-/// Sort eigenvalues ascending, permuting eigenvector columns to match.
+/// Sort eigenvalues ascending, permuting the eigenvector rows of `v` to match.
 fn sort_ascending(mut v: Option<&mut Mat>, d: &mut [f64]) {
     let n = d.len();
-    // Selection sort: O(n^2) swaps on columns, negligible next to the O(n^3)
-    // factorization, and it keeps the column permutation simple.
+    // Selection sort: O(n^2) swaps of rows, negligible next to the O(n^3)
+    // factorization, and it keeps the permutation simple.
     for i in 0..n {
         let mut k = i;
         for j in (i + 1)..n {
@@ -477,11 +469,8 @@ fn sort_ascending(mut v: Option<&mut Mat>, d: &mut [f64]) {
         if k != i {
             d.swap(i, k);
             if let Some(v) = v.as_deref_mut() {
-                for r in 0..v.nrows() {
-                    let tmp = v[(r, i)];
-                    v[(r, i)] = v[(r, k)];
-                    v[(r, k)] = tmp;
-                }
+                let (lo, hi) = v.as_mut_slice().split_at_mut(k * n);
+                lo[i * n..(i + 1) * n].swap_with_slice(&mut hi[..n]);
             }
         }
     }
@@ -617,6 +606,21 @@ mod tests {
     }
 
     #[test]
+    fn vectors_are_columns() {
+        // V ≠ Vᵀ here, so returning the working rows untransposed fails.
+        let mut a = Mat::from_fn(5, 5, |i, j| ((i * 37 + j * 17 + 11) % 29) as f64 / 7.0 - 2.0);
+        a.symmetrize();
+        let eig = sym_eigen(&a).unwrap();
+        assert!(eig.vectors.sub(&eig.vectors.transpose()).max_abs() > 0.1);
+        for (j, &lam) in eig.values.iter().enumerate() {
+            let v = eig.vectors.col(j);
+            for (av, vi) in crate::gemm::matvec(&a, &v).iter().zip(&v) {
+                assert!((av - lam * vi).abs() < 1e-10, "column {j}: A·v ≠ λ·v");
+            }
+        }
+    }
+
+    #[test]
     fn values_only_path_is_bitwise_sym_eigen() {
         // Bitwise, except that an exact zero may differ in sign.
         let same = |a: &[f64], b: &[f64]| {
@@ -675,14 +679,9 @@ mod tests {
         let eig = sym_eigen(&a).unwrap();
         let e = eig.apply_fn(f64::exp);
         // exp of a diagonal matrix exponentiates the diagonal.
-        let diag_want = [1.0, std::f64::consts::E, 1.0 / std::f64::consts::E];
-        // Note: apply_fn returns entries in the original basis.
-        let mut got: Vec<f64> = (0..3).map(|i| e[(i, i)]).collect();
-        got.sort_by(f64::total_cmp);
-        let mut want = diag_want.to_vec();
-        want.sort_by(f64::total_cmp);
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g - w).abs() < 1e-12);
+        // apply_fn returns entries in the original basis.
+        for (i, want) in [1.0, std::f64::consts::E, (-1f64).exp()].iter().enumerate() {
+            assert!((e[(i, i)] - want).abs() < 1e-12);
         }
     }
 }
