@@ -104,7 +104,7 @@ use crate::solver::{
 };
 use crate::stats::{BracketStats, SolveStats};
 use psdp_expdot::{Engine, EngineKind};
-use psdp_linalg::{lambda_max_upper_bound, sym_eigen};
+use psdp_linalg::{lambda_max_upper_bound, sym_eigenvalues};
 use psdp_parallel::Cost;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -653,12 +653,12 @@ impl<'i, 's> MixedSession<'i, 's> {
                 // Feasible-side exit (coverage reached, cap, or observer):
                 // certify by measurement. Rescale so λmax(Σ xPᵢ) ≤ 1 holds
                 // exactly and report the measured coverage.
-                let lam_p = match sym_eigen(psi_p.matrix()) {
-                    Ok(e) => e.lambda_max(),
+                let lam_p = match sym_eigenvalues(psi_p.matrix()) {
+                    Ok(values) => values[values.len() - 1],
                     Err(_) => lambda_max_upper_bound(psi_p.matrix()),
                 };
-                let lam_c = match sym_eigen(psi_c.matrix()) {
-                    Ok(e) => e.lambda_min(),
+                let lam_c = match sym_eigenvalues(psi_c.matrix()) {
+                    Ok(values) => values[0],
                     // The soft-min bound is a certified fallback.
                     Err(_) => (sigma * smin).max(0.0),
                 };
@@ -738,21 +738,22 @@ impl<'i, 's> MixedSession<'i, 's> {
             .map(|&tr| inst.pack_dim() as f64 / tr.max(1e-300))
             .collect();
         let cap_cover = inst.cover().weighted_sum(&caps);
-        let hi_structural = sym_eigen(&cap_cover)?.lambda_min().max(0.0);
+        let hi_structural = sym_eigenvalues(&cap_cover)?[0].max(0.0);
 
         // Certified witness lower bound: xₖ = 1/(n·Tr Pₖ) has
         // λmax(Σ xPᵢ) ≤ Σ xₖ·Tr Pₖ = 1; tighten to packing norm 1 by
         // measurement and read off its coverage.
         let mut w: Vec<f64> =
             self.solver.pack_traces.iter().map(|&tr| 1.0 / (n as f64 * tr.max(1e-300))).collect();
-        let lam_w = sym_eigen(&inst.pack().weighted_sum(&w))?.lambda_max();
+        let lam_w =
+            *sym_eigenvalues(&inst.pack().weighted_sum(&w))?.last().expect("empty spectrum");
         if lam_w > 0.0 {
             let s = lam_w * (1.0 + 1e-9);
             for v in &mut w {
                 *v /= s;
             }
         }
-        let lo_witness = sym_eigen(&inst.cover().weighted_sum(&w))?.lambda_min();
+        let lo_witness = sym_eigenvalues(&inst.cover().weighted_sum(&w))?[0];
 
         // A NaN measurement is an eigensolver failure, not evidence: it
         // must never be laundered into the certified "σ* = 0" claim below.

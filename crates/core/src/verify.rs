@@ -57,8 +57,8 @@ pub fn verify_primal(inst: &PackingInstance, sol: &PrimalSolution, tol: f64) -> 
     match &sol.y {
         Some(y) => {
             let trace = y.trace();
-            let lambda_min = match sym_eigen(y) {
-                Ok(e) => e.lambda_min(),
+            let lambda_min = match sym_eigenvalues(y) {
+                Ok(values) => values[0],
                 Err(_) => f64::NEG_INFINITY,
             };
             let min_dot = inst.mats().iter().map(|a| a.dot_dense(y)).fold(f64::INFINITY, f64::min);
