@@ -1,9 +1,12 @@
-//! E4 / E5 — the `exp(Φ)•A` primitive: accuracy (Lemma 4.2 / Theorem 4.1)
-//! and near-linear work scaling (Corollary 1.2).
+//! E4 / E5 / E14 — the `exp(Φ)•A` primitive: accuracy (Lemma 4.2 /
+//! Theorem 4.1), near-linear work scaling (Corollary 1.2), and the wall
+//! clock of one evaluation per engine at large `m` (DESIGN.md §12).
 
+use super::median_wall;
 use crate::table::{f, Table};
 use psdp_expdot::{exp_dot_exact, Engine, EngineKind};
-use psdp_linalg::{sym_eigen, Mat};
+use psdp_linalg::{matmul, sym_eigen, Mat};
+use psdp_sparse::Csr;
 use psdp_workloads::{edge_packing, gnp, random_factorized, RandomFactorized};
 
 /// Random PSD `Φ` with `‖Φ‖₂ = kappa` exactly (rescaled spectrum).
@@ -121,6 +124,69 @@ pub fn e5_work_scaling() -> Table {
     t
 }
 
+/// Timed runs per E14 cell.
+const E14_REPS: usize = 3;
+
+/// E14 tables: the wall clock of one full `ExpDots` evaluation (all dots
+/// plus the trace) per engine on a random-factorized instance of dimension
+/// `m` (n = 8, rank 1, 3 nnz per column) with Φ scaled to κ = 16, passing
+/// Φ dense and, for the matvec engines, as a CSR operator through
+/// `compute_op`; then the blocked GEMM `A·A` at each of `gemm_dims`.
+pub fn e14_kernel_stack(m: usize, gemm_dims: &[usize]) -> Vec<Table> {
+    let mats = random_factorized(&RandomFactorized {
+        dim: m,
+        n: 8,
+        rank: 1,
+        nnz_per_col: 3,
+        width: 1.0,
+        seed: 5,
+    });
+    let mut phi = Mat::zeros(m, m);
+    for a in &mats {
+        a.add_scaled_into(&mut phi, 0.3);
+    }
+    phi.symmetrize();
+    let kappa = 16.0; // the solver's mid-bisection regime
+    let lam = sym_eigen(&phi).expect("eigen").lambda_max();
+    phi.scale(kappa / lam);
+    let sparse = Csr::from_dense(&phi, 0.0);
+
+    let mut engines = Table::new(
+        format!(
+            "E14: engine evaluation at m={m}, kappa={kappa} (one ExpDots = dots + trace; \
+             median of {E14_REPS})"
+        ),
+        &["engine", "dense Phi ms", "sparse-op Phi ms"],
+    );
+    for kind in [
+        EngineKind::Exact,
+        EngineKind::TaylorJl { eps: 0.25, sketch_const: 2.0 },
+        EngineKind::Expv { eps: 0.25 },
+    ] {
+        let eng = Engine::new(kind, &mats, 0).expect("engine");
+        let (dense, _) =
+            median_wall(E14_REPS, || eng.compute(&phi, kappa, &mats, 1).expect("evaluation"));
+        // The exact engine eigendecomposes a dense Φ; it has no operator path.
+        let op = (kind != EngineKind::Exact)
+            .then(|| median_wall(E14_REPS, || eng.compute_op(&sparse, kappa, 1)).0);
+        engines.row(vec![
+            kind.name().to_string(),
+            f(dense.as_secs_f64() * 1e3),
+            op.map_or_else(|| "-".into(), |d| f(d.as_secs_f64() * 1e3)),
+        ]);
+    }
+
+    let mut gemm = Table::new("E14: blocked GEMM, A*A (median of 10)", &["m", "gemm us"]);
+    for &d in gemm_dims {
+        let mut a = Mat::from_fn(d, d, |i, j| ((i * 31 + j * 17) % 13) as f64 / 13.0);
+        a.symmetrize();
+        a.add_diag(1.0);
+        let (t, _) = median_wall(10, || matmul(&a, &a));
+        gemm.row(vec![d.to_string(), f(t.as_secs_f64() * 1e6)]);
+    }
+    vec![engines, gemm]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,5 +224,14 @@ mod tests {
         assert!(qr > 8.0, "q range too small: {qr}");
         let rr = ratios.last().unwrap() / ratios.first().unwrap();
         assert!(rr < 4.0, "work/q grew {rr}x over a {qr}x q range");
+    }
+
+    /// Every engine evaluates on both Φ routes it supports at a small `m`,
+    /// and every GEMM size is timed.
+    #[test]
+    fn e14_times_every_engine_at_small_m() {
+        let tables = e14_kernel_stack(24, &[8]);
+        assert_eq!(tables[0].len(), 3);
+        assert_eq!(tables[1].len(), 1);
     }
 }

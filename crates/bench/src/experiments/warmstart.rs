@@ -13,8 +13,9 @@
 //! the E8 quality families in the serving configuration (no dense-`Y`
 //! accumulation): identical brackets, and substantially fewer total
 //! iterations (the cold path must ramp `‖x‖₁` from `‖x⁰‖₁ ≪ 1` up to `K`
-//! inside every bracket).
+//! inside every bracket). The wall-clock columns time each bisection once.
 
+use super::median_wall;
 use crate::table::{f, Table};
 use psdp_core::{ApproxOptions, PackingInstance, PackingReport, Solver};
 use psdp_workloads::{commuting_family, edge_packing, gnp, random_lp_diagonal};
@@ -62,13 +63,15 @@ pub fn e11_warmstart() -> Table {
             "iters saved",
             "cold evals",
             "warm evals",
+            "cold ms",
+            "warm ms",
             "bracket bitwise equal",
         ],
     );
 
     for (name, inst) in &e11_instances() {
-        let cold = bisect(inst, &opts, false);
-        let warm = bisect(inst, &opts, true);
+        let (cold_wall, cold) = median_wall(1, || bisect(inst, &opts, false));
+        let (warm_wall, warm) = median_wall(1, || bisect(inst, &opts, true));
         let identical = cold.value_lower.to_bits() == warm.value_lower.to_bits()
             && cold.value_upper.to_bits() == warm.value_upper.to_bits()
             && cold.decision_calls == warm.decision_calls
@@ -81,6 +84,8 @@ pub fn e11_warmstart() -> Table {
             f(1.0 - warm.total_iterations as f64 / cold.total_iterations.max(1) as f64),
             cold.total_engine_evals.to_string(),
             warm.total_engine_evals.to_string(),
+            f(cold_wall.as_secs_f64() * 1e3),
+            f(warm_wall.as_secs_f64() * 1e3),
             identical.to_string(),
         ]);
     }
@@ -103,8 +108,8 @@ mod tests {
         for line in t.render().lines().skip(3) {
             assert!(line.trim_end().ends_with("true"), "warm/cold diverged: {line}");
             let cells: Vec<&str> = line.split_whitespace().collect();
-            let cold: usize = cells[cells.len() - 6].parse().unwrap();
-            let warm: usize = cells[cells.len() - 5].parse().unwrap();
+            let cold: usize = cells[cells.len() - 8].parse().unwrap();
+            let warm: usize = cells[cells.len() - 7].parse().unwrap();
             cold_total += cold;
             warm_total += warm;
         }

@@ -31,7 +31,7 @@ USAGE:
   psdp solve FILE [--eps E] [--engine auto|exact|taylor|jl|expv] [--mode practical|strict] [--seed S] [--format auto|text|bin] [--json]
   psdp optimize FILE [--eps E] [--warm on|off] [--json]
   psdp mixed FILE [--eps E] [--engine auto|exact|taylor|jl|expv] [--seed S] [--warm on|off] [--json]
-  psdp serve [--max-in-flight N] [--cache on|off] [--max-line-bytes N] [--format auto|text|bin]   (JSONL requests on stdin)
+  psdp serve [--cache on|off] [--max-line-bytes N] [--format auto|text|bin]   (JSONL requests on stdin)
   psdp serve --listen [--shards N] [--queue-cap N] [--snapshot FILE] [--snapshot-keep N] [--cache on|off] [--max-line-bytes N] [--format auto|text|bin] [--shed-target-p99-ms MS]
   psdp serve --listen --bind tcp:ADDR:PORT|unix:PATH [--max-clients N] [--client-inflight N] [...same flags as --listen]
   psdp audit [--root PATH] [--config FILE] [--json] [--deny-warnings]

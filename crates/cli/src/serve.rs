@@ -153,7 +153,7 @@ fn utf8_lossy(bytes: Vec<u8>) -> String {
 }
 
 /// `psdp serve` flags without `--listen`.
-const ONE_SHOT_FLAGS: &[&str] = &["max-in-flight", "cache", "max-line-bytes", "format"];
+const ONE_SHOT_FLAGS: &[&str] = &["cache", "max-line-bytes", "format"];
 
 /// `psdp serve --listen` flags. Socket-only flags (`--bind`,
 /// `--max-clients`, `--client-inflight`) are accepted here too — the
@@ -179,8 +179,6 @@ struct ServeConfig {
     max_line_bytes: usize,
     fmt: Format,
     cache_enabled: bool,
-    /// One-shot scheduler workers (`0` = the pool width).
-    max_in_flight: usize,
     shards: usize,
     queue_cap: usize,
     snapshot_path: Option<String>,
@@ -212,7 +210,6 @@ fn serve_config(args: &Args, known: &[&str]) -> Result<ServeConfig, String> {
             "off" => false,
             other => return Err(format!("unknown --cache value `{other}` (on|off)")),
         },
-        max_in_flight: args.flag("max-in-flight", 0)?,
         shards: args.flag("shards", 4)?,
         queue_cap: args.flag("queue-cap", 1024)?,
         snapshot_path: args.opt_flag("snapshot").map(str::to_string),
@@ -299,11 +296,7 @@ pub fn serve_on(
     writer: &mut impl Write,
 ) -> Result<String, String> {
     let cfg = serve_config(args, ONE_SHOT_FLAGS)?;
-    let opts = SchedulerOptions {
-        max_in_flight: cfg.max_in_flight,
-        cache_enabled: cfg.cache_enabled,
-        ..SchedulerOptions::default()
-    };
+    let opts = SchedulerOptions { cache_enabled: cfg.cache_enabled, ..SchedulerOptions::default() };
     let requests = RequestReader::new(reader, cfg.fmt, cfg.max_line_bytes);
     Ok(summarize(&run_one_shot(requests, opts, writer)?))
 }
@@ -1361,8 +1354,7 @@ mod tests {
         assert!(
             serve_listen_on_input(&args(&["serve", "--listen", "--cache", "maybe"]), "").is_err()
         );
-        assert!(serve_listen_on_input(&args(&["serve", "--listen", "--max-in-flight", "2"]), "")
-            .is_err());
+        assert!(serve_on_input(&args(&["serve", "--shards", "2"]), "").is_err());
     }
 
     #[test]

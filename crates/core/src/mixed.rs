@@ -92,6 +92,14 @@
 //! driver's that the packing optimizer shares (`crate::bisect`): a warm
 //! attempt that fails to move the bracket is discarded, so warm starts
 //! never weaken the report.
+//!
+//! Unlike packing's, the mixed warm start is **not bitwise-neutral**: it
+//! changes which certified bracket is reported, not only its cost.
+//! Packing moves its bracket on quantized strong certificates, so warm and
+//! cold calls at one `σ` give the same bound bits; mixed bounds are
+//! measured values of the iterate a call ends at, and a warm call ends
+//! elsewhere. It stays on by default because it is cheaper and converges
+//! at least as often (DESIGN.md §9 has the measurement).
 
 use crate::bisect::{bisect, Attempt, Call, Family, Probe};
 use crate::error::PsdpError;
@@ -208,7 +216,11 @@ pub struct MixedApproxOptions {
     pub max_calls: usize,
     /// Warm-start each bracket after the first from the previous bracket's
     /// kept iterate (rescaled). Discarded when it fails to move the
-    /// bracket, so the report is certified either way.
+    /// bracket, so the report is certified either way. Unlike
+    /// [`crate::ApproxOptions::warm_start`], this switch changes which
+    /// certified bracket is reported, not only its cost: mixed bounds are
+    /// measured values of the iterate a call ends at (see the module docs
+    /// for why it stays on by default).
     pub warm_start: bool,
 }
 

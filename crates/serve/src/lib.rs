@@ -10,7 +10,7 @@
 //!   (decision / optimize / mixed), each with its own options, over
 //!   `Arc`-shared instances,
 //! * [`Scheduler`] — groups a batch by preparation fingerprint, executes
-//!   groups over the shared rayon pool with bounded in-flight concurrency,
+//!   groups over the shared rayon pool, one worker per pool thread,
 //!   and returns responses in submission order with per-request
 //!   [`ServeStats`] and an aggregate [`BatchReport`],
 //! * [`SolverCache`] — the fingerprint-keyed store amortizing solver
@@ -32,10 +32,9 @@
 //!   starving the rest.
 //!
 //! Determinism contract: responses are a function of the batch contents
-//! (plus prior batches on the same scheduler), never of submission order,
-//! pool width, or `max_in_flight`; the streaming service extends the same
-//! contract across shard counts and worker interleavings (see
-//! [`service`]). `tests/determinism.rs` at the workspace root pins this
+//! (plus prior batches on the same scheduler), never of submission order
+//! or pool width; the streaming service extends the same contract across
+//! shard counts and worker interleavings (see [`service`]). `tests/determinism.rs` at the workspace root pins this
 //! down bitwise. `DESIGN.md` §10 documents the cache-key soundness
 //! argument and §13 the service architecture.
 
@@ -386,21 +385,21 @@ mod tests {
                 )
             })
             .collect();
-        let digest = |max_in_flight: usize| -> Vec<String> {
-            let mut sched =
-                Scheduler::new(SchedulerOptions { max_in_flight, ..SchedulerOptions::default() });
-            let out = sched.run_batch(&requests).unwrap();
+        let digest = |width: usize| -> Vec<String> {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
+            let mut sched = Scheduler::new(SchedulerOptions::default());
+            let out = pool.install(|| sched.run_batch(&requests).unwrap());
             out.responses.iter().map(response_fingerprint).collect()
         };
         assert_eq!(digest(1), digest(4));
-        assert_eq!(digest(1), digest(0));
+        assert_eq!(digest(1), digest(2));
     }
 
     /// Idle workers claim groups, so the heavy group (first in canonical
     /// order) finishes last. Outcomes must still re-enter the cache in
     /// canonical order: with room for two fingerprints, the next batch
     /// finds exactly the last two canonical groups prepared, at every
-    /// in-flight bound.
+    /// pool width (one claiming worker per pool thread).
     #[test]
     fn claimed_groups_reenter_the_cache_in_canonical_order() {
         let mut insts: Vec<(u64, Arc<PackingInstance>)> = (0..4)
@@ -430,16 +429,16 @@ mod tests {
                 ServeRequest::decision(format!("again{k}"), Arc::clone(inst), 1.0, opts)
             })
             .collect();
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        for max_in_flight in [1, 2, 4] {
-            let opts = SchedulerOptions { max_in_flight, max_entries: 2, ..Default::default() };
-            let mut sched = Scheduler::new(opts);
+        for width in [1, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
+            let mut sched =
+                Scheduler::new(SchedulerOptions { max_entries: 2, ..Default::default() });
             let reused: Vec<bool> = pool.install(|| {
                 sched.run_batch(&first).unwrap();
                 let out = sched.run_batch(&second).unwrap();
                 out.responses.iter().map(|r| r.stats.prep_reused).collect()
             });
-            assert_eq!(reused, [false, false, true, true], "max_in_flight {max_in_flight}");
+            assert_eq!(reused, [false, false, true, true], "pool width {width}");
         }
     }
 

@@ -12,10 +12,10 @@
 //! Each request goes through the same executor as the streaming
 //! [`crate::Service`], which takes the entry from the group's previous
 //! request and hands it on to the next.
-//! Groups are queued in canonical (prep-hash) order and **claimed**: up to
-//! [`SchedulerOptions::max_in_flight`] workers (capped by the rayon pool
-//! width) each take the next unclaimed group whenever they go idle, so one
-//! heavy group occupies one worker while the others drain the rest.
+//! Groups are queued in canonical (prep-hash) order and **claimed**: one
+//! worker per thread of the current rayon pool takes the next unclaimed
+//! group whenever it goes idle, so one heavy group occupies one worker
+//! while the others drain the rest.
 //! Outcomes are put back in canonical order before cached entries are
 //! re-inserted. Because requests run **in request-id order** within a
 //! group, which request pays the cold costs — and every response
@@ -54,12 +54,8 @@ use std::time::{Duration, Instant};
 /// Scheduler configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedulerOptions {
-    /// Upper bound on groups solved concurrently (`0` = the rayon pool
-    /// width). Concurrency never changes results, only wall clock.
-    pub max_in_flight: usize,
     /// Master switch for the fingerprint cache. Off = every request is its
-    /// own cold group (the baseline the `serve_throughput` bench compares
-    /// against).
+    /// own cold group (the baseline experiment E13 compares against).
     pub cache_enabled: bool,
     /// Cache capacity in fingerprints (deterministic LRU eviction).
     pub max_entries: usize,
@@ -69,12 +65,7 @@ pub struct SchedulerOptions {
 
 impl Default for SchedulerOptions {
     fn default() -> Self {
-        SchedulerOptions {
-            max_in_flight: 0,
-            cache_enabled: true,
-            max_entries: 256,
-            memo_per_entry: 64,
-        }
+        SchedulerOptions { cache_enabled: true, max_entries: 256, memo_per_entry: 64 }
     }
 }
 
@@ -322,13 +313,9 @@ impl Scheduler {
             }
         }
 
-        // Bounded in-flight concurrency: `budget` workers claim groups.
-        let width = rayon::current_num_threads();
-        let budget = if self.opts.max_in_flight == 0 {
-            width
-        } else {
-            self.opts.max_in_flight.min(width).max(1)
-        };
+        // One worker per pool thread claims groups; concurrency never
+        // changes results, only wall clock.
+        let budget = rayon::current_num_threads();
         let memo_cap = self.opts.memo_per_entry;
         let keep_entries = self.opts.cache_enabled;
         let group_count = work.len();

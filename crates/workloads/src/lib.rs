@@ -13,7 +13,7 @@
 //! * [`mixed`] — mixed packing–covering instances (diagonal-embedded LPs
 //!   and graph edge-cover families) for the Jain–Yao solver,
 //! * [`stream`] — zipf-repeated serving request streams for the
-//!   `psdp-serve` scheduler and the `serve_throughput` bench.
+//!   `psdp-serve` scheduler and experiments E13/E15.
 
 #![warn(missing_docs)]
 

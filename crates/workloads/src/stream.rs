@@ -1,5 +1,5 @@
 //! Serving request streams: zipf-repeated instance traffic for the
-//! `psdp-serve` scheduler and the `serve_throughput` bench.
+//! `psdp-serve` scheduler and experiments E13/E15.
 //!
 //! Real serving traffic is heavy-tailed — a few popular instances receive
 //! most of the requests (repeat dashboards, retried jobs, parameter

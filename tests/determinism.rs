@@ -274,25 +274,6 @@ fn serve_responses_bitwise_across_submission_orders() {
     assert_eq!(keyed(&forward), keyed(&inter), "interleave changed a response");
 }
 
-/// The scheduler's bounded concurrency knob is wall-clock-only: any
-/// `max_in_flight` must reproduce the stream bitwise.
-#[test]
-fn serve_responses_bitwise_across_in_flight_bounds() {
-    let input = serve_batch_jsonl();
-    let run_bounded = |n: usize| {
-        let args = psdp_cli::args::Args::parse(&[
-            "serve".to_string(),
-            "--max-in-flight".to_string(),
-            n.to_string(),
-        ])
-        .unwrap();
-        psdp_cli::serve::serve_on_input(&args, &input).expect("serve runs").stdout
-    };
-    let one = run_bounded(1);
-    let four = run_bounded(4);
-    assert_eq!(one, four, "max-in-flight changed the stream");
-}
-
 /// A batch whose heaviest fingerprint group sorts **first** in the
 /// scheduler's canonical (prep-hash) order: five `optimize` requests at
 /// distinct eps on one instance (five solves, bracket continuations), then
@@ -334,36 +315,25 @@ fn heavy_first_batch_jsonl() -> String {
 
 /// Groups are claimed by whichever worker is idle, so with the heaviest
 /// group first one worker runs it while the others drain the rest. The
-/// bytes must not see that: every pool width {1, 2, 4} × in-flight bound
-/// {1, 2} reproduces the fully sequential run (pool 1, one group at a
-/// time) bitwise.
+/// bytes must not see that: every pool width {2, 4} (one claiming worker
+/// per pool thread) reproduces the fully sequential run (pool 1, one group
+/// at a time) bitwise.
 #[test]
 fn serve_responses_bitwise_with_claimed_groups() {
     let input = heavy_first_batch_jsonl();
-    let run = |threads: usize, in_flight: usize| {
-        let args = psdp_cli::args::Args::parse(&[
-            "serve".to_string(),
-            "--max-in-flight".to_string(),
-            in_flight.to_string(),
-        ])
-        .unwrap();
+    let args = psdp_cli::args::Args::parse(&["serve".to_string()]).unwrap();
+    let run = |threads: usize| {
         run_with_threads(threads, || {
             psdp_cli::serve::serve_on_input(&args, &input).expect("serve runs").stdout
         })
     };
-    let sequential = run(1, 1);
+    let sequential = run(1);
     assert_eq!(sequential.lines().count(), 13, "{sequential}");
     assert!(!sequential.contains("\"error\""), "{sequential}");
     assert_eq!(sequential.matches("\"memoized\":true").count(), 4, "{sequential}");
     assert_eq!(sequential.matches("\"bracket_injected\":true").count(), 4, "{sequential}");
-    for threads in [1usize, 2, 4] {
-        for in_flight in [1usize, 2] {
-            assert_eq!(
-                run(threads, in_flight),
-                sequential,
-                "stream changed at pool {threads}, max-in-flight {in_flight}"
-            );
-        }
+    for threads in [2usize, 4] {
+        assert_eq!(run(threads), sequential, "stream changed at pool {threads}");
     }
 }
 
