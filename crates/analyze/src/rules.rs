@@ -18,7 +18,8 @@ use crate::lexer::{Comment, Tok, TokKind};
 use crate::report::{Finding, Severity, UnsafeSite};
 
 /// Crates whose non-test code must stay deterministic (D1/D2/D3).
-const DET_CRATES: &[&str] = &["core", "expdot", "linalg", "sparse", "mmw", "parallel", "serve"];
+const DET_CRATES: &[&str] =
+    &["core", "expdot", "linalg", "sparse", "baselines", "parallel", "serve"];
 
 /// Request-path files (R1): everything between raw client bytes and a
 /// rendered response.

@@ -2,20 +2,23 @@
 //! style) — the baseline the width-independence experiment (E3) contrasts
 //! against.
 //!
-//! To test "packing OPT ≥ 1" the algorithm plays the MMW game with the
-//! best-response oracle: at each round it puts unit mass on the coordinate
-//! minimizing `Aᵢ • P(t)` and incurs the gain `M(t) = A_{i(t)} / ρ`, where
-//! `ρ = maxᵢ λmax(Aᵢ)` is the **width**. If the oracle ever fails
+//! To test "packing OPT ≥ 1" the algorithm plays the MMW game ([`MmwGame`])
+//! with the best-response oracle: at each round it puts unit mass on the
+//! coordinate minimizing `Aᵢ • P(t)` and incurs the gain
+//! `M(t) = A_{i(t)} / ρ`, where `ρ = maxᵢ λmax(Aᵢ)` is the **width**. If the oracle ever fails
 //! (`minᵢ Aᵢ•P > 1+ε`), the current `P` is a covering certificate. Otherwise
 //! after `T = ⌈c·ρ·ln(m)/ε²⌉` rounds the Theorem 2.1 regret bound makes the
 //! average response nearly feasible; feasibility of the returned `x̄` is then
-//! certified by measuring `λmax(Σ x̄ᵢAᵢ)` and rescaling.
+//! certified by measuring `λmax(Σ x̄ᵢAᵢ)` and rescaling. The result carries
+//! the final game, so the regret bound itself can be checked on the gains
+//! the run played.
 //!
 //! Iterations scale **linearly with the width ρ** — exactly the dependence
 //! the paper's algorithm removes (its Section 1.1 motivation).
 
+use crate::matrix_mw::MmwGame;
 use psdp_core::{PackingInstance, PsdpError};
-use psdp_linalg::{sym_eigen, Mat};
+use psdp_linalg::sym_eigen;
 
 /// Outcome of the width-dependent decision procedure.
 #[derive(Debug, Clone)]
@@ -45,6 +48,9 @@ pub struct AkResult {
     pub width: f64,
     /// The iteration budget `T` implied by the width.
     pub budget: usize,
+    /// The MMW game in its final state, for checking the Theorem 2.1
+    /// regret bound on the gains this run played.
+    pub game: MmwGame,
 }
 
 /// Run the width-dependent decision procedure at threshold 1.
@@ -70,22 +76,14 @@ pub fn ak_decision(
     let t_sched = (4.0 * width * (m.max(2) as f64).ln() / (eps0 * eps * 0.25)).ceil() as usize;
     let budget = t_sched.clamp(1, budget_cap);
 
-    // MMW state: cumulative gain Σ M(τ), P = exp(ε₀·Σ M)/tr.
-    let mut gain_sum = Mat::zeros(m, m);
+    let mut game = MmwGame::new(m, eps0);
     let mut counts = vec![0.0_f64; n];
 
     for t in 0..budget {
-        // P(t) from the cumulative gains (spectral shift for safety).
-        let mut scaled = gain_sum.clone();
-        scaled.scale(eps0);
-        scaled.symmetrize();
-        let eig = sym_eigen(&scaled)?;
-        let shift = eig.lambda_max();
-        let w = eig.apply_fn(|lam| (lam - shift).exp());
-        let p = w.scaled(1.0 / w.trace());
+        let p = game.probability_matrix()?;
 
         // Best-response oracle.
-        let dots: Vec<f64> = inst.mats().iter().map(|a| a.dot_dense(&p)).collect();
+        let dots: Vec<f64> = inst.mats().iter().map(|a| a.dot_dense(p)).collect();
         let (best, best_dot) =
             dots.iter().copied().enumerate().min_by(|a, b| a.1.total_cmp(&b.1)).expect("nonempty");
         if best_dot > 1.0 + eps {
@@ -94,10 +92,11 @@ pub fn ak_decision(
                 iterations: t + 1,
                 width,
                 budget,
+                game,
             });
         }
         // Incur gain A_best / ρ (‖M‖ ≤ 1 by the width definition).
-        inst.mats()[best].add_scaled_into(&mut gain_sum, 1.0 / width);
+        game.play(&inst.mats()[best], 1.0 / width)?;
         counts[best] += 1.0;
     }
 
@@ -111,12 +110,13 @@ pub fn ak_decision(
         *v /= scale;
     }
     let value = x.iter().sum();
-    Ok(AkResult { outcome: AkOutcome::Dual { x, value }, iterations: budget, width, budget })
+    Ok(AkResult { outcome: AkOutcome::Dual { x, value }, iterations: budget, width, budget, game })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psdp_linalg::Mat;
     use psdp_sparse::PsdMatrix;
 
     fn diag_instance(rows: &[&[f64]]) -> PackingInstance {

@@ -13,26 +13,28 @@
 //!   (1+ε₀) Σ_t M⁽ᵗ⁾ • P⁽ᵗ⁾  ≥  λmax(Σ_t M⁽ᵗ⁾) − ln(m)/ε₀.
 //! ```
 //!
-//! This standalone implementation exists for three reasons: it documents the
-//! mechanism the solver's convergence proof runs through, it is property-
-//! tested against the regret bound directly (the bound is the *only* fact
-//! Lemma 3.2 needs from the framework), and the width-dependent baseline
-//! solver is built on it.
+//! The game documents the mechanism the solver's convergence proof runs
+//! through, it is property-tested against the regret bound directly (the
+//! bound is the *only* fact Lemma 3.2 needs from the framework), and the
+//! width-dependent baseline solver is built on it: [`crate::ak`] reads
+//! `P⁽ᵗ⁾`, picks its best response, and plays that constraint as the gain,
+//! so the regret bound can be checked on the gains E3 really plays.
 
 use psdp_linalg::{sym_eigen, LinalgError, Mat};
+use psdp_sparse::PsdMatrix;
 
 /// State of a matrix multiplicative weights game.
 ///
 /// ```
-/// use psdp_mmw::MmwGame;
-/// use psdp_linalg::Mat;
+/// use psdp_baselines::MmwGame;
+/// use psdp_sparse::PsdMatrix;
 ///
 /// let mut game = MmwGame::new(2, 0.5);
 /// // Feed the same rank-1 gain repeatedly: weights concentrate on it, and
 /// // the Theorem 2.1 regret bound holds throughout.
-/// let gain = Mat::from_diag(&[1.0, 0.0]);
+/// let gain = PsdMatrix::Diagonal(vec![1.0, 0.0]);
 /// for _ in 0..20 {
-///     game.play(&gain)?;
+///     game.play(&gain, 1.0)?;
 /// }
 /// let p = game.probability_matrix()?;
 /// assert!(p[(0, 0)] > 0.95);
@@ -48,8 +50,8 @@ pub struct MmwGame {
     gain_sum: Mat,
     /// Running sum of observed gains `Σ M⁽ᵗ⁾ • P⁽ᵗ⁾`.
     observed_gain: f64,
-    /// Rounds played.
-    rounds: usize,
+    /// `P⁽ᵗ⁾` of the current round, once read; cleared by [`MmwGame::play`].
+    p: Option<Mat>,
 }
 
 impl MmwGame {
@@ -59,60 +61,57 @@ impl MmwGame {
     /// Panics unless `0 < eps0 ≤ 1/2` (the Theorem 2.1 regime).
     pub fn new(dim: usize, eps0: f64) -> Self {
         assert!(eps0 > 0.0 && eps0 <= 0.5, "MMW needs 0 < eps0 <= 1/2, got {eps0}");
-        MmwGame { eps0, dim, gain_sum: Mat::zeros(dim, dim), observed_gain: 0.0, rounds: 0 }
+        MmwGame { eps0, dim, gain_sum: Mat::zeros(dim, dim), observed_gain: 0.0, p: None }
     }
 
-    /// The current probability matrix `P = exp(ε₀ ΣM) / Tr[exp(ε₀ ΣM)]`.
+    /// The current round's probability matrix
+    /// `P = exp(ε₀ ΣM) / Tr[exp(ε₀ ΣM)]`.
     ///
-    /// Computed with a spectral shift so large cumulative gains cannot
-    /// overflow.
+    /// One eigendecomposition per round: the first read computes `P` (with
+    /// a spectral shift so large cumulative gains cannot overflow), later
+    /// reads and the round's [`MmwGame::play`] reuse it.
     ///
     /// # Errors
     /// Propagates eigensolver failures.
-    pub fn probability_matrix(&self) -> Result<Mat, LinalgError> {
-        let mut scaled = self.gain_sum.clone();
-        scaled.scale(self.eps0);
-        scaled.symmetrize();
-        let eig = sym_eigen(&scaled)?;
-        let shift = eig.lambda_max();
-        let w = eig.apply_fn(|lam| (lam - shift).exp());
-        let tr = w.trace();
-        Ok(w.scaled(1.0 / tr))
+    pub fn probability_matrix(&mut self) -> Result<&Mat, LinalgError> {
+        let p = match self.p.take() {
+            Some(p) => p,
+            None => {
+                let mut scaled = self.gain_sum.clone();
+                scaled.scale(self.eps0);
+                scaled.symmetrize();
+                let eig = sym_eigen(&scaled)?;
+                let shift = eig.lambda_max();
+                let w = eig.apply_fn(|lam| (lam - shift).exp());
+                w.scaled(1.0 / w.trace())
+            }
+        };
+        Ok(self.p.insert(p))
     }
 
-    /// Play one round: observe `P⁽ᵗ⁾`, incur the gain `M⁽ᵗ⁾`, update state.
-    /// Returns the scalar gain `M⁽ᵗ⁾ • P⁽ᵗ⁾` of this round.
+    /// Play one round: incur the gain `M⁽ᵗ⁾ = scale · gain` against `P⁽ᵗ⁾`
+    /// and update the state.
     ///
-    /// `m_gain` should satisfy `0 ⪯ M ⪯ I` for the regret bound to hold; this
-    /// is the caller's contract (checked only in debug builds, where it costs
+    /// `M` should satisfy `0 ⪯ M ⪯ I` for the regret bound to hold; this is
+    /// the caller's contract (checked only in debug builds, where it costs
     /// an eigendecomposition).
     ///
     /// # Errors
     /// Propagates eigensolver failures.
-    pub fn play(&mut self, m_gain: &Mat) -> Result<f64, LinalgError> {
-        assert_eq!(m_gain.nrows(), self.dim, "gain dimension mismatch");
+    pub fn play(&mut self, gain: &PsdMatrix, scale: f64) -> Result<(), LinalgError> {
+        assert_eq!(gain.dim(), self.dim, "gain dimension mismatch");
         #[cfg(debug_assertions)]
         {
-            let eig = sym_eigen(m_gain)?;
+            let mut m = Mat::zeros(self.dim, self.dim);
+            gain.add_scaled_into(&mut m, scale);
+            let eig = sym_eigen(&m)?;
             debug_assert!(eig.lambda_min() > -1e-8, "gain not PSD: {}", eig.lambda_min());
             debug_assert!(eig.lambda_max() < 1.0 + 1e-8, "gain exceeds I: {}", eig.lambda_max());
         }
-        let p = self.probability_matrix()?;
-        let g = m_gain.dot(&p);
-        self.observed_gain += g;
-        self.gain_sum.axpy(1.0, m_gain);
-        self.rounds += 1;
-        Ok(g)
-    }
-
-    /// Rounds played so far.
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-
-    /// Accumulated observed gain `Σ_t M⁽ᵗ⁾ • P⁽ᵗ⁾`.
-    pub fn observed_gain(&self) -> f64 {
-        self.observed_gain
+        self.observed_gain += scale * gain.dot_dense(self.probability_matrix()?);
+        gain.add_scaled_into(&mut self.gain_sum, scale);
+        self.p = None;
+        Ok(())
     }
 
     /// The two sides of the Theorem 2.1 regret bound,
@@ -135,7 +134,7 @@ mod tests {
 
     #[test]
     fn probability_matrix_starts_uniform() {
-        let g = MmwGame::new(4, 0.5);
+        let mut g = MmwGame::new(4, 0.5);
         let p = g.probability_matrix().unwrap();
         for i in 0..4 {
             assert!((p[(i, i)] - 0.25).abs() < 1e-12);
@@ -150,9 +149,9 @@ mod tests {
     #[test]
     fn probability_matrix_trace_one_always() {
         let mut g = MmwGame::new(3, 0.3);
-        let gain = Mat::from_diag(&[1.0, 0.5, 0.0]);
+        let gain = PsdMatrix::Diagonal(vec![1.0, 0.5, 0.0]);
         for _ in 0..5 {
-            g.play(&gain).unwrap();
+            g.play(&gain, 1.0).unwrap();
             let p = g.probability_matrix().unwrap();
             assert!((p.trace() - 1.0).abs() < 1e-10);
         }
@@ -161,9 +160,9 @@ mod tests {
     #[test]
     fn weights_concentrate_on_high_gain_direction() {
         let mut g = MmwGame::new(2, 0.5);
-        let gain = Mat::from_diag(&[1.0, 0.0]);
+        let gain = PsdMatrix::Diagonal(vec![1.0, 0.0]);
         for _ in 0..30 {
-            g.play(&gain).unwrap();
+            g.play(&gain, 1.0).unwrap();
         }
         let p = g.probability_matrix().unwrap();
         assert!(p[(0, 0)] > 0.99, "should concentrate on coordinate 0: {}", p[(0, 0)]);
@@ -174,12 +173,12 @@ mod tests {
         // Alternating adversary on diagonal gains.
         let mut g = MmwGame::new(3, 0.25);
         let gains = [
-            Mat::from_diag(&[1.0, 0.0, 0.3]),
-            Mat::from_diag(&[0.0, 1.0, 0.3]),
-            Mat::from_diag(&[0.2, 0.2, 1.0]),
+            PsdMatrix::Diagonal(vec![1.0, 0.0, 0.3]),
+            PsdMatrix::Diagonal(vec![0.0, 1.0, 0.3]),
+            PsdMatrix::Diagonal(vec![0.2, 0.2, 1.0]),
         ];
         for t in 0..60 {
-            g.play(&gains[t % 3]).unwrap();
+            g.play(&gains[t % 3], 1.0).unwrap();
         }
         let (lhs, rhs) = g.regret_bound_sides().unwrap();
         assert!(lhs >= rhs - 1e-9, "regret bound violated: {lhs} < {rhs}");
@@ -189,16 +188,17 @@ mod tests {
     fn regret_bound_holds_rotating_adversary() {
         // Non-commuting gains exercise the genuinely "matrix" part.
         let mut g = MmwGame::new(2, 0.5);
-        let m1 = Mat::from_rows(&[&[0.5, 0.5], &[0.5, 0.5]]); // projector onto (1,1)/√2
-        let m2 = Mat::from_rows(&[&[0.5, -0.5], &[-0.5, 0.5]]); // projector onto (1,-1)/√2
-        let m3 = Mat::from_diag(&[1.0, 0.0]);
+        // Projectors onto (1,1)/√2, (1,-1)/√2 and e₁.
+        let m1 = PsdMatrix::Dense(Mat::from_rows(&[&[0.5, 0.5], &[0.5, 0.5]]));
+        let m2 = PsdMatrix::Dense(Mat::from_rows(&[&[0.5, -0.5], &[-0.5, 0.5]]));
+        let m3 = PsdMatrix::Diagonal(vec![1.0, 0.0]);
         for t in 0..45 {
             let m = match t % 3 {
                 0 => &m1,
                 1 => &m2,
                 _ => &m3,
             };
-            g.play(m).unwrap();
+            g.play(m, 1.0).unwrap();
         }
         let (lhs, rhs) = g.regret_bound_sides().unwrap();
         assert!(lhs >= rhs - 1e-9, "regret bound violated: {lhs} < {rhs}");

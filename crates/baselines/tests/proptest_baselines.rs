@@ -1,8 +1,12 @@
 //! Property tests for the baselines: simplex optimality/feasibility and
-//! the Young LP solver's guarantee band, on random positive LPs.
+//! the Young LP solver's guarantee band, on random positive LPs; and the
+//! MMW game's Theorem 2.1 regret bound against randomized adversaries, with
+//! its diagonal case checked against the closed-form softmax (Hedge).
 
 use proptest::prelude::*;
-use psdp_baselines::{packing_lp_opt, simplex_max, young_packing_lp, LpResult};
+use psdp_baselines::{packing_lp_opt, simplex_max, young_packing_lp, LpResult, MmwGame};
+use psdp_linalg::Mat;
+use psdp_sparse::PsdMatrix;
 
 /// Random positive packing LP columns: n columns × m rows, nonnegative,
 /// each column has at least one entry ≥ 0.1.
@@ -98,5 +102,69 @@ proptest! {
         let LpResult::Optimal { value: halved, .. } =
             simplex_max(&a, &vec![0.5; m], &vec![1.0; n]) else { return Ok(()); };
         prop_assert!((halved - base * 0.5).abs() < 1e-7 * (1.0 + base));
+    }
+}
+
+/// A random PSD gain with ‖M‖ ≤ 1: a unit rank-1 projector.
+fn gain(dim: usize, coords: &[f64]) -> PsdMatrix {
+    let mut v: Vec<f64> = coords.iter().take(dim).cloned().collect();
+    while v.len() < dim {
+        v.push(0.1);
+    }
+    let norm: f64 = v.iter().map(|x| x * x).sum::<f64>().sqrt().max(1e-9);
+    for x in &mut v {
+        *x /= norm;
+    }
+    let mut g = Mat::zeros(dim, dim);
+    g.rank1_update(1.0, &v); // unit projector: eigenvalues {1, 0…}
+    PsdMatrix::Dense(g)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Theorem 2.1 against random rank-1 adversaries.
+    #[test]
+    fn regret_bound_random_adversary(
+        dim in 2usize..5,
+        eps0 in 0.05_f64..0.5,
+        seeds in proptest::collection::vec(proptest::collection::vec(-1.0_f64..1.0, 5), 10..40),
+    ) {
+        let mut game = MmwGame::new(dim, eps0);
+        for s in &seeds {
+            game.play(&gain(dim, s), 1.0).unwrap();
+        }
+        let (lhs, rhs) = game.regret_bound_sides().unwrap();
+        prop_assert!(lhs >= rhs - 1e-8, "regret violated: {lhs} < {rhs}");
+    }
+
+    /// Diagonal gains: the matrix game is Hedge. Its probability matrix is
+    /// diagonal, with the softmax `exp(ε₀·Σg) / Z` on the diagonal.
+    #[test]
+    fn matrix_game_specializes_to_hedge(
+        n in 2usize..5,
+        rounds in proptest::collection::vec(proptest::collection::vec(0.0_f64..1.0, 5), 3..12),
+    ) {
+        let eps0 = 0.4;
+        let mut g = MmwGame::new(n, eps0);
+        let mut gain_sum = vec![0.0_f64; n];
+        for r in &rounds {
+            let weights: Vec<f64> = gain_sum.iter().map(|s| (eps0 * s).exp()).collect();
+            let z: f64 = weights.iter().sum();
+            let p = g.probability_matrix().unwrap();
+            for i in 0..n {
+                prop_assert!((weights[i] / z - p[(i, i)]).abs() < 1e-8);
+                for j in 0..n {
+                    if i != j {
+                        prop_assert!(p[(i, j)].abs() < 1e-10, "off-diagonal leakage");
+                    }
+                }
+            }
+            let gains = &r[..n];
+            g.play(&PsdMatrix::Diagonal(gains.to_vec()), 1.0).unwrap();
+            for (s, x) in gain_sum.iter_mut().zip(gains) {
+                *s += x;
+            }
+        }
     }
 }

@@ -5,9 +5,8 @@
 //! schedule (and measured iterations) grows with `ρ`.
 
 use crate::table::{f, Table};
-use psdp_baselines::{ak_decision, AkOutcome};
-use psdp_core::{DecisionOptions, Outcome, PackingInstance, Solver};
-use psdp_mmw::width_dependent_iterations;
+use psdp_baselines::ak_decision;
+use psdp_core::{width_dependent_iterations, DecisionOptions, Outcome, PackingInstance, Solver};
 use psdp_workloads::{random_factorized, RandomFactorized};
 
 /// One practical-constants decision solve through the session API.
@@ -45,16 +44,11 @@ pub fn e3_width_independence() -> Table {
             Outcome::Primal(p) => 1.0 / p.min_dot.max(1e-12),
         };
         let ak = ak_decision(&inst, eps, 400_000).expect("ak");
-        let ak_iters = ak.iterations;
-        let _ = match ak.outcome {
-            AkOutcome::Dual { value, .. } => value,
-            AkOutcome::Primal { .. } => f64::NAN,
-        };
         t.row(vec![
             f(w),
             ours.stats.iterations.to_string(),
             f(ours_val),
-            ak_iters.to_string(),
+            ak.iterations.to_string(),
             ak.budget.to_string(),
             f(width_dependent_iterations(w.max(1.0), 10, eps)),
         ]);

@@ -22,7 +22,9 @@
 //!   fixed sparsity pattern for the `Expv` engine,
 //! * [`options`] — solver configuration (paper-strict vs practical
 //!   constants, engines including auto-selection, update-rule variants),
-//! * [`solution`] / [`stats`] — certified outcomes and telemetry.
+//! * [`solution`] / [`stats`] — certified outcomes and telemetry,
+//! * [`theory`] — the paper's constants `(K, α, R)` and the closed-form
+//!   iteration bounds of Section 1.1's complexity comparison.
 //!
 //! Architecture and experiment index: see `DESIGN.md` at the repository
 //! root (§8 covers the Solver/Session/Observer design); recorded
@@ -44,6 +46,7 @@ pub mod psi;
 pub mod solution;
 pub mod solver;
 pub mod stats;
+pub mod theory;
 pub mod verify;
 
 pub use approx::{solve_covering, solve_packing, ApproxOptions, CoveringReport, PackingReport};
@@ -72,6 +75,9 @@ pub use solver::{
     IterationEvent, Observer, ObserverControl, PhaseEvent, Session, Solver, SolverBuilder,
 };
 pub use stats::{BracketStats, SolveStats};
+pub use theory::{
+    jain_yao_iterations, ours_decision_iterations, paper_constants, width_dependent_iterations,
+};
 pub use verify::{
     verify_dual, verify_mixed_feasible, verify_mixed_infeasible, verify_primal, DualCertificate,
     MixedFeasibleCertificate, MixedInfeasibleCertificate, PrimalCertificate,

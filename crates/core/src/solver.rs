@@ -86,9 +86,9 @@ use crate::options::{ConstantsMode, DecisionOptions, UpdateRule};
 use crate::psi::{PsiMaintainer, PsiPattern};
 use crate::solution::{DualSolution, ExitReason, Outcome, PrimalSolution};
 use crate::stats::SolveStats;
+use crate::theory::paper_constants;
 use psdp_expdot::{Engine, EngineKind, ExpDots};
 use psdp_linalg::{lambda_max_upper_bound, sym_eigenvalues, vecops, Mat};
-use psdp_mmw::paper_constants;
 use psdp_parallel::Cost;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;

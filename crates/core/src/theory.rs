@@ -39,12 +39,6 @@ pub fn ours_decision_iterations(n: usize, eps: f64) -> f64 {
     paper_constants(n, eps).r_cap
 }
 
-/// Total iterations of `approxPSDP` = decision bound × `O(log n)` binary
-/// search calls (Lemma 2.2; we charge `log₂(n/ε)` calls).
-pub fn ours_total_iterations(n: usize, eps: f64) -> f64 {
-    ours_decision_iterations(n, eps) * (n as f64 / eps).log2().max(1.0)
-}
-
 /// Jain–Yao 2011 iteration bound `ε⁻¹³ log¹³ m · log n` (constant 1).
 pub fn jain_yao_iterations(m: usize, n: usize, eps: f64) -> f64 {
     assert!(eps > 0.0 && eps < 1.0);
@@ -117,13 +111,5 @@ mod tests {
         let a = width_dependent_iterations(2.0, 64, 0.1);
         let b = width_dependent_iterations(4.0, 64, 0.1);
         assert!((b / a - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn total_includes_binary_search_factor() {
-        let d = ours_decision_iterations(128, 0.2);
-        let t = ours_total_iterations(128, 0.2);
-        assert!(t > d);
-        assert!((t / d - (128f64 / 0.2).log2()).abs() < 1e-9);
     }
 }

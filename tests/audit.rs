@@ -60,6 +60,10 @@ fn d1_corpus_positive_suppressed_nearmiss() {
     // Same violation out of scope (non-deterministic crate): silent.
     let r = audit_fixture("d1_positive.rs", "crates/workloads/src/graphs.rs");
     assert!(r.findings.is_empty(), "{}", r.human());
+
+    // The baselines (home of the MMW game) are in scope.
+    let r = audit_fixture("d1_positive.rs", "crates/baselines/src/matrix_mw.rs");
+    assert_eq!(hits(&r), [("D1", 1), ("D1", 3), ("D1", 4)], "{}", r.human());
 }
 
 #[test]

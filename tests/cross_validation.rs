@@ -96,9 +96,10 @@ fn ours_and_width_dependent_agree_on_side() {
     assert!(matches!(ak_i.outcome, AkOutcome::Primal { .. }));
 }
 
-/// The matrix solver on a diagonal instance must match the scalar Hedge
-/// trajectory structurally: same K, same alpha, comparable iteration counts
-/// (both are instances of the identical update rule).
+/// On a diagonal instance the matrix solver's decision run and the scalar
+/// Young LP decision procedure (`young_decision`) on the same columns take
+/// comparable iteration counts: both are instances of the identical update
+/// rule.
 #[test]
 fn diagonal_iteration_counts_comparable() {
     let (inst, cols) = diag_lp_with_columns(6, 5, 0.7, 42);

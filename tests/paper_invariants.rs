@@ -4,23 +4,26 @@
 //! * Claim 3.5 — `‖x‖₁ ≤ (1+ε)K` at exit,
 //! * Lemma 3.2 — `Ψ(t) ⪯ (1+10ε)K·I` throughout (checked at exit),
 //! * Lemma 3.6 — primal exits satisfy every covering constraint,
-//! * Theorem 2.1 — the MMW regret bound on adversarial gain sequences,
+//! * Theorem 2.1 — the MMW regret bound on the gains the width-dependent
+//!   baseline plays in E3,
 //! * Lemma 4.2 — the Taylor sandwich `(1−ε)exp(B) ⪯ p(B) ⪯ exp(B)`,
 //! * Lemma 2.2 — trace pruning keeps every small-trace constraint,
 //! * witness directions — every certificate a report carries certifies
 //!   *at least* the bound the report states, re-verified through
 //!   `psdp_core::verify` (packing, covering, and mixed sides alike).
 
+use psdp_baselines::ak_decision;
 use psdp_core::{
-    decision_psdp, solve_covering, solve_mixed, trace_prune, verify_dual, verify_mixed_feasible,
-    verify_mixed_infeasible, verify_primal, ApproxOptions, DecisionOptions, MixedApproxOptions,
-    Outcome, PackingInstance, PositiveSdp,
+    decision_psdp, paper_constants, solve_covering, solve_mixed, trace_prune, verify_dual,
+    verify_mixed_feasible, verify_mixed_infeasible, verify_primal, ApproxOptions, DecisionOptions,
+    MixedApproxOptions, Outcome, PackingInstance, PositiveSdp,
 };
 use psdp_linalg::{sym_eigen, Mat};
-use psdp_mmw::{paper_constants, MmwGame};
 use psdp_sparse::PsdMatrix;
 use psdp_test_support::{factorized_instance, FactorizedSpec};
-use psdp_workloads::{gnp, mixed_edge_cover, mixed_lp_diagonal};
+use psdp_workloads::{
+    gnp, mixed_edge_cover, mixed_lp_diagonal, random_factorized, RandomFactorized,
+};
 
 fn instance(n: usize, seed: u64) -> PackingInstance {
     factorized_instance(&FactorizedSpec::new(8, n, seed))
@@ -90,26 +93,26 @@ fn lemma_3_6_primal_feasibility() {
     }
 }
 
-/// Theorem 2.1 under a gain sequence chosen by the solver's own dynamics:
-/// replay the decision run's gains through the standalone MMW game.
+/// Theorem 2.1 on the gains E3 really plays: the width-dependent baseline
+/// (`ak_decision`) runs its MMW game on E3-shaped instances, and the final
+/// game must satisfy the regret bound. A violation means the baseline's
+/// width estimate let a gain exceed `I`.
 #[test]
 fn theorem_2_1_regret_on_solver_like_gains() {
-    // Adversary alternating projectors plus a drifting mixture — a sequence
-    // shaped like the solver's (PSD, ⪯ I, non-commuting).
-    let dim = 4;
-    let mut game = MmwGame::new(dim, 0.3);
-    for t in 0..80 {
-        let mut g = Mat::zeros(dim, dim);
-        let i = t % dim;
-        let j = (t * 7 + 1) % dim;
-        let mut v = vec![0.0; dim];
-        v[i] = (0.6_f64).sqrt();
-        v[j] = (0.4_f64).sqrt();
-        g.rank1_update(1.0, &v);
-        game.play(&g).unwrap();
+    for width in [1.0, 4.0] {
+        let mats = random_factorized(&RandomFactorized {
+            dim: 10,
+            n: 6,
+            rank: 2,
+            nnz_per_col: 3,
+            width,
+            seed: 11,
+        });
+        let inst = PackingInstance::new(mats).unwrap().scaled(0.4);
+        let r = ak_decision(&inst, 0.25, usize::MAX).unwrap();
+        let (lhs, rhs) = r.game.regret_bound_sides().unwrap();
+        assert!(lhs >= rhs - 1e-9, "width {width}: regret bound violated: {lhs} < {rhs}");
     }
-    let (lhs, rhs) = game.regret_bound_sides().unwrap();
-    assert!(lhs >= rhs - 1e-9, "regret bound violated: {lhs} < {rhs}");
 }
 
 /// Lemma 4.2 sandwich on PSD matrices at the κ the solver actually sees
