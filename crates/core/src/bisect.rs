@@ -16,9 +16,15 @@
 //! unconverged: the next `σ` would be the same, and so would its calls.
 
 use crate::error::PsdpError;
+use crate::session::{PhaseEvent, Session};
 use crate::solution::ExitReason;
-use crate::solver::{emit_phase, Observer, PhaseEvent};
 use crate::stats::{BracketStats, SolveStats};
+
+/// The fraction of its exit target a warm seed is rescaled to, in the
+/// threshold frame: packing's dual-exit `‖x‖₁` threshold `K`, mixed's
+/// coverage target `T`. Half leaves the loop room to re-balance the
+/// iterate before any exit can trigger.
+pub(crate) const WARM_FRACTION: f64 = 0.5;
 
 /// One decision call's certified outcome, its telemetry and its final
 /// iterate (original coordinates), which later attempts may start from.
@@ -72,21 +78,26 @@ impl Probe {
     }
 }
 
-/// What one problem family supplies to [`bisect`].
-pub(crate) trait Family {
+/// What one problem family supplies to [`bisect`], whose decision calls
+/// run on a session over `S`.
+pub(crate) trait Family<'i, S> {
     type Outcome;
-    /// The session's observers, which see `BracketUpdated`.
-    fn observers(&mut self) -> &mut [Box<dyn Observer>];
     fn probe(&mut self, sigma: f64) -> Probe;
     /// The seed of a warm attempt at `probe`, rescaled from `iterate`, the
     /// final iterate of the previous bracket's kept call (`None`: no warm
     /// attempt).
     fn warm_seed(&self, probe: &Probe, iterate: &[f64]) -> Option<Vec<f64>>;
-    fn solve(&mut self, probe: &Probe, seed: Option<Vec<f64>>) -> Call<Self::Outcome>;
+    fn solve(
+        &mut self,
+        session: &mut Session<'i, '_, S>,
+        probe: &Probe,
+        seed: Option<Vec<f64>>,
+    ) -> Call<Self::Outcome>;
     /// The escalation after `cold`, a cold solve that was not kept
     /// (`None`: none ran).
     fn escalate(
         &mut self,
+        session: &mut Session<'i, '_, S>,
         probe: &Probe,
         cold: &Attempt<Self::Outcome>,
     ) -> Option<Call<Self::Outcome>>;
@@ -109,18 +120,33 @@ pub(crate) struct Bisection {
     pub(crate) lo: f64,
     pub(crate) hi: f64,
     pub(crate) converged: bool,
+    /// Iterations over all rows.
+    pub(crate) iterations: usize,
+    /// Engine evaluations over all rows.
+    pub(crate) engine_evals: usize,
     /// The call of every bracket.
     pub(crate) call_stats: Vec<SolveStats>,
     pub(crate) brackets: Vec<BracketStats>,
 }
 
+/// Reject a bracket accuracy outside `(0, 1)`.
+pub(crate) fn check_eps(eps: f64) -> Result<(), PsdpError> {
+    if eps > 0.0 && eps < 1.0 {
+        Ok(())
+    } else {
+        Err(PsdpError::InvalidInstance(format!("eps {eps} not in (0,1)")))
+    }
+}
+
 /// Bisect the certified bracket `(lo, hi)` until it closes to `1+eps`, an
 /// observer stops a call, a kept call leaves the bracket unchanged or
-/// `max_calls` calls ran.
+/// `max_calls` calls ran. Decision calls run on `session`, whose observers
+/// see every `BracketUpdated`.
 ///
 /// # Errors
 /// The family's decision-call errors.
-pub(crate) fn bisect<F: Family>(
+pub(crate) fn bisect<'i, S, F: Family<'i, S>>(
+    session: &mut Session<'i, '_, S>,
     family: &mut F,
     (mut lo, mut hi): (f64, f64),
     eps: f64,
@@ -143,18 +169,18 @@ pub(crate) fn bisect<F: Family>(
         let mut discarded: Vec<SolveStats> = Vec::new();
         let mut call = match seed {
             Some(seed) => {
-                let attempt = family.solve(&probe, Some(seed))?;
+                let attempt = family.solve(session, &probe, Some(seed))?;
                 if kept(family, &attempt) {
                     attempt
                 } else {
                     discarded.push(attempt.stats);
-                    family.solve(&probe, None)?
+                    family.solve(session, &probe, None)?
                 }
             }
-            None => family.solve(&probe, None)?,
+            None => family.solve(session, &probe, None)?,
         };
         if !kept(family, &call) {
-            if let Some(retry) = family.escalate(&probe, &call) {
+            if let Some(retry) = family.escalate(session, &probe, &call) {
                 let retry = retry?;
                 let loser =
                     if kept(family, &retry) { std::mem::replace(&mut call, retry) } else { retry };
@@ -191,22 +217,22 @@ pub(crate) fn bisect<F: Family>(
         if stopped {
             break;
         }
-        emit_phase(
-            family.observers(),
-            &PhaseEvent::BracketUpdated { sigma: probe.sigma, lo, hi, dual_side },
-        );
+        session.phase(&PhaseEvent::BracketUpdated { sigma: probe.sigma, lo, hi, dual_side });
         if stalled {
             break;
         }
         last = Some((probe.active, iterate));
     }
     let converged = !stopped && !stalled && hi <= lo * (1.0 + eps) * (1.0 + 1e-12);
-    Ok(Bisection { lo, hi, converged, call_stats, brackets })
+    let iterations = brackets.iter().map(|b| b.iterations).sum();
+    let engine_evals = brackets.iter().map(|b| b.engine_evals).sum();
+    Ok(Bisection { lo, hi, converged, iterations, engine_evals, call_stats, brackets })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Observer;
     use psdp_parallel::Cost;
     use std::cell::Cell;
     use std::collections::VecDeque;
@@ -233,7 +259,6 @@ mod tests {
         probes: usize,
         seeds: Vec<Vec<f64>>,
         escalated: Vec<Vec<f64>>,
-        observers: Vec<Box<dyn Observer>>,
     }
 
     impl Script {
@@ -249,7 +274,6 @@ mod tests {
                 probes: 0,
                 seeds: Vec::new(),
                 escalated: Vec::new(),
-                observers: Vec::new(),
             }
         }
 
@@ -286,12 +310,8 @@ mod tests {
         }
     }
 
-    impl Family for Script {
+    impl Family<'_, ()> for Script {
         type Outcome = bool;
-
-        fn observers(&mut self) -> &mut [Box<dyn Observer>] {
-            &mut self.observers
-        }
 
         fn probe(&mut self, sigma: f64) -> Probe {
             let masked = self.masked.contains(&self.probes);
@@ -303,14 +323,24 @@ mod tests {
             self.seeded.then(|| iterate.to_vec())
         }
 
-        fn solve(&mut self, _: &Probe, seed: Option<Vec<f64>>) -> Call<bool> {
+        fn solve(
+            &mut self,
+            _: &mut Session<'_, '_, ()>,
+            _: &Probe,
+            seed: Option<Vec<f64>>,
+        ) -> Call<bool> {
             if let Some(seed) = &seed {
                 self.seeds.push(seed.clone());
             }
             self.next(seed.is_some())
         }
 
-        fn escalate(&mut self, _: &Probe, cold: &Attempt<bool>) -> Option<Call<bool>> {
+        fn escalate(
+            &mut self,
+            _: &mut Session<'_, '_, ()>,
+            _: &Probe,
+            cold: &Attempt<bool>,
+        ) -> Option<Call<bool>> {
             self.escalated.push(cold.iterate.clone());
             self.escalates.then(|| self.next(true))
         }
@@ -344,7 +374,7 @@ mod tests {
         // cold; the second runs the whole warm → cold → escalation protocol.
         let steps = [(true, false, 2), (false, false, 3), (false, false, 5), (true, false, 7)];
         let mut family = Script::new(&steps);
-        let run = bisect(&mut family, (1.0, 4.0), 0.1, 2).unwrap();
+        let run = bisect(&mut Session::new(&(), &[]), &mut family, (1.0, 4.0), 0.1, 2).unwrap();
         assert_eq!(run.call_stats.len(), 2);
         assert!(!run.call_stats[0].warm_started && !run.brackets[0].warm_started);
         assert_eq!(run.call_stats[1].iterations, 7, "the escalation is the kept call");
@@ -366,7 +396,7 @@ mod tests {
     fn discarded_escalation_leaves_the_cold_solve_as_the_call() {
         let mut family = Script::new(&[(false, false, 5), (false, false, 9)]);
         family.seeded = false;
-        let run = bisect(&mut family, (1.0, 4.0), 0.1, 1).unwrap();
+        let run = bisect(&mut Session::new(&(), &[]), &mut family, (1.0, 4.0), 0.1, 1).unwrap();
         assert_eq!(run.call_stats[0].iterations, 5);
         assert!(!run.call_stats[0].warm_started);
         assert_eq!(run.brackets[0].iterations, 14);
@@ -389,7 +419,7 @@ mod tests {
             (true, false, 1),
         ];
         let mut family = Script::new(&steps);
-        let run = bisect(&mut family, (1.0, 4.0), 0.1, 4).unwrap();
+        let run = bisect(&mut Session::new(&(), &[]), &mut family, (1.0, 4.0), 0.1, 4).unwrap();
         assert_eq!(run.brackets.len(), 4);
         assert_eq!(family.escalated, [[5.0], [6.0]], "escalations start from their cold solve");
         assert_eq!(family.seeds, [[5.0], [2.0], [8.0]], "warm seeds come from the kept calls");
@@ -403,14 +433,14 @@ mod tests {
     fn bisect_offers_no_warm_seed_across_a_mask_change() {
         let mut family = Script::new(&[(true, false, 1), (true, false, 2), (true, false, 3)]);
         family.masked = vec![1];
-        let run = bisect(&mut family, (1.0, 4.0), 0.1, 3).unwrap();
+        let run = bisect(&mut Session::new(&(), &[]), &mut family, (1.0, 4.0), 0.1, 3).unwrap();
         assert_eq!(run.brackets.len(), 3);
         assert!(run.brackets.iter().all(|b| !b.warm_started), "the mask changed at every probe");
         assert!(family.seeds.is_empty());
 
         let mut family = Script::new(&[(true, false, 1), (true, false, 2)]);
         family.masked = vec![0, 1];
-        let run = bisect(&mut family, (1.0, 4.0), 0.1, 2).unwrap();
+        let run = bisect(&mut Session::new(&(), &[]), &mut family, (1.0, 4.0), 0.1, 2).unwrap();
         assert_eq!(family.seeds, [[1.0]], "both probes drop the same coordinate");
         assert!(run.brackets[1].warm_started);
     }
@@ -419,11 +449,14 @@ mod tests {
     fn escalation_errors_propagate_and_absent_escalations_keep_the_cold_call() {
         let mut family = Script::new(&[(false, false, 5)]);
         family.seeded = false;
-        assert!(bisect(&mut family, (1.0, 4.0), 0.1, 1).is_err(), "escalation hit an empty script");
+        assert!(
+            bisect(&mut Session::new(&(), &[]), &mut family, (1.0, 4.0), 0.1, 1).is_err(),
+            "escalation hit an empty script"
+        );
 
         let mut family = Script::new(&[(false, false, 5)]);
         (family.seeded, family.escalates) = (false, false);
-        let run = bisect(&mut family, (1.0, 4.0), 0.1, 1).unwrap();
+        let run = bisect(&mut Session::new(&(), &[]), &mut family, (1.0, 4.0), 0.1, 1).unwrap();
         assert_eq!(run.brackets[0].iterations, 5);
         assert_eq!(run.brackets[0].discarded_iterations, 0);
     }
@@ -432,8 +465,9 @@ mod tests {
     fn stopped_call_keeps_the_bracket_and_ends_the_bisection() {
         let updates = Rc::new(Cell::new(0));
         let mut family = Script::new(&[(true, false, 4), (false, true, 2)]);
-        family.observers.push(Box::new(Brackets(Rc::clone(&updates))));
-        let run = bisect(&mut family, (1.0, 4.0), 0.1, 10).unwrap();
+        let mut session = Session::new(&(), &[]);
+        session.add_observer(Box::new(Brackets(Rc::clone(&updates))));
+        let run = bisect(&mut session, &mut family, (1.0, 4.0), 0.1, 10).unwrap();
         assert_eq!(run.brackets.len(), 2);
         assert_eq!(updates.get(), 1, "the stopped call must not emit BracketUpdated");
         let stopped = &run.brackets[1];
@@ -451,8 +485,9 @@ mod tests {
         let updates = Rc::new(Cell::new(0));
         let mut family = Script::new(&[(false, false, 4), (false, false, 6)]);
         (family.stall, family.seeded) = (true, false);
-        family.observers.push(Box::new(Brackets(Rc::clone(&updates))));
-        let run = bisect(&mut family, (1.0, 4.0), 0.1, 10).unwrap();
+        let mut session = Session::new(&(), &[]);
+        session.add_observer(Box::new(Brackets(Rc::clone(&updates))));
+        let run = bisect(&mut session, &mut family, (1.0, 4.0), 0.1, 10).unwrap();
         assert_eq!(run.brackets.len(), 1, "the same σ was probed again");
         assert_eq!((run.lo, run.hi), (1.0, 4.0));
         assert_eq!(run.brackets[0].iterations, 10, "the cold solve and its escalation");
@@ -464,7 +499,7 @@ mod tests {
     fn crossed_bounds_collapse_and_close_the_bracket() {
         let mut family = Script::new(&[(true, false, 1)]);
         family.cross = true;
-        let run = bisect(&mut family, (1.0, 4.0), 0.1, 10).unwrap();
+        let run = bisect(&mut Session::new(&(), &[]), &mut family, (1.0, 4.0), 0.1, 10).unwrap();
         assert_eq!(run.brackets.len(), 1);
         assert_eq!(run.lo.to_bits(), run.hi.to_bits());
         assert_eq!(run.lo, (8.0_f64 * 4.0).sqrt());

@@ -24,12 +24,12 @@
 //!
 //! ## Where the implementation lives
 //!
-//! The iterate loop itself is implemented by [`crate::solver::Session`]
-//! (see `crate::solver` for the Solver/Session/Observer architecture and
-//! the bisection's warm starts); this module keeps the classic
-//! one-shot entry point [`decision_psdp`] as a **convenience wrapper**
-//! that prepares a [`crate::Solver`], opens a session, and answers the
-//! threshold-1 question. Implementation notes that still apply verbatim:
+//! One decision call runs the skeleton packing and mixed share
+//! (`crate::session`: σ and mask checks, start point, `Ψ` upkeep,
+//! observers, telemetry) under this loop's rule, `Alg31` in
+//! [`crate::solver`]; [`decision_psdp`] is a **convenience wrapper** that
+//! prepares a [`crate::Solver`], opens a session, and answers the
+//! threshold-1 question. Implementation notes:
 //!
 //! * `Ψ(t) = Σ xᵢ(t)Aᵢ` is maintained **incrementally** through
 //!   [`crate::psi::PsiMaintainer`]: each round scatter-adds only the

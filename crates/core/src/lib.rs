@@ -3,17 +3,21 @@
 //! Width-independent parallel positive SDP solving — the reproduction of
 //! Peng–Tangwongsan–Zhang (SPAA 2012).
 //!
-//! * [`solver`] — the session API and the iterate loop itself:
+//! * [`solver`] — the session API and Algorithm 3.1's rule:
 //!   [`Solver`] (instance validated, engine resolved and constructed once)
 //!   → [`Session`] (stateful solves with cross-bracket warm starts and
 //!   per-iteration [`Observer`]s). **This is the primary entry point.**
+//!   Every decision call, packing or mixed, runs one crate-private
+//!   skeleton (`session`) over prepared constraint sides; each family
+//!   supplies only its per-round rule (DESIGN.md §8),
 //! * [`instance`] — problem types: general positive SDPs (1.1),
 //!   normalized packing instances (Figure 2), and mixed packing–covering
 //!   instances, all over [`Constraint`] storage (dense / sparse CSR /
 //!   factorized / diagonal),
-//! * [`mixed`] — the Jain–Yao mixed packing–covering solver on the same
-//!   session core: [`MixedSolver`] → [`MixedSession`] with certified
-//!   feasibility answers and threshold bisection ([`solve_mixed`]),
+//! * [`mixed`] — the Jain–Yao mixed packing–covering solver: its price
+//!   rule on the same skeleton, [`MixedSolver`] → [`MixedSession`] with
+//!   certified feasibility answers and threshold bisection
+//!   ([`solve_mixed`]),
 //! * [`decision`] / [`approx`] — the classic one-shot entry points
 //!   ([`decision_psdp`], [`solve_packing`], [`solve_covering`]), kept as
 //!   thin convenience wrappers over the session API,
@@ -43,6 +47,7 @@ pub mod mixed;
 pub mod normalize;
 pub mod options;
 pub mod psi;
+mod session;
 pub mod solution;
 pub mod solver;
 pub mod stats;

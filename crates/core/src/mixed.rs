@@ -1,15 +1,15 @@
-//! Mixed packing–covering SDP solving (Jain–Yao, arXiv:1201.6090) on the
-//! Session core.
+//! Mixed packing–covering SDP solving (Jain–Yao, arXiv:1201.6090).
 //!
 //! The paper's conclusion names "extending these algorithms to solve mixed
 //! packing/covering SDPs" as future work; Jain–Yao give the
-//! width-independent parallel algorithm for exactly that class. This module
-//! implements it on top of the packing stack from PRs 2–3: the same
-//! constraint storage ([`crate::Constraint`]), the same incremental
-//! [`PsiMaintainer`] — one per aggregate, `Ψ_P = Σ xᵢPᵢ` and
-//! `Ψ_C = Σ xᵢCᵢ` — the same engines for the `exp(Φ)•A` primitive, the
-//! same [`Observer`] hooks, Lemma-2.2-style pruning masks, and the same
-//! prepared-solver/session split with warm-started bisection.
+//! width-independent parallel algorithm for exactly that class. Packing is
+//! its special case with a 1×1 covering side `Cᵢ = [1]`, so this module
+//! keeps only the mixed pieces: [`MixedSolver`] prepares two constraint
+//! sides (`Pₖ` and `Cₖ`, each with its engine and incremental `Ψ`), and
+//! its decision calls run the skeleton the packing solver shares
+//! (`crate::session`: start point, `Ψ` upkeep, observers, telemetry) under
+//! Jain–Yao's price rule (`JainYao` below). [`MixedSession`] is the
+//! packing [`crate::Session`] over a [`MixedSolver`].
 //!
 //! ## The feasibility question and the loop
 //!
@@ -54,74 +54,30 @@
 //!   [`crate::verify::verify_mixed_infeasible`].
 //!
 //! An iteration-cap exit returns the measured (possibly weak) feasible
-//! point; the bisection treats it as a certified-but-unhelpful outcome
-//! (see below).
+//! point; the bisection treats it as a certified-but-unhelpful outcome.
 //!
-//! ## Engines
+//! ## Engines and optimization
 //!
-//! The packing side uses the configured engine ([`EngineKind::Auto`]
-//! resolves against the packing storage profile, exactly as in the packing
-//! solver). The covering side always runs the **exact** engine: the
-//! Lemma 4.2 Taylor sandwich is one-sided for PSD arguments, and
-//! `−Ψ_C/σ` is negative semidefinite — a truncated Taylor series there
-//! loses relative accuracy to cancellation exactly where the soft-min
-//! matters. A width-independent NSD-capable approximation is future work;
-//! the exact eigendecomposition keeps every covering-side quantity
-//! certified.
-//!
-//! ## Optimization
-//!
-//! [`MixedSession::optimize`] finds the largest feasible coverage
-//! threshold `σ* = max{ σ : ∃x ≥ 0, Σ xPᵢ ⪯ I, Σ xCᵢ ⪰ σI }` by
-//! geometric bisection with **certified-only bracket moves**: the lower
-//! bound always comes from a measured feasible point (its coverage
-//! `λmin(Σ xCᵢ)` is a witness), the upper bound from a pricing certificate
-//! (`σ/margin` plus the certified slack of any pruned coordinates). A
-//! decision call that improves neither side first *escalates*: the same
-//! `σ` re-runs once with `ε` and `α` halved, which doubles the coverage
-//! target `T` and halves the per-step overshoot — the loop's intrinsic
-//! resolution (the bracket ratio it can distinguish) tightens past the
-//! stall. If even the escalation improves nothing, that is a *stall*: the
-//! next `σ` would be the same one, so the bisection stops with
-//! `converged = false` rather than move the bracket without a certificate
-//! (a deliberate departure from the packing optimizer's
-//! degenerate-progress nudge). Warm starts continue each bracket from the
-//! previous bracket's kept iterate, rescaled to half the coverage target.
-//! The attempt protocol (warm → cold → this escalation), the warm-start
-//! iterate, the accounting of discarded work and the bracket rows are the
-//! driver's that the packing optimizer shares (`crate::bisect`): a warm
-//! attempt that fails to move the bracket is discarded, so warm starts
-//! never weaken the report.
-//!
-//! Unlike packing's, the mixed warm start is **not bitwise-neutral**: it
-//! changes which certified bracket is reported, not only its cost.
-//! Packing moves its bracket on quantized strong certificates, so warm and
-//! cold calls at one `σ` give the same bound bits; mixed bounds are
-//! measured values of the iterate a call ends at, and a warm call ends
-//! elsewhere. It stays on by default because it is cheaper and converges
-//! at least as often (DESIGN.md §9 has the measurement).
+//! The packing side uses the configured engine; the covering side always
+//! runs the **exact** engine, because the Lemma 4.2 Taylor sandwich is
+//! one-sided for PSD arguments and `−Ψ_C/σ` is negative semidefinite.
+//! [`MixedSession::optimize`] bisects the largest feasible threshold
+//! `σ*` through the driver the packing optimizer shares (`crate::bisect`)
+//! with **certified-only bracket moves**, an ε/2 escalation, and a stop
+//! with `converged = false` where packing would nudge. Its warm start is
+//! **not bitwise-neutral**: mixed bounds are measured values of the
+//! iterate a call ends at. DESIGN.md §9 has the details and the
+//! measurement that keeps it on by default.
 
-use crate::bisect::{bisect, Attempt, Call, Family, Probe};
+use crate::bisect::{bisect, check_eps, Attempt, Call, Family, Probe, WARM_FRACTION};
 use crate::error::PsdpError;
 use crate::instance::MixedInstance;
-use crate::psi::{PsiMaintainer, PsiPattern};
+use crate::session::{lambda_max_measured, Frame, Rule, Session, Side};
 use crate::solution::{ExitReason, MixedCertificate, MixedFeasible, MixedOutcome};
-use crate::solver::{
-    check_prepared_engine, emit_iteration, emit_phase, evaluate, psi_for_engine, IterationEvent,
-    Observer, PhaseEvent,
-};
 use crate::stats::{BracketStats, SolveStats};
 use psdp_expdot::{Engine, EngineKind};
 use psdp_linalg::{lambda_max_upper_bound, sym_eigenvalues};
-use psdp_parallel::Cost;
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
-
-/// Fraction of the coverage target a warm-started bracket iterate is
-/// rescaled to (threshold frame). Half leaves the loop room to re-balance
-/// before either exit can trigger — the mixed analog of the packing
-/// session's warm-mass fraction.
-const WARM_TARGET_FRACTION: f64 = 0.5;
+use std::sync::Arc;
 
 /// Configuration for one mixed feasibility solve.
 ///
@@ -317,13 +273,12 @@ impl<'i> MixedSolverBuilder<'i> {
     /// Option validation and constraint factorization failures.
     pub fn build(self) -> Result<MixedSolver<'i>, PsdpError> {
         self.opts.validate()?;
-        let pack_engine =
-            Arc::new(Engine::new(self.opts.engine, self.inst.pack().mats(), self.opts.seed)?);
+        let (inst, seed) = (self.inst, self.opts.seed);
+        let pack = Side::build(inst.pack(), self.opts.engine, seed)?;
         // Covering side: always exact (see the module docs — the Taylor
         // sandwich does not hold for the NSD argument −Ψ_C/σ).
-        let cover_engine =
-            Arc::new(Engine::new(EngineKind::Exact, self.inst.cover().mats(), self.opts.seed)?);
-        Self::assemble(self.inst, self.opts, pack_engine, cover_engine)
+        let cover = Side::build(inst.cover(), EngineKind::Exact, seed)?;
+        Ok(MixedSolver { inst, opts: self.opts, sides: [pack, cover] })
     }
 
     /// Like [`MixedSolverBuilder::build`], but reuse already-prepared
@@ -344,35 +299,9 @@ impl<'i> MixedSolverBuilder<'i> {
     ) -> Result<MixedSolver<'i>, PsdpError> {
         self.opts.validate()?;
         let (inst, seed) = (self.inst, self.opts.seed);
-        let want_pack = self.opts.engine.resolve(inst.pack_dim(), inst.pack().total_nnz());
-        check_prepared_engine(&pack_engine, "packing", inst.pack_dim(), seed, want_pack)?;
-        check_prepared_engine(
-            &cover_engine,
-            "covering",
-            inst.cover_dim(),
-            seed,
-            EngineKind::Exact,
-        )?;
-        Self::assemble(self.inst, self.opts, pack_engine, cover_engine)
-    }
-
-    fn assemble(
-        inst: &'i MixedInstance,
-        opts: MixedOptions,
-        pack_engine: Arc<Engine>,
-        cover_engine: Arc<Engine>,
-    ) -> Result<MixedSolver<'i>, PsdpError> {
-        let pack_traces: Vec<f64> = inst.pack().mats().iter().map(|a| a.trace()).collect();
-        let cover_traces: Vec<f64> = inst.cover().mats().iter().map(|a| a.trace()).collect();
-        Ok(MixedSolver {
-            inst,
-            opts,
-            pack_engine,
-            cover_engine,
-            pack_traces,
-            cover_traces,
-            pack_pattern: OnceLock::new(),
-        })
+        let pack = Side::reuse(inst.pack(), pack_engine, self.opts.engine, seed, "packing")?;
+        let cover = Side::reuse(inst.cover(), cover_engine, EngineKind::Exact, seed, "covering")?;
+        Ok(MixedSolver { inst, opts: self.opts, sides: [pack, cover] })
     }
 }
 
@@ -403,13 +332,8 @@ impl<'i> MixedSolverBuilder<'i> {
 pub struct MixedSolver<'i> {
     inst: &'i MixedInstance,
     opts: MixedOptions,
-    pack_engine: Arc<Engine>,
-    cover_engine: Arc<Engine>,
-    pack_traces: Vec<f64>,
-    cover_traces: Vec<f64>,
-    /// `Ψ_P`'s sparsity pattern, built on the first solve and only for an
-    /// `Expv` packing engine.
-    pack_pattern: OnceLock<PsiPattern>,
+    /// The packing side `Pₖ` and the covering side `Cₖ`.
+    sides: [Side<'i>; 2],
 }
 
 impl<'i> MixedSolver<'i> {
@@ -432,280 +356,41 @@ impl<'i> MixedSolver<'i> {
     /// resolved at build time). The covering side is always
     /// [`EngineKind::Exact`].
     pub fn pack_engine_kind(&self) -> EngineKind {
-        self.pack_engine.kind()
+        self.sides[0].engine.kind()
     }
 
     /// Shareable handles to the prepared `(packing, covering)` engines, for
     /// [`MixedSolverBuilder::build_with_engines`] reuse on the same
     /// instance.
     pub fn engine_handles(&self) -> (Arc<Engine>, Arc<Engine>) {
-        (Arc::clone(&self.pack_engine), Arc::clone(&self.cover_engine))
+        let [pack, cover] = &self.sides;
+        (Arc::clone(&pack.engine), Arc::clone(&cover.engine))
     }
 
     /// Open a fresh session (no observers). Whether
     /// [`MixedSession::optimize`] warm-starts its brackets is
     /// [`MixedApproxOptions::warm_start`].
     pub fn session(&self) -> MixedSession<'i, '_> {
-        MixedSession { solver: self, observers: Vec::new(), solves: 0 }
+        Session::new(self, &self.sides)
     }
 }
 
-/// A stateful mixed-solve session over a prepared [`MixedSolver`],
-/// mirroring [`crate::Session`]: it owns the registered [`Observer`]s.
-pub struct MixedSession<'i, 's> {
-    solver: &'s MixedSolver<'i>,
-    observers: Vec<Box<dyn Observer>>,
-    solves: usize,
-}
+/// A stateful mixed-solve session over a prepared [`MixedSolver`]: the
+/// [`crate::Session`] type over the mixed solver, so it owns the
+/// registered observers the same way.
+pub type MixedSession<'i, 's> = Session<'i, 's, MixedSolver<'i>>;
 
 impl<'i, 's> MixedSession<'i, 's> {
-    /// Register an observer for subsequent solves (shared
-    /// [`Observer`] trait with the packing session; `norm1` in
-    /// [`IterationEvent`] carries the soft-min coverage bound here).
-    pub fn add_observer(&mut self, obs: Box<dyn Observer>) {
-        self.observers.push(obs);
-    }
-
-    /// Number of decision solves this session has run.
-    pub fn solves(&self) -> usize {
-        self.solves
-    }
-
     /// Answer the mixed feasibility question at coverage threshold
     /// `sigma` with the solver's build-time options.
     ///
     /// # Errors
     /// Invalid threshold or linear-algebra failures.
     pub fn solve(&mut self, sigma: f64) -> Result<MixedDecision, PsdpError> {
-        let opts = self.solver.opts;
-        let Attempt { outcome, stats, .. } = self.run_decision(sigma, &opts, None, None)?;
+        let opts = self.solver().opts;
+        let Attempt { outcome, stats, .. } =
+            self.run(sigma, None, None, |s, _| JainYao::new(s, opts))?;
         Ok(MixedDecision { outcome, stats })
-    }
-
-    /// The Jain–Yao price loop at coverage threshold `sigma`, optionally
-    /// restricted to an active-coordinate mask and optionally starting
-    /// from a warm iterate (original coordinates); the call returns its
-    /// final iterate with its outcome.
-    fn run_decision(
-        &mut self,
-        sigma: f64,
-        opts: &MixedOptions,
-        mask: Option<Vec<bool>>,
-        start: Option<Vec<f64>>,
-    ) -> Call<MixedOutcome> {
-        if !(sigma > 0.0 && sigma.is_finite()) {
-            return Err(PsdpError::InvalidInstance(format!(
-                "coverage threshold must be positive and finite, got {sigma}"
-            )));
-        }
-        let wall_start = Instant::now();
-        self.solves += 1;
-        let inst = self.solver.inst;
-        let n = inst.n();
-        let eps = opts.eps;
-
-        let active: Vec<bool> = mask.unwrap_or_else(|| vec![true; n]);
-        debug_assert_eq!(active.len(), n);
-        let n_active = active.iter().filter(|&&b| b).count();
-        if n_active == 0 {
-            return Err(PsdpError::InvalidInstance("active-coordinate mask is empty".into()));
-        }
-
-        let t_target = coverage_target(eps, inst.pack_dim(), inst.cover_dim());
-        let alpha = (eps / 4.0) * opts.alpha_boost;
-        let cap = opts.max_iters;
-
-        // Start point: small multiplicative mass on every active
-        // coordinate, scaled so neither aggregate starts anywhere near its
-        // target (cf. the scalar mixed solver's start). Masked coordinates
-        // are frozen at 0.
-        let warm_init = start.is_some();
-        let mut x: Vec<f64> = match start {
-            Some(u) => {
-                debug_assert_eq!(u.len(), n);
-                u
-            }
-            None => {
-                self.solver
-                    .pack_traces
-                    .iter()
-                    .zip(&self.solver.cover_traces)
-                    .zip(&active)
-                    .map(|((&tp, &tc), &a)| {
-                        if a {
-                            1.0 / (n_active as f64 * tp.max(tc / sigma) * t_target)
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect()
-            }
-        };
-        let mut psi_p = psi_for_engine(
-            &self.solver.pack_engine,
-            inst.pack(),
-            &self.solver.pack_pattern,
-            &x,
-            opts.psi_rebuild_period,
-        );
-        let mut psi_c = PsiMaintainer::new(inst.cover(), &x, opts.psi_rebuild_period);
-
-        let phase = PhaseEvent::SolveStarted { threshold: sigma, warm: warm_init };
-        emit_phase(&mut self.observers, &phase);
-
-        let mut cost_total = Cost::ZERO;
-        let mut selected_total = 0usize;
-        let mut kappa_max = 0.0_f64;
-        let mut engine_evals = 0usize;
-        let mut exit = ExitReason::IterationCap;
-        let sample_every = (cap / 200).max(1);
-        let mut trajectory: Vec<(usize, f64)> = Vec::new();
-        let mut smin = f64::NEG_INFINITY;
-        let mut certificate: Option<MixedCertificate> = None;
-        let mut t = 0usize;
-
-        while t < cap {
-            t += 1;
-
-            // Packing side: soft-max weights over Ψ_P.
-            let kappa_p = psi_p.kappa_bound();
-            kappa_max = kappa_max.max(kappa_p);
-            let pack = evaluate(&self.solver.pack_engine, &psi_p, kappa_p, inst.pack(), t as u64)?;
-            engine_evals += 1;
-            cost_total = cost_total + pack.cost;
-
-            // Covering side: soft-min weights over Ψ_C/σ, i.e. exp of the
-            // NSD matrix −Ψ_C/σ (exact engine; log_scale is 0 there but
-            // kept in the soft-min bound for generality).
-            let phi_c = psi_c.matrix().scaled(-1.0 / sigma);
-            let kappa_c = lambda_max_upper_bound(psi_c.matrix()) / sigma;
-            let cover =
-                self.solver.cover_engine.compute(&phi_c, kappa_c, inst.cover().mats(), t as u64)?;
-            engine_evals += 1;
-            cost_total = cost_total + cover.cost;
-
-            // Soft-min coverage bound: λmin(Ψ_C)/σ ≥ −ln Tr exp(−Ψ_C/σ).
-            smin = -(cover.tr_w.ln() + cover.log_scale);
-            if t.is_multiple_of(sample_every) {
-                trajectory.push((t, smin));
-            }
-            if smin >= t_target {
-                exit = ExitReason::CoverageReached;
-                break;
-            }
-
-            // Prices. pack_dots[k] = Pₖ•Y_P; cover_dots[k] = Cₖ•Y_C.
-            let inv_tr_p = 1.0 / pack.tr_w;
-            let inv_tr_c = 1.0 / cover.tr_w;
-            let pack_dots: Vec<f64> = pack.dots.iter().map(|d| d * inv_tr_p).collect();
-            let cover_dots: Vec<f64> = cover.dots.iter().map(|d| d * inv_tr_c).collect();
-
-            // Eligible set: packing price ≤ (1+ε) · covering price, where
-            // the covering price carries the 1/σ of the scaled C̃ₖ = Cₖ/σ.
-            let mut deltas: Vec<(usize, f64)> = Vec::new();
-            let mut min_ratio = f64::INFINITY;
-            for k in 0..n {
-                if !active[k] {
-                    continue;
-                }
-                let ratio = if cover_dots[k] > 0.0 {
-                    sigma * pack_dots[k] / cover_dots[k]
-                } else {
-                    f64::INFINITY
-                };
-                min_ratio = min_ratio.min(ratio);
-                if pack_dots[k] * sigma <= (1.0 + eps) * cover_dots[k] {
-                    deltas.push((k, alpha * x[k]));
-                }
-            }
-            if deltas.is_empty() {
-                // Every active coordinate is priced out: the weight pair
-                // is an infeasibility certificate with the measured margin.
-                certificate = Some(MixedCertificate {
-                    sigma,
-                    y_pack: pack.dense_p.clone(),
-                    y_cover: cover.dense_p.clone(),
-                    pack_dots,
-                    cover_dots,
-                    active: active.clone(),
-                    margin: min_ratio,
-                });
-                exit = ExitReason::EmptyEligibleSet;
-                break;
-            }
-
-            selected_total += deltas.len();
-            for &(k, d) in &deltas {
-                x[k] += d;
-            }
-            psi_p.apply_updates(&deltas);
-            psi_c.apply_updates(&deltas);
-            psi_p.maybe_rebuild(&x);
-            psi_c.maybe_rebuild(&x);
-
-            if !self.observers.is_empty() {
-                let event = IterationEvent {
-                    threshold: sigma,
-                    t,
-                    norm1: smin,
-                    selected: deltas.len(),
-                    kappa: kappa_p,
-                    min_ratio,
-                };
-                if emit_iteration(&mut self.observers, &event) {
-                    exit = ExitReason::ObserverStopped;
-                    break;
-                }
-            }
-        }
-
-        let outcome = match certificate {
-            Some(cert) => MixedOutcome::Infeasible(cert),
-            None => {
-                // Feasible-side exit (coverage reached, cap, or observer):
-                // certify by measurement. Rescale so λmax(Σ xPᵢ) ≤ 1 holds
-                // exactly and report the measured coverage.
-                let lam_p = match sym_eigenvalues(psi_p.matrix()) {
-                    Ok(values) => values[values.len() - 1],
-                    Err(_) => lambda_max_upper_bound(psi_p.matrix()),
-                };
-                let lam_c = match sym_eigenvalues(psi_c.matrix()) {
-                    Ok(values) => values[0],
-                    // The soft-min bound is a certified fallback.
-                    Err(_) => (sigma * smin).max(0.0),
-                };
-                let s = lam_p.max(lam_c / sigma).max(1e-300);
-                let x_hat: Vec<f64> = x.iter().map(|v| v / s).collect();
-                MixedOutcome::Feasible(MixedFeasible {
-                    x: x_hat,
-                    pack_lambda_max: lam_p / s,
-                    cover_lambda_min: lam_c / s,
-                })
-            }
-        };
-
-        let stats = SolveStats {
-            iterations: t,
-            exit,
-            final_norm1: smin,
-            k_threshold: t_target,
-            alpha,
-            iteration_cap: cap,
-            cost: cost_total,
-            engine: self.solver.pack_engine.kind().name(),
-            avg_selected: if t > 0 { selected_total as f64 / t as f64 } else { 0.0 },
-            kappa_max,
-            psi_rebuilds: psi_p.rebuilds() + psi_c.rebuilds(),
-            psi_max_drift: psi_p.max_drift().max(psi_c.max_drift()),
-            threshold: sigma,
-            warm_started: warm_init,
-            engine_evals,
-            wall: wall_start.elapsed(),
-            norm_trajectory: trajectory,
-        };
-        let finished = PhaseEvent::SolveFinished { threshold: sigma, stats: &stats };
-        emit_phase(&mut self.observers, &finished);
-        Ok(Attempt { outcome, stats, iterate: x })
     }
 
     /// Optimize the coverage threshold `σ*` to `(1+ε)` relative accuracy
@@ -734,21 +419,16 @@ impl<'i, 's> MixedSession<'i, 's> {
     /// close within `max_calls` is reported with `converged = false`, not
     /// an error.
     pub fn optimize(&mut self, opts: &MixedApproxOptions) -> Result<MixedReport, PsdpError> {
-        if !(opts.eps > 0.0 && opts.eps < 1.0) {
-            return Err(PsdpError::InvalidInstance(format!("eps {} not in (0,1)", opts.eps)));
-        }
+        check_eps(opts.eps)?;
         opts.decision.validate()?;
-        let inst = self.solver.inst;
+        let solver = self.solver();
+        let (inst, pack_traces) = (solver.inst, &solver.sides[0].traces);
         let n = inst.n();
 
         // Structural upper bound: caps[k] = m_P / Tr Pₖ dominates any
         // packing-feasible coordinate.
-        let caps: Vec<f64> = self
-            .solver
-            .pack_traces
-            .iter()
-            .map(|&tr| inst.pack_dim() as f64 / tr.max(1e-300))
-            .collect();
+        let caps: Vec<f64> =
+            pack_traces.iter().map(|&tr| inst.pack_dim() as f64 / tr.max(1e-300)).collect();
         let cap_cover = inst.cover().weighted_sum(&caps);
         let hi_structural = sym_eigenvalues(&cap_cover)?[0].max(0.0);
 
@@ -756,7 +436,7 @@ impl<'i, 's> MixedSession<'i, 's> {
         // λmax(Σ xPᵢ) ≤ Σ xₖ·Tr Pₖ = 1; tighten to packing norm 1 by
         // measurement and read off its coverage.
         let mut w: Vec<f64> =
-            self.solver.pack_traces.iter().map(|&tr| 1.0 / (n as f64 * tr.max(1e-300))).collect();
+            pack_traces.iter().map(|&tr| 1.0 / (n as f64 * tr.max(1e-300))).collect();
         let lam_w =
             *sym_eigenvalues(&inst.pack().weighted_sum(&w))?.last().expect("empty spectrum");
         if lam_w > 0.0 {
@@ -781,7 +461,7 @@ impl<'i, 's> MixedSession<'i, 's> {
         let lo = if zero { 0.0 } else { lo_witness };
         let hi = if zero { 0.0 } else { hi_structural.max(lo * (1.0 + 2.0 * opts.eps)) };
         let mut family = MixedBisection {
-            session: self,
+            solver,
             opts,
             caps,
             best_point: (!zero).then(|| MixedFeasible {
@@ -792,15 +472,15 @@ impl<'i, 's> MixedSession<'i, 's> {
             infeasibility_witness: None,
             pruned_max: 0,
         };
-        let run = bisect(&mut family, (lo, hi), opts.eps, opts.max_calls)?;
+        let run = bisect(self, &mut family, (lo, hi), opts.eps, opts.max_calls)?;
         Ok(MixedReport {
             threshold_lower: run.lo,
             threshold_upper: run.hi,
             best_point: family.best_point,
             infeasibility_witness: family.infeasibility_witness,
             decision_calls: run.brackets.len(),
-            total_iterations: run.brackets.iter().map(|b| b.iterations).sum(),
-            total_engine_evals: run.brackets.iter().map(|b| b.engine_evals).sum(),
+            total_iterations: run.iterations,
+            total_engine_evals: run.engine_evals,
             converged: run.converged,
             pruned_max: family.pruned_max,
             call_stats: run.call_stats,
@@ -810,8 +490,8 @@ impl<'i, 's> MixedSession<'i, 's> {
 }
 
 /// The mixed pieces of the shared bisection (`crate::bisect`).
-struct MixedBisection<'a, 'i, 's> {
-    session: &'a mut MixedSession<'i, 's>,
+struct MixedBisection<'a, 'i> {
+    solver: &'a MixedSolver<'i>,
     opts: &'a MixedApproxOptions,
     /// `m_P / Tr Pₖ`, the structural cap of each coordinate.
     caps: Vec<f64>,
@@ -820,12 +500,8 @@ struct MixedBisection<'a, 'i, 's> {
     pruned_max: usize,
 }
 
-impl Family for MixedBisection<'_, '_, '_> {
+impl<'i> Family<'i, MixedSolver<'i>> for MixedBisection<'_, 'i> {
     type Outcome = MixedOutcome;
-
-    fn observers(&mut self) -> &mut [Box<dyn Observer>] {
-        &mut self.session.observers
-    }
 
     /// Coordinate k's total coverage contribution in any packing-feasible
     /// point is ≤ caps[k]·λmax(Cₖ) ≤ caps[k]·Tr Cₖ; drop it when that is
@@ -833,7 +509,7 @@ impl Family for MixedBisection<'_, '_, '_> {
     fn probe(&mut self, sigma: f64) -> Probe {
         let n = self.caps.len();
         let cutoff = self.opts.eps * sigma / (2.0 * n as f64);
-        let (caps, cover_traces) = (&self.caps, &self.session.solver.cover_traces);
+        let (caps, cover_traces) = (&self.caps, &self.solver.sides[1].traces);
         let probe = Probe::new(sigma, n, |k| {
             let contribution = caps[k] * cover_traces[k];
             (contribution <= cutoff).then_some(contribution)
@@ -849,28 +525,39 @@ impl Family for MixedBisection<'_, '_, '_> {
         if !self.opts.warm_start {
             return None;
         }
-        let inst = self.session.solver.inst;
+        let inst = self.solver.inst;
         let t_target = coverage_target(self.opts.decision.eps, inst.pack_dim(), inst.cover_dim());
         let cur = lambda_max_upper_bound(&inst.pack().weighted_sum(u))
             .max(lambda_max_upper_bound(&inst.cover().weighted_sum(u)) / probe.sigma)
             .max(1e-300);
-        let gamma = WARM_TARGET_FRACTION * t_target / cur;
+        let gamma = WARM_FRACTION * t_target / cur;
         Some(u.iter().map(|v| v * gamma).collect())
     }
 
-    fn solve(&mut self, probe: &Probe, seed: Option<Vec<f64>>) -> Call<MixedOutcome> {
-        self.session.run_decision(probe.sigma, &self.opts.decision, probe.mask(), seed)
+    fn solve(
+        &mut self,
+        session: &mut MixedSession<'i, '_>,
+        probe: &Probe,
+        seed: Option<Vec<f64>>,
+    ) -> Call<MixedOutcome> {
+        let opts = self.opts.decision;
+        session.run(probe.sigma, probe.mask(), seed, |s, _| JainYao::new(s, opts))
     }
 
     /// Re-run cold with ε and α halved: the coverage target T doubles and
     /// the per-step overshoot halves, so the loop's intrinsic resolution
     /// tightens past the stall. Its errors propagate. It takes no budget
     /// from the cold solve: a kept retry can run several times as long.
-    fn escalate(&mut self, probe: &Probe, _: &Attempt<MixedOutcome>) -> Option<Call<MixedOutcome>> {
+    fn escalate(
+        &mut self,
+        session: &mut MixedSession<'i, '_>,
+        probe: &Probe,
+        _: &Attempt<MixedOutcome>,
+    ) -> Option<Call<MixedOutcome>> {
         let mut fine = self.opts.decision;
         fine.eps *= 0.5;
         fine.alpha_boost = (fine.alpha_boost * 0.5).max(1.0);
-        Some(self.session.run_decision(probe.sigma, &fine, probe.mask(), None))
+        Some(session.run(probe.sigma, probe.mask(), None, |s, _| JainYao::new(s, fine)))
     }
 
     /// A call is kept when it improves the side it certifies.
@@ -914,6 +601,129 @@ impl Family for MixedBisection<'_, '_, '_> {
     }
 }
 
+/// Jain–Yao's rule for one decision call: evaluate both sides, price
+/// every active coordinate, and step the ones whose packing price is at
+/// most `(1+ε)` times their covering price. Exits: coverage reached and
+/// the empty eligible set (see the module docs).
+struct JainYao<'a> {
+    sides: &'a [Side<'a>; 2],
+    opts: MixedOptions,
+    t_target: f64,
+    alpha: f64,
+    certificate: Option<MixedCertificate>,
+}
+
+impl<'a> JainYao<'a> {
+    fn new(solver: &'a MixedSolver<'_>, opts: MixedOptions) -> Self {
+        let inst = solver.inst;
+        JainYao {
+            sides: &solver.sides,
+            opts,
+            t_target: coverage_target(opts.eps, inst.pack_dim(), inst.cover_dim()),
+            alpha: (opts.eps / 4.0) * opts.alpha_boost,
+            certificate: None,
+        }
+    }
+}
+
+impl Rule for JainYao<'_> {
+    type Outcome = MixedOutcome;
+    const THRESHOLD: &'static str = "coverage";
+
+    fn plan(&self) -> (f64, f64, usize, usize) {
+        (self.t_target, self.alpha, self.opts.max_iters, self.opts.psi_rebuild_period)
+    }
+
+    /// Small multiplicative mass, scaled so neither aggregate starts
+    /// anywhere near its target (cf. the scalar mixed solver's start).
+    fn cold_start(&self, f: &Frame, k: usize) -> f64 {
+        let (tp, tc) = (self.sides[0].traces[k], self.sides[1].traces[k]);
+        1.0 / (f.n_active as f64 * tp.max(tc / f.sigma) * self.t_target)
+    }
+
+    fn step(&mut self, f: &mut Frame) -> Result<Option<ExitReason>, PsdpError> {
+        let ([pack_side, cover_side], sigma, t) = (self.sides, f.sigma, f.t as u64);
+        let (psi_p, psi_c) = (&f.psi[0], &f.psi[1]);
+
+        // Packing side: soft-max weights over Ψ_P.
+        f.kappa = psi_p.kappa_bound();
+        f.tally.kappa(f.kappa);
+        let pack = pack_side.evaluate(psi_p, f.kappa, t)?;
+        f.tally.evaluated(&pack);
+
+        // Covering side: soft-min weights over Ψ_C/σ, i.e. exp of the NSD
+        // matrix −Ψ_C/σ (exact engine; log_scale is 0 there but kept in
+        // the soft-min bound for generality).
+        let phi_c = psi_c.matrix().scaled(-1.0 / sigma);
+        let kappa_c = lambda_max_upper_bound(psi_c.matrix()) / sigma;
+        let cover = cover_side.engine.compute(&phi_c, kappa_c, cover_side.inst.mats(), t)?;
+        f.tally.evaluated(&cover);
+
+        // Soft-min coverage bound: λmin(Ψ_C)/σ ≥ −ln Tr exp(−Ψ_C/σ).
+        f.norm1 = -(cover.tr_w.ln() + cover.log_scale);
+        f.tally.sample(f.t, f.norm1);
+        if f.norm1 >= self.t_target {
+            return Ok(Some(ExitReason::CoverageReached));
+        }
+
+        // Prices. pack_dots[k] = Pₖ•Y_P; cover_dots[k] = Cₖ•Y_C.
+        let inv_tr_p = 1.0 / pack.tr_w;
+        let inv_tr_c = 1.0 / cover.tr_w;
+        let pack_dots: Vec<f64> = pack.dots.iter().map(|d| d * inv_tr_p).collect();
+        let cover_dots: Vec<f64> = cover.dots.iter().map(|d| d * inv_tr_c).collect();
+
+        // Eligible set: packing price ≤ (1+ε) · covering price, where the
+        // covering price carries the 1/σ of the scaled C̃ₖ = Cₖ/σ.
+        f.min_ratio = f64::INFINITY;
+        for k in (0..f.x.len()).filter(|&k| f.active[k]) {
+            let (p, c) = (pack_dots[k], cover_dots[k]);
+            let ratio = if c > 0.0 { sigma * p / c } else { f64::INFINITY };
+            f.min_ratio = f.min_ratio.min(ratio);
+            if p * sigma <= (1.0 + self.opts.eps) * c {
+                f.deltas.push((k, self.alpha * f.x[k]));
+            }
+        }
+        if !f.deltas.is_empty() {
+            return Ok(None);
+        }
+        // Every active coordinate is priced out: the weight pair is an
+        // infeasibility certificate with the measured margin.
+        self.certificate = Some(MixedCertificate {
+            sigma,
+            y_pack: pack.dense_p,
+            y_cover: cover.dense_p,
+            pack_dots,
+            cover_dots,
+            active: f.active.clone(),
+            margin: f.min_ratio,
+        });
+        Ok(Some(ExitReason::EmptyEligibleSet))
+    }
+
+    /// The empty eligible set's certificate; any other exit (coverage
+    /// reached, cap, observer) certifies a feasible point by measurement,
+    /// rescaled so λmax(Σ xPᵢ) ≤ 1 holds exactly.
+    fn finish(self, f: &Frame, _: ExitReason) -> MixedOutcome {
+        if let Some(cert) = self.certificate {
+            return MixedOutcome::Infeasible(cert);
+        }
+        let (psi_p, psi_c, sigma) = (f.psi[0].matrix(), f.psi[1].matrix(), f.sigma);
+        let lam_p = lambda_max_measured(psi_p);
+        let lam_c = match sym_eigenvalues(psi_c) {
+            Ok(values) => values[0],
+            // The soft-min bound is a certified fallback.
+            Err(_) => (sigma * f.norm1).max(0.0),
+        };
+        let s = lam_p.max(lam_c / sigma).max(1e-300);
+        let point = MixedFeasible {
+            x: f.x.iter().map(|v| v / s).collect(),
+            pack_lambda_max: lam_p / s,
+            cover_lambda_min: lam_c / s,
+        };
+        MixedOutcome::Feasible(point)
+    }
+}
+
 /// One-shot convenience: prepare a [`MixedSolver`], open a session, and
 /// optimize the coverage threshold.
 ///
@@ -945,7 +755,6 @@ pub fn solve_mixed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::ObserverControl;
     use crate::verify::{verify_mixed_feasible, verify_mixed_infeasible};
     use psdp_sparse::PsdMatrix;
 
@@ -956,51 +765,6 @@ mod tests {
     /// 1-coordinate instance 2x ≤ 1, x ≥ σ: σ* = 1/2 exactly.
     fn half_instance() -> MixedInstance {
         MixedInstance::new(vec![diag(&[2.0])], vec![diag(&[1.0])]).unwrap()
-    }
-
-    /// Prepared engines are reused only when each side's dimension, seed
-    /// and resolved kind match the builder's instance and options.
-    #[test]
-    fn build_with_engines_rejects_mismatched_engines() {
-        let inst = half_instance();
-        let wide = MixedInstance::new(vec![diag(&[2.0, 1.0])], vec![diag(&[1.0, 1.0])]).unwrap();
-        let opts = MixedOptions::practical(0.1);
-        let taylor = EngineKind::Taylor { eps: 0.1 };
-        let (pack, cover) =
-            MixedSolver::builder(&inst).options(opts).build().unwrap().engine_handles();
-        let (wide_pack, wide_cover) =
-            MixedSolver::builder(&wide).options(opts).build().unwrap().engine_handles();
-        let cover_engine =
-            |kind, seed| Arc::new(Engine::new(kind, inst.cover().mats(), seed).unwrap());
-        let reuse = |opts: MixedOptions, pack: &Arc<Engine>, cover: &Arc<Engine>| {
-            MixedSolver::builder(&inst)
-                .options(opts)
-                .build_with_engines(Arc::clone(pack), Arc::clone(cover))
-                .map(|_| ())
-        };
-        assert!(reuse(opts, &pack, &cover).is_ok());
-
-        let cases = [
-            ("packing engine has dim", reuse(opts, &wide_pack, &cover)),
-            (
-                "packing engine was built with seed",
-                reuse(opts.with_seed(opts.seed + 1), &pack, &cover),
-            ),
-            ("packing engine kind", reuse(opts.with_engine(taylor), &pack, &cover)),
-            ("covering engine has dim", reuse(opts, &pack, &wide_cover)),
-            (
-                "covering engine was built with seed",
-                reuse(opts, &pack, &cover_engine(EngineKind::Exact, opts.seed + 1)),
-            ),
-            ("covering engine", reuse(opts, &pack, &cover_engine(taylor, opts.seed))),
-        ];
-        for (what, built) in cases {
-            match built {
-                Err(PsdpError::InvalidInstance(msg)) => assert!(msg.contains(what), "{msg}"),
-                Err(e) => panic!("{what}: wrong error {e}"),
-                Ok(()) => panic!("{what}: mismatch was accepted"),
-            }
-        }
     }
 
     #[test]
@@ -1110,51 +874,6 @@ mod tests {
                 s.k_threshold
             );
         }
-    }
-
-    #[test]
-    fn observer_sees_mixed_iterations_and_can_stop() {
-        struct Counter {
-            iters: usize,
-            stop_at: usize,
-        }
-        impl Observer for Counter {
-            fn on_iteration(&mut self, ev: &IterationEvent) -> ObserverControl {
-                self.iters += 1;
-                assert!(ev.t >= 1);
-                if self.iters >= self.stop_at {
-                    ObserverControl::Stop
-                } else {
-                    ObserverControl::Continue
-                }
-            }
-        }
-        let inst = half_instance();
-        let solver =
-            MixedSolver::builder(&inst).options(MixedOptions::practical(0.2)).build().unwrap();
-        let mut s = solver.session();
-        s.add_observer(Box::new(Counter { iters: 0, stop_at: 3 }));
-        let res = s.solve(0.25).unwrap();
-        assert_eq!(res.stats.exit, ExitReason::ObserverStopped);
-        assert_eq!(res.stats.iterations, 3);
-    }
-
-    #[test]
-    fn rejects_bad_threshold_and_options() {
-        let inst = half_instance();
-        let solver = MixedSolver::builder(&inst).build().unwrap();
-        let mut s = solver.session();
-        assert!(s.solve(0.0).is_err());
-        assert!(s.solve(f64::NAN).is_err());
-        let mut o = MixedOptions::practical(0.1);
-        o.eps = 0.0;
-        assert!(MixedSolver::builder(&inst).options(o).build().is_err());
-        let mut o = MixedOptions::practical(0.1);
-        o.alpha_boost = f64::INFINITY;
-        assert!(o.validate().is_err());
-        let mut o = MixedOptions::practical(0.1);
-        o.max_iters = 0;
-        assert!(o.validate().is_err());
     }
 
     #[test]

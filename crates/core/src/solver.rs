@@ -1,4 +1,4 @@
-//! Session-based solver API: prepare once, solve many times.
+//! Session-based packing solver: prepare once, solve many times.
 //!
 //! [`decision_psdp`](crate::decision_psdp) is a one-shot free function:
 //! every call re-validates the instance, re-resolves
@@ -10,93 +10,45 @@
 //!
 //! This module splits the solver into:
 //!
-//! * [`Solver`] — the prepared problem: instance validated once, engine
-//!   constructed (and `Auto` resolved, support-local factorizations built)
-//!   once, per-constraint traces and `λmax` estimates cached once.
+//! * [`Solver`] — the prepared problem: instance validated once, one
+//!   prepared constraint side (engine constructed, `Auto` resolved,
+//!   support-local factorizations built, per-constraint traces cached) and
+//!   the `λmax` estimates of the structural bracket.
 //! * [`Session`] — runs solves over the prepared solver and owns the
-//!   registered [`Observer`]s; each solve builds its own iterate and
-//!   incremental [`PsiMaintainer`]. [`Session::solve`] answers one
-//!   ε-decision question "is the packing optimum ≥ `threshold`?";
-//!   [`Session::optimize`] runs the full certified bisection over one
-//!   session, through the driver the mixed optimizer shares
-//!   (`crate::bisect`).
+//!   registered [`Observer`]s. [`Session::solve`] answers one ε-decision
+//!   question "is the packing optimum ≥ `threshold`?" through the
+//!   decision-call skeleton both families share (`crate::session`), under
+//!   Algorithm 3.1's rule (`Alg31` below); [`Session::optimize`] runs the
+//!   full certified bisection through the driver the mixed optimizer
+//!   shares (`crate::bisect`).
 //!
 //! ## Cross-bracket warm starts
 //!
-//! The bisection has one warm start: iterate continuation, "the previous
-//! iterate rescaled to remain feasible for the new threshold". State is
-//! kept in original coordinates `u = σ·x`, where the start point
-//! `u⁰ᵢ = σ·x⁰ᵢ = 1/(n·Tr Aᵢ)` and `Ψ = Σ xᵢ·σAᵢ = Σ uᵢAᵢ` do not depend on
-//! `σ`. Every decision call returns its final `u` with its outcome; the
-//! shared driver keeps the `u` of each bracket's kept call and, when the
-//! next bracket prunes the same coordinates, [`Session::optimize`]
-//! rescales it so its threshold-frame mass is `β·K` (β = 1/2) at the new
-//! `σ` and runs a warm attempt from it. The iterate travels with the
-//! bisection, not the session, so `optimize` depends on the solver and
-//! its options alone, never on earlier calls on the same session.
-//!
-//! A warm-started trajectory differs numerically from the cold one, so the
-//! bisection only accepts its outcome when it is **strong** — a dual with
-//! measured value ≥ 1 (certifying `OPT ≥ σ` exactly) or a primal with
-//! min-dot ≥ 1 (certifying `OPT ≤ σ·(1+pruning slack)` exactly) — and then
-//! applies the *quantized* bracket update `lo ← σ` / `hi ← σ·(1+slack)`, a
-//! deterministic function of `σ` alone. Weak warm outcomes are discarded
-//! and the bracket re-runs cold, reproducing exactly what the cold
-//! bisection would have done; a weak *cold* outcome escalates to a
-//! deterministic certificate-seeking continuation from the cold solve's
-//! final iterate, run within the cold solve's iteration count, before
-//! falling back to the measured-value update.
-//!
-//! Strong certificates are true statements about `OPT` regardless of the
-//! path that found them, so warm and cold bisections
-//! ([`ApproxOptions::warm_start`] on and off) walk the same `σ` sequence —
-//! and report the same certified bracket — **whenever each tested `σ`
-//! resolves to the same strong side on both paths** (or both end weak,
-//! where the shared fallback is cold-deterministic). The two sides are
-//! simultaneously certifiable only when `σ` sits within the solver's
-//! ε-resolution of `OPT`; there, and when only one path finds a strong
-//! certificate at all, warm and cold could in principle diverge — both
-//! brackets stay individually certified. The warm-start unit tests, the
-//! `tests/warmstart_bisection.rs` property test, and experiment E11 check
-//! that on the tested families the brackets are in fact equal bit for
-//! bit, while the warm run reaches each certificate in far fewer
-//! iterations (the cold path must ramp `‖x‖₁` from `‖x⁰‖₁ ≪ 1` to `K` at
-//! rate `(1+α)` per round). Warm attempts and the escalation engage only
-//! in practical constants mode: under [`ConstantsMode::PaperStrict`] the
-//! dual is scaled by `(1+10ε)K` while the exit fires just above `K`, so a
-//! strong dual is unreachable and strict-mode bisections run every bracket
-//! cold with measured-value updates.
-//!
-//! ## Observers
-//!
-//! [`Observer`]s registered on a session receive [`IterationEvent`]s from
-//! inside the iterate loop and [`PhaseEvent`]s at solve/bracket
-//! boundaries; an observer can stop a solve early by returning
-//! [`ObserverControl::Stop`] (the solve exits with
-//! [`ExitReason::ObserverStopped`] and an *uncertified* averaged primal).
-//! Telemetry, progress streaming, and early-stop injection therefore no
-//! longer require forking the solver loop.
+//! State is kept in original coordinates `u = σ·x`, where the start point
+//! `u⁰ᵢ = σ·x⁰ᵢ = 1/(n·Tr Aᵢ)` and `Ψ = Σ uᵢAᵢ` do not depend on `σ`. The
+//! bisection rescales the final `u` of each bracket's kept call into a
+//! warm attempt at the next `σ`, accepts only **strong** outcomes (a dual
+//! of measured value ≥ 1 or a primal with min-dot ≥ 1) with *quantized*
+//! moves `lo ← σ` / `hi ← σ·(1+slack)`, and escalates a weak cold outcome
+//! to a budgeted certificate-seeking continuation. So warm and cold
+//! bisections ([`ApproxOptions::warm_start`] on and off) report the same
+//! certified bracket whenever each tested `σ` resolves to the same strong
+//! side on both paths; DESIGN.md §8 has the argument, its caveat near
+//! `OPT`, and why [`ConstantsMode::PaperStrict`] runs every bracket cold.
 
 use crate::approx::{ApproxOptions, PackingReport};
-use crate::bisect::{bisect, Attempt, Call, Family, Probe};
+use crate::bisect::{bisect, check_eps, Attempt, Call, Family, Probe, WARM_FRACTION};
 use crate::decision::DecisionResult;
 use crate::error::PsdpError;
 use crate::instance::PackingInstance;
 use crate::options::{ConstantsMode, DecisionOptions, UpdateRule};
-use crate::psi::{PsiMaintainer, PsiPattern};
+use crate::session::{lambda_max_measured, Frame, Rule, Side};
+pub use crate::session::{IterationEvent, Observer, ObserverControl, PhaseEvent, Session};
 use crate::solution::{DualSolution, ExitReason, Outcome, PrimalSolution};
-use crate::stats::SolveStats;
 use crate::theory::paper_constants;
 use psdp_expdot::{Engine, EngineKind, ExpDots};
-use psdp_linalg::{lambda_max_upper_bound, sym_eigenvalues, vecops, Mat};
-use psdp_parallel::Cost;
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
-
-/// Threshold-frame `‖x‖₁` mass (as a fraction of the dual-exit threshold
-/// `K`) a warm-started bracket iterate is rescaled to. Half of `K` leaves
-/// the loop room to re-balance the iterate before any exit can trigger.
-const WARM_MASS_FRACTION: f64 = 0.5;
+use psdp_linalg::{vecops, Mat};
+use std::sync::Arc;
 
 /// Builder for a prepared [`Solver`].
 ///
@@ -126,8 +78,8 @@ impl<'i> SolverBuilder<'i> {
     /// Option validation failures and constraint factorization failures.
     pub fn build(self) -> Result<Solver<'i>, PsdpError> {
         self.opts.validate()?;
-        let engine = Arc::new(Engine::new(self.opts.engine, self.inst.mats(), self.opts.seed)?);
-        Self::assemble(self.inst, self.opts, engine)
+        let side = Side::build(self.inst, self.opts.engine, self.opts.seed)?;
+        Ok(Solver::assemble(self.opts, side))
     }
 
     /// Like [`SolverBuilder::build`], but reuse an already-prepared engine
@@ -150,53 +102,10 @@ impl<'i> SolverBuilder<'i> {
     /// instance/options pair.
     pub fn build_with_engine(self, engine: Arc<Engine>) -> Result<Solver<'i>, PsdpError> {
         self.opts.validate()?;
-        let want = self.opts.engine.resolve(self.inst.dim(), self.inst.total_nnz());
-        check_prepared_engine(&engine, "packing", self.inst.dim(), self.opts.seed, want)?;
-        Self::assemble(self.inst, self.opts, engine)
+        let (kind, seed) = (self.opts.engine, self.opts.seed);
+        let side = Side::reuse(self.inst, engine, kind, seed, "packing")?;
+        Ok(Solver::assemble(self.opts, side))
     }
-
-    fn assemble(
-        inst: &'i PackingInstance,
-        opts: DecisionOptions,
-        engine: Arc<Engine>,
-    ) -> Result<Solver<'i>, PsdpError> {
-        let traces: Vec<f64> = inst.mats().iter().map(|a| a.trace()).collect();
-        let lambda_caps: Vec<f64> =
-            inst.mats().iter().map(|a| 1.0 / a.lambda_max_est().max(1e-300)).collect();
-        Ok(Solver { inst, opts, engine, traces, lambda_caps, pattern: OnceLock::new() })
-    }
-}
-
-/// Check everything observable about a prepared engine before a builder
-/// reuses it: its dimension, its seed, and its concrete kind against
-/// `want` (the requested kind resolved for this instance side). `side`
-/// names the constraint family in the error.
-pub(crate) fn check_prepared_engine(
-    engine: &Engine,
-    side: &str,
-    dim: usize,
-    seed: u64,
-    want: EngineKind,
-) -> Result<(), PsdpError> {
-    if engine.dim() != dim {
-        return Err(PsdpError::InvalidInstance(format!(
-            "prepared {side} engine has dim {}, instance has dim {dim}",
-            engine.dim()
-        )));
-    }
-    if engine.seed() != seed {
-        return Err(PsdpError::InvalidInstance(format!(
-            "prepared {side} engine was built with seed {}, options ask for seed {seed}",
-            engine.seed()
-        )));
-    }
-    if engine.kind() != want {
-        return Err(PsdpError::InvalidInstance(format!(
-            "prepared {side} engine kind {:?} does not match requested kind {want:?}",
-            engine.kind()
-        )));
-    }
-    Ok(())
 }
 
 /// A prepared positive-SDP solver bound to one [`PackingInstance`].
@@ -224,52 +133,18 @@ pub(crate) fn check_prepared_engine(
 /// # Ok::<(), psdp_core::PsdpError>(())
 /// ```
 pub struct Solver<'i> {
-    inst: &'i PackingInstance,
     opts: DecisionOptions,
-    engine: Arc<Engine>,
-    traces: Vec<f64>,
+    side: Side<'i>,
     lambda_caps: Vec<f64>,
-    /// `Ψ`'s sparsity pattern, built on the first solve and only for the
-    /// `Expv` engine (see [`psi_for_engine`]).
-    pattern: OnceLock<PsiPattern>,
-}
-
-/// Start maintaining `Ψ = Σ xᵢAᵢ` over `inst` for `engine`. The `Expv`
-/// engine takes `Ψ` through its pattern view ([`crate::PsiView`]), so its
-/// maintainer carries the pattern — built into `pattern` on first use and
-/// shared by every later solve of the same solver; the dense engines get a
-/// plain maintainer and never build one.
-pub(crate) fn psi_for_engine<'a>(
-    engine: &Engine,
-    inst: &'a PackingInstance,
-    pattern: &'a OnceLock<PsiPattern>,
-    x: &[f64],
-    rebuild_period: usize,
-) -> PsiMaintainer<'a> {
-    if matches!(engine.kind(), EngineKind::Expv { .. }) {
-        let pattern = pattern.get_or_init(|| PsiPattern::new(inst));
-        PsiMaintainer::with_pattern(inst, x, rebuild_period, pattern)
-    } else {
-        PsiMaintainer::new(inst, x, rebuild_period)
-    }
-}
-
-/// One engine evaluation at the current `Ψ`: through the pattern view when
-/// the maintainer has one (the `Expv` engine), else on the dense matrix.
-pub(crate) fn evaluate(
-    engine: &Engine,
-    psi: &PsiMaintainer<'_>,
-    kappa: f64,
-    inst: &PackingInstance,
-    stream: u64,
-) -> Result<ExpDots, PsdpError> {
-    Ok(match psi.view() {
-        Some(view) => engine.compute_op(&view, kappa, stream),
-        None => engine.compute(psi.matrix(), kappa, inst.mats(), stream)?,
-    })
 }
 
 impl<'i> Solver<'i> {
+    fn assemble(opts: DecisionOptions, side: Side<'i>) -> Self {
+        let lambda_caps =
+            side.inst.mats().iter().map(|a| 1.0 / a.lambda_max_est().max(1e-300)).collect();
+        Solver { opts, side, lambda_caps }
+    }
+
     /// Start building a solver for `inst`.
     pub fn builder(inst: &'i PackingInstance) -> SolverBuilder<'i> {
         SolverBuilder { inst, opts: DecisionOptions::practical(0.1) }
@@ -277,7 +152,7 @@ impl<'i> Solver<'i> {
 
     /// The instance this solver was prepared for.
     pub fn instance(&self) -> &PackingInstance {
-        self.inst
+        self.side.inst
     }
 
     /// The options the solver was built with.
@@ -288,146 +163,30 @@ impl<'i> Solver<'i> {
     /// The concrete engine kind in use ([`EngineKind::Auto`] is resolved at
     /// build time).
     pub fn engine_kind(&self) -> EngineKind {
-        self.engine.kind()
+        self.side.engine.kind()
     }
 
     /// A shareable handle to the prepared engine (factorizations included).
     /// Hand this to [`SolverBuilder::build_with_engine`] to prepare another
     /// solver for the *same* constraint set without redoing the work.
     pub fn engine_handle(&self) -> Arc<Engine> {
-        Arc::clone(&self.engine)
+        Arc::clone(&self.side.engine)
     }
 
     /// Open a fresh session (no observers).
     pub fn session(&self) -> Session<'i, '_> {
-        Session { solver: self, observers: Vec::new(), solves: 0 }
+        Session::new(self, std::slice::from_ref(&self.side))
     }
-}
-
-/// What an [`Observer`] tells the solve loop after each iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ObserverControl {
-    /// Keep iterating.
-    Continue,
-    /// Stop the solve now; it exits with [`ExitReason::ObserverStopped`].
-    Stop,
-}
-
-/// Per-iteration telemetry delivered to [`Observer::on_iteration`].
-///
-/// All quantities are in the scaled (threshold-1) frame the decision
-/// problem is stated in, matching [`SolveStats`].
-#[derive(Debug, Clone, Copy)]
-pub struct IterationEvent {
-    /// The threshold `σ` of the running solve.
-    pub threshold: f64,
-    /// Iteration counter `t` (1-based).
-    pub t: usize,
-    /// `‖x‖₁` after this iteration's update.
-    pub norm1: f64,
-    /// Number of coordinates stepped this iteration.
-    pub selected: usize,
-    /// Spectral-norm bound `κ` passed to the engine this iteration.
-    pub kappa: f64,
-    /// Smallest constraint ratio `P•Aᵢ` this iteration (over active
-    /// coordinates).
-    pub min_ratio: f64,
-}
-
-/// Phase-boundary events delivered to [`Observer::on_phase`].
-#[derive(Debug, Clone, Copy)]
-pub enum PhaseEvent<'a> {
-    /// A decision solve is starting.
-    SolveStarted {
-        /// Threshold `σ` being tested.
-        threshold: f64,
-        /// Whether the solve starts from a warm iterate.
-        warm: bool,
-    },
-    /// A decision solve finished; full telemetry attached.
-    SolveFinished {
-        /// Threshold `σ` that was tested.
-        threshold: f64,
-        /// The solve's telemetry.
-        stats: &'a SolveStats,
-    },
-    /// [`Session::optimize`] moved its bracket after a decision call.
-    BracketUpdated {
-        /// Threshold that was tested.
-        sigma: f64,
-        /// Certified lower bound after the update.
-        lo: f64,
-        /// Certified upper bound after the update.
-        hi: f64,
-        /// Whether the call certified the dual (feasible) side.
-        dual_side: bool,
-    },
-}
-
-/// Hooks threaded through the iterate loop and the bisection.
-///
-/// Default implementations do nothing, so an observer only implements what
-/// it needs. Observers run synchronously on the solve thread; keep
-/// [`Observer::on_iteration`] cheap.
-pub trait Observer {
-    /// Called at solve and bracket boundaries.
-    fn on_phase(&mut self, _event: &PhaseEvent<'_>) {}
-
-    /// Called once per iteration, after the update and exit checks.
-    /// Returning [`ObserverControl::Stop`] ends the solve with
-    /// [`ExitReason::ObserverStopped`].
-    fn on_iteration(&mut self, _event: &IterationEvent) -> ObserverControl {
-        ObserverControl::Continue
-    }
-}
-
-/// Deliver a phase event to every observer, in registration order.
-pub(crate) fn emit_phase(observers: &mut [Box<dyn Observer>], event: &PhaseEvent<'_>) {
-    for obs in observers {
-        obs.on_phase(event);
-    }
-}
-
-/// Deliver an iteration event to every observer, in registration order;
-/// `true` when any of them asked to stop.
-pub(crate) fn emit_iteration(observers: &mut [Box<dyn Observer>], event: &IterationEvent) -> bool {
-    let mut stop = false;
-    for obs in observers {
-        stop |= obs.on_iteration(event) == ObserverControl::Stop;
-    }
-    stop
-}
-
-/// A stateful solve session over a prepared [`Solver`].
-///
-/// Owns the registered observers. Create with [`Solver::session`]; run
-/// ε-decision solves with [`Session::solve`] / [`Session::solve_with`] and
-/// full certified optimization with [`Session::optimize`]. No solve leaves
-/// state behind for a later one.
-pub struct Session<'i, 's> {
-    solver: &'s Solver<'i>,
-    observers: Vec<Box<dyn Observer>>,
-    solves: usize,
 }
 
 impl<'i, 's> Session<'i, 's> {
-    /// Register an observer for subsequent solves.
-    pub fn add_observer(&mut self, obs: Box<dyn Observer>) {
-        self.observers.push(obs);
-    }
-
-    /// Number of decision solves this session has run.
-    pub fn solves(&self) -> usize {
-        self.solves
-    }
-
     /// Run the ε-decision problem "is the packing optimum ≥ `threshold`?"
     /// with the solver's build-time options.
     ///
     /// # Errors
     /// Invalid threshold, option validation, or linear-algebra failures.
     pub fn solve(&mut self, threshold: f64) -> Result<DecisionResult, PsdpError> {
-        let opts = self.solver.opts;
+        let opts = self.solver().opts;
         self.solve_with(threshold, &opts)
     }
 
@@ -445,287 +204,8 @@ impl<'i, 's> Session<'i, 's> {
     ) -> Result<DecisionResult, PsdpError> {
         opts.validate()?;
         let Attempt { outcome, stats, .. } =
-            self.run_decision(threshold, opts, None, None, None)?;
+            self.run(threshold, None, None, |s, f| Alg31::new(s, *opts, f, None))?;
         Ok(DecisionResult { outcome, stats })
-    }
-
-    /// The decision loop (Algorithm 3.1) at threshold `sigma`, optionally
-    /// restricted to an active-coordinate mask (Lemma 2.2 trace pruning)
-    /// and optionally starting from a warm iterate (`start`). State is kept
-    /// in original coordinates `u = σ·x` (see the module docs); the call
-    /// returns its final `u` with its outcome.
-    ///
-    /// `cert_seek: Some(budget)` switches the exit logic to
-    /// *strong-certificate hunting* (the bisection's deterministic
-    /// escalation for weak outcomes): the dual exit fires only once
-    /// `‖x‖₁ ≥ κ·(1+1e-6)` — which guarantees the measured dual value is
-    /// ≥ 1 since `λmax(Ψ) ≤ κ` — the primal running-average check runs
-    /// regardless of [`DecisionOptions::early_exit`], and the iteration cap
-    /// drops to `budget` (at least 1).
-    fn run_decision(
-        &mut self,
-        sigma: f64,
-        opts: &DecisionOptions,
-        mask: Option<Vec<bool>>,
-        start: Option<Vec<f64>>,
-        cert_seek: Option<usize>,
-    ) -> Call<Outcome> {
-        if !(sigma > 0.0 && sigma.is_finite()) {
-            return Err(PsdpError::InvalidInstance(format!(
-                "decision threshold must be positive and finite, got {sigma}"
-            )));
-        }
-        let wall_start = Instant::now();
-        self.solves += 1;
-        let inst = self.solver.inst;
-        let engine = &self.solver.engine;
-        let n = inst.n();
-        let m = inst.dim();
-        let eps = opts.eps;
-
-        let active: Vec<bool> = mask.unwrap_or_else(|| vec![true; n]);
-        debug_assert_eq!(active.len(), n);
-        let n_active = active.iter().filter(|&&b| b).count();
-        if n_active == 0 {
-            return Err(PsdpError::InvalidInstance("active-coordinate mask is empty".into()));
-        }
-        let active_min = |vals: &[f64]| {
-            vals.iter()
-                .zip(&active)
-                .filter(|&(_, &a)| a)
-                .fold(f64::INFINITY, |acc, (&v, _)| acc.min(v))
-        };
-
-        let pc = paper_constants(n_active, eps);
-        let (k_threshold, alpha, cap) = match opts.mode {
-            ConstantsMode::PaperStrict => (pc.k_threshold, pc.alpha, pc.r_cap.ceil() as usize),
-            ConstantsMode::Practical { alpha_boost, max_iters } => {
-                (pc.k_threshold, pc.alpha * alpha_boost, max_iters)
-            }
-        };
-        let cap = cert_seek.map_or(cap, |budget| cap.min(budget.max(1)));
-        let lemma_bound = (1.0 + 10.0 * eps) * k_threshold;
-
-        // Original-coordinate start point u⁰ᵢ = 1/(n_active·Tr Aᵢ)
-        // (σ-invariant; equals σ·x⁰ᵢ for the scaled instance), unless a
-        // warm iterate was handed in. Masked coordinates are frozen at 0 —
-        // exactly the Lemma 2.2 restriction.
-        let warm_init = start.is_some();
-        let mut x: Vec<f64> = match start {
-            Some(u) => {
-                debug_assert_eq!(u.len(), n);
-                u
-            }
-            None => self
-                .solver
-                .traces
-                .iter()
-                .zip(&active)
-                .map(|(&tr, &a)| if a { 1.0 / (n_active as f64 * tr) } else { 0.0 })
-                .collect(),
-        };
-        let mut psi =
-            psi_for_engine(engine, inst, &self.solver.pattern, &x, opts.psi_rebuild_period);
-
-        let engine_kind = engine.kind();
-        // Only the engines that can materialize a dense P (exact always,
-        // Taylor via one extra symmetric square) feed the primal average;
-        // the sketched and expm-action engines never form exp(Φ).
-        let accumulate_y = opts.primal_matrix_dim_limit > 0
-            && m <= opts.primal_matrix_dim_limit
-            && matches!(engine_kind, EngineKind::Exact | EngineKind::Taylor { .. });
-        let mut y_acc: Option<Mat> = accumulate_y.then(|| Mat::zeros(m, m));
-
-        let phase = PhaseEvent::SolveStarted { threshold: sigma, warm: warm_init };
-        emit_phase(&mut self.observers, &phase);
-
-        let mut dot_sums = vec![0.0_f64; n];
-        let mut rounds_accumulated = 0usize;
-        let mut cost_total = Cost::ZERO;
-        let mut selected_total = 0usize;
-        let mut kappa_max = 0.0_f64;
-        let mut engine_evals = 0usize;
-        let mut exit = ExitReason::IterationCap;
-        let sample_every = (cap / 200).max(1);
-        let mut trajectory: Vec<(usize, f64)> = Vec::new();
-        let mut cur: Option<ExpDots> = None;
-        let mut t = 0usize;
-        let mut empty_b_snapshot: Option<(Vec<f64>, Option<Mat>)> = None;
-
-        if cert_seek.is_some() {
-            let kappa0 = psi.kappa_bound();
-            if vecops::sum(&x) / sigma >= (kappa0 * (1.0 + 1e-6)).max(1.0) {
-                exit = ExitReason::DualNormCrossed;
-            }
-        } else if vecops::sum(&x) / sigma > k_threshold {
-            exit = ExitReason::DualNormCrossed;
-        }
-
-        while t < cap && exit != ExitReason::DualNormCrossed {
-            t += 1;
-
-            let mut kappa = psi.kappa_bound();
-            if matches!(opts.mode, ConstantsMode::PaperStrict) {
-                kappa = kappa.min(lemma_bound * 1.01);
-            }
-            kappa_max = kappa_max.max(kappa);
-
-            let refresh = match opts.rule {
-                UpdateRule::Stale { period } => (t - 1).is_multiple_of(period) || cur.is_none(),
-                _ => true,
-            };
-            if refresh {
-                engine_evals += 1;
-                let dots = if accumulate_y {
-                    engine.compute_dense(psi.matrix(), kappa, inst.mats(), t as u64)?
-                } else {
-                    evaluate(engine, &psi, kappa, inst, t as u64)?
-                };
-                cost_total = cost_total + dots.cost;
-                cur = Some(dots);
-            }
-            let dots = cur.as_ref().expect("engine output present");
-
-            // Ratios P(t) • (σAᵢ) = σ·(W•Aᵢ)/Tr W.
-            let inv_tr = 1.0 / dots.tr_w;
-            let ratios: Vec<f64> = dots.dots.iter().map(|d| d * inv_tr * sigma).collect();
-
-            if refresh {
-                for (s, &r) in dot_sums.iter_mut().zip(&ratios) {
-                    *s += r;
-                }
-                if let (Some(acc), Some(p)) = (y_acc.as_mut(), dots.dense_p.as_ref()) {
-                    acc.axpy(1.0, p);
-                }
-                rounds_accumulated += 1;
-            }
-
-            let steps = select_steps(&ratios, eps, alpha, opts.rule, Some(&active));
-            let selected = steps.iter().filter(|&&s| s > 0.0).count();
-            if selected == 0 {
-                // Every active constraint has P•Aᵢ > 1+ε: the current P is a
-                // feasible primal.
-                empty_b_snapshot = Some((ratios, dots.dense_p.clone()));
-                exit = ExitReason::EmptyEligibleSet;
-                break;
-            }
-            selected_total += selected;
-
-            let mut deltas: Vec<(usize, f64)> = Vec::with_capacity(selected);
-            for (i, &step) in steps.iter().enumerate() {
-                if step > 0.0 {
-                    let delta = step * x[i];
-                    x[i] += delta;
-                    deltas.push((i, delta));
-                }
-            }
-            psi.apply_updates(&deltas);
-            psi.maybe_rebuild(&x);
-
-            let norm1 = vecops::sum(&x) / sigma;
-            if t.is_multiple_of(sample_every) {
-                trajectory.push((t, norm1));
-            }
-            if cert_seek.is_some() {
-                // Strong-dual hunt: exit only once the measured value is
-                // guaranteed ≥ 1 (λmax(Ψ) ≤ κ, so ‖x‖₁ ≥ κ ⇒ value ≥ 1).
-                let kappa_now = psi.kappa_bound();
-                if norm1 >= (kappa_now * (1.0 + 1e-6)).max(1.0) {
-                    exit = ExitReason::DualNormCrossed;
-                    break;
-                }
-            } else if norm1 > k_threshold {
-                exit = ExitReason::DualNormCrossed;
-                break;
-            }
-            if (opts.early_exit || cert_seek.is_some()) && rounds_accumulated > 0 {
-                let min_avg = active_min(&dot_sums) / rounds_accumulated as f64;
-                if min_avg >= 1.0 {
-                    exit = ExitReason::PrimalEarly;
-                    break;
-                }
-            }
-            if !self.observers.is_empty() {
-                let event = IterationEvent {
-                    threshold: sigma,
-                    t,
-                    norm1,
-                    selected,
-                    kappa,
-                    min_ratio: active_min(&ratios),
-                };
-                if emit_iteration(&mut self.observers, &event) {
-                    exit = ExitReason::ObserverStopped;
-                    break;
-                }
-            }
-        }
-
-        let final_norm1 = vecops::sum(&x) / sigma;
-        let outcome = match exit {
-            ExitReason::DualNormCrossed => {
-                let x_scaled: Vec<f64> = x.iter().map(|v| v / sigma).collect();
-                Outcome::Dual(build_dual(&x_scaled, psi.matrix(), eps, k_threshold, opts.mode)?)
-            }
-            ExitReason::EmptyEligibleSet => {
-                let (ratios, p) = empty_b_snapshot.expect("snapshot recorded");
-                let min_dot = active_min(&ratios);
-                Outcome::Primal(PrimalSolution {
-                    constraint_dots: ratios,
-                    y: p,
-                    min_dot,
-                    rounds_averaged: 1,
-                })
-            }
-            // `CoverageReached` belongs to the mixed loop (`crate::mixed`)
-            // and is never produced here; it falls through to the averaged
-            // primal like the other soft exits.
-            ExitReason::IterationCap
-            | ExitReason::PrimalEarly
-            | ExitReason::ObserverStopped
-            | ExitReason::CoverageReached => {
-                let rounds = rounds_accumulated.max(1) as f64;
-                let constraint_dots: Vec<f64> = dot_sums.iter().map(|s| s / rounds).collect();
-                let min_dot = active_min(&constraint_dots);
-                let y = y_acc.map(|mut acc| {
-                    acc.scale(1.0 / rounds);
-                    let tr = acc.trace();
-                    if tr > 0.0 {
-                        acc.scale(1.0 / tr);
-                    }
-                    acc
-                });
-                Outcome::Primal(PrimalSolution {
-                    constraint_dots,
-                    y,
-                    min_dot,
-                    rounds_averaged: rounds_accumulated.max(1),
-                })
-            }
-        };
-
-        let stats = SolveStats {
-            iterations: t,
-            exit,
-            final_norm1,
-            k_threshold,
-            alpha,
-            iteration_cap: cap,
-            cost: cost_total,
-            engine: engine_kind.name(),
-            avg_selected: if t > 0 { selected_total as f64 / t as f64 } else { 0.0 },
-            kappa_max,
-            psi_rebuilds: psi.rebuilds(),
-            psi_max_drift: psi.max_drift(),
-            threshold: sigma,
-            warm_started: warm_init,
-            engine_evals,
-            wall: wall_start.elapsed(),
-            norm_trajectory: trajectory,
-        };
-        let finished = PhaseEvent::SolveFinished { threshold: sigma, stats: &stats };
-        emit_phase(&mut self.observers, &finished);
-        Ok(Attempt { outcome, stats, iterate: x })
     }
 
     /// Optimize the packing instance to `(1+ε)` relative accuracy by
@@ -752,11 +232,10 @@ impl<'i, 's> Session<'i, 's> {
     /// Validation or solver failures; a bracket that fails to close within
     /// `max_calls` is reported with `converged = false`, not an error.
     pub fn optimize(&mut self, opts: &ApproxOptions) -> Result<PackingReport, PsdpError> {
-        if !(opts.eps > 0.0 && opts.eps < 1.0) {
-            return Err(PsdpError::InvalidInstance(format!("eps {} not in (0,1)", opts.eps)));
-        }
+        check_eps(opts.eps)?;
         opts.decision.validate()?;
-        let caps = &self.solver.lambda_caps;
+        let solver = self.solver();
+        let caps = &solver.lambda_caps;
         let mut lo = caps.iter().fold(0.0_f64, |m, &v| m.max(v)) * 0.5;
         let mut hi = caps.iter().sum::<f64>() * 2.0;
         if lo.is_nan() || lo <= 0.0 || !hi.is_finite() {
@@ -779,7 +258,7 @@ impl<'i, 's> Session<'i, 's> {
         }
 
         let mut family = PackingBisection {
-            session: self,
+            solver,
             opts,
             // Strong duals are unreachable under the paper's strict scaling
             // (the dual exit fires just above K while the value is scaled
@@ -792,17 +271,17 @@ impl<'i, 's> Session<'i, 's> {
             upper_witness: None,
             pruned_max: 0,
         };
-        let run = bisect(&mut family, (lo, hi), opts.eps, opts.max_calls)?;
+        let run = bisect(self, &mut family, (lo, hi), opts.eps, opts.max_calls)?;
         Ok(PackingReport {
             value_lower: run.lo,
             value_upper: run.hi,
             best_dual: family.best_dual,
             upper_witness: family.upper_witness,
             decision_calls: run.brackets.len(),
-            total_iterations: run.brackets.iter().map(|b| b.iterations).sum(),
+            total_iterations: run.iterations,
             converged: run.converged,
             pruned_max: family.pruned_max,
-            total_engine_evals: run.brackets.iter().map(|b| b.engine_evals).sum(),
+            total_engine_evals: run.engine_evals,
             total_replayed: 0,
             call_stats: run.call_stats,
             brackets: run.brackets,
@@ -811,8 +290,8 @@ impl<'i, 's> Session<'i, 's> {
 }
 
 /// Packing's pieces of the shared bisection (`crate::bisect`).
-struct PackingBisection<'a, 'i, 's> {
-    session: &'a mut Session<'i, 's>,
+struct PackingBisection<'a, 'i> {
+    solver: &'a Solver<'i>,
     opts: &'a ApproxOptions,
     /// Warm attempts and the escalation run only in practical mode.
     practical: bool,
@@ -821,7 +300,7 @@ struct PackingBisection<'a, 'i, 's> {
     pruned_max: usize,
 }
 
-impl PackingBisection<'_, '_, '_> {
+impl PackingBisection<'_, '_> {
     /// A final iterate `u` rescaled to threshold-frame mass β·K at the
     /// probed `σ` — "the previous iterate rescaled to remain feasible for
     /// the new threshold" (the loop has room to re-balance before any exit
@@ -829,27 +308,13 @@ impl PackingBisection<'_, '_, '_> {
     fn rescaled(&self, probe: &Probe, u: &[f64]) -> Vec<f64> {
         let n_active = probe.active.iter().filter(|&&b| b).count();
         let k_threshold = paper_constants(n_active, self.opts.decision.eps).k_threshold;
-        let gamma = WARM_MASS_FRACTION * k_threshold * probe.sigma / vecops::sum(u).max(1e-300);
+        let gamma = WARM_FRACTION * k_threshold * probe.sigma / vecops::sum(u).max(1e-300);
         u.iter().map(|v| v * gamma).collect()
-    }
-
-    fn run(
-        &mut self,
-        probe: &Probe,
-        seed: Option<Vec<f64>>,
-        cert_seek: Option<usize>,
-    ) -> Call<Outcome> {
-        let (opts, mask) = (self.opts.decision, probe.mask());
-        self.session.run_decision(probe.sigma, &opts, mask, seed, cert_seek)
     }
 }
 
-impl Family for PackingBisection<'_, '_, '_> {
+impl<'i> Family<'i, Solver<'i>> for PackingBisection<'_, 'i> {
     type Outcome = Outcome;
-
-    fn observers(&mut self) -> &mut [Box<dyn Observer>] {
-        &mut self.session.observers
-    }
 
     /// Lemma 2.2 trace pruning with the certified cutoff max(n³, 2nm/ε):
     /// at threshold 1 any feasible x has xᵢ ≤ m/Tr(Aᵢ'), so dropped
@@ -857,9 +322,9 @@ impl Family for PackingBisection<'_, '_, '_> {
     /// Σ_dropped m/(σ·Tr Aᵢ) to the scaled value — the certified repair of
     /// the upper bound, deterministic in (σ, mask).
     fn probe(&mut self, sigma: f64) -> Probe {
-        let traces = &self.session.solver.traces;
+        let traces = &self.solver.side.traces;
         let n = traces.len() as f64;
-        let m = self.session.solver.inst.dim() as f64;
+        let m = self.solver.side.inst.dim() as f64;
         let cutoff = (n * n * n).max(2.0 * n * m / self.opts.eps);
         let probe = Probe::new(sigma, traces.len(), |i| {
             (sigma * traces[i] > cutoff).then(|| m / (sigma * traces[i]).max(1e-300))
@@ -873,8 +338,14 @@ impl Family for PackingBisection<'_, '_, '_> {
         (self.practical && self.opts.warm_start).then(|| self.rescaled(probe, iterate))
     }
 
-    fn solve(&mut self, probe: &Probe, seed: Option<Vec<f64>>) -> Call<Outcome> {
-        self.run(probe, seed, None)
+    fn solve(
+        &mut self,
+        session: &mut Session<'i, '_>,
+        probe: &Probe,
+        seed: Option<Vec<f64>>,
+    ) -> Call<Outcome> {
+        let opts = self.opts.decision;
+        session.run(probe.sigma, probe.mask(), seed, |s, f| Alg31::new(s, opts, f, None))
     }
 
     /// Certificate-seeking continuation, deterministic from the weak cold
@@ -886,12 +357,20 @@ impl Family for PackingBisection<'_, '_, '_> {
     /// (its scaled-up Ψ can outgrow what the eigensolver converges on)
     /// still counts as weak, so the cold solve's outcome stands; the
     /// budget bounds what such a failure costs.
-    fn escalate(&mut self, probe: &Probe, cold: &Attempt<Outcome>) -> Option<Call<Outcome>> {
+    fn escalate(
+        &mut self,
+        session: &mut Session<'i, '_>,
+        probe: &Probe,
+        cold: &Attempt<Outcome>,
+    ) -> Option<Call<Outcome>> {
         if !self.practical {
             return None;
         }
-        let seed = self.rescaled(probe, &cold.iterate);
-        Some(Ok(self.run(probe, Some(seed), Some(cold.stats.iterations)).ok()?))
+        let (opts, seed) = (self.opts.decision, self.rescaled(probe, &cold.iterate));
+        let budget = Some(cold.stats.iterations);
+        let seek = session
+            .run(probe.sigma, probe.mask(), Some(seed), |s, f| Alg31::new(s, opts, f, budget));
+        Some(Ok(seek.ok()?))
     }
 
     /// Strong outcomes only: a dual of measured value ≥ 1 or a primal with
@@ -949,10 +428,195 @@ impl Family for PackingBisection<'_, '_, '_> {
     }
 }
 
+/// Algorithm 3.1's rule for one decision call: the stale-engine refresh,
+/// the eligible set and its steps, the running primal averages, and the
+/// dual-norm, empty-set and running-average exits.
+struct Alg31<'a> {
+    side: &'a Side<'a>,
+    opts: DecisionOptions,
+    cert_seek: Option<usize>,
+    k_threshold: f64,
+    alpha: f64,
+    cap: usize,
+    /// The primal average `Y`, when the engine materializes a dense `P`.
+    y_acc: Option<Mat>,
+    dot_sums: Vec<f64>,
+    rounds_accumulated: usize,
+    /// The last engine output (kept across rounds by the stale rule).
+    cur: Option<ExpDots>,
+    /// This round's ratios `P(t)•(σAᵢ)`.
+    ratios: Vec<f64>,
+}
+
+impl<'a> Alg31<'a> {
+    /// One call's rule under `opts`, in original coordinates `u = σ·x`
+    /// (see the module docs). `seek: Some(budget)` switches it to
+    /// *strong-certificate hunting* (the bisection's deterministic
+    /// escalation for weak outcomes): the dual exit fires only once
+    /// `‖x‖₁ ≥ κ·(1+1e-6)` — which guarantees the measured dual value is
+    /// ≥ 1 since `λmax(Ψ) ≤ κ` — the primal running-average check runs
+    /// regardless of [`DecisionOptions::early_exit`], and the iteration cap
+    /// drops to `budget` (at least 1).
+    fn new(solver: &'a Solver<'_>, opts: DecisionOptions, f: &Frame, seek: Option<usize>) -> Self {
+        let pc = paper_constants(f.n_active, opts.eps);
+        let (k_threshold, alpha, cap) = match opts.mode {
+            ConstantsMode::PaperStrict => (pc.k_threshold, pc.alpha, pc.r_cap.ceil() as usize),
+            ConstantsMode::Practical { alpha_boost, max_iters } => {
+                (pc.k_threshold, pc.alpha * alpha_boost, max_iters)
+            }
+        };
+        let (side, m) = (&solver.side, solver.side.inst.dim());
+        // Only the engines that can materialize a dense P (exact always,
+        // Taylor via one extra symmetric square) feed the primal average;
+        // the sketched and expm-action engines never form exp(Φ).
+        let accumulate_y = opts.primal_matrix_dim_limit > 0
+            && m <= opts.primal_matrix_dim_limit
+            && matches!(side.engine.kind(), EngineKind::Exact | EngineKind::Taylor { .. });
+        Alg31 {
+            side,
+            opts,
+            cert_seek: seek,
+            k_threshold,
+            alpha,
+            cap: seek.map_or(cap, |budget| cap.min(budget.max(1))),
+            y_acc: accumulate_y.then(|| Mat::zeros(m, m)),
+            dot_sums: vec![0.0; side.inst.n()],
+            rounds_accumulated: 0,
+            cur: None,
+            ratios: Vec::new(),
+        }
+    }
+}
+
+impl Rule for Alg31<'_> {
+    type Outcome = Outcome;
+    const THRESHOLD: &'static str = "decision";
+
+    fn plan(&self) -> (f64, f64, usize, usize) {
+        (self.k_threshold, self.alpha, self.cap, self.opts.psi_rebuild_period)
+    }
+
+    /// `u⁰ᵢ = 1/(n_active·Tr Aᵢ)`, σ-invariant: it equals `σ·x⁰ᵢ` for the
+    /// scaled instance.
+    fn cold_start(&self, f: &Frame, k: usize) -> f64 {
+        1.0 / (f.n_active as f64 * self.side.traces[k])
+    }
+
+    fn step(&mut self, f: &mut Frame) -> Result<Option<ExitReason>, PsdpError> {
+        let (psi, side, t) = (&f.psi[0], self.side, f.t);
+        let mut kappa = psi.kappa_bound();
+        if matches!(self.opts.mode, ConstantsMode::PaperStrict) {
+            kappa = kappa.min((1.0 + 10.0 * self.opts.eps) * self.k_threshold * 1.01);
+        }
+        f.tally.kappa(kappa);
+        f.kappa = kappa;
+
+        let refresh = match self.opts.rule {
+            UpdateRule::Stale { period } => (t - 1).is_multiple_of(period) || self.cur.is_none(),
+            _ => true,
+        };
+        if refresh {
+            let dots = if self.y_acc.is_some() {
+                side.engine.compute_dense(psi.matrix(), kappa, side.inst.mats(), t as u64)?
+            } else {
+                side.evaluate(psi, kappa, t as u64)?
+            };
+            f.tally.evaluated(&dots);
+            self.cur = Some(dots);
+        }
+        let dots = self.cur.as_ref().expect("engine output present");
+
+        // Ratios P(t) • (σAᵢ) = σ·(W•Aᵢ)/Tr W.
+        let inv_tr = 1.0 / dots.tr_w;
+        self.ratios = dots.dots.iter().map(|d| d * inv_tr * f.sigma).collect();
+        f.min_ratio = active_min(&self.ratios, &f.active);
+        if refresh {
+            for (s, &r) in self.dot_sums.iter_mut().zip(&self.ratios) {
+                *s += r;
+            }
+            if let (Some(acc), Some(p)) = (self.y_acc.as_mut(), dots.dense_p.as_ref()) {
+                acc.axpy(1.0, p);
+            }
+            self.rounds_accumulated += 1;
+        }
+
+        let (eps, rule) = (self.opts.eps, self.opts.rule);
+        let steps = select_steps(&self.ratios, eps, self.alpha, rule, Some(&f.active));
+        let stepped = steps.iter().enumerate().filter(|&(_, &s)| s > 0.0);
+        f.deltas.extend(stepped.map(|(i, &s)| (i, s * f.x[i])));
+        if f.deltas.is_empty() {
+            // Every active constraint has P•Aᵢ > 1+ε: the current P is a
+            // feasible primal.
+            return Ok(Some(ExitReason::EmptyEligibleSet));
+        }
+        Ok(None)
+    }
+
+    fn settle(&mut self, f: &mut Frame) -> Option<ExitReason> {
+        f.norm1 = vecops::sum(&f.x) / f.sigma;
+        f.tally.sample(f.t, f.norm1);
+        // Hunting a strong dual, exit only once the measured value is
+        // guaranteed ≥ 1 (λmax(Ψ) ≤ κ, so ‖x‖₁ ≥ κ ⇒ value ≥ 1).
+        let crossed = match self.cert_seek {
+            Some(_) => f.norm1 >= (f.psi[0].kappa_bound() * (1.0 + 1e-6)).max(1.0),
+            None => f.norm1 > self.k_threshold,
+        };
+        if crossed {
+            return Some(ExitReason::DualNormCrossed);
+        }
+        let rounds = self.rounds_accumulated;
+        let averaging = (self.opts.early_exit || self.cert_seek.is_some()) && rounds > 0;
+        (averaging && active_min(&self.dot_sums, &f.active) / rounds as f64 >= 1.0)
+            .then_some(ExitReason::PrimalEarly)
+    }
+
+    fn finish(self, f: &Frame, exit: ExitReason) -> Outcome {
+        let (sigma, active) = (f.sigma, &f.active);
+        match exit {
+            ExitReason::DualNormCrossed => {
+                let x_scaled: Vec<f64> = f.x.iter().map(|v| v / sigma).collect();
+                let (eps, k, mode) = (self.opts.eps, self.k_threshold, self.opts.mode);
+                Outcome::Dual(build_dual(&x_scaled, f.psi[0].matrix(), eps, k, mode))
+            }
+            ExitReason::EmptyEligibleSet => Outcome::Primal(PrimalSolution {
+                min_dot: f.min_ratio,
+                constraint_dots: self.ratios,
+                y: self.cur.and_then(|dots| dots.dense_p),
+                rounds_averaged: 1,
+            }),
+            // The soft exits (iteration cap, running average, observer
+            // stop) return the averaged primal.
+            _ => {
+                let rounds = self.rounds_accumulated.max(1) as f64;
+                let constraint_dots: Vec<f64> = self.dot_sums.iter().map(|s| s / rounds).collect();
+                let y = self.y_acc.map(|mut acc| {
+                    acc.scale(1.0 / rounds);
+                    let tr = acc.trace();
+                    if tr > 0.0 {
+                        acc.scale(1.0 / tr);
+                    }
+                    acc
+                });
+                Outcome::Primal(PrimalSolution {
+                    min_dot: active_min(&constraint_dots, active),
+                    constraint_dots,
+                    y,
+                    rounds_averaged: self.rounds_accumulated.max(1),
+                })
+            }
+        }
+    }
+}
+
+/// The smallest of `vals` over the active coordinates.
+fn active_min(vals: &[f64], active: &[bool]) -> f64 {
+    vals.iter().zip(active).filter(|&(_, &a)| a).fold(f64::INFINITY, |acc, (&v, _)| acc.min(v))
+}
+
 /// Per-coordinate step multipliers (0 = not stepped) under the chosen rule,
 /// restricted to the active coordinates. The returned value is the
 /// multiplicative step: `x_i ← x_i·(1 + stepᵢ)`.
-pub(crate) fn select_steps(
+fn select_steps(
     ratios: &[f64],
     eps: f64,
     alpha: f64,
@@ -1005,26 +669,22 @@ fn build_dual(
     eps: f64,
     k_threshold: f64,
     mode: ConstantsMode,
-) -> Result<DualSolution, PsdpError> {
+) -> DualSolution {
     let scale = match mode {
         ConstantsMode::PaperStrict => (1.0 + 10.0 * eps) * k_threshold,
-        ConstantsMode::Practical { .. } => {
-            // Certify by measurement: λmax(Σ xᵢAᵢ) from the maintained Ψ.
-            let lam = match sym_eigenvalues(psi) {
-                Ok(values) => values[values.len() - 1],
-                Err(_) => lambda_max_upper_bound(psi),
-            };
-            (lam * (1.0 + 1e-9)).max(1.0)
-        }
+        // Certify by measurement: λmax(Σ xᵢAᵢ) from the maintained Ψ.
+        ConstantsMode::Practical { .. } => (lambda_max_measured(psi) * (1.0 + 1e-9)).max(1.0),
     };
     let xs: Vec<f64> = x.iter().map(|v| v / scale).collect();
     let value = vecops::sum(&xs);
-    Ok(DualSolution { x: xs, value, feasibility_scale: scale })
+    DualSolution { x: xs, value, feasibility_scale: scale }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::MixedInstance;
+    use crate::mixed::{MixedOptions, MixedSolver};
     use psdp_sparse::PsdMatrix;
 
     fn diag_instance(rows: &[&[f64]]) -> PackingInstance {
@@ -1032,8 +692,15 @@ mod tests {
             .unwrap()
     }
 
+    /// The 1-coordinate mixed instance 2x ≤ 1, x ≥ σ (σ* = 1/2).
+    fn half_instance() -> MixedInstance {
+        let diag = |d: f64| PsdMatrix::Diagonal(vec![d]);
+        MixedInstance::new(vec![diag(2.0)], vec![diag(1.0)]).unwrap()
+    }
+
     /// A prepared engine is reused only when its dimension, seed and
-    /// resolved kind all match the builder's instance and options.
+    /// resolved kind all match the builder's instance and options, on the
+    /// packing solver's one side and on both mixed sides.
     #[test]
     fn build_with_engine_rejects_mismatched_engines() {
         let inst = diag_instance(&[&[1.0, 0.0], &[0.0, 1.0]]);
@@ -1044,12 +711,46 @@ mod tests {
             Solver::builder(inst).options(opts).build_with_engine(Arc::clone(&engine)).map(|_| ())
         };
         assert!(reuse(&inst, opts).is_ok());
-
-        let cases = [
+        let taylor = EngineKind::Taylor { eps: 0.2 };
+        let mut cases = vec![
             ("engine has dim", reuse(&wide, opts)),
             ("engine was built with seed", reuse(&inst, opts.with_seed(opts.seed + 1))),
-            ("engine kind", reuse(&inst, opts.with_engine(EngineKind::Taylor { eps: 0.2 }))),
+            ("engine kind", reuse(&inst, opts.with_engine(taylor))),
         ];
+
+        let mixed = half_instance();
+        let wide = MixedInstance::new(
+            vec![PsdMatrix::Diagonal(vec![2.0, 1.0])],
+            vec![PsdMatrix::Diagonal(vec![1.0, 1.0])],
+        )
+        .unwrap();
+        let opts = MixedOptions::practical(0.1);
+        let taylor = EngineKind::Taylor { eps: 0.1 };
+        let (pack, cover) =
+            MixedSolver::builder(&mixed).options(opts).build().unwrap().engine_handles();
+        let (wide_pack, wide_cover) =
+            MixedSolver::builder(&wide).options(opts).build().unwrap().engine_handles();
+        let cover_engine =
+            |kind, seed| Arc::new(Engine::new(kind, mixed.cover().mats(), seed).unwrap());
+        let reuse = |opts: MixedOptions, pack: &Arc<Engine>, cover: &Arc<Engine>| {
+            MixedSolver::builder(&mixed)
+                .options(opts)
+                .build_with_engines(Arc::clone(pack), Arc::clone(cover))
+                .map(|_| ())
+        };
+        assert!(reuse(opts, &pack, &cover).is_ok());
+        let seeded = opts.with_seed(opts.seed + 1);
+        cases.extend([
+            ("packing engine has dim", reuse(opts, &wide_pack, &cover)),
+            ("packing engine was built with seed", reuse(seeded, &pack, &cover)),
+            ("packing engine kind", reuse(opts.with_engine(taylor), &pack, &cover)),
+            ("covering engine has dim", reuse(opts, &pack, &wide_cover)),
+            (
+                "covering engine was built with seed",
+                reuse(opts, &pack, &cover_engine(EngineKind::Exact, opts.seed + 1)),
+            ),
+            ("covering engine", reuse(opts, &pack, &cover_engine(taylor, opts.seed))),
+        ]);
         for (what, built) in cases {
             match built {
                 Err(PsdpError::InvalidInstance(msg)) => assert!(msg.contains(what), "{msg}"),
@@ -1130,17 +831,15 @@ mod tests {
         assert_eq!(bracket_evals, r.total_engine_evals);
     }
 
+    /// An observer sees every iteration of either family's loop and stops
+    /// it: the call exits `ObserverStopped` after exactly `stop_at` rounds.
     #[test]
     fn observer_sees_iterations_and_can_stop() {
         struct Counter {
             iters: usize,
-            phases: usize,
             stop_at: usize,
         }
         impl Observer for Counter {
-            fn on_phase(&mut self, _: &PhaseEvent<'_>) {
-                self.phases += 1;
-            }
             fn on_iteration(&mut self, ev: &IterationEvent) -> ObserverControl {
                 self.iters += 1;
                 assert!(ev.t >= 1 && ev.norm1 >= 0.0);
@@ -1151,15 +850,26 @@ mod tests {
                 }
             }
         }
+        let counter = || Box::new(Counter { iters: 0, stop_at: 3 });
 
         let inst = diag_instance(&[&[0.5, 0.0], &[0.0, 0.5]]);
         let solver =
             Solver::builder(&inst).options(DecisionOptions::practical(0.2)).build().unwrap();
         let mut s = solver.session();
-        s.add_observer(Box::new(Counter { iters: 0, phases: 0, stop_at: 3 }));
-        let res = s.solve(1.0).unwrap();
-        assert_eq!(res.stats.exit, ExitReason::ObserverStopped);
-        assert_eq!(res.stats.iterations, 3);
+        s.add_observer(counter());
+        let packing = s.solve(1.0).unwrap().stats;
+
+        let inst = half_instance();
+        let solver =
+            MixedSolver::builder(&inst).options(MixedOptions::practical(0.2)).build().unwrap();
+        let mut s = solver.session();
+        s.add_observer(counter());
+        let mixed = s.solve(0.25).unwrap().stats;
+
+        for stats in [packing, mixed] {
+            assert_eq!(stats.exit, ExitReason::ObserverStopped);
+            assert_eq!(stats.iterations, 3);
+        }
     }
 
     #[test]
@@ -1168,28 +878,36 @@ mod tests {
         let solver =
             Solver::builder(&inst).options(DecisionOptions::practical(0.2)).build().unwrap();
         let mut s = solver.session();
-        let res = s
-            .run_decision(
-                1.0,
-                &DecisionOptions::practical(0.2),
-                Some(vec![true, true, false]),
-                None,
-                None,
-            )
-            .unwrap();
+        let (opts, mask) = (DecisionOptions::practical(0.2), vec![true, true, false]);
+        let res = s.run(1.0, Some(mask), None, |s, f| Alg31::new(s, opts, f, None)).unwrap();
         let d = res.outcome.dual().expect("dual side");
         assert_eq!(d.x[2], 0.0, "masked coordinate moved");
         assert!(d.value >= 0.8);
     }
 
+    /// Both families reject a non-positive or non-finite threshold, and the
+    /// mixed options reject out-of-range values.
     #[test]
     fn rejects_bad_threshold() {
         let inst = diag_instance(&[&[1.0]]);
         let solver = Solver::builder(&inst).build().unwrap();
-        let mut s = solver.session();
-        assert!(s.solve(0.0).is_err());
-        assert!(s.solve(f64::NAN).is_err());
-        assert!(s.solve(f64::INFINITY).is_err());
+        let mixed = half_instance();
+        let mixed_solver = MixedSolver::builder(&mixed).build().unwrap();
+        let (mut s, mut m) = (solver.session(), mixed_solver.session());
+        for sigma in [0.0, f64::NAN, f64::INFINITY] {
+            assert!(s.solve(sigma).is_err(), "packing accepted σ = {sigma}");
+            assert!(m.solve(sigma).is_err(), "mixed accepted σ = {sigma}");
+        }
+
+        let mut o = MixedOptions::practical(0.1);
+        o.eps = 0.0;
+        assert!(MixedSolver::builder(&mixed).options(o).build().is_err());
+        let mut o = MixedOptions::practical(0.1);
+        o.alpha_boost = f64::INFINITY;
+        assert!(o.validate().is_err());
+        let mut o = MixedOptions::practical(0.1);
+        o.max_iters = 0;
+        assert!(o.validate().is_err());
     }
 
     #[test]

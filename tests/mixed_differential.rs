@@ -7,7 +7,11 @@
 //!   witnesses, so a violation is a soundness bug, not slack),
 //! * **the scalar Young solver** (`psdp_baselines::mixed_packing_covering`)
 //!   — an independent width-independent implementation; verdicts at
-//!   threshold 1 must agree wherever `t*` is comfortably away from 1.
+//!   threshold 1 must agree wherever `t*` is comfortably away from 1,
+//! * **the packing optimizer** (`psdp_core::solve_packing`) — packing is
+//!   the mixed problem with a 1×1 covering side `Cᵢ = [1]`, so on random
+//!   factorized, LP-diagonal and graph instances the packing bracket and
+//!   the scalar-cover mixed bracket must overlap, each end re-verified.
 //!
 //! Every property is exercised at rayon pool sizes {1, 4} and the two
 //! runs are compared **bitwise** — the mixed loop's reductions are
@@ -19,11 +23,17 @@
 use proptest::prelude::*;
 use psdp_baselines::{mixed_packing_covering, MixedOutcome as LpOutcome};
 use psdp_core::{
-    solve_mixed, verify_mixed_feasible, verify_mixed_infeasible, MixedApproxOptions, MixedOutcome,
-    MixedSolver,
+    solve_mixed, solve_packing, verify_dual, verify_mixed_feasible, verify_mixed_infeasible,
+    verify_primal, ApproxOptions, MixedApproxOptions, MixedInstance, MixedOutcome, MixedSolver,
+    PackingInstance,
 };
 use psdp_parallel::run_with_threads;
-use psdp_test_support::{arb_mixed_diagonal, mixed_diagonal_case, MixedDiagonal};
+use psdp_sparse::PsdMatrix;
+use psdp_test_support::{
+    arb_mixed_diagonal, diag_lp_with_columns, factorized_instance, mixed_diagonal_case,
+    FactorizedSpec, MixedDiagonal,
+};
+use psdp_workloads::{edge_packing_sparse, gnp};
 
 /// Run the certified bisection at both pool sizes, assert the reports are
 /// bitwise identical, and return one of them.
@@ -161,5 +171,72 @@ fn fixed_cases_regression() {
         let r = bisect_both_pools(&case);
         assert_bracket_sound(&case, &r);
         assert_verdicts_agree(&case);
+    }
+}
+
+/// Packing `optimize` and mixed `optimize` on the same constraints, the
+/// mixed instance covering with `Cᵢ = [1]` (so its threshold is `1ᵀx` and
+/// `σ* = OPT`): both brackets are bitwise across pools {1, 4}, every end
+/// they report re-verifies, and the two certified brackets overlap.
+fn assert_packing_matches_scalar_cover(inst: &PackingInstance, eps: f64) {
+    let cover = vec![PsdMatrix::Diagonal(vec![1.0]); inst.n()];
+    let mixed = MixedInstance::new(inst.mats().to_vec(), cover).expect("scalar cover");
+    let (popts, mopts) = (ApproxOptions::practical(eps), MixedApproxOptions::practical(eps));
+    let p = run_with_threads(1, || solve_packing(inst, &popts).expect("packing"));
+    let p4 = run_with_threads(4, || solve_packing(inst, &popts).expect("packing"));
+    let m = run_with_threads(1, || solve_mixed(&mixed, &mopts).expect("mixed"));
+    let m4 = run_with_threads(4, || solve_mixed(&mixed, &mopts).expect("mixed"));
+    let bits = |lo: f64, hi: f64| (lo.to_bits(), hi.to_bits());
+    assert_eq!(bits(p.value_lower, p.value_upper), bits(p4.value_lower, p4.value_upper));
+    assert_eq!(
+        bits(m.threshold_lower, m.threshold_upper),
+        bits(m4.threshold_lower, m4.threshold_upper)
+    );
+    let (plo, phi, mlo, mhi) = (p.value_lower, p.value_upper, m.threshold_lower, m.threshold_upper);
+    let below = |a: f64, b: f64| a <= b * (1.0 + 1e-6) + 1e-9;
+    assert!(below(plo, mhi) && below(mlo, phi), "packing [{plo}, {phi}] vs mixed [{mlo}, {mhi}]");
+
+    // Lower ends: a feasible dual and a feasible point, each reaching its bound.
+    let d = p.best_dual.as_ref().expect("packing dual");
+    let c = verify_dual(inst, d, 1e-7);
+    assert!(c.feasible && c.value >= plo * (1.0 - 1e-9), "packing lower end: {c:?} vs {plo}");
+    let point = m.best_point.as_ref().expect("mixed point");
+    let c = verify_mixed_feasible(&mixed, point, mlo * (1.0 - 1e-9), 1e-7);
+    assert!(c.feasible, "mixed lower end: {c:?}");
+
+    // Upper witnesses: each is a valid certificate whose bound on OPT
+    // sits above both lower ends.
+    if let Some((sigma, w)) = &p.upper_witness {
+        let c = verify_primal(inst, w, 1e-7);
+        let bound = if c.matrix_checked {
+            assert!((c.trace - 1.0).abs() <= 1e-7 && c.lambda_min >= -1e-7, "{c:?}");
+            1.0 / c.min_dot
+        } else {
+            sigma / w.min_dot
+        };
+        assert!(below(plo, bound) && below(mlo, bound), "packing witness bounds OPT by {bound}");
+    }
+    if let Some(w) = &m.infeasibility_witness {
+        let c = verify_mixed_infeasible(&mixed, w, 1e-7);
+        let bound = c.refuted_threshold;
+        assert!(c.valid && below(plo, bound) && below(mlo, bound), "mixed witness: {c:?}");
+    }
+}
+
+/// ROADMAP's packing/mixed question on small fixtures: random factorized,
+/// LP-diagonal and graph (sparse edge Laplacian) instances at ε 0.1 and
+/// 0.2.
+#[test]
+fn packing_and_scalar_cover_mixed_brackets_overlap() {
+    let fixtures = [
+        factorized_instance(&FactorizedSpec::new(8, 6, 1).with_scale(1.0)),
+        factorized_instance(&FactorizedSpec::new(6, 5, 2)),
+        diag_lp_with_columns(6, 5, 0.5, 3).0,
+        PackingInstance::new(edge_packing_sparse(&gnp(7, 0.5, 4))).expect("graph"),
+    ];
+    for inst in &fixtures {
+        for eps in [0.1, 0.2] {
+            assert_packing_matches_scalar_cover(inst, eps);
+        }
     }
 }
