@@ -755,6 +755,7 @@ pub fn solve_mixed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{IterationEvent, Observer, ObserverControl};
     use crate::verify::{verify_mixed_feasible, verify_mixed_infeasible};
     use psdp_sparse::PsdMatrix;
 
@@ -765,6 +766,51 @@ mod tests {
     /// 1-coordinate instance 2x ≤ 1, x ≥ σ: σ* = 1/2 exactly.
     fn half_instance() -> MixedInstance {
         MixedInstance::new(vec![diag(&[2.0])], vec![diag(&[1.0])]).unwrap()
+    }
+
+    /// Prepared engines are reused only when each side's dimension, seed
+    /// and resolved kind match the builder's instance and options.
+    #[test]
+    fn build_with_engines_rejects_mismatched_engines() {
+        let inst = half_instance();
+        let wide = MixedInstance::new(vec![diag(&[2.0, 1.0])], vec![diag(&[1.0, 1.0])]).unwrap();
+        let opts = MixedOptions::practical(0.1);
+        let taylor = EngineKind::Taylor { eps: 0.1 };
+        let (pack, cover) =
+            MixedSolver::builder(&inst).options(opts).build().unwrap().engine_handles();
+        let (wide_pack, wide_cover) =
+            MixedSolver::builder(&wide).options(opts).build().unwrap().engine_handles();
+        let cover_engine =
+            |kind, seed| Arc::new(Engine::new(kind, inst.cover().mats(), seed).unwrap());
+        let reuse = |opts: MixedOptions, pack: &Arc<Engine>, cover: &Arc<Engine>| {
+            MixedSolver::builder(&inst)
+                .options(opts)
+                .build_with_engines(Arc::clone(pack), Arc::clone(cover))
+                .map(|_| ())
+        };
+        assert!(reuse(opts, &pack, &cover).is_ok());
+
+        let cases = [
+            ("packing engine has dim", reuse(opts, &wide_pack, &cover)),
+            (
+                "packing engine was built with seed",
+                reuse(opts.with_seed(opts.seed + 1), &pack, &cover),
+            ),
+            ("packing engine kind", reuse(opts.with_engine(taylor), &pack, &cover)),
+            ("covering engine has dim", reuse(opts, &pack, &wide_cover)),
+            (
+                "covering engine was built with seed",
+                reuse(opts, &pack, &cover_engine(EngineKind::Exact, opts.seed + 1)),
+            ),
+            ("covering engine", reuse(opts, &pack, &cover_engine(taylor, opts.seed))),
+        ];
+        for (what, built) in cases {
+            match built {
+                Err(PsdpError::InvalidInstance(msg)) => assert!(msg.contains(what), "{msg}"),
+                Err(e) => panic!("{what}: wrong error {e}"),
+                Ok(()) => panic!("{what}: mismatch was accepted"),
+            }
+        }
     }
 
     #[test]
@@ -874,6 +920,52 @@ mod tests {
                 s.k_threshold
             );
         }
+    }
+
+    #[test]
+    fn observer_sees_mixed_iterations_and_can_stop() {
+        struct Counter {
+            iters: usize,
+            stop_at: usize,
+        }
+        impl Observer for Counter {
+            fn on_iteration(&mut self, ev: &IterationEvent) -> ObserverControl {
+                self.iters += 1;
+                assert!(ev.t >= 1);
+                if self.iters >= self.stop_at {
+                    ObserverControl::Stop
+                } else {
+                    ObserverControl::Continue
+                }
+            }
+        }
+        let inst = half_instance();
+        let solver =
+            MixedSolver::builder(&inst).options(MixedOptions::practical(0.2)).build().unwrap();
+        let mut s = solver.session();
+        s.add_observer(Box::new(Counter { iters: 0, stop_at: 3 }));
+        let res = s.solve(0.25).unwrap();
+        assert_eq!(res.stats.exit, ExitReason::ObserverStopped);
+        assert_eq!(res.stats.iterations, 3);
+    }
+
+    #[test]
+    fn rejects_bad_threshold_and_options() {
+        let inst = half_instance();
+        let solver = MixedSolver::builder(&inst).build().unwrap();
+        let mut s = solver.session();
+        assert!(s.solve(0.0).is_err());
+        assert!(s.solve(f64::NAN).is_err());
+        assert!(s.solve(f64::INFINITY).is_err());
+        let mut o = MixedOptions::practical(0.1);
+        o.eps = 0.0;
+        assert!(MixedSolver::builder(&inst).options(o).build().is_err());
+        let mut o = MixedOptions::practical(0.1);
+        o.alpha_boost = f64::INFINITY;
+        assert!(o.validate().is_err());
+        let mut o = MixedOptions::practical(0.1);
+        o.max_iters = 0;
+        assert!(o.validate().is_err());
     }
 
     #[test]

@@ -683,8 +683,6 @@ fn build_dual(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instance::MixedInstance;
-    use crate::mixed::{MixedOptions, MixedSolver};
     use psdp_sparse::PsdMatrix;
 
     fn diag_instance(rows: &[&[f64]]) -> PackingInstance {
@@ -692,15 +690,8 @@ mod tests {
             .unwrap()
     }
 
-    /// The 1-coordinate mixed instance 2x ≤ 1, x ≥ σ (σ* = 1/2).
-    fn half_instance() -> MixedInstance {
-        let diag = |d: f64| PsdMatrix::Diagonal(vec![d]);
-        MixedInstance::new(vec![diag(2.0)], vec![diag(1.0)]).unwrap()
-    }
-
     /// A prepared engine is reused only when its dimension, seed and
-    /// resolved kind all match the builder's instance and options, on the
-    /// packing solver's one side and on both mixed sides.
+    /// resolved kind all match the builder's instance and options.
     #[test]
     fn build_with_engine_rejects_mismatched_engines() {
         let inst = diag_instance(&[&[1.0, 0.0], &[0.0, 1.0]]);
@@ -711,46 +702,12 @@ mod tests {
             Solver::builder(inst).options(opts).build_with_engine(Arc::clone(&engine)).map(|_| ())
         };
         assert!(reuse(&inst, opts).is_ok());
-        let taylor = EngineKind::Taylor { eps: 0.2 };
-        let mut cases = vec![
+
+        let cases = [
             ("engine has dim", reuse(&wide, opts)),
             ("engine was built with seed", reuse(&inst, opts.with_seed(opts.seed + 1))),
-            ("engine kind", reuse(&inst, opts.with_engine(taylor))),
+            ("engine kind", reuse(&inst, opts.with_engine(EngineKind::Taylor { eps: 0.2 }))),
         ];
-
-        let mixed = half_instance();
-        let wide = MixedInstance::new(
-            vec![PsdMatrix::Diagonal(vec![2.0, 1.0])],
-            vec![PsdMatrix::Diagonal(vec![1.0, 1.0])],
-        )
-        .unwrap();
-        let opts = MixedOptions::practical(0.1);
-        let taylor = EngineKind::Taylor { eps: 0.1 };
-        let (pack, cover) =
-            MixedSolver::builder(&mixed).options(opts).build().unwrap().engine_handles();
-        let (wide_pack, wide_cover) =
-            MixedSolver::builder(&wide).options(opts).build().unwrap().engine_handles();
-        let cover_engine =
-            |kind, seed| Arc::new(Engine::new(kind, mixed.cover().mats(), seed).unwrap());
-        let reuse = |opts: MixedOptions, pack: &Arc<Engine>, cover: &Arc<Engine>| {
-            MixedSolver::builder(&mixed)
-                .options(opts)
-                .build_with_engines(Arc::clone(pack), Arc::clone(cover))
-                .map(|_| ())
-        };
-        assert!(reuse(opts, &pack, &cover).is_ok());
-        let seeded = opts.with_seed(opts.seed + 1);
-        cases.extend([
-            ("packing engine has dim", reuse(opts, &wide_pack, &cover)),
-            ("packing engine was built with seed", reuse(seeded, &pack, &cover)),
-            ("packing engine kind", reuse(opts.with_engine(taylor), &pack, &cover)),
-            ("covering engine has dim", reuse(opts, &pack, &wide_cover)),
-            (
-                "covering engine was built with seed",
-                reuse(opts, &pack, &cover_engine(EngineKind::Exact, opts.seed + 1)),
-            ),
-            ("covering engine", reuse(opts, &pack, &cover_engine(taylor, opts.seed))),
-        ]);
         for (what, built) in cases {
             match built {
                 Err(PsdpError::InvalidInstance(msg)) => assert!(msg.contains(what), "{msg}"),
@@ -831,8 +788,6 @@ mod tests {
         assert_eq!(bracket_evals, r.total_engine_evals);
     }
 
-    /// An observer sees every iteration of either family's loop and stops
-    /// it: the call exits `ObserverStopped` after exactly `stop_at` rounds.
     #[test]
     fn observer_sees_iterations_and_can_stop() {
         struct Counter {
@@ -850,26 +805,15 @@ mod tests {
                 }
             }
         }
-        let counter = || Box::new(Counter { iters: 0, stop_at: 3 });
 
         let inst = diag_instance(&[&[0.5, 0.0], &[0.0, 0.5]]);
         let solver =
             Solver::builder(&inst).options(DecisionOptions::practical(0.2)).build().unwrap();
         let mut s = solver.session();
-        s.add_observer(counter());
-        let packing = s.solve(1.0).unwrap().stats;
-
-        let inst = half_instance();
-        let solver =
-            MixedSolver::builder(&inst).options(MixedOptions::practical(0.2)).build().unwrap();
-        let mut s = solver.session();
-        s.add_observer(counter());
-        let mixed = s.solve(0.25).unwrap().stats;
-
-        for stats in [packing, mixed] {
-            assert_eq!(stats.exit, ExitReason::ObserverStopped);
-            assert_eq!(stats.iterations, 3);
-        }
+        s.add_observer(Box::new(Counter { iters: 0, stop_at: 3 }));
+        let res = s.solve(1.0).unwrap();
+        assert_eq!(res.stats.exit, ExitReason::ObserverStopped);
+        assert_eq!(res.stats.iterations, 3);
     }
 
     #[test]
@@ -885,29 +829,14 @@ mod tests {
         assert!(d.value >= 0.8);
     }
 
-    /// Both families reject a non-positive or non-finite threshold, and the
-    /// mixed options reject out-of-range values.
     #[test]
     fn rejects_bad_threshold() {
         let inst = diag_instance(&[&[1.0]]);
         let solver = Solver::builder(&inst).build().unwrap();
-        let mixed = half_instance();
-        let mixed_solver = MixedSolver::builder(&mixed).build().unwrap();
-        let (mut s, mut m) = (solver.session(), mixed_solver.session());
-        for sigma in [0.0, f64::NAN, f64::INFINITY] {
-            assert!(s.solve(sigma).is_err(), "packing accepted σ = {sigma}");
-            assert!(m.solve(sigma).is_err(), "mixed accepted σ = {sigma}");
-        }
-
-        let mut o = MixedOptions::practical(0.1);
-        o.eps = 0.0;
-        assert!(MixedSolver::builder(&mixed).options(o).build().is_err());
-        let mut o = MixedOptions::practical(0.1);
-        o.alpha_boost = f64::INFINITY;
-        assert!(o.validate().is_err());
-        let mut o = MixedOptions::practical(0.1);
-        o.max_iters = 0;
-        assert!(o.validate().is_err());
+        let mut s = solver.session();
+        assert!(s.solve(0.0).is_err());
+        assert!(s.solve(f64::NAN).is_err());
+        assert!(s.solve(f64::INFINITY).is_err());
     }
 
     #[test]
