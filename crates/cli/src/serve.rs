@@ -52,14 +52,15 @@ use psdp_core::{
 };
 use psdp_serve::json::{parse, JsonValue};
 use psdp_serve::{
-    BatchReport, FairMux, Family, InstancePayload, MemoKey, RequestKind, Scheduler,
-    SchedulerOptions, ServeRequest, ServeResponse, ServeResult, ServeStats, Service,
-    ServiceOptions, ServiceReport, StreamItem, StreamOutcome,
+    BatchReport, FairMux, Family, InstancePayload, RequestKind, Scheduler, SchedulerOptions,
+    ServeRequest, ServeResponse, ServeResult, ServeStats, Service, ServiceOptions, ServiceReport,
+    StreamItem, StreamOutcome,
 };
+use std::borrow::Cow;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, Write};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Default per-line byte bound for the request reader.
 const DEFAULT_MAX_LINE_BYTES: usize = 4 * 1024 * 1024;
@@ -302,8 +303,7 @@ pub fn serve_on(
 }
 
 /// Run every request `requests` yields through one scheduler batch and
-/// render every line in input order, replaying the rendered fields of
-/// stored memo results.
+/// render every line in input order.
 fn run_one_shot(
     mut requests: RequestReader<impl BufRead>,
     opts: SchedulerOptions,
@@ -329,14 +329,13 @@ fn run_one_shot(
     // Responses come back in batch order: input order without the
     // lines answered at admission.
     let mut responses = output.responses.into_iter().map(|r| StreamOutcome::Response(Box::new(r)));
-    let mut replay = RenderReplay::default();
     for (ctx, outcome) in lines {
         // The batch answers every request it was given; if that invariant
         // ever breaks, emit an error line in place rather than panicking.
         let outcome = outcome.or_else(|| responses.next()).unwrap_or_else(|| {
             StreamOutcome::Rejected { error: "response missing for request (internal)".into() }
         });
-        let line = render_outcome(&ctx, &outcome, Some(&mut replay));
+        let line = render_outcome(&ctx, &outcome);
         writer.write_all(line.as_bytes()).map_err(write_failed)?;
     }
     writer.flush().map_err(write_failed)?;
@@ -380,7 +379,7 @@ pub fn serve_listen_on(
         if write_err.is_some() {
             return;
         }
-        let line = render_outcome(&ctx, &outcome, None);
+        let line = render_outcome(&ctx, &outcome);
         // Flush per line: a streaming client must see each response as it
         // is sequenced, not when a block buffer happens to fill.
         if let Err(e) = writer.write_all(line.as_bytes()).and_then(|()| writer.flush()) {
@@ -503,7 +502,7 @@ pub fn serve_listen_socket_on(
         // Hand the rendered line to the client's writer thread; a closed
         // channel means the writer is gone (client teardown), and the
         // response is dropped with it.
-        let _ = client.tx.send(render_outcome(&ctx, &outcome, None));
+        let _ = client.tx.send(render_outcome(&ctx, &outcome));
     });
 
     // run_stream returned, so the mux reported end-of-stream: accepting
@@ -798,16 +797,10 @@ fn scan_leading_id(prefix: &[u8]) -> Option<String> {
     }
 }
 
-/// Render one sequenced outcome as its JSONL line, in every mode. With
-/// `replay`, the result fields of a stored memo result are rendered once
-/// and reused (see [`RenderReplay`]); without it every line renders from
-/// scratch. Context/outcome mismatches cannot happen by construction, but
-/// render as in-place error lines rather than panics if they ever do.
-fn render_outcome(
-    ctx: &LineCtx,
-    outcome: &StreamOutcome,
-    replay: Option<&mut RenderReplay>,
-) -> String {
+/// Render one sequenced outcome as its JSONL line, in every mode.
+/// Context/outcome mismatches cannot happen by construction, but render as
+/// in-place error lines rather than panics if they ever do.
+fn render_outcome(ctx: &LineCtx, outcome: &StreamOutcome) -> String {
     match (outcome, ctx) {
         (StreamOutcome::Rejected { error }, LineCtx::Error { id_json }) => {
             error_line(id_json, error)
@@ -815,7 +808,7 @@ fn render_outcome(
         (StreamOutcome::Rejected { error }, LineCtx::Request { .. }) => error_line("null", error),
         (StreamOutcome::Overloaded { id, shard }, _) => crate::jsonfmt::overloaded_line(id, *shard),
         (StreamOutcome::Response(resp), LineCtx::Request { payload, file_json }) => {
-            render_response(payload, file_json, resp, replay)
+            render_response(payload, file_json, resp)
         }
         (StreamOutcome::Response(_), LineCtx::Error { id_json }) => {
             error_line(id_json, "response without request context (internal)")
@@ -888,66 +881,43 @@ fn serve_stats_json(s: &ServeStats) -> String {
     )
 }
 
-/// Rendered result fields of stored memo results, keyed by memo identity,
-/// for one one-shot run. Each stored result is rendered (and its
-/// certificates verified) once; every later memo hit replays the bytes.
-/// Sound because the key names one immutable stored result and a hit's
-/// instance is bitwise equal to the one it was computed for (see
-/// [`MemoKey`]); request parameters would not do, since a request whose
-/// memo was full is recomputed and may continue from another bracket.
-#[derive(Default)]
-struct RenderReplay(BTreeMap<MemoKey, ResultFields>);
-
-/// `(command, fields after "file")` of a successful result, or the
-/// internal error its (impossible) family mismatch renders as.
-type ResultFields = Result<(&'static str, String), &'static str>;
-
 /// Render one response line (reusing the one-shot `--json` schemas; see
-/// the module docs for the determinism contract), replaying stored
-/// result fields through `replay` when given.
-fn render_response(
-    payload: &InstancePayload,
-    file_json: &str,
-    resp: &ServeResponse,
-    replay: Option<&mut RenderReplay>,
-) -> String {
+/// the module docs for the determinism contract). The result fields of a
+/// stored memo result — certificate checks and float formatting included —
+/// are rendered once into its slot and replayed for every later response
+/// that returns it; the per-response `id`, `file` and `serve` fields are
+/// spliced around them.
+fn render_response(payload: &InstancePayload, file_json: &str, resp: &ServeResponse) -> String {
     let id_json = json_str(&resp.id);
     let res = match &resp.result {
         Err(msg) => return error_line(&id_json, msg),
         Ok(res) => res,
     };
-    let fresh;
-    let fields = match (replay, resp.stats.memo) {
-        (Some(replay), Some(key)) => {
-            &*replay.0.entry(key).or_insert_with(|| result_fields(payload, res))
-        }
-        _ => {
-            fresh = result_fields(payload, res);
-            &fresh
-        }
-    };
-    match fields {
-        Ok((command, fields)) => format!(
-            "{{\"id\":{id_json},\"command\":\"{command}\",\"file\":{file_json},{fields},\"serve\":{}}}\n",
-            serve_stats_json(&resp.stats),
-        ),
-        Err(msg) => error_line(&id_json, msg),
-    }
-}
-
-/// The command name and `jsonfmt` fields of one result over its payload.
-fn result_fields(payload: &InstancePayload, res: &ServeResult) -> ResultFields {
-    match (res, payload) {
+    let slot = resp.stats.memo.as_deref();
+    let (command, fields) = match (res, payload) {
         (ServeResult::Decision(d), InstancePayload::Packing(inst)) => {
-            Ok(("solve", solve_fields(inst, d, false)))
+            ("solve", replay(slot, || solve_fields(inst, d, false)))
         }
         (ServeResult::Optimize(r), InstancePayload::Packing(inst)) => {
-            Ok(("optimize", optimize_fields(inst, r, false)))
+            ("optimize", replay(slot, || optimize_fields(inst, r, false)))
         }
         (ServeResult::Mixed(r), InstancePayload::Mixed(inst)) => {
-            Ok(("mixed", mixed_fields(inst, r, false)))
+            ("mixed", replay(slot, || mixed_fields(inst, r, false)))
         }
-        _ => Err("result family does not match its payload (internal)"),
+        _ => return error_line(&id_json, "result family does not match its payload (internal)"),
+    };
+    format!(
+        "{{\"id\":{id_json},\"command\":\"{command}\",\"file\":{file_json},{fields},\"serve\":{}}}\n",
+        serve_stats_json(&resp.stats),
+    )
+}
+
+/// The bytes in `slot`, rendering them first if it is empty; without a
+/// slot (the result was not stored), a fresh rendering.
+fn replay(slot: Option<&OnceLock<String>>, render: impl FnOnce() -> String) -> Cow<'_, str> {
+    match slot {
+        Some(slot) => Cow::Borrowed(slot.get_or_init(render)),
+        None => Cow::Owned(render()),
     }
 }
 
@@ -1244,8 +1214,8 @@ mod tests {
     }
 
     /// Run `input` through the one-shot path with `opts`, and check every
-    /// line of the replaying renderer against a from-scratch render of
-    /// the same scheduler output. Returns the lines.
+    /// line against a from-scratch render of the same scheduler output
+    /// (each response stripped of its memo slot). Returns the lines.
     fn replay_matches_uncached(input: &str, opts: SchedulerOptions) -> Vec<String> {
         let reader = |input| RequestReader::new(input, Format::Auto, DEFAULT_MAX_LINE_BYTES);
         let mut replayed: Vec<u8> = Vec::new();
@@ -1261,7 +1231,10 @@ mod tests {
         let uncached: String = ctxs
             .iter()
             .zip(out.responses)
-            .map(|(c, r)| render_outcome(c, &StreamOutcome::Response(Box::new(r)), None))
+            .map(|(c, mut r)| {
+                r.stats.memo = None;
+                render_outcome(c, &StreamOutcome::Response(Box::new(r)))
+            })
             .collect();
         let replayed = String::from_utf8(replayed).unwrap();
         assert_eq!(replayed, uncached, "replayed bytes differ from a fresh render");
@@ -1300,6 +1273,14 @@ mod tests {
              {{\"id\":\"c2\",\"command\":\"solve\",\"file\":{file},\"threshold\":3.0}}\n"
         );
         let lines = replay_matches_uncached(&input, SchedulerOptions::default());
+        // `--listen` replays through the same slots: equal bytes at any
+        // shard count.
+        for shards in ["1", "4"] {
+            let listen =
+                serve_listen_on_input(&args(&["serve", "--listen", "--shards", shards]), &input)
+                    .unwrap();
+            assert_eq!(listen.stdout.lines().collect::<Vec<_>>(), lines, "shards={shards}");
+        }
         let _ = std::fs::remove_file(&path);
         assert_eq!(lines.iter().filter(|l| l.contains("\"memoized\":true")).count(), 4);
         assert!(lines[1].contains(&format!("\"file\":{file},")), "{}", lines[1]);
@@ -1711,18 +1692,15 @@ mod tests {
     #[test]
     fn overloaded_outcomes_render_through_the_shared_schema() {
         let ctx = LineCtx::Error { id_json: json_str("r9") };
-        let routed = render_outcome(
-            &ctx,
-            &StreamOutcome::Overloaded { id: "r9".into(), shard: Some(3) },
-            None,
-        );
+        let routed =
+            render_outcome(&ctx, &StreamOutcome::Overloaded { id: "r9".into(), shard: Some(3) });
         assert_eq!(
             routed,
             "{\"id\":\"r9\",\"error\":\"overloaded\",\"overloaded\":true,\"shard\":3}\n"
         );
         assert_eq!(routed, crate::jsonfmt::overloaded_line("r9", Some(3)));
         let unrouted =
-            render_outcome(&ctx, &StreamOutcome::Overloaded { id: "r9".into(), shard: None }, None);
+            render_outcome(&ctx, &StreamOutcome::Overloaded { id: "r9".into(), shard: None });
         assert_eq!(unrouted, crate::jsonfmt::overloaded_line("r9", None));
         assert!(unrouted.ends_with("\"shard\":null}\n"), "{unrouted}");
     }

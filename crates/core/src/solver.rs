@@ -394,12 +394,11 @@ impl<'i> Family<'i, Solver<'i>> for PackingBisection<'_, 'i> {
                     // Strong: a feasible dual of scaled value ≥ 1 proves
                     // OPT ≥ σ. Quantized, deterministic update.
                     *lo = lo.max(sigma);
-                } else if value > *lo {
-                    *lo = value;
                 } else {
-                    // Degenerate progress (very weak dual): still move the
-                    // bracket a little to guarantee termination.
-                    *lo = (*lo * sigma).sqrt().max(*lo);
+                    // Weak: the dual certifies only its own value. One
+                    // that proves nothing above `lo` leaves the bracket,
+                    // and `bisect` ends the run as stalled.
+                    *lo = lo.max(value);
                 }
                 if self.best_dual.as_ref().is_none_or(|b| value > b.value) {
                     let feasibility_scale = d.feasibility_scale;
@@ -416,12 +415,11 @@ impl<'i> Family<'i, Solver<'i>> for PackingBisection<'_, 'i> {
                     let margin = p.min_dot.max(1e-12);
                     sigma * (1.0 / margin + probe.slack)
                 };
+                // The witness is kept only when it is the one behind `hi`.
                 if new_hi < *hi {
                     *hi = new_hi;
-                } else {
-                    *hi = (*hi * sigma).sqrt().min(*hi);
+                    self.upper_witness = Some((sigma, p));
                 }
-                self.upper_witness = Some((sigma, p));
                 false
             }
         }
@@ -767,6 +765,30 @@ mod tests {
         // coincide exactly.
         let accepted: usize = warm.call_stats.iter().map(|s| s.iterations).sum();
         assert_eq!(warm.total_iterations, accepted);
+    }
+
+    /// Strict mode keeps only weak duals, and each moves `lo` at most to
+    /// the value it certifies: the reported lower end is the structural
+    /// start or a verified dual's value, never an uncertified step.
+    #[test]
+    fn strict_mode_lower_end_is_certified() {
+        let inst = diag_instance(&[&[2.0, 0.0], &[0.0, 4.0]]);
+        let mut opts = ApproxOptions::practical(0.2);
+        opts.decision = DecisionOptions::strict(0.05);
+        let solver = Solver::builder(&inst).options(opts.decision).build().unwrap();
+        let start = solver.lambda_caps.iter().fold(0.0_f64, |m, &v| m.max(v)) * 0.5;
+        let r = solver.session().optimize(&opts).unwrap();
+        let dual = r.best_dual.as_ref().map_or(0.0, |d| {
+            let cert = crate::verify::verify_dual(&inst, d, 1e-7);
+            assert!(cert.feasible, "best dual infeasible: λmax {}", cert.lambda_max);
+            cert.value
+        });
+        let certified = start.max(dual);
+        assert!(
+            r.value_lower <= certified * (1.0 + 1e-12),
+            "lower end {} above its certificates (start {start}, dual {dual})",
+            r.value_lower
+        );
     }
 
     /// Discarded warm attempts and escalations still happened: their

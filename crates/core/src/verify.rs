@@ -7,7 +7,7 @@
 
 use crate::instance::{MixedInstance, PackingInstance};
 use crate::solution::{DualSolution, MixedCertificate, MixedFeasible, PrimalSolution};
-use psdp_linalg::{sym_eigen, sym_eigenvalues, vecops};
+use psdp_linalg::{sym_eigenvalues, vecops};
 
 /// Result of checking a dual (packing) solution.
 #[derive(Debug, Clone, Copy)]
@@ -123,15 +123,11 @@ pub fn verify_mixed_feasible(
 ) -> MixedFeasibleCertificate {
     let nonneg = sol.x.iter().all(|&v| v >= -tol);
     let psi_p = inst.pack().weighted_sum(&sol.x);
-    let pack_lambda_max = match sym_eigen(&psi_p) {
-        Ok(e) => e.lambda_max(),
-        Err(_) => f64::INFINITY,
-    };
+    let pack_lambda_max =
+        sym_eigenvalues(&psi_p).ok().and_then(|v| v.last().copied()).unwrap_or(f64::INFINITY);
     let psi_c = inst.cover().weighted_sum(&sol.x);
-    let cover_lambda_min = match sym_eigen(&psi_c) {
-        Ok(e) => e.lambda_min(),
-        Err(_) => f64::NEG_INFINITY,
-    };
+    let cover_lambda_min =
+        sym_eigenvalues(&psi_c).ok().and_then(|v| v.first().copied()).unwrap_or(f64::NEG_INFINITY);
     let feasible =
         nonneg && pack_lambda_max <= 1.0 + tol && cover_lambda_min >= sigma * (1.0 - tol);
     MixedFeasibleCertificate { pack_lambda_max, cover_lambda_min, feasible }
@@ -157,10 +153,7 @@ pub fn verify_mixed_infeasible(
     let sigma = cert.sigma;
     let weight_ok = |y: &psdp_linalg::Mat| {
         (y.trace() - 1.0).abs() <= tol
-            && match sym_eigen(y) {
-                Ok(e) => e.lambda_min() >= -tol,
-                Err(_) => false,
-            }
+            && sym_eigenvalues(y).ok().and_then(|v| v.first().copied()).is_some_and(|l| l >= -tol)
     };
     let (pack_dots, pack_checked, pack_ok) = match &cert.y_pack {
         Some(yp) => (

@@ -12,10 +12,12 @@
 //! * [`EngineKind::TaylorJl`] — Theorem 4.1 proper: Taylor + Gaussian JL
 //!   sketch with `O(ε⁻² log m)` rows; nearly-linear work in the factorization
 //!   size `q`, which is what Corollary 1.2's work bound needs.
-//! * [`EngineKind::Expv`] — Krylov/Chebyshev expm-action (no Taylor series,
-//!   no materialized `exp`): the trace comes from a Chebyshev expansion of
-//!   `exp(Φ/2)` applied to JL probes, the dots from deterministic per-column
-//!   restarted Lanczos on the constraint factors. Roughly 14× fewer operator
+//! * [`EngineKind::Expv`] — Krylov expm-action (no Taylor series, no
+//!   materialized `exp`): restarted log-domain Lanczos on `exp(Φ/2)` runs
+//!   every trace probe (JL probes, or the `m` identity probes once the JL
+//!   row count reaches `m`) and every constraint factor column for the
+//!   dots; a Chebyshev expansion stands in only for a vector whose
+//!   tridiagonal eigensolve fails. Roughly 14× fewer operator
 //!   applications than Lemma 4.2 at the same `κ` (degree `≈ κ/4 + O(√κ)`
 //!   versus `e²κ/2`), with *no* sketch distortion on the dots. See DESIGN.md
 //!   §12 for the kernel-layer contract.
@@ -77,9 +79,12 @@ pub enum EngineKind {
         /// Multiplier on the JL row count `c·ln(m)/ε²`; 4.0 is a sane default.
         sketch_const: f64,
     },
-    /// Krylov/Chebyshev expm-action: `Tr[exp Φ]` from a Chebyshev expansion
-    /// applied to JL probes, `exp(Φ)•Aᵢ` from restarted Lanczos on each
-    /// factor column (deterministic — the sketch only touches the trace).
+    /// Krylov expm-action: `Tr[exp Φ]` from JL probes (or the `m` identity
+    /// probes once the JL row count reaches `m`) and `exp(Φ)•Aᵢ` from each
+    /// factor column, every vector through the same restarted log-domain
+    /// Lanczos (deterministic — the sketch only touches the trace; a
+    /// Chebyshev expansion is the fallback when a vector's tridiagonal
+    /// eigensolve fails).
     /// All internal values live in the log-scale frame `e^{−κ}`, so any
     /// `‖Φ‖₂` is safe. The polynomial/Krylov truncation error is held at
     /// `≈1e-9` relative (drift-checked a posteriori), so `eps` only governs

@@ -1,6 +1,6 @@
 //! Matrix functions of symmetric matrices via eigendecomposition.
 //!
-//! These are the "exact" reference implementations: `exp(A)`, `A^{1/2}`,
+//! These are the "exact" reference implementations: `exp(A)`,
 //! `A^{-1/2}` (pseudo-inverse on the range, as Appendix A needs for
 //! `C^{-1/2}`), and the dense→factorized conversion `A = QQᵀ` that feeds
 //! Theorem 4.1's vector engines.
@@ -13,14 +13,6 @@ use crate::mat::Mat;
 /// definition: `f(A) = Σ f(λᵢ) vᵢvᵢᵀ`).
 pub fn expm(a: &Mat) -> Result<Mat, LinalgError> {
     Ok(sym_eigen(a)?.apply_fn(f64::exp))
-}
-
-/// Principal square root of a PSD matrix. Eigenvalues in `[-tol, 0)` are
-/// clamped to 0 (numerical noise); more negative ones are an error.
-pub fn sqrt_psd(a: &Mat, tol: f64) -> Result<Mat, LinalgError> {
-    let eig = sym_eigen(a)?;
-    check_psd_spectrum(&eig, tol)?;
-    Ok(eig.apply_fn(|x| x.max(0.0).sqrt()))
 }
 
 /// Moore–Penrose inverse square root of a PSD matrix: eigenvalues below
@@ -115,20 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn sqrt_of_square() {
-        let mut a = Mat::from_fn(5, 5, |i, j| ((i + j) % 4) as f64 * 0.2);
-        a.symmetrize();
-        let aa = matmul(&a, &a); // PSD by construction
-        let s = sqrt_psd(&aa, 1e-9).unwrap();
-        let ss = matmul(&s, &s);
-        for i in 0..5 {
-            for j in 0..5 {
-                assert!((ss[(i, j)] - aa[(i, j)]).abs() < 1e-8);
-            }
-        }
-    }
-
-    #[test]
     fn inv_sqrt_full_rank() {
         let a = Mat::from_diag(&[4.0, 9.0, 16.0]);
         let s = inv_sqrt_psd(&a, 1e-12).unwrap();
@@ -165,7 +143,6 @@ mod tests {
     #[test]
     fn funcs_reject_indefinite() {
         let a = Mat::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]); // eigenvalues ±1
-        assert!(sqrt_psd(&a, 1e-9).is_err());
         assert!(inv_sqrt_psd(&a, 1e-9).is_err());
         assert!(psd_factor(&a, 1e-9).is_err());
     }

@@ -163,20 +163,6 @@ pub fn matvec(a: &Mat, x: &[f64]) -> Vec<f64> {
     }
 }
 
-/// `y = Aᵀ · x` without forming the transpose.
-pub fn matvec_transpose(a: &Mat, x: &[f64]) -> Vec<f64> {
-    assert_eq!(a.nrows(), x.len(), "matvec_transpose: dim mismatch");
-    let n = a.ncols();
-    let mut y = vec![0.0; n];
-    for (i, &xi) in x.iter().enumerate() {
-        if xi == 0.0 {
-            continue;
-        }
-        crate::vecops::axpy(xi, a.row(i), &mut y);
-    }
-    y
-}
-
 /// `C = Aᵀ · A` (Gram matrix), exploiting symmetry of the output.
 pub fn gram(a: &Mat) -> Mat {
     let n = a.ncols();
@@ -187,11 +173,6 @@ pub fn gram(a: &Mat) -> Mat {
     }
     g.symmetrize();
     g
-}
-
-/// Quadratic form `xᵀ A x` for square `A`.
-pub fn quad_form(a: &Mat, x: &[f64]) -> f64 {
-    crate::vecops::dot(&matvec(a, x), x)
 }
 
 #[cfg(test)]
@@ -322,8 +303,6 @@ mod tests {
         let a = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
         let y = matvec(&a, &[1.0, -1.0]);
         assert_eq!(y, vec![-1.0, -1.0, -1.0]);
-        let z = matvec_transpose(&a, &[1.0, 1.0, 1.0]);
-        assert_eq!(z, vec![9.0, 12.0]);
     }
 
     #[test]
@@ -356,6 +335,7 @@ mod tests {
         let a = Mat::from_fn(3, 3, |i, j| ((i + 1) * (j + 2)) as f64 * 0.1);
         let g = gram(&a);
         // Gram matrices are PSD: x^T G x >= 0.
-        assert!(quad_form(&g, &[1.0, -2.0, 0.7]) >= -1e-12);
+        let x = [1.0, -2.0, 0.7];
+        assert!(crate::vecops::dot(&matvec(&g, &x), &x) >= -1e-12);
     }
 }

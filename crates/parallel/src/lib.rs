@@ -13,4 +13,4 @@ pub mod work_depth;
 
 pub use pool::{available_threads, pool_with_threads, run_with_threads};
 pub use rng::{derive_seed, rng_for, splitmix64};
-pub use work_depth::{Cost, CostMeter};
+pub use work_depth::Cost;

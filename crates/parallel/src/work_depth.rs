@@ -53,11 +53,6 @@ impl Cost {
     pub fn par(self, other: Cost) -> Cost {
         Cost { work: self.work + other.work, depth: self.depth.max(other.depth) }
     }
-
-    /// Parallel composition over `k` identical branches.
-    pub fn par_replicate(self, k: usize) -> Cost {
-        Cost { work: self.work * k as f64, depth: self.depth + (k.max(2) as f64).log2() }
-    }
 }
 
 /// Sequential composition.
@@ -65,41 +60,6 @@ impl Add for Cost {
     type Output = Cost;
     fn add(self, other: Cost) -> Cost {
         Cost { work: self.work + other.work, depth: self.depth + other.depth }
-    }
-}
-
-/// A mutable accumulator for per-phase cost accounting.
-///
-/// Algorithms thread a `&mut CostMeter` through their inner loops; `charge`
-/// composes sequentially (an iteration happens after the previous one) and
-/// `charge_par` records a step whose internal structure was parallel.
-#[derive(Debug, Default, Clone)]
-pub struct CostMeter {
-    total: Cost,
-    /// Number of `charge*` calls, for averaging.
-    events: usize,
-}
-
-impl CostMeter {
-    /// Fresh meter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sequentially append a cost.
-    pub fn charge(&mut self, c: Cost) {
-        self.total = self.total + c;
-        self.events += 1;
-    }
-
-    /// Total accumulated cost.
-    pub fn total(&self) -> Cost {
-        self.total
-    }
-
-    /// Number of charges recorded.
-    pub fn events(&self) -> usize {
-        self.events
     }
 }
 
@@ -136,22 +96,5 @@ mod tests {
         let c = Cost::matvec(1000, 100);
         assert_eq!(c.work, 2000.0);
         assert!((c.depth - 100f64.log2()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn par_replicate_adds_spawn_depth() {
-        let c = Cost::new(5.0, 2.0).par_replicate(8);
-        assert_eq!(c.work, 40.0);
-        assert_eq!(c.depth, 5.0); // 2 + log2(8)
-    }
-
-    #[test]
-    fn meter_accumulates() {
-        let mut m = CostMeter::new();
-        m.charge(Cost::seq(3.0));
-        m.charge(Cost::new(7.0, 1.0));
-        assert_eq!(m.total().work, 10.0);
-        assert_eq!(m.total().depth, 4.0);
-        assert_eq!(m.events(), 2);
     }
 }

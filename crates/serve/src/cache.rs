@@ -27,8 +27,7 @@ use psdp_core::{
     Solver,
 };
 use psdp_expdot::{Engine, EngineKind};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 pub use psdp_core::fnv1a;
 
@@ -130,8 +129,14 @@ pub struct MemoEntry {
     pub params: String,
     /// The stored result.
     pub result: crate::scheduler::ServeResult,
-    /// This entry's identity, carried by every response that returns it.
-    pub key: MemoKey,
+    /// The stored result's rendered fields, filled by the first front end
+    /// that renders it and replayed for every later response that returns
+    /// it. Only bytes derived from the entry's instance and result belong
+    /// here (never a request's id or serving telemetry): entries never
+    /// change, and a hit's instance is bitwise equal to the one the entry
+    /// was computed for, so those bytes are the same for every hit. The
+    /// slot is dropped with its entry, so the cache bounds it.
+    pub(crate) rendered: Arc<OnceLock<String>>,
 }
 
 /// The memo entry stored under `params`, if any.
@@ -139,41 +144,24 @@ pub(crate) fn memo_lookup<'m>(memo: &'m [MemoEntry], params: &str) -> Option<&'m
     memo.iter().find(|m| m.params == params)
 }
 
-/// Store a copy of `result` under `params` with a fresh [`MemoKey`] unless
-/// `memo` already holds `cap` entries. Returns the key it was stored under.
+/// Store a copy of `result` under `params` unless `memo` already holds
+/// `cap` entries. Returns the stored entry's render slot.
 pub(crate) fn memo_store(
     memo: &mut Vec<MemoEntry>,
     cap: usize,
     params: &str,
     result: &crate::scheduler::ServeResult,
-) -> Option<MemoKey> {
+) -> Option<Arc<OnceLock<String>>> {
     if memo.len() >= cap {
         return None;
     }
-    let key = MemoKey::fresh();
-    memo.push(MemoEntry { params: params.to_string(), result: result.clone(), key });
-    Some(key)
-}
-
-/// The identity of one stored memo result, unique within the process.
-///
-/// A response carries the key of the entry its result equals (the request
-/// that stored it, and every memo hit on it). Entries are never modified,
-/// and a hit's instance is bitwise equal to the one the entry was computed
-/// for, so anything derived from (instance, result) — rendered bytes,
-/// verified certificates — can be computed once per key and replayed.
-/// Keys are identities, not values: they are never rendered and their
-/// numbering depends on thread interleaving. Request parameters are not a
-/// substitute, because a request whose memo was full is recomputed and may
-/// continue from a different bracket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct MemoKey(u64);
-
-impl MemoKey {
-    fn fresh() -> MemoKey {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        MemoKey(NEXT.fetch_add(1, Ordering::Relaxed))
-    }
+    let rendered = Arc::new(OnceLock::new());
+    memo.push(MemoEntry {
+        params: params.to_string(),
+        result: result.clone(),
+        rendered: Arc::clone(&rendered),
+    });
+    Some(rendered)
 }
 
 /// One cache slot: the prep-hash fingerprint, the prepared state it was

@@ -1,10 +1,13 @@
 //! The request executor shared by the one-shot [`crate::Scheduler`] and
 //! the streaming [`crate::Service`]: one request against one optional
-//! cache entry, through the three reuse tiers, in one fresh session.
+//! cache entry, through the three reuse tiers, in one fresh session. A
+//! stored or replayed result hands back its memo entry's render slot, so
+//! every front end renders a stored result once, whichever executor ran it.
 
 use crate::cache::{memo_lookup, memo_store, prep_engine_of, CacheEntry, LiveSolver, Prepared};
 use crate::request::{RequestKind, ServeRequest};
 use crate::scheduler::{ServeResult, ServeStats};
+use std::sync::Arc;
 
 /// What executing one request hands back.
 pub(crate) struct Executed {
@@ -63,7 +66,7 @@ pub(crate) fn execute(
 
     if let Some(hit) = memo_lookup(&entry.memo, params) {
         stats.memoized = true;
-        stats.memo = Some(hit.key);
+        stats.memo = Some(Arc::clone(&hit.rendered));
         return Executed { result: Ok(hit.result.clone()), stats, entry: Some(entry), prep_built };
     }
 

@@ -51,7 +51,7 @@ pub mod snapshot;
 pub mod telemetry;
 pub mod transport;
 
-pub use cache::{MemoKey, SolverCache};
+pub use cache::SolverCache;
 pub use request::{Family, InstancePayload, RequestKind, ServeRequest};
 pub use scheduler::{
     BatchOutput, BatchReport, Scheduler, SchedulerOptions, ServeError, ServeResponse, ServeResult,
@@ -179,6 +179,30 @@ mod tests {
             sched.run_batch(&[ServeRequest::optimize("c", Arc::clone(&pack), opts)]).unwrap();
         assert!(out2.responses[0].stats.memoized);
         assert_eq!(out2.report.engine_evals, 0);
+    }
+
+    #[test]
+    fn memo_render_slot_is_shared_by_hits_and_freed_on_eviction() {
+        let (a, b) = (diag_inst(&[&[2.0, 0.0], &[0.0, 4.0]]), diag_inst(&[&[1.0, 0.0]]));
+        let opts = DecisionOptions::practical(0.2);
+        let mut sched = Scheduler::new(SchedulerOptions { max_entries: 1, ..Default::default() });
+        let slot_of = |out: BatchOutput| out.responses[0].stats.memo.clone().unwrap();
+        let stored = slot_of(
+            sched.run_batch(&[ServeRequest::decision("a", Arc::clone(&a), 0.5, opts)]).unwrap(),
+        );
+        stored.set("fields".to_string()).unwrap();
+        let weak = Arc::downgrade(&stored);
+        drop(stored);
+        // A hit hands back the same slot, already filled.
+        let hit = slot_of(
+            sched.run_batch(&[ServeRequest::decision("a2", Arc::clone(&a), 0.5, opts)]).unwrap(),
+        );
+        assert!(weak.upgrade().is_some_and(|s| Arc::ptr_eq(&s, &hit)));
+        assert_eq!(hit.get().map(String::as_str), Some("fields"));
+        drop(hit);
+        // Another fingerprint evicts `a` (capacity 1): its slot goes too.
+        sched.run_batch(&[ServeRequest::decision("b", b, 0.5, opts)]).unwrap();
+        assert!(weak.upgrade().is_none(), "evicted entry's rendered bytes must be freed");
     }
 
     #[test]

@@ -29,8 +29,9 @@
 //!    served on this fingerprint returns the stored result, without
 //!    assembling a solver. The whole pipeline is deterministic, so this is
 //!    exact, not approximate. The response carries the stored entry's
-//!    [`MemoKey`] in [`ServeStats::memo`], so a front end can render the
-//!    result once and replay the bytes for later hits (`psdp serve` does).
+//!    render slot in [`ServeStats::memo`], so a front end renders the
+//!    result once and replays the bytes for later hits (`psdp serve`
+//!    does, in every mode); the slot goes when the cache evicts its entry.
 //! 2. **Prepared-state reuse** — constraint factorizations, `Auto` engine
 //!    resolution, and per-constraint scalars are built once per
 //!    fingerprint and shared via [`psdp_core::SolverBuilder::build_with_engine`].
@@ -42,13 +43,14 @@
 //! See `DESIGN.md` §10 for the soundness argument (what the fingerprint
 //! must cover so a cache hit can never change a verdict).
 
-use crate::cache::{params_key, prep_engine_of, prep_hash, CacheEntry, MemoKey};
+use crate::cache::{params_key, prep_engine_of, prep_hash, CacheEntry};
 use crate::exec::execute;
 use crate::request::ServeRequest;
 use parking_lot::Mutex;
 use psdp_core::{DecisionResult, MixedReport, PackingReport};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Scheduler configuration.
@@ -99,8 +101,8 @@ pub enum ServeResult {
 }
 
 /// Per-request serving telemetry. Only the wall-clock fields
-/// ([`ServeStats::queue_wait`], [`ServeStats::service`]) and the opaque
-/// [`ServeStats::memo`] identity are non-deterministic; everything else is
+/// ([`ServeStats::queue_wait`], [`ServeStats::service`]) and the
+/// [`ServeStats::memo`] slot are not compared; everything else is
 /// a pure function of the batch contents (and prior batches on this
 /// scheduler), which is what lets the determinism suite compare response
 /// streams bitwise.
@@ -121,11 +123,12 @@ pub struct ServeStats {
     pub bracket_injected: bool,
     /// Live engine evaluations this request caused.
     pub engine_evals: usize,
-    /// The stored memo entry this response's result equals: set on memo
-    /// hits and on the request whose result was stored, `None` when the
-    /// result was not stored (memo full, error). An identity for replaying
-    /// work derived from the result, never rendered; see [`MemoKey`].
-    pub memo: Option<MemoKey>,
+    /// The render slot of the stored memo entry this response's result
+    /// equals: set on memo hits and on the request whose result was
+    /// stored, `None` when the result was not stored (memo full, error).
+    /// A front end fills it once with the result's rendered fields and
+    /// replays them; see [`crate::cache::MemoEntry`].
+    pub memo: Option<Arc<OnceLock<String>>>,
 }
 
 impl ServeStats {

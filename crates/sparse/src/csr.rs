@@ -277,17 +277,6 @@ impl Csr {
     pub fn fro_norm_sq(&self) -> f64 {
         self.values.iter().map(|v| v * v).sum()
     }
-
-    /// Sum of squared values in each *column*: `diag(AᵀA)`. For a factor `Q`
-    /// this gives per-column energies; for the trace identity
-    /// `Tr(QQᵀ) = ‖Q‖²_F` use [`Csr::fro_norm_sq`].
-    pub fn col_norms_sq(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.ncols];
-        for k in 0..self.nnz() {
-            out[self.col_idx[k]] += self.values[k] * self.values[k];
-        }
-        out
-    }
 }
 
 /// A symmetric operator defined by a CSR matrix (assumed symmetric).
@@ -414,8 +403,6 @@ mod tests {
     fn fro_and_col_norms() {
         let a = example();
         assert_eq!(a.fro_norm_sq(), 1.0 + 4.0 + 9.0 + 16.0 + 25.0);
-        let cn = a.col_norms_sq();
-        assert_eq!(cn, vec![17.0, 25.0, 13.0]);
     }
 
     #[test]

@@ -56,18 +56,6 @@ pub fn figure1_instance() -> Vec<PsdMatrix> {
     vec![a1.constraint(), a2.constraint(), a3.constraint()]
 }
 
-/// A family of `n` unit-area-ish ellipses at evenly spread rotations, for
-/// scaling the 2-D experiments.
-pub fn rotated_family(n: usize, aspect: f64) -> Vec<PsdMatrix> {
-    assert!(n > 0 && aspect >= 1.0);
-    (0..n)
-        .map(|k| {
-            let theta = std::f64::consts::PI * k as f64 / n as f64;
-            Ellipse { a: aspect.sqrt(), b: 1.0 / aspect.sqrt(), theta }.constraint()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,17 +98,6 @@ mod tests {
         assert!(matches!(mats[2], PsdMatrix::Dense(_)));
         for m in &mats {
             assert!(sym_eigen(&m.to_dense()).unwrap().lambda_min() > 0.0);
-        }
-    }
-
-    #[test]
-    fn rotated_family_shapes() {
-        let fam = rotated_family(5, 4.0);
-        assert_eq!(fam.len(), 5);
-        for m in &fam {
-            let eig = sym_eigen(&m.to_dense()).unwrap();
-            assert!((eig.values[0] - 0.25).abs() < 1e-9);
-            assert!((eig.values[1] - 4.0).abs() < 1e-9);
         }
     }
 }

@@ -29,10 +29,10 @@ pub mod stream;
 pub use beamforming::{beamforming_sdp, Beamforming};
 pub use commuting::{commuting_family, CommutingFamily};
 pub use diagonal::{diagonal_columns, random_lp_diagonal, set_cover_packing};
-pub use ellipse::{figure1_instance, rotated_family, Ellipse};
+pub use ellipse::{figure1_instance, Ellipse};
 pub use graphs::{edge_packing, edge_packing_sparse, gnp, grid, vertex_star_packing};
 pub use mixed::{mixed_edge_cover, mixed_lp_diagonal};
-pub use random::{random_dense, random_factorized, RandomFactorized};
+pub use random::{random_factorized, RandomFactorized};
 pub use stream::{
     mixed_request_stream, multi_client_streams, request_stream, stream_frames, stream_jsonl,
     KindedRequest, MixedStreamSpec, RequestStreamSpec, StreamBatch, StreamKind, StreamRequest,

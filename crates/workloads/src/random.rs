@@ -6,7 +6,6 @@
 //! Theorem 4.1 input format) whose width can be dialed up by inflating a
 //! few constraints — the E3 experiment's x-axis.
 
-use psdp_linalg::Mat;
 use psdp_parallel::rng_for;
 use psdp_sparse::{Csr, FactorPsd, PsdMatrix};
 use rand::Rng;
@@ -65,21 +64,6 @@ pub fn random_factorized(p: &RandomFactorized) -> Vec<PsdMatrix> {
     mats
 }
 
-/// Dense random PSD constraints (for exercising the dense code path):
-/// `Aᵢ = GᵢGᵢᵀ/dim` with standard-normal-ish `Gᵢ` entries.
-pub fn random_dense(dim: usize, n: usize, seed: u64) -> Vec<PsdMatrix> {
-    (0..n)
-        .map(|i| {
-            let mut rng = rng_for(seed, 1_000 + i as u64);
-            let g = Mat::from_fn(dim, dim, |_, _| rng.gen_range(-1.0..1.0));
-            let mut a = psdp_linalg::matmul(&g, &g.transpose());
-            a.scale(1.0 / dim as f64);
-            a.symmetrize();
-            PsdMatrix::Dense(a)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,13 +108,5 @@ mod tests {
         let da = a[0].to_dense();
         let db = b[0].to_dense();
         assert_ne!(da.as_slice(), db.as_slice());
-    }
-
-    #[test]
-    fn dense_generator_psd() {
-        for a in random_dense(6, 3, 7) {
-            let eig = sym_eigen(&a.to_dense()).unwrap();
-            assert!(eig.lambda_min() > -1e-9);
-        }
     }
 }
