@@ -25,6 +25,7 @@ const DET_CRATES: &[&str] =
 /// rendered response.
 const REQUEST_PATHS: &[&str] = &[
     "crates/serve/src/",
+    "crates/core/src/codec.rs",
     "crates/core/src/io.rs",
     "crates/core/src/bin_io.rs",
     "crates/cli/src/serve.rs",

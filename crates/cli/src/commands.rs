@@ -7,12 +7,10 @@
 use crate::args::Args;
 use crate::jsonfmt::{json_str, mixed_payload, optimize_payload, solve_payload};
 use psdp_core::{
-    binary_family, is_binary_instance, read_instance, read_instance_bin, read_mixed_instance,
-    read_mixed_instance_bin, verify_dual, verify_mixed_feasible, verify_mixed_infeasible,
-    verify_primal, write_instance, write_instance_bin, write_mixed_instance,
-    write_mixed_instance_bin, ApproxOptions, ConstantsMode, DecisionOptions, EngineKind,
-    MixedApproxOptions, MixedInstance, MixedSolver, Outcome, PackingInstance, Solver,
-    BIN_FAMILY_MIXED,
+    sniff, verify_dual, verify_mixed_feasible, verify_mixed_infeasible, verify_primal,
+    write_instance, write_mixed_instance, ApproxOptions, ConstantsMode, DecisionOptions, Encoding,
+    EngineKind, Family, Instance, MixedApproxOptions, MixedSolver, Outcome, PackingInstance,
+    Solver,
 };
 use psdp_workloads::{
     edge_packing, figure1_instance, gnp, mixed_edge_cover, mixed_lp_diagonal, random_factorized,
@@ -28,11 +26,11 @@ USAGE:
                 [--dim N] [--n N] [--seed S] [--width W] [--p P] [--ridge R] --out FILE
   psdp info FILE
   psdp convert FILE --to bin|text --out FILE
-  psdp solve FILE [--eps E] [--engine auto|exact|taylor|jl|expv] [--mode practical|strict] [--seed S] [--format auto|text|bin] [--json]
+  psdp solve FILE [--eps E] [--engine auto|exact|taylor|jl|expv] [--mode practical|strict] [--seed S] [--json]
   psdp optimize FILE [--eps E] [--warm on|off] [--json]
   psdp mixed FILE [--eps E] [--engine auto|exact|taylor|jl|expv] [--seed S] [--warm on|off] [--json]
-  psdp serve [--cache on|off] [--max-line-bytes N] [--format auto|text|bin]   (JSONL requests on stdin)
-  psdp serve --listen [--shards N] [--queue-cap N] [--snapshot FILE] [--snapshot-keep N] [--cache on|off] [--max-line-bytes N] [--format auto|text|bin] [--shed-target-p99-ms MS]
+  psdp serve [--cache on|off] [--max-line-bytes N]   (JSONL requests on stdin)
+  psdp serve --listen [--shards N] [--queue-cap N] [--snapshot FILE] [--snapshot-keep N] [--cache on|off] [--max-line-bytes N] [--shed-target-p99-ms MS]
   psdp serve --listen --bind tcp:ADDR:PORT|unix:PATH [--max-clients N] [--client-inflight N] [...same flags as --listen]
   psdp audit [--root PATH] [--config FILE] [--json] [--deny-warnings]
 
@@ -50,9 +48,9 @@ certificates it prints. `--json` emits outcomes, certificate values, and
 per-bracket SolveStats for machine consumption.
 
 Instance files are canonical text (`psdp 1` / `psdp mixed 1`) or the
-`psdp-bin-1` binary format; readers sniff the encoding by magic
-(`--format text|bin` forces one). `convert` translates losslessly in
-either direction — both encodings are canonical, so a double conversion
+`psdp-bin-1` binary format; readers sniff the encoding by magic.
+`convert` also sniffs the family and translates losslessly in either
+direction — both encodings are canonical, so a double conversion
 is a byte fixpoint. Binary files carry a verified content hash in the
 header, which `serve` uses directly as its cache fingerprint.
 
@@ -98,49 +96,6 @@ indexing on request paths), H1 (unjustified `unsafe`). Exemptions need a
 reasoned inline suppression or an audit.toml entry; CI runs it with
 --deny-warnings so stale exemptions fail too.
 ";
-
-/// `--format` selector: how instance bytes are interpreted.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Format {
-    /// Sniff by magic: `psdp-bin-1` bytes decode binary, anything else
-    /// parses as canonical text.
-    Auto,
-    /// Force the text parser.
-    Text,
-    /// Require `psdp-bin-1` (a typed error otherwise, never a text parse
-    /// of binary bytes).
-    Bin,
-}
-
-impl Format {
-    /// Whether `bytes` should decode through the binary reader.
-    ///
-    /// # Errors
-    /// `--format bin` with non-`psdp-bin-1` input.
-    pub(crate) fn wants_binary(self, bytes: &[u8]) -> Result<bool, String> {
-        match self {
-            Format::Auto => Ok(is_binary_instance(bytes)),
-            Format::Text => Ok(false),
-            Format::Bin => {
-                if is_binary_instance(bytes) {
-                    Ok(true)
-                } else {
-                    Err("--format bin: input is not psdp-bin-1 (bad magic or version)".to_string())
-                }
-            }
-        }
-    }
-}
-
-/// Build the [`Format`] from its CLI name.
-pub(crate) fn format_of(name: &str) -> Result<Format, String> {
-    match name {
-        "auto" => Ok(Format::Auto),
-        "text" => Ok(Format::Text),
-        "bin" => Ok(Format::Bin),
-        other => Err(format!("unknown --format value `{other}` (auto|text|bin)")),
-    }
-}
 
 /// Build the engine from its CLI name.
 pub(crate) fn engine_of(name: &str, eps: f64) -> Result<EngineKind, String> {
@@ -244,21 +199,18 @@ pub fn generate(args: &Args) -> Result<String, String> {
     }
 }
 
-fn load(path: &str, fmt: Format) -> Result<PackingInstance, String> {
+/// Read a `family` instance file in either encoding (sniffed by magic).
+fn load(path: &str, family: Family) -> Result<Instance, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-    if fmt.wants_binary(&bytes)? {
-        Ok(read_instance_bin(&bytes).map_err(|e| e.to_string())?.0)
-    } else {
-        read_instance(&String::from_utf8_lossy(&bytes)).map_err(|e| e.to_string())
-    }
+    let decoded = Instance::decode(family, Encoding::of(&bytes), &bytes);
+    decoded.map(|(inst, _)| inst).map_err(|e| e.to_string())
 }
 
-fn load_mixed(path: &str, fmt: Format) -> Result<MixedInstance, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-    if fmt.wants_binary(&bytes)? {
-        Ok(read_mixed_instance_bin(&bytes).map_err(|e| e.to_string())?.0)
-    } else {
-        read_mixed_instance(&String::from_utf8_lossy(&bytes)).map_err(|e| e.to_string())
+/// Read a packing instance file.
+fn load_packing(path: &str) -> Result<std::sync::Arc<PackingInstance>, String> {
+    match load(path, Family::Packing)? {
+        Instance::Packing(inst) => Ok(inst),
+        Instance::Mixed(_) => Err(format!("{path}: not a packing instance")),
     }
 }
 
@@ -268,7 +220,7 @@ fn load_mixed(path: &str, fmt: Format) -> Result<MixedInstance, String> {
 /// IO/parse errors as printable messages.
 pub fn info(args: &Args) -> Result<String, String> {
     let path = args.pos(1).ok_or("info: missing FILE")?;
-    let inst = load(path, Format::Auto)?;
+    let inst = load_packing(path)?;
     let mut out = String::new();
     out.push_str(&format!("dim          {}\n", inst.dim()));
     out.push_str(&format!("constraints  {}\n", inst.n()));
@@ -288,10 +240,9 @@ pub fn info(args: &Args) -> Result<String, String> {
 /// # Errors
 /// IO/parse/solver errors as printable messages.
 pub fn solve(args: &Args) -> Result<String, String> {
-    args.ensure_known(&["eps", "engine", "mode", "seed", "json", "format"])?;
+    args.ensure_known(&["eps", "engine", "mode", "seed", "json"])?;
     let path = args.pos(1).ok_or("solve: missing FILE")?;
-    let fmt = format_of(&args.str_flag("format", "auto"))?;
-    let inst = load(path, fmt)?;
+    let inst = load_packing(path)?;
     let eps: f64 = args.flag("eps", 0.1)?;
     let seed: u64 = args.flag("seed", 0)?;
     let engine = engine_of(&args.str_flag("engine", "exact"), eps)?;
@@ -346,7 +297,7 @@ pub fn solve(args: &Args) -> Result<String, String> {
 pub fn optimize(args: &Args) -> Result<String, String> {
     args.ensure_known(&["eps", "warm", "json"])?;
     let path = args.pos(1).ok_or("optimize: missing FILE")?;
-    let inst = load(path, Format::Auto)?;
+    let inst = load_packing(path)?;
     let eps: f64 = args.flag("eps", 0.1)?;
     let warm = match args.str_flag("warm", "on").as_str() {
         "on" => true,
@@ -398,7 +349,9 @@ pub fn optimize(args: &Args) -> Result<String, String> {
 pub fn mixed(args: &Args) -> Result<String, String> {
     args.ensure_known(&["eps", "engine", "seed", "warm", "json"])?;
     let path = args.pos(1).ok_or("mixed: missing FILE")?;
-    let inst = load_mixed(path, Format::Auto)?;
+    let Instance::Mixed(inst) = load(path, Family::Mixed)? else {
+        return Err(format!("{path}: not a mixed instance"));
+    };
     let eps: f64 = args.flag("eps", 0.1)?;
     let seed: u64 = args.flag("seed", 0)?;
     let warm = match args.str_flag("warm", "on").as_str() {
@@ -459,8 +412,7 @@ pub fn mixed(args: &Args) -> Result<String, String> {
 }
 
 /// `psdp convert` — lossless text↔binary instance conversion. The input
-/// encoding and family are sniffed (magic byte for `psdp-bin-1`, the
-/// `psdp mixed 1` header for mixed text); `--to` picks the output
+/// family and encoding are sniffed ([`sniff`]); `--to` picks the output
 /// encoding. Both encodings are canonical, so convert∘convert is a byte
 /// fixpoint in either direction.
 ///
@@ -474,57 +426,30 @@ pub fn convert(args: &Args) -> Result<String, String> {
         return Err("convert: missing --out FILE".to_string());
     }
     let to = args.str_flag("to", "bin");
-    if to != "bin" && to != "text" {
-        return Err(format!("unknown --to value `{to}` (bin|text)"));
-    }
+    let encoding = match to.as_str() {
+        "bin" => Encoding::Binary,
+        "text" => Encoding::Text,
+        _ => return Err(format!("unknown --to value `{to}` (bin|text)")),
+    };
     let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-
-    let mixed_family = if is_binary_instance(&bytes) {
-        binary_family(&bytes) == Some(BIN_FAMILY_MIXED)
-    } else {
-        String::from_utf8_lossy(&bytes).lines().next() == Some("psdp mixed 1")
-    };
-
-    let (encoded, summary) = if mixed_family {
-        let inst = if is_binary_instance(&bytes) {
-            read_mixed_instance_bin(&bytes).map_err(|e| e.to_string())?.0
-        } else {
-            read_mixed_instance(&String::from_utf8_lossy(&bytes)).map_err(|e| e.to_string())?
-        };
-        let encoded = if to == "bin" {
-            write_mixed_instance_bin(&inst)
-        } else {
-            write_mixed_instance(&inst).into_bytes()
-        };
-        let summary = format!(
-            "wrote {out} ({to}, mixed, pack {0}x{0}, cover {1}x{1}, n={2}, nnz={3})\n",
-            inst.pack_dim(),
-            inst.cover_dim(),
-            inst.n(),
-            inst.total_nnz()
-        );
-        (encoded, summary)
-    } else {
-        let inst = if is_binary_instance(&bytes) {
-            read_instance_bin(&bytes).map_err(|e| e.to_string())?.0
-        } else {
-            read_instance(&String::from_utf8_lossy(&bytes)).map_err(|e| e.to_string())?
-        };
-        let encoded = if to == "bin" {
-            write_instance_bin(&inst)
-        } else {
-            write_instance(&inst).into_bytes()
-        };
-        let summary = format!(
+    let (family, from) = sniff(&bytes);
+    let (inst, _) = Instance::decode(family, from, &bytes).map_err(|e| e.to_string())?;
+    std::fs::write(&out, inst.encode(encoding)).map_err(|e| format!("writing {out}: {e}"))?;
+    Ok(match &inst {
+        Instance::Packing(p) => format!(
             "wrote {out} ({to}, packing, m={}, n={}, nnz={})\n",
-            inst.dim(),
-            inst.n(),
-            inst.total_nnz()
-        );
-        (encoded, summary)
-    };
-    std::fs::write(&out, &encoded).map_err(|e| format!("writing {out}: {e}"))?;
-    Ok(summary)
+            p.dim(),
+            p.n(),
+            p.total_nnz()
+        ),
+        Instance::Mixed(m) => format!(
+            "wrote {out} ({to}, mixed, pack {0}x{0}, cover {1}x{1}, n={2}, nnz={3})\n",
+            m.pack_dim(),
+            m.cover_dim(),
+            m.n(),
+            m.total_nnz()
+        ),
+    })
 }
 
 /// `psdp audit` — run the workspace determinism & robustness lint
@@ -578,6 +503,7 @@ pub fn dispatch(raw: &[String]) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psdp_core::{read_instance, read_mixed_instance};
 
     fn run(v: &[&str]) -> Result<String, String> {
         dispatch(&v.iter().map(|s| s.to_string()).collect::<Vec<_>>())
@@ -658,9 +584,9 @@ mod tests {
         assert_eq!(bin_bytes, std::fs::read(&bin_p).unwrap());
 
         // Binary files solve identically to their text source (sniffed by
-        // magic; `--format bin` forces, and rejects text input).
+        // magic).
         let from_text = run(&["solve", t, "--eps", "0.2", "--json"]).unwrap();
-        let from_bin = run(&["solve", b, "--eps", "0.2", "--format", "bin", "--json"]).unwrap();
+        let from_bin = run(&["solve", b, "--eps", "0.2", "--json"]).unwrap();
         // `wall_ms` is real wall clock in one-shot mode; everything before
         // it (the whole certificate and stats payload) must match.
         let strip = |s: &str| {
@@ -668,9 +594,11 @@ mod tests {
             s.split("\"wall_ms\":").next().unwrap().to_string()
         };
         assert_eq!(strip(&from_text), strip(&from_bin));
-        assert!(run(&["solve", t, "--format", "bin"]).is_err());
-        assert!(run(&["solve", b, "--format", "text"]).is_err());
-        assert!(run(&["solve", b, "--format", "sideways"]).is_err());
+        // The encoding is the bytes' own: there is no `--format` to force it.
+        for cmd in [&["solve", b][..], &["serve"]] {
+            let err = run(&[cmd, &["--format", "bin"]].concat()).unwrap_err();
+            assert!(err.contains("unknown flag --format"), "{err}");
+        }
 
         // info/optimize sniff binary files too.
         assert!(run(&["info", b]).unwrap().contains("constraints  5"));
@@ -693,6 +621,37 @@ mod tests {
         assert!(run(&["convert", t, "--to", "braille", "--out", b]).is_err());
         assert!(run(&["convert", t, "--to", "bin"]).is_err());
         for f in [text_p, bin_p, back_p, mt, mb, mk] {
+            std::fs::remove_file(f).ok();
+        }
+    }
+
+    #[test]
+    fn convert_reads_a_commented_mixed_text_file() {
+        let dir = std::env::temp_dir().join("psdp-cli-convert-commented");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (src, bin, back) =
+            (dir.join("commented.psdp"), dir.join("commented.psdpb"), dir.join("back.psdp"));
+        let (s, b, k) = (src.to_str().unwrap(), bin.to_str().unwrap(), back.to_str().unwrap());
+        let canonical = run(&[
+            "generate",
+            "--family",
+            "mixed-graph",
+            "--dim",
+            "6",
+            "--p",
+            "0.6",
+            "--seed",
+            "4",
+        ])
+        .unwrap();
+        std::fs::write(&src, format!("# hand-annotated\n\n{canonical}")).unwrap();
+        // The sniff skips the comment and the blank line as the reader does,
+        // so the file converts as mixed, and back to the canonical text.
+        let msg = run(&["convert", s, "--to", "bin", "--out", b]).unwrap();
+        assert!(msg.contains("bin, mixed"), "{msg}");
+        run(&["convert", b, "--to", "text", "--out", k]).unwrap();
+        assert_eq!(std::fs::read_to_string(&back).unwrap(), canonical);
+        for f in [src, bin, back] {
             std::fs::remove_file(f).ok();
         }
     }

@@ -45,16 +45,15 @@
 //! back on shutdown.
 
 use crate::args::Args;
-use crate::commands::{format_of, Format};
 use crate::jsonfmt::{json_str, mixed_fields, optimize_fields, solve_fields};
 use psdp_core::{
-    fnv1a, is_binary_instance, ApproxOptions, ConstantsMode, DecisionOptions, MixedApproxOptions,
+    fnv1a, ApproxOptions, ConstantsMode, DecisionOptions, Encoding, Family, MixedApproxOptions,
 };
 use psdp_serve::json::{parse, JsonValue};
 use psdp_serve::{
-    BatchReport, FairMux, Family, InstancePayload, RequestKind, Scheduler, SchedulerOptions,
-    ServeRequest, ServeResponse, ServeResult, ServeStats, Service, ServiceOptions, ServiceReport,
-    StreamItem, StreamOutcome,
+    BatchReport, FairMux, InstancePayload, RequestKind, Scheduler, SchedulerOptions, ServeRequest,
+    ServeResponse, ServeResult, ServeStats, Service, ServiceOptions, ServiceReport, StreamItem,
+    StreamOutcome,
 };
 use std::borrow::Cow;
 use std::collections::btree_map::Entry;
@@ -154,7 +153,7 @@ fn utf8_lossy(bytes: Vec<u8>) -> String {
 }
 
 /// `psdp serve` flags without `--listen`.
-const ONE_SHOT_FLAGS: &[&str] = &["cache", "max-line-bytes", "format"];
+const ONE_SHOT_FLAGS: &[&str] = &["cache", "max-line-bytes"];
 
 /// `psdp serve --listen` flags. Socket-only flags (`--bind`,
 /// `--max-clients`, `--client-inflight`) are accepted here too — the
@@ -167,7 +166,6 @@ const LISTEN_FLAGS: &[&str] = &[
     "snapshot",
     "snapshot-keep",
     "max-line-bytes",
-    "format",
     "shed-target-p99-ms",
     "bind",
     "max-clients",
@@ -178,7 +176,6 @@ const LISTEN_FLAGS: &[&str] = &[
 /// its own flag list; a flag outside it keeps its default.
 struct ServeConfig {
     max_line_bytes: usize,
-    fmt: Format,
     cache_enabled: bool,
     shards: usize,
     queue_cap: usize,
@@ -205,7 +202,6 @@ fn serve_config(args: &Args, known: &[&str]) -> Result<ServeConfig, String> {
     }
     Ok(ServeConfig {
         max_line_bytes: args.flag("max-line-bytes", DEFAULT_MAX_LINE_BYTES)?,
-        fmt: format_of(&args.str_flag("format", "auto"))?,
         cache_enabled: match args.str_flag("cache", "on").as_str() {
             "on" => true,
             "off" => false,
@@ -228,7 +224,6 @@ impl ServeConfig {
             queue_capacity: self.queue_cap,
             cache_enabled: self.cache_enabled,
             shed_target_p99: self.shed_target_p99,
-            ..ServiceOptions::default()
         })
     }
 
@@ -298,7 +293,7 @@ pub fn serve_on(
 ) -> Result<String, String> {
     let cfg = serve_config(args, ONE_SHOT_FLAGS)?;
     let opts = SchedulerOptions { cache_enabled: cfg.cache_enabled, ..SchedulerOptions::default() };
-    let requests = RequestReader::new(reader, cfg.fmt, cfg.max_line_bytes);
+    let requests = RequestReader::new(reader, cfg.max_line_bytes);
     Ok(summarize(&run_one_shot(requests, opts, writer)?))
 }
 
@@ -365,7 +360,7 @@ pub fn serve_listen_on(
     let mut service = cfg.service();
     let mut notes = cfg.load_snapshot_notes(&mut service);
 
-    let mut requests = RequestReader::new(reader, cfg.fmt, cfg.max_line_bytes);
+    let mut requests = RequestReader::new(reader, cfg.max_line_bytes);
     let mut read_err: Option<String> = None;
     let items = std::iter::from_fn(|| {
         requests.next_item().unwrap_or_else(|e| {
@@ -442,7 +437,7 @@ pub fn serve_listen_socket_on(
     // on join so shutdown can wait for every thread.
     let accept = {
         let mux = mux.clone();
-        let (fmt, max_line_bytes, max_clients) = (cfg.fmt, cfg.max_line_bytes, cfg.max_clients);
+        let (max_line_bytes, max_clients) = (cfg.max_line_bytes, cfg.max_clients);
         std::thread::spawn(move || -> (String, Vec<std::thread::JoinHandle<()>>) {
             let mut handles = Vec::new();
             let mut accept_notes = String::new();
@@ -467,7 +462,7 @@ pub fn serve_listen_socket_on(
                 }));
                 let reader_mux = mux.clone();
                 let reader = std::io::BufReader::new(conn.reader);
-                let requests = RequestReader::new(reader, fmt, max_line_bytes);
+                let requests = RequestReader::new(reader, max_line_bytes);
                 handles.push(std::thread::spawn(move || {
                     client_reader(requests, client_id, &reader_mux, &client);
                 }));
@@ -585,21 +580,14 @@ enum LineCtx {
 /// parsed-source cache, and the duplicate-id set.
 struct RequestReader<R> {
     reader: R,
-    fmt: Format,
     max_line_bytes: usize,
     sources: Sources,
     seen_ids: BTreeSet<String>,
 }
 
 impl<R: BufRead> RequestReader<R> {
-    fn new(reader: R, fmt: Format, max_line_bytes: usize) -> Self {
-        RequestReader {
-            reader,
-            fmt,
-            max_line_bytes,
-            sources: Sources::new(),
-            seen_ids: BTreeSet::new(),
-        }
+    fn new(reader: R, max_line_bytes: usize) -> Self {
+        RequestReader { reader, max_line_bytes, sources: Sources::new(), seen_ids: BTreeSet::new() }
     }
 
     /// The next item in submission order, `None` at the end of the stream.
@@ -615,9 +603,7 @@ impl<R: BufRead> RequestReader<R> {
                 BoundedLine::Reject { id, msg } => return Ok(Some(reject_item(id, msg))),
                 BoundedLine::Frame(bytes) => break parse_frame_request(&bytes, &mut self.sources),
                 BoundedLine::Line(raw) if raw.trim().is_empty() => {}
-                BoundedLine::Line(raw) => {
-                    break parse_request_line(&raw, self.fmt, &mut self.sources)
-                }
+                BoundedLine::Line(raw) => break parse_request_line(&raw, &mut self.sources),
             }
         };
         let (request, file_json) = match parsed {
@@ -1003,15 +989,14 @@ fn id_and_command(
 /// Build the request `command` asks for: load its instance source as the
 /// command's family through the source cache, then read the command's
 /// options. Shared by the text-line and binary-frame parsers. Bytes are
-/// sniffed by magic (per `fmt`): `psdp-bin-1` decodes through the verified
-/// binary reader, text parses canonically and is hashed once, here.
+/// sniffed by magic: `psdp-bin-1` decodes through the verified binary
+/// reader, text parses canonically and is hashed once, here.
 fn command_request(
     obj: &JsonValue,
     command: &str,
     id: String,
     sources: &mut Sources,
     key: String,
-    fmt: Format,
     load: impl FnOnce() -> Result<Vec<u8>, String>,
 ) -> Result<ServeRequest, String> {
     let family = if command == "mixed" { Family::Mixed } else { Family::Packing };
@@ -1019,9 +1004,8 @@ fn command_request(
         Entry::Occupied(hit) => hit.get().clone(),
         Entry::Vacant(slot) => {
             let bytes = load()?;
-            let binary = fmt.wants_binary(&bytes)?;
-            let loaded =
-                InstancePayload::decode(family, &bytes, binary).map_err(|e| e.to_string())?;
+            let loaded = InstancePayload::decode(family, Encoding::of(&bytes), &bytes)
+                .map_err(|e| e.to_string())?;
             slot.insert(loaded).clone()
         }
     };
@@ -1062,7 +1046,7 @@ fn command_request(
 
 /// Parse one request line. On failure returns `(best-effort id, message)`
 /// so the error response can still be keyed.
-fn parse_request_line(raw: &str, fmt: Format, sources: &mut Sources) -> Parsed {
+fn parse_request_line(raw: &str, sources: &mut Sources) -> Parsed {
     let obj = parse(raw).map_err(|e| (None, e.to_string()))?;
     let (id, command) = id_and_command(&obj, false)?;
     let fail = |msg: String| (Some(id.clone()), msg);
@@ -1088,8 +1072,8 @@ fn parse_request_line(raw: &str, fmt: Format, sources: &mut Sources) -> Parsed {
         None => Ok(inline.unwrap_or_default().as_bytes().to_vec()),
     };
 
-    let request = command_request(&obj, &command, id.clone(), sources, source_key, fmt, load)
-        .map_err(fail)?;
+    let request =
+        command_request(&obj, &command, id.clone(), sources, source_key, load).map_err(fail)?;
     Ok((request, file_json))
 }
 
@@ -1119,15 +1103,14 @@ fn parse_frame_request(frame: &[u8], sources: &mut Sources) -> Parsed {
     let (id, command) = id_and_command(&obj, true)?;
     let fail = |msg: String| (Some(id.clone()), msg);
 
-    if !is_binary_instance(inst_bytes) {
+    if Encoding::of(inst_bytes) != Encoding::Binary {
         return Err(fail("frame instance is not psdp-bin-1 (bad magic or version)".to_string()));
     }
     let source_key = format!("bin:{:016x}", fnv1a(inst_bytes));
 
     let load = || Ok(inst_bytes.to_vec());
     let request =
-        command_request(&obj, &command, id.clone(), sources, source_key, Format::Bin, load)
-            .map_err(fail)?;
+        command_request(&obj, &command, id.clone(), sources, source_key, load).map_err(fail)?;
     Ok((request, "null".to_string()))
 }
 
@@ -1217,7 +1200,7 @@ mod tests {
     /// line against a from-scratch render of the same scheduler output
     /// (each response stripped of its memo slot). Returns the lines.
     fn replay_matches_uncached(input: &str, opts: SchedulerOptions) -> Vec<String> {
-        let reader = |input| RequestReader::new(input, Format::Auto, DEFAULT_MAX_LINE_BYTES);
+        let reader = |input| RequestReader::new(input, DEFAULT_MAX_LINE_BYTES);
         let mut replayed: Vec<u8> = Vec::new();
         run_one_shot(reader(input.as_bytes()), opts, &mut replayed).unwrap();
         let (mut ctxs, mut requests) = (Vec::new(), Vec::new());

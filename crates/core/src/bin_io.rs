@@ -1,6 +1,7 @@
-//! The `psdp-bin-1` binary instance format — zero-copy reads, streaming
-//! writes, and the structural content hash the serving stack fingerprints
-//! with (DESIGN.md §14).
+//! The `psdp-bin-1` binary encoding of both instance families (the binary
+//! half of [`crate::codec`]) — zero-copy reads, streaming writes, and the
+//! structural content hash the serving stack fingerprints with
+//! (DESIGN.md §14).
 //!
 //! Layout (all integers little-endian):
 //!
@@ -8,10 +9,10 @@
 //! magic        8 bytes   b"PSDPBIN1"
 //! version      u32       1
 //! family       u32       0 = packing, 1 = mixed
-//! dims         u64       packing: dim; mixed: pack_dim, cover_dim
+//! dims         u64 × s   one per side (packing: dim; mixed: pack_dim, cover_dim)
 //! n            u64       constraint count (coordinates for mixed)
 //! content_hash u64       structural 4-lane FNV-1a hash (see below)
-//! records      [len u64][payload] × n   (mixed: n pack then n cover)
+//! records      [len u64][payload] × s·n   (side by side: n pack, then n cover)
 //! trailer      u64       4-lane FNV-1a over every preceding byte
 //! ```
 //!
@@ -19,12 +20,13 @@
 //! 2 factor, 3 dense) followed by the constraint's canonical CSR / dense
 //! storage verbatim (`f64` bit patterns, `u64` indices). The **content
 //! hash** is the structural hash of `[family byte, dims, n, record
-//! payloads…]` — a function of the *parsed* instance, so a text submission
-//! and a binary submission of the same instance hash identically, and the
-//! serving cache can fingerprint a binary request straight off the header
-//! without decoding, let alone re-serializing, anything.
+//! payloads…]` (the family byte is the [`Family`] tag) — a function of the
+//! *parsed* instance, so a text submission and a binary submission of the
+//! same instance hash identically, and the serving cache can fingerprint a
+//! binary request straight off the header without decoding, let alone
+//! re-serializing, anything.
 //!
-//! Both integrity hashes use **4-lane FNV-1a** ([`FnvWide`]'s scheme):
+//! Both integrity hashes use **4-lane FNV-1a** (`FnvWide`'s scheme):
 //! byte `p` of the logical stream feeds lane `p mod 4`, and the final
 //! value folds the four lane states plus the stream length through a
 //! plain FNV-1a chain. A single FNV-1a chain is latency-bound near
@@ -39,11 +41,11 @@
 //! `MAX_DIM`-family limits as the text reader), then the length-prefixed
 //! record table is sliced without copying, the trailer and content hash are
 //! verified, and only then are records decoded — in parallel via rayon,
-//! one independent decoder per record slice. Decoded constraints pass
-//! through the same [`PackingInstance::new`] / [`MixedInstance::new`]
-//! structural validation as the text path, so the two formats accept
-//! exactly the same instances.
+//! one independent decoder per record slice. The decoded records build
+//! their instance through the same validation as the text path's, so the
+//! two encodings accept exactly the same instances.
 
+use crate::codec::{mixed_from, Family};
 use crate::error::PsdpError;
 use crate::instance::{MixedInstance, PackingInstance};
 use crate::io::{MAX_DENSE_DIM, MAX_DIM, MAX_PREALLOC};
@@ -52,13 +54,9 @@ use psdp_sparse::{Csr, FactorPsd, PsdMatrix};
 use rayon::prelude::*;
 
 /// Magic bytes opening every `psdp-bin-1` file or frame.
-pub const BIN_MAGIC: &[u8; 8] = b"PSDPBIN1";
+pub(crate) const BIN_MAGIC: &[u8; 8] = b"PSDPBIN1";
 /// Current (only) binary format version.
-pub const BIN_VERSION: u32 = 1;
-/// Family tag for packing instances.
-pub const BIN_FAMILY_PACKING: u32 = 0;
-/// Family tag for mixed packing–covering instances.
-pub const BIN_FAMILY_MIXED: u32 = 1;
+const BIN_VERSION: u32 = 1;
 
 const KIND_DIAGONAL: u32 = 0;
 const KIND_SPARSE: u32 = 1;
@@ -123,7 +121,7 @@ impl Fnv1a {
 /// hash behind the binary format's trailer and the structural content
 /// hash; it is *not* interchangeable with [`fnv1a`].
 #[derive(Debug, Clone)]
-pub struct FnvWide {
+pub(crate) struct FnvWide {
     /// Lane states, rotated so the lane absorbing the next byte is first.
     lanes: [u64; 4],
     /// Total bytes absorbed.
@@ -181,26 +179,19 @@ impl FnvWide {
 
 /// One-shot [`FnvWide`] over a byte slice — the binary format's trailer
 /// and whole-buffer integrity hash.
-pub fn fnv_wide(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv_wide(bytes: &[u8]) -> u64 {
     let mut f = FnvWide::new();
     f.update(bytes);
     f.finish()
 }
 
-/// Does this byte slice start with the `psdp-bin-1` magic? The sniff the
-/// CLI's `--format auto` and the frame loaders use.
-pub fn is_binary_instance(bytes: &[u8]) -> bool {
-    bytes.len() >= BIN_MAGIC.len() && &bytes[..BIN_MAGIC.len()] == BIN_MAGIC
-}
-
-/// Family tag of a binary instance (`BIN_FAMILY_PACKING` /
-/// `BIN_FAMILY_MIXED`) read straight off the header, or `None` when the
-/// bytes are not a plausible `psdp-bin-1` header.
-pub fn binary_family(bytes: &[u8]) -> Option<u32> {
-    if !is_binary_instance(bytes) || rd_u32(bytes, 8)? != BIN_VERSION {
+/// The family a binary header tags, or `None` when the bytes are not a
+/// plausible `psdp-bin-1` header or the tag names no family.
+pub(crate) fn family_of(bytes: &[u8]) -> Option<Family> {
+    if !bytes.starts_with(BIN_MAGIC) || rd_u32(bytes, 8)? != BIN_VERSION {
         return None;
     }
-    rd_u32(bytes, 12)
+    [Family::Packing, Family::Mixed].into_iter().find(|&f| rd_u32(bytes, 12) == Some(f as u32))
 }
 
 /// Content hash read straight off a binary header without decoding the
@@ -208,11 +199,8 @@ pub fn binary_family(bytes: &[u8]) -> Option<u32> {
 /// reader re-verifies it against the records, so trusting it for *routing*
 /// is sound: a lying header fails validation before any solver runs.
 pub fn peek_content_hash(bytes: &[u8]) -> Option<u64> {
-    match binary_family(bytes)? {
-        BIN_FAMILY_PACKING => rd_u64(bytes, 32),
-        BIN_FAMILY_MIXED => rd_u64(bytes, 40),
-        _ => None,
-    }
+    // After the magic, version and family, one dimension per side, and n.
+    rd_u64(bytes, 24 + 8 * family_of(bytes)?.layout().sides.len())
 }
 
 fn rd_u32(b: &[u8], off: usize) -> Option<u32> {
@@ -350,10 +338,14 @@ fn record_bytes(a: &PsdMatrix) -> Vec<u8> {
     out
 }
 
-fn packing_hash_parts(dim: usize, n: usize, records: &[impl AsRef<[u8]>]) -> u64 {
+/// The structural content hash from its parts: the family byte, the side
+/// dimensions, the count and the record payloads.
+fn hash_parts(family: Family, dims: &[usize], n: usize, records: &[impl AsRef<[u8]>]) -> u64 {
     let mut f = FnvWide::new();
-    f.update(&[BIN_FAMILY_PACKING as u8]);
-    f.update(&(dim as u64).to_le_bytes());
+    f.update(&[family as u8]);
+    for &dim in dims {
+        f.update(&(dim as u64).to_le_bytes());
+    }
     f.update(&(n as u64).to_le_bytes());
     for r in records {
         f.update(r.as_ref());
@@ -361,79 +353,41 @@ fn packing_hash_parts(dim: usize, n: usize, records: &[impl AsRef<[u8]>]) -> u64
     f.finish()
 }
 
-fn mixed_hash_parts(
-    pack_dim: usize,
-    cover_dim: usize,
-    n: usize,
-    records: &[impl AsRef<[u8]>],
-) -> u64 {
-    let mut f = FnvWide::new();
-    f.update(&[BIN_FAMILY_MIXED as u8]);
-    f.update(&(pack_dim as u64).to_le_bytes());
-    f.update(&(cover_dim as u64).to_le_bytes());
-    f.update(&(n as u64).to_le_bytes());
-    for r in records {
-        f.update(r.as_ref());
-    }
-    f.finish()
+/// The record payloads of `sides`, side by side, with the hash parts
+/// they go with.
+fn records_of(sides: &[&PackingInstance]) -> (Vec<usize>, usize, Vec<Vec<u8>>) {
+    let dims = sides.iter().map(|s| s.dim()).collect();
+    let n = sides.first().map_or(0, |s| s.n());
+    let records = sides.iter().flat_map(|s| s.mats()).map(record_bytes).collect();
+    (dims, n, records)
 }
 
-/// Structural content hash of a packing instance — identical whether the
-/// instance arrived as text or as `psdp-bin-1` bytes. Text requests compute
-/// this once at parse time; binary requests carry it in their header.
-pub fn packing_content_hash(inst: &PackingInstance) -> u64 {
-    let records: Vec<Vec<u8>> = inst.mats().iter().map(record_bytes).collect();
-    packing_hash_parts(inst.dim(), inst.n(), &records)
+/// Structural content hash of the `sides` of a `family` instance —
+/// identical whether the instance arrived as text or as `psdp-bin-1`
+/// bytes.
+pub(crate) fn content_hash(family: Family, sides: &[&PackingInstance]) -> u64 {
+    let (dims, n, records) = records_of(sides);
+    hash_parts(family, &dims, n, &records)
 }
 
-/// Structural content hash of a mixed instance (see
-/// [`packing_content_hash`]).
-pub fn mixed_content_hash(inst: &MixedInstance) -> u64 {
-    let records: Vec<Vec<u8>> =
-        inst.pack().mats().iter().chain(inst.cover().mats()).map(record_bytes).collect();
-    mixed_hash_parts(inst.pack_dim(), inst.cover_dim(), inst.n(), &records)
-}
-
-fn write_preamble(out: &mut Vec<u8>, family: u32) {
+/// Serialize the `sides` of a `family` instance to `psdp-bin-1` bytes.
+pub(crate) fn write(family: Family, sides: &[&PackingInstance]) -> Vec<u8> {
+    let (dims, n, records) = records_of(sides);
+    let mut out = Vec::new();
     out.extend_from_slice(BIN_MAGIC);
-    push_u32(out, BIN_VERSION);
-    push_u32(out, family);
-}
-
-fn write_records_and_trailer(out: &mut Vec<u8>, records: &[Vec<u8>]) {
-    for r in records {
-        push_u64(out, r.len() as u64);
+    push_u32(&mut out, BIN_VERSION);
+    push_u32(&mut out, family as u32);
+    for &dim in &dims {
+        push_u64(&mut out, dim as u64);
+    }
+    push_u64(&mut out, n as u64);
+    push_u64(&mut out, hash_parts(family, &dims, n, &records));
+    for r in &records {
+        push_u64(&mut out, r.len() as u64);
         out.extend_from_slice(r);
     }
-    let trailer = fnv_wide(out);
-    push_u64(out, trailer);
-}
-
-/// Serialize a packing instance to `psdp-bin-1` bytes.
-pub fn write_instance_bin(inst: &PackingInstance) -> Vec<u8> {
-    let records: Vec<Vec<u8>> = inst.mats().iter().map(record_bytes).collect();
-    let hash = packing_hash_parts(inst.dim(), inst.n(), &records);
-    let mut out = Vec::new();
-    write_preamble(&mut out, BIN_FAMILY_PACKING);
-    push_u64(&mut out, inst.dim() as u64);
-    push_u64(&mut out, inst.n() as u64);
-    push_u64(&mut out, hash);
-    write_records_and_trailer(&mut out, &records);
-    out
-}
-
-/// Serialize a mixed instance to `psdp-bin-1` bytes.
-pub fn write_mixed_instance_bin(inst: &MixedInstance) -> Vec<u8> {
-    let records: Vec<Vec<u8>> =
-        inst.pack().mats().iter().chain(inst.cover().mats()).map(record_bytes).collect();
-    let hash = mixed_hash_parts(inst.pack_dim(), inst.cover_dim(), inst.n(), &records);
-    let mut out = Vec::new();
-    write_preamble(&mut out, BIN_FAMILY_MIXED);
-    push_u64(&mut out, inst.pack_dim() as u64);
-    push_u64(&mut out, inst.cover_dim() as u64);
-    push_u64(&mut out, inst.n() as u64);
-    push_u64(&mut out, hash);
-    write_records_and_trailer(&mut out, &records);
+    let trailer = fnv_wide(&out);
+    push_u64(&mut out, trailer);
     out
 }
 
@@ -644,78 +598,47 @@ fn decode_records(records: &[&[u8]], dims: &[usize]) -> Result<Vec<PsdMatrix>, P
     decoded.into_iter().collect()
 }
 
-/// Parse `psdp-bin-1` packing bytes, returning the instance and its
-/// verified structural content hash.
+/// Parse `psdp-bin-1` bytes of a `family` instance, returning its
+/// constraint records, side by side, and its verified structural content
+/// hash.
 ///
 /// # Errors
 /// [`PsdpError::InvalidInstance`] with a byte-offset-anchored message on
 /// any malformed input (bad magic, truncated blob, checksum or content-hash
-/// mismatch, overflowing header sizes, trailing bytes, or a constraint that
-/// fails structural validation).
-pub fn read_instance_bin(bytes: &[u8]) -> Result<(PackingInstance, u64), PsdpError> {
+/// mismatch, overflowing header sizes, trailing bytes, or a record that
+/// does not decode).
+pub(crate) fn read(family: Family, bytes: &[u8]) -> Result<(Vec<PsdMatrix>, u64), PsdpError> {
+    let layout = family.layout();
     let mut c = Bytes::new(bytes);
     check_magic_version(&mut c)?;
     let at = c.pos;
-    let family = c.u32("family")?;
-    if family != BIN_FAMILY_PACKING {
-        return Err(bad(at, &format!("family {family} is not a packing instance")));
+    let tag = c.u32("family")?;
+    if tag != family as u32 {
+        return Err(bad(at, &format!("family {tag} is not a {} instance", family.name())));
     }
-    let dim = c.size(MAX_DIM, "dim")?;
-    let n = c.size(MAX_PREALLOC, "constraint count")?;
+    let dims = layout
+        .sides
+        .iter()
+        .map(|(dim_prefix, _)| c.size(MAX_DIM, dim_prefix.trim_end()))
+        .collect::<Result<Vec<_>, _>>()?;
+    let n = c.size(MAX_PREALLOC, layout.count.1)?;
+    let hash_at = c.pos;
     let content_hash = c.u64("content hash")?;
-    let records = slice_records(&mut c, n)?;
+    // `n` is at most MAX_PREALLOC, so the record count cannot overflow.
+    let records = slice_records(&mut c, n * dims.len())?;
     check_trailer(&mut c, bytes)?;
-    let computed = packing_hash_parts(dim, n, &records);
+    let computed = hash_parts(family, &dims, n, &records);
     if computed != content_hash {
         return Err(bad(
-            32,
+            hash_at,
             &format!(
                 "content hash mismatch (stored {content_hash:#018x}, computed {computed:#018x})"
             ),
         ));
     }
-    let dims = vec![dim; records.len()];
-    let mats = decode_records(&records, &dims)?;
-    let inst = PackingInstance::new(mats)?;
-    Ok((inst, content_hash))
-}
-
-/// Parse `psdp-bin-1` mixed bytes (see [`read_instance_bin`]).
-///
-/// # Errors
-/// [`PsdpError::InvalidInstance`] on any malformed input.
-pub fn read_mixed_instance_bin(bytes: &[u8]) -> Result<(MixedInstance, u64), PsdpError> {
-    let mut c = Bytes::new(bytes);
-    check_magic_version(&mut c)?;
-    let at = c.pos;
-    let family = c.u32("family")?;
-    if family != BIN_FAMILY_MIXED {
-        return Err(bad(at, &format!("family {family} is not a mixed instance")));
-    }
-    let pack_dim = c.size(MAX_DIM, "pack-dim")?;
-    let cover_dim = c.size(MAX_DIM, "cover-dim")?;
-    let n = c.size(MAX_PREALLOC, "coordinate count")?;
-    let content_hash = c.u64("content hash")?;
-    let count =
-        n.checked_mul(2).ok_or_else(|| bad(at, "coordinate count overflows record count"))?;
-    let records = slice_records(&mut c, count)?;
-    check_trailer(&mut c, bytes)?;
-    let computed = mixed_hash_parts(pack_dim, cover_dim, n, &records);
-    if computed != content_hash {
-        return Err(bad(
-            40,
-            &format!(
-                "content hash mismatch (stored {content_hash:#018x}, computed {computed:#018x})"
-            ),
-        ));
-    }
-    let mut dims = vec![pack_dim; n];
-    dims.resize(count, cover_dim);
-    let mats = decode_records(&records, &dims)?;
-    let mut pack = mats;
-    let cover = pack.split_off(n);
-    let inst = MixedInstance::new(pack, cover)?;
-    Ok((inst, content_hash))
+    let record_dims: Vec<usize> =
+        dims.iter().flat_map(|&dim| std::iter::repeat_n(dim, n)).collect();
+    Ok((decode_records(&records, &record_dims)?, content_hash))
 }
 
 // ---------------------------------------------------------------------------
@@ -726,7 +649,8 @@ fn bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-fn mat_structural_eq(a: &PsdMatrix, b: &PsdMatrix) -> bool {
+/// Bitwise equality of two constraints' storage.
+pub(crate) fn mat_structural_eq(a: &PsdMatrix, b: &PsdMatrix) -> bool {
     match (a, b) {
         (PsdMatrix::Diagonal(x), PsdMatrix::Diagonal(y)) => bits_eq(x, y),
         (PsdMatrix::Sparse(x), PsdMatrix::Sparse(y)) => {
@@ -751,6 +675,51 @@ fn mat_structural_eq(a: &PsdMatrix, b: &PsdMatrix) -> bool {
     }
 }
 
+/// Serialize a packing instance to `psdp-bin-1` bytes.
+pub fn write_instance_bin(inst: &PackingInstance) -> Vec<u8> {
+    write(Family::Packing, &[inst])
+}
+
+/// Serialize a mixed instance to `psdp-bin-1` bytes.
+pub fn write_mixed_instance_bin(inst: &MixedInstance) -> Vec<u8> {
+    write(Family::Mixed, &[inst.pack(), inst.cover()])
+}
+
+/// Parse `psdp-bin-1` packing bytes, returning the instance and its
+/// verified structural content hash.
+///
+/// # Errors
+/// [`PsdpError::InvalidInstance`] with a byte-offset-anchored message on
+/// any malformed input (bad magic, truncated blob, checksum or content-hash
+/// mismatch, overflowing header sizes, trailing bytes, or a constraint that
+/// fails structural validation).
+pub fn read_instance_bin(bytes: &[u8]) -> Result<(PackingInstance, u64), PsdpError> {
+    let (mats, hash) = read(Family::Packing, bytes)?;
+    Ok((PackingInstance::new(mats)?, hash))
+}
+
+/// Parse `psdp-bin-1` mixed bytes (see [`read_instance_bin`]).
+///
+/// # Errors
+/// [`PsdpError::InvalidInstance`] on any malformed input.
+pub fn read_mixed_instance_bin(bytes: &[u8]) -> Result<(MixedInstance, u64), PsdpError> {
+    let (mats, hash) = read(Family::Mixed, bytes)?;
+    Ok((mixed_from(mats)?, hash))
+}
+
+/// Structural content hash of a packing instance — identical whether the
+/// instance arrived as text or as `psdp-bin-1` bytes. Text requests compute
+/// this once at parse time; binary requests carry it in their header.
+pub fn packing_content_hash(inst: &PackingInstance) -> u64 {
+    content_hash(Family::Packing, &[inst])
+}
+
+/// Structural content hash of a mixed instance (see
+/// [`packing_content_hash`]).
+pub fn mixed_content_hash(inst: &MixedInstance) -> u64 {
+    content_hash(Family::Mixed, &[inst.pack(), inst.cover()])
+}
+
 /// Bitwise structural equality of two packing instances — the
 /// hash-collision verifier of the serving cache. Bit-level (`to_bits`)
 /// rather than `PartialEq` so `-0.0` and `0.0` stay distinct, making this
@@ -771,6 +740,7 @@ pub fn mixed_structural_eq(a: &MixedInstance, b: &MixedInstance) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Encoding;
     use crate::io::{read_instance, write_instance, write_mixed_instance};
 
     fn sample() -> PackingInstance {
@@ -810,8 +780,8 @@ mod tests {
     fn packing_roundtrip_bitwise() {
         let inst = sample();
         let bytes = write_instance_bin(&inst);
-        assert!(is_binary_instance(&bytes));
-        assert_eq!(binary_family(&bytes), Some(BIN_FAMILY_PACKING));
+        assert_eq!(Encoding::of(&bytes), Encoding::Binary);
+        assert_eq!(family_of(&bytes), Some(Family::Packing));
         let (back, hash) = read_instance_bin(&bytes).unwrap();
         assert!(packing_structural_eq(&inst, &back));
         assert_eq!(hash, packing_content_hash(&inst));
@@ -824,7 +794,7 @@ mod tests {
     fn mixed_roundtrip_bitwise() {
         let inst = sample_mixed();
         let bytes = write_mixed_instance_bin(&inst);
-        assert_eq!(binary_family(&bytes), Some(BIN_FAMILY_MIXED));
+        assert_eq!(family_of(&bytes), Some(Family::Mixed));
         let (back, hash) = read_mixed_instance_bin(&bytes).unwrap();
         assert!(mixed_structural_eq(&inst, &back));
         assert_eq!(hash, mixed_content_hash(&inst));
@@ -957,7 +927,7 @@ mod tests {
     #[test]
     fn peek_refuses_non_binary() {
         assert_eq!(peek_content_hash(b"psdp 1\n"), None);
-        assert_eq!(binary_family(b"PSDPBIN"), None);
-        assert!(!is_binary_instance(b"psdp 1\n"));
+        assert_eq!(family_of(b"PSDPBIN"), None);
+        assert_eq!(Encoding::of(b"psdp 1\n"), Encoding::Text);
     }
 }

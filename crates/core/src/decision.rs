@@ -35,7 +35,7 @@
 //!   [`crate::psi::PsiMaintainer`]: each round scatter-adds only the
 //!   selected coordinates' scaled constraints. A from-scratch `Σᵢ xᵢAᵢ`
 //!   happens only at the drift-check cadence
-//!   ([`DecisionOptions::psi_rebuild_period`], default every 64 rounds).
+//!   ([`crate::psi::PSI_REBUILD_PERIOD`], every 64 rounds).
 //! * [`psdp_expdot::EngineKind::Auto`] resolves against the instance's
 //!   storage profile at engine construction; the *resolved* engine name is
 //!   what [`crate::SolveStats::engine`] reports.

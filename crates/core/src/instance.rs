@@ -84,11 +84,6 @@ impl PositiveSdp {
     pub fn num_constraints(&self) -> usize {
         self.constraints.len()
     }
-
-    /// Evaluate the objective `C • Y` for a candidate primal `Y`.
-    pub fn objective_value(&self, y: &Mat) -> f64 {
-        self.objective.dot_dense(y)
-    }
 }
 
 /// A normalized **packing** instance (the dual side of Figure 2):
@@ -487,16 +482,5 @@ mod tests {
             rhs: vec![1.0],
         };
         assert!(mismatch.validate().is_err());
-    }
-
-    #[test]
-    fn objective_value_dot() {
-        let sdp = PositiveSdp {
-            objective: diag(&[2.0, 1.0]),
-            constraints: vec![diag(&[1.0, 1.0])],
-            rhs: vec![1.0],
-        };
-        let y = Mat::from_diag(&[1.0, 4.0]);
-        assert_eq!(sdp.objective_value(&y), 6.0);
     }
 }

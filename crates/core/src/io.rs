@@ -1,5 +1,5 @@
-//! Plain-text instance formats (`psdp v1` / `psdp mixed v1`) — load/save
-//! packing and mixed packing–covering instances.
+//! The canonical text encoding (`psdp 1` / `psdp mixed 1`) of both
+//! instance families (the text half of [`crate::codec`]).
 //!
 //! A deliberately boring line-based format so instances can be generated,
 //! versioned, and diffed without extra dependencies:
@@ -25,8 +25,8 @@
 //! by `dim` rows of `dim` whitespace-separated numbers. Values round-trip
 //! through `{:e}` formatting, so write→read is exact.
 //!
-//! The mixed format shares the constraint-block grammar with per-side
-//! dimensions and one packing + one covering block per coordinate:
+//! The mixed family has one dimension header and one run of blocks per
+//! side, with the same constraint-block grammar:
 //!
 //! ```text
 //! psdp mixed 1
@@ -44,6 +44,7 @@
 //! end
 //! ```
 
+use crate::codec::{mixed_from, Family};
 use crate::error::PsdpError;
 use crate::instance::{MixedInstance, PackingInstance};
 use psdp_linalg::Mat;
@@ -93,6 +94,24 @@ fn write_constraint(out: &mut String, label: &str, i: usize, a: &PsdMatrix, dim:
     }
 }
 
+/// Serialize the `sides` of a `family` instance.
+pub(crate) fn write(family: Family, sides: &[&PackingInstance]) -> String {
+    let layout = family.layout();
+    let mut out = String::new();
+    let _ = writeln!(out, "{}", layout.header);
+    for ((dim_prefix, _), side) in layout.sides.iter().zip(sides) {
+        let _ = writeln!(out, "{dim_prefix}{}", side.dim());
+    }
+    let _ = writeln!(out, "{}{}", layout.count.0, sides.first().map_or(0, |s| s.n()));
+    for ((_, label), side) in layout.sides.iter().zip(sides) {
+        for (i, a) in side.mats().iter().enumerate() {
+            write_constraint(&mut out, label, i, a, side.dim());
+        }
+    }
+    let _ = writeln!(out, "end");
+    out
+}
+
 /// Serialize an instance to the `psdp v1` text format.
 ///
 /// ```
@@ -107,16 +126,7 @@ fn write_constraint(out: &mut String, label: &str, i: usize, a: &PsdMatrix, dim:
 /// # Ok::<(), psdp_core::PsdpError>(())
 /// ```
 pub fn write_instance(inst: &PackingInstance) -> String {
-    let mut out = String::new();
-    let dim = inst.dim();
-    let _ = writeln!(out, "psdp 1");
-    let _ = writeln!(out, "dim {dim}");
-    let _ = writeln!(out, "constraints {}", inst.n());
-    for (i, a) in inst.mats().iter().enumerate() {
-        write_constraint(&mut out, "constraint", i, a, dim);
-    }
-    let _ = writeln!(out, "end");
-    out
+    write(Family::Packing, &[inst])
 }
 
 /// Serialize a mixed instance to the `psdp mixed v1` text format.
@@ -135,22 +145,43 @@ pub fn write_instance(inst: &PackingInstance) -> String {
 /// # Ok::<(), psdp_core::PsdpError>(())
 /// ```
 pub fn write_mixed_instance(inst: &MixedInstance) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "psdp mixed 1");
-    let _ = writeln!(out, "pack-dim {}", inst.pack_dim());
-    let _ = writeln!(out, "cover-dim {}", inst.cover_dim());
-    let _ = writeln!(out, "coordinates {}", inst.n());
-    for (i, a) in inst.pack().mats().iter().enumerate() {
-        write_constraint(&mut out, "pack", i, a, inst.pack_dim());
-    }
-    for (i, a) in inst.cover().mats().iter().enumerate() {
-        write_constraint(&mut out, "cover", i, a, inst.cover_dim());
-    }
-    let _ = writeln!(out, "end");
-    out
+    write(Family::Mixed, &[inst.pack(), inst.cover()])
 }
 
-/// Comment-stripped, blank-skipping line cursor shared by both readers.
+/// Parse the `psdp v1` text format.
+///
+/// # Errors
+/// [`PsdpError::InvalidInstance`] with a line-anchored message on any
+/// malformed input.
+pub fn read_instance(text: &str) -> Result<PackingInstance, PsdpError> {
+    PackingInstance::new(read(Family::Packing, text)?)
+}
+
+/// Parse the `psdp mixed v1` text format.
+///
+/// # Errors
+/// [`PsdpError::InvalidInstance`] with a line-anchored message on any
+/// malformed input.
+pub fn read_mixed_instance(text: &str) -> Result<MixedInstance, PsdpError> {
+    mixed_from(read(Family::Mixed, text)?)
+}
+
+/// The family whose header line is the first content line of `text`.
+pub(crate) fn family_of(text: &str) -> Option<Family> {
+    let (_, first) = content_lines(text).next()?;
+    [Family::Packing, Family::Mixed].into_iter().find(|f| f.layout().header == first)
+}
+
+/// The numbered lines of `text` that carry content: comments stripped,
+/// whitespace trimmed, blank lines skipped.
+fn content_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines()
+        .enumerate()
+        .map(|(no, l)| (no + 1, l.split('#').next().unwrap_or("").trim()))
+        .filter(|(_, l)| !l.is_empty())
+}
+
+/// Cursor over the content lines of one text instance.
 struct Lines<'a> {
     items: Vec<(usize, &'a str)>,
     pos: usize,
@@ -158,13 +189,7 @@ struct Lines<'a> {
 
 impl<'a> Lines<'a> {
     fn new(text: &'a str) -> Self {
-        let items = text
-            .lines()
-            .enumerate()
-            .map(|(no, l)| (no + 1, l.split('#').next().unwrap_or("").trim()))
-            .filter(|(_, l)| !l.is_empty())
-            .collect();
-        Lines { items, pos: 0 }
+        Lines { items: content_lines(text).collect(), pos: 0 }
     }
 
     fn next(&mut self) -> Option<(usize, &'a str)> {
@@ -384,42 +409,30 @@ fn expect_end(lines: &mut Lines<'_>) -> Result<(), PsdpError> {
     }
 }
 
-/// Parse the `psdp v1` text format.
+/// Parse a `family` instance: its constraint records, side by side.
 ///
 /// # Errors
 /// [`PsdpError::InvalidInstance`] with a line-anchored message on any
 /// malformed input.
-pub fn read_instance(text: &str) -> Result<PackingInstance, PsdpError> {
+pub(crate) fn read(family: Family, text: &str) -> Result<Vec<PsdMatrix>, PsdpError> {
+    let layout = family.layout();
     let mut lines = Lines::new(text);
     let (no, header) = lines.next().ok_or_else(|| bad(0, "empty file"))?;
-    if header != "psdp 1" {
-        return Err(bad(no, "expected header `psdp 1`"));
+    if header != layout.header {
+        return Err(bad(no, &format!("expected header `{}`", layout.header)));
     }
-    let dim = checked_dim(&mut lines, "dim ")?;
-    let count = header_usize(&mut lines, "constraints ")?;
-    let mats = read_block_list(&mut lines, "constraint", count, dim)?;
-    expect_end(&mut lines)?;
-    PackingInstance::new(mats)
-}
-
-/// Parse the `psdp mixed v1` text format.
-///
-/// # Errors
-/// [`PsdpError::InvalidInstance`] with a line-anchored message on any
-/// malformed input.
-pub fn read_mixed_instance(text: &str) -> Result<MixedInstance, PsdpError> {
-    let mut lines = Lines::new(text);
-    let (no, header) = lines.next().ok_or_else(|| bad(0, "empty file"))?;
-    if header != "psdp mixed 1" {
-        return Err(bad(no, "expected header `psdp mixed 1`"));
+    let dims = layout
+        .sides
+        .iter()
+        .map(|(dim_prefix, _)| checked_dim(&mut lines, dim_prefix))
+        .collect::<Result<Vec<_>, _>>()?;
+    let count = header_usize(&mut lines, layout.count.0)?;
+    let mut mats = Vec::new();
+    for ((_, label), dim) in layout.sides.iter().zip(dims) {
+        mats.extend(read_block_list(&mut lines, label, count, dim)?);
     }
-    let pack_dim = checked_dim(&mut lines, "pack-dim ")?;
-    let cover_dim = checked_dim(&mut lines, "cover-dim ")?;
-    let count = header_usize(&mut lines, "coordinates ")?;
-    let pack = read_block_list(&mut lines, "pack", count, pack_dim)?;
-    let cover = read_block_list(&mut lines, "cover", count, cover_dim)?;
     expect_end(&mut lines)?;
-    MixedInstance::new(pack, cover)
+    Ok(mats)
 }
 
 fn parse_pair(parts: &[&str]) -> Option<(usize, f64)> {

@@ -27,6 +27,10 @@
 //! * [`options`] — solver configuration (paper-strict vs practical
 //!   constants, engines including auto-selection, update-rule variants),
 //! * [`solution`] / [`stats`] — certified outcomes and telemetry,
+//! * [`codec`] — both instance families in both encodings (canonical
+//!   text and `psdp-bin-1`), one reader, writer and content hash over an
+//!   instance's constraint sides, and the [`sniff`] that names a byte
+//!   string's family and encoding,
 //! * [`theory`] — the paper's constants `(K, α, R)` and the closed-form
 //!   iteration bounds of Section 1.1's complexity comparison.
 //!
@@ -39,6 +43,7 @@
 pub mod approx;
 pub mod bin_io;
 mod bisect;
+pub mod codec;
 pub mod decision;
 pub mod error;
 pub mod instance;
@@ -56,11 +61,11 @@ pub mod verify;
 
 pub use approx::{solve_covering, solve_packing, ApproxOptions, CoveringReport, PackingReport};
 pub use bin_io::{
-    binary_family, fnv1a, fnv_wide, is_binary_instance, mixed_content_hash, mixed_structural_eq,
-    packing_content_hash, packing_structural_eq, peek_content_hash, read_instance_bin,
-    read_mixed_instance_bin, write_instance_bin, write_mixed_instance_bin, Fnv1a, FnvWide,
-    BIN_FAMILY_MIXED, BIN_FAMILY_PACKING, BIN_MAGIC, BIN_VERSION,
+    fnv1a, mixed_content_hash, mixed_structural_eq, packing_content_hash, packing_structural_eq,
+    peek_content_hash, read_instance_bin, read_mixed_instance_bin, write_instance_bin,
+    write_mixed_instance_bin, Fnv1a,
 };
+pub use codec::{sniff, Encoding, Family, Instance};
 pub use decision::{decision_psdp, DecisionResult};
 pub use error::PsdpError;
 pub use instance::{Constraint, MixedInstance, PackingInstance, PositiveSdp};
@@ -69,7 +74,7 @@ pub use mixed::{
     coverage_target, solve_mixed, MixedApproxOptions, MixedDecision, MixedOptions, MixedReport,
     MixedSession, MixedSolver, MixedSolverBuilder,
 };
-pub use normalize::{normalize, normalize_mixed, trace_prune, MixedNormalized, Normalized};
+pub use normalize::{normalize, trace_prune, Normalized};
 pub use options::{ConstantsMode, DecisionOptions, EngineKind, UpdateRule};
 pub use psi::{PsiMaintainer, PsiPattern, PsiView};
 pub use solution::{

@@ -100,10 +100,6 @@ pub struct MixedOptions {
     /// step). Larger is faster but overshoots more; outputs stay certified
     /// either way.
     pub alpha_boost: f64,
-    /// Full-rebuild cadence of both incremental `Ψ` maintainers
-    /// (`0` = never rebuild), as in
-    /// [`crate::DecisionOptions::psi_rebuild_period`].
-    pub psi_rebuild_period: usize,
     /// Root seed for sketched packing engines.
     pub seed: u64,
 }
@@ -116,7 +112,6 @@ impl MixedOptions {
             engine: EngineKind::Exact,
             max_iters: 20_000,
             alpha_boost: 4.0,
-            psi_rebuild_period: 64,
             seed: 0,
         }
     }
@@ -243,13 +238,6 @@ pub struct MixedReport {
     pub brackets: Vec<BracketStats>,
 }
 
-impl MixedReport {
-    /// Midpoint estimate of `σ*` (geometric mean of the bracket).
-    pub fn threshold_estimate(&self) -> f64 {
-        (self.threshold_lower * self.threshold_upper).sqrt()
-    }
-}
-
 /// Builder for a prepared [`MixedSolver`].
 #[derive(Debug, Clone)]
 pub struct MixedSolverBuilder<'i> {
@@ -350,13 +338,6 @@ impl<'i> MixedSolver<'i> {
     /// The options the solver was built with.
     pub fn options(&self) -> &MixedOptions {
         &self.opts
-    }
-
-    /// The concrete packing-side engine kind ([`EngineKind::Auto`] is
-    /// resolved at build time). The covering side is always
-    /// [`EngineKind::Exact`].
-    pub fn pack_engine_kind(&self) -> EngineKind {
-        self.sides[0].engine.kind()
     }
 
     /// Shareable handles to the prepared `(packing, covering)` engines, for
@@ -630,8 +611,8 @@ impl Rule for JainYao<'_> {
     type Outcome = MixedOutcome;
     const THRESHOLD: &'static str = "coverage";
 
-    fn plan(&self) -> (f64, f64, usize, usize) {
-        (self.t_target, self.alpha, self.opts.max_iters, self.opts.psi_rebuild_period)
+    fn plan(&self) -> (f64, f64, usize) {
+        (self.t_target, self.alpha, self.opts.max_iters)
     }
 
     /// Small multiplicative mass, scaled so neither aggregate starts
@@ -861,7 +842,6 @@ mod tests {
         .unwrap();
         let r = solve_mixed(&inst, &MixedApproxOptions::practical(0.1)).unwrap();
         assert!(r.threshold_lower <= 0.5 + 1e-9 && r.threshold_upper >= 0.5 - 1e-9);
-        assert!(r.threshold_estimate() > 0.0);
     }
 
     #[test]

@@ -83,12 +83,6 @@ pub struct DecisionOptions {
     /// this limit (0 disables). Needed if you want the primal *matrix* and
     /// not just its constraint dot products.
     pub primal_matrix_dim_limit: usize,
-    /// Full-rebuild cadence of the incremental `Ψ = Σ xᵢAᵢ` maintenance:
-    /// every this-many iterations the solver recomputes Ψ from scratch and
-    /// records the floating-point drift of the incremental accumulation
-    /// (`0` = never rebuild). See [`crate::psi::PsiMaintainer`] and
-    /// `DESIGN.md` §4.
-    pub psi_rebuild_period: usize,
     /// Root seed for sketches.
     pub seed: u64,
 }
@@ -103,7 +97,6 @@ impl DecisionOptions {
             rule: UpdateRule::Standard,
             early_exit: false,
             primal_matrix_dim_limit: 512,
-            psi_rebuild_period: 64,
             seed: 0,
         }
     }
@@ -117,7 +110,6 @@ impl DecisionOptions {
             rule: UpdateRule::Standard,
             early_exit: true,
             primal_matrix_dim_limit: 512,
-            psi_rebuild_period: 64,
             seed: 0,
         }
     }

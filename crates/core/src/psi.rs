@@ -35,6 +35,11 @@ use psdp_linalg::{lambda_max_upper_bound, Mat, SymOp};
 use psdp_sparse::PsdMatrix;
 use rayon::prelude::*;
 
+/// Full-rebuild cadence of the solvers' incremental `Ψ` maintenance:
+/// every this-many updates a decision call's [`PsiMaintainer`]s recompute
+/// `Σᵢ xᵢAᵢ` from scratch and record the drift (`DESIGN.md` §4).
+pub const PSI_REBUILD_PERIOD: usize = 64;
+
 /// Minimum total update nonzeros before the scatter path fans out to
 /// rayon workers (below this the buffers cost more than they save).
 const PARALLEL_SCATTER_NNZ: usize = 1 << 14;

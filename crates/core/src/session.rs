@@ -20,7 +20,7 @@
 use crate::bisect::{Attempt, Call};
 use crate::error::PsdpError;
 use crate::instance::PackingInstance;
-use crate::psi::{PsiMaintainer, PsiPattern};
+use crate::psi::{PsiMaintainer, PsiPattern, PSI_REBUILD_PERIOD};
 use crate::solution::ExitReason;
 use crate::solver::Solver;
 use crate::stats::SolveStats;
@@ -167,12 +167,12 @@ impl<'i> Side<'i> {
     /// takes `Ψ` through its pattern view ([`crate::PsiView`]), so its
     /// maintainer carries the pattern, shared by every solve of the side;
     /// the dense engines get a plain maintainer and never build one.
-    fn psi(&self, x: &[f64], rebuild_period: usize) -> PsiMaintainer<'_> {
+    fn psi(&self, x: &[f64]) -> PsiMaintainer<'_> {
         if matches!(self.engine.kind(), EngineKind::Expv { .. }) {
             let pattern = self.pattern.get_or_init(|| PsiPattern::new(self.inst));
-            PsiMaintainer::with_pattern(self.inst, x, rebuild_period, pattern)
+            PsiMaintainer::with_pattern(self.inst, x, PSI_REBUILD_PERIOD, pattern)
         } else {
-            PsiMaintainer::new(self.inst, x, rebuild_period)
+            PsiMaintainer::new(self.inst, x, PSI_REBUILD_PERIOD)
         }
     }
 
@@ -277,7 +277,7 @@ impl<'i, 's, S> Session<'i, 's, S> {
         }
         let mut f = Frame { sigma, active, n_active, ..Frame::default() };
         let mut rule = make(solver, &f);
-        let (k_threshold, alpha, cap, rebuild_period) = rule.plan();
+        let (k_threshold, alpha, cap) = rule.plan();
         // The rule's cold start unless a warm iterate was handed in; masked
         // coordinates are frozen at 0 — exactly the Lemma 2.2 restriction.
         f.x = match start {
@@ -287,7 +287,7 @@ impl<'i, 's, S> Session<'i, 's, S> {
             }
         };
         debug_assert_eq!(f.x.len(), n);
-        f.psi = sides.iter().map(|side| side.psi(&f.x, rebuild_period)).collect();
+        f.psi = sides.iter().map(|side| side.psi(&f.x)).collect();
         f.tally.sample_every = (cap / 200).max(1);
         self.phase(&PhaseEvent::SolveStarted { threshold: sigma, warm });
 
@@ -411,8 +411,8 @@ pub(crate) trait Rule {
     type Outcome;
     /// What the tested threshold is called in the error for a bad one.
     const THRESHOLD: &'static str;
-    /// `(k_threshold, alpha, iteration cap, Ψ rebuild period)` of the call.
-    fn plan(&self) -> (f64, f64, usize, usize);
+    /// `(k_threshold, alpha, iteration cap)` of the call.
+    fn plan(&self) -> (f64, f64, usize);
     /// Active coordinate `k`'s cold start.
     fn cold_start(&self, f: &Frame<'_>, k: usize) -> f64;
     /// Round `f.t` up to its update: set `f.kappa` and `f.min_ratio`,
@@ -443,8 +443,8 @@ mod tests {
         type Outcome = (Vec<f64>, f64);
         const THRESHOLD: &'static str = "test";
 
-        fn plan(&self) -> (f64, f64, usize, usize) {
-            (7.0, 0.5, 400, 0)
+        fn plan(&self) -> (f64, f64, usize) {
+            (7.0, 0.5, 400)
         }
 
         fn cold_start(&self, _: &Frame<'_>, k: usize) -> f64 {
@@ -508,13 +508,13 @@ mod tests {
         let a = PsdMatrix::Diagonal(vec![1.0, 2.0, 0.0]);
         let inst = PackingInstance::new(vec![a.clone(), a]).unwrap();
         let exact = Side::build(&inst, EngineKind::Exact, 0).unwrap();
-        assert!(exact.psi(&[1.0, 1.0], 0).view().is_none());
+        assert!(exact.psi(&[1.0, 1.0]).view().is_none());
         assert!(exact.pattern.get().is_none());
 
         let expv = Side::build(&inst, EngineKind::Expv { eps: 0.1 }, 0).unwrap();
-        assert!(expv.psi(&[1.0, 1.0], 0).view().is_some());
+        assert!(expv.psi(&[1.0, 1.0]).view().is_some());
         let first: *const PsiPattern = expv.pattern.get().expect("built on first use");
-        assert!(expv.psi(&[2.0, 1.0], 0).view().is_some());
+        assert!(expv.psi(&[2.0, 1.0]).view().is_some());
         assert!(std::ptr::eq(first, expv.pattern.get().unwrap()), "the pattern was rebuilt");
         assert_eq!(expv.traces, [3.0, 3.0]);
     }

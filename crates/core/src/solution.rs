@@ -43,11 +43,6 @@ pub enum Outcome {
 }
 
 impl Outcome {
-    /// True if this is a dual outcome.
-    pub fn is_dual(&self) -> bool {
-        matches!(self, Outcome::Dual(_))
-    }
-
     /// Borrow the dual solution, if any.
     pub fn dual(&self) -> Option<&DualSolution> {
         match self {
@@ -167,11 +162,6 @@ pub enum MixedOutcome {
 }
 
 impl MixedOutcome {
-    /// True if this is a feasible-point outcome.
-    pub fn is_feasible(&self) -> bool {
-        matches!(self, MixedOutcome::Feasible(_))
-    }
-
     /// Borrow the feasible point, if any.
     pub fn feasible(&self) -> Option<&MixedFeasible> {
         match self {
@@ -200,7 +190,6 @@ mod tests {
             pack_lambda_max: 0.9,
             cover_lambda_min: 1.1,
         });
-        assert!(f.is_feasible());
         assert!(f.feasible().is_some());
         assert!(f.infeasible().is_none());
 
@@ -213,7 +202,6 @@ mod tests {
             active: vec![true],
             margin: 4.0,
         });
-        assert!(!c.is_feasible());
         let cert = c.infeasible().unwrap();
         assert!((cert.refuted_threshold() - 0.5).abs() < 1e-15);
     }
@@ -221,7 +209,6 @@ mod tests {
     #[test]
     fn outcome_accessors() {
         let d = Outcome::Dual(DualSolution { x: vec![1.0], value: 1.0, feasibility_scale: 1.0 });
-        assert!(d.is_dual());
         assert!(d.dual().is_some());
         assert!(d.primal().is_none());
 
@@ -231,7 +218,6 @@ mod tests {
             min_dot: 1.1,
             rounds_averaged: 3,
         });
-        assert!(!p.is_dual());
         assert!(p.primal().is_some());
         assert!(p.dual().is_none());
     }

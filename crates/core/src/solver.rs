@@ -490,8 +490,8 @@ impl Rule for Alg31<'_> {
     type Outcome = Outcome;
     const THRESHOLD: &'static str = "decision";
 
-    fn plan(&self) -> (f64, f64, usize, usize) {
-        (self.k_threshold, self.alpha, self.cap, self.opts.psi_rebuild_period)
+    fn plan(&self) -> (f64, f64, usize) {
+        (self.k_threshold, self.alpha, self.cap)
     }
 
     /// `u⁰ᵢ = 1/(n_active·Tr Aᵢ)`, σ-invariant: it equals `σ·x⁰ᵢ` for the

@@ -52,7 +52,7 @@ pub mod telemetry;
 pub mod transport;
 
 pub use cache::SolverCache;
-pub use request::{Family, InstancePayload, RequestKind, ServeRequest};
+pub use request::{InstancePayload, RequestKind, ServeRequest};
 pub use scheduler::{
     BatchOutput, BatchReport, Scheduler, SchedulerOptions, ServeError, ServeResponse, ServeResult,
     ServeStats,

@@ -6,10 +6,8 @@
 //! so cached prepared state can keep the instance alive across batches.
 
 use psdp_core::{
-    mixed_content_hash, mixed_structural_eq, packing_content_hash, packing_structural_eq,
-    read_instance, read_instance_bin, read_mixed_instance, read_mixed_instance_bin, write_instance,
-    write_instance_bin, write_mixed_instance, write_mixed_instance_bin, ApproxOptions,
-    DecisionOptions, MixedApproxOptions, MixedInstance, PackingInstance, PsdpError,
+    mixed_content_hash, packing_content_hash, ApproxOptions, DecisionOptions, MixedApproxOptions,
+    MixedInstance, PackingInstance,
 };
 use std::sync::Arc;
 
@@ -50,121 +48,10 @@ impl RequestKind {
     }
 }
 
-/// An instance family. The discriminants are the family tags folded into
-/// the prep hash and stored snapshot fingerprints, so they never change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Family {
-    /// Packing instances (decision / optimize requests).
-    Packing = 0,
-    /// Mixed packing–covering instances (mixed requests).
-    Mixed = 1,
-}
-
-impl Family {
-    /// The family's name in snapshots.
-    pub fn name(self) -> &'static str {
-        match self {
-            Family::Packing => "packing",
-            Family::Mixed => "mixed",
-        }
-    }
-}
-
-/// The instance a request runs against.
-#[derive(Debug, Clone)]
-pub enum InstancePayload {
-    /// A packing instance (decision / optimize requests).
-    Packing(Arc<PackingInstance>),
-    /// A mixed packing–covering instance (mixed requests).
-    Mixed(Arc<MixedInstance>),
-}
-
-impl InstancePayload {
-    /// Decode a `family` instance from `psdp-bin-1` bytes (`binary`) or
-    /// canonical text, with its structural content hash: the binary
-    /// header's (verified by the reader) or, for text, computed once here.
-    ///
-    /// # Errors
-    /// The reader's error for malformed bytes or an invalid instance.
-    pub fn decode(
-        family: Family,
-        bytes: &[u8],
-        binary: bool,
-    ) -> Result<(InstancePayload, u64), PsdpError> {
-        let text = || String::from_utf8_lossy(bytes);
-        let payload = match (family, binary) {
-            (Family::Packing, true) => {
-                let (inst, hash) = read_instance_bin(bytes)?;
-                return Ok((InstancePayload::Packing(Arc::new(inst)), hash));
-            }
-            (Family::Mixed, true) => {
-                let (inst, hash) = read_mixed_instance_bin(bytes)?;
-                return Ok((InstancePayload::Mixed(Arc::new(inst)), hash));
-            }
-            (Family::Packing, false) => InstancePayload::Packing(Arc::new(read_instance(&text())?)),
-            (Family::Mixed, false) => {
-                InstancePayload::Mixed(Arc::new(read_mixed_instance(&text())?))
-            }
-        };
-        let hash = payload.content_hash();
-        Ok((payload, hash))
-    }
-
-    /// The carried instance as `psdp-bin-1` bytes (`binary`) or canonical
-    /// text: the inverse of [`InstancePayload::decode`].
-    pub fn encode(&self, binary: bool) -> Vec<u8> {
-        match (self, binary) {
-            (InstancePayload::Packing(inst), true) => write_instance_bin(inst),
-            (InstancePayload::Mixed(inst), true) => write_mixed_instance_bin(inst),
-            (InstancePayload::Packing(inst), false) => write_instance(inst).into_bytes(),
-            (InstancePayload::Mixed(inst), false) => write_mixed_instance(inst).into_bytes(),
-        }
-    }
-
-    /// The carried instance's family.
-    pub fn family(&self) -> Family {
-        match self {
-            InstancePayload::Packing(_) => Family::Packing,
-            InstancePayload::Mixed(_) => Family::Mixed,
-        }
-    }
-
-    /// Stored entries over all of the instance's constraint matrices.
-    pub fn total_nnz(&self) -> usize {
-        match self {
-            InstancePayload::Packing(inst) => inst.total_nnz(),
-            InstancePayload::Mixed(inst) => inst.total_nnz(),
-        }
-    }
-
-    /// The structural content hash of the carried instance
-    /// ([`psdp_core::packing_content_hash`] /
-    /// [`psdp_core::mixed_content_hash`]) — `O(nnz)`, so callers that can
-    /// reuse a hash (source caches, binary headers) should prefer the
-    /// `*_hashed` request constructors over recomputing.
-    pub fn content_hash(&self) -> u64 {
-        match self {
-            InstancePayload::Packing(inst) => packing_content_hash(inst),
-            InstancePayload::Mixed(inst) => mixed_content_hash(inst),
-        }
-    }
-
-    /// Bitwise structural equality of two payloads, with an `Arc` pointer
-    /// fast path. This is the collision verifier behind every cache hit:
-    /// exactly as strong as comparing canonical serializations, with zero
-    /// allocation and usually zero work.
-    pub fn structural_eq(&self, other: &InstancePayload) -> bool {
-        match (self, other) {
-            (InstancePayload::Packing(a), InstancePayload::Packing(b)) => {
-                Arc::ptr_eq(a, b) || packing_structural_eq(a, b)
-            }
-            (InstancePayload::Mixed(a), InstancePayload::Mixed(b)) => {
-                Arc::ptr_eq(a, b) || mixed_structural_eq(a, b)
-            }
-            _ => false,
-        }
-    }
-}
+/// The instance a request runs against: core's two-family codec
+/// instance, decoded, encoded, hashed and compared through
+/// [`psdp_core::Instance`]'s methods.
+pub use psdp_core::Instance as InstancePayload;
 
 /// One serve request: a unique id, an instance, and what to do with it.
 #[derive(Debug, Clone)]

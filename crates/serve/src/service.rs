@@ -84,9 +84,6 @@ pub struct ServiceOptions {
     /// Bounded work-queue capacity per shard; a request arriving at a
     /// full queue is answered with [`StreamOutcome::Overloaded`].
     pub queue_capacity: usize,
-    /// Cap on items dispatched but not yet emitted by the sequencer
-    /// (bounds the reorder buffer). `0` = `shards · queue_capacity + 64`.
-    pub max_outstanding: usize,
     /// Master switch for the fingerprint cache (off = every request is
     /// cold, the uncached baseline).
     pub cache_enabled: bool,
@@ -104,7 +101,6 @@ impl Default for ServiceOptions {
         ServiceOptions {
             shards: 4,
             queue_capacity: 1024,
-            max_outstanding: 0,
             cache_enabled: true,
             shed_target_p99: None,
         }
@@ -276,11 +272,9 @@ impl Service {
         let started = Instant::now();
         let shards = self.cache.shard_count();
         let queue_cap = self.opts.queue_capacity.max(1);
-        let outstanding = if self.opts.max_outstanding == 0 {
-            shards * queue_cap + 64
-        } else {
-            self.opts.max_outstanding.max(1)
-        };
+        // Cap on items dispatched but not yet emitted by the sequencer
+        // (bounds the reorder buffer).
+        let outstanding = shards * queue_cap + 64;
         // Capture the caller's rayon budget so shard workers run solver
         // parallelism at the same width (worker threads do not inherit
         // the caller's pool; tests vary this via `run_with_threads`).
@@ -729,10 +723,10 @@ mod tests {
 
     #[test]
     fn tiny_queue_backpressure_sheds_typed_overloads() {
-        // One shard, capacity 1, and max_outstanding large enough that
-        // admission itself never blocks: flooding the queue must produce
-        // typed overload outcomes, not hangs or panics, and every request
-        // must still be answered in submission order.
+        // One shard, capacity 1, and an outstanding bound (65) above the
+        // stream length, so admission itself never blocks: flooding the
+        // queue must produce typed overload outcomes, not hangs or panics,
+        // and every request must still be answered in submission order.
         let pack = diag_inst(&[&[2.0, 0.0], &[0.0, 4.0]]);
         let n = 24usize;
         let requests: Vec<ServeRequest> = (0..n)
@@ -744,12 +738,7 @@ mod tests {
                 )
             })
             .collect();
-        let opts = ServiceOptions {
-            shards: 1,
-            queue_capacity: 1,
-            max_outstanding: 4 * n,
-            ..ServiceOptions::default()
-        };
+        let opts = ServiceOptions { shards: 1, queue_capacity: 1, ..ServiceOptions::default() };
         let (got, report, _) = run_service(opts, requests);
         assert_eq!(got.len(), n);
         assert_eq!(got.iter().map(|(i, _)| *i).collect::<Vec<_>>(), (0..n).collect::<Vec<_>>());
@@ -843,7 +832,6 @@ mod tests {
         let opts = ServiceOptions {
             shards: 1,
             queue_capacity: 8,
-            max_outstanding: 4 * n,
             shed_target_p99: Some(Duration::from_nanos(1)),
             ..ServiceOptions::default()
         };

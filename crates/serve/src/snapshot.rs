@@ -54,8 +54,9 @@
 //! a delta or append — so old garbage cannot accumulate across rotations.
 
 use crate::cache::{prep_hash_parts, CacheEntry, Prepared};
-use crate::request::{Family, InstancePayload};
+use crate::request::InstancePayload;
 use crate::shard::ShardedCache;
+use psdp_core::{Encoding, Family};
 use psdp_expdot::EngineKind;
 use std::fmt;
 
@@ -244,7 +245,7 @@ pub fn save_to_path(path: &str, text: &str, keep: usize) -> Result<(), String> {
 fn render_entry(e: &CacheEntry) -> String {
     let payload = e.prepared.payload();
     let binary = payload.total_nnz() > BIN_PAYLOAD_NNZ_THRESHOLD;
-    let bytes = payload.encode(binary);
+    let bytes = payload.encode(if binary { Encoding::Binary } else { Encoding::Text });
     let (payload_kind, payload_lines): (_, Vec<String>) = if binary {
         ("bin", hex_lines(&bytes))
     } else {
@@ -365,7 +366,7 @@ fn load_payload(
     kind: &str,
     bytes: &[u8],
 ) -> Result<(InstancePayload, u64), SnapshotError> {
-    let binary = kind == "bin";
+    let encoding = if kind == "bin" { Encoding::Binary } else { Encoding::Text };
     let family = match (family, kind) {
         ("packing", "text" | "bin") => Family::Packing,
         ("mixed", "text" | "bin") => Family::Mixed,
@@ -376,9 +377,9 @@ fn load_payload(
             })
         }
     };
-    let (payload, hash) = InstancePayload::decode(family, bytes, binary)
+    let (payload, hash) = InstancePayload::decode(family, encoding, bytes)
         .map_err(|e| SnapshotError::Verify { msg: format!("instance rejected: {e}") })?;
-    if payload.encode(binary) != bytes {
+    if payload.encode(encoding) != bytes {
         return Err(SnapshotError::Verify {
             msg: "payload is not canonical (read→write is not a byte fixpoint)".to_string(),
         });
