@@ -7,10 +7,10 @@
 use crate::args::Args;
 use crate::jsonfmt::{json_str, mixed_payload, optimize_payload, solve_payload};
 use psdp_core::{
-    sniff, verify_dual, verify_mixed_feasible, verify_mixed_infeasible, verify_primal,
-    write_instance, write_mixed_instance, ApproxOptions, ConstantsMode, DecisionOptions, Encoding,
-    EngineKind, Family, Instance, MixedApproxOptions, MixedSolver, Outcome, PackingInstance,
-    Solver,
+    named_family, sniff, verify_dual, verify_mixed_feasible, verify_mixed_infeasible,
+    verify_primal, write_instance, write_mixed_instance, ApproxOptions, ConstantsMode,
+    DecisionOptions, Encoding, EngineKind, Family, Instance, MixedApproxOptions, MixedSolver,
+    Outcome, PackingInstance, Solver,
 };
 use psdp_workloads::{
     edge_packing, figure1_instance, gnp, mixed_edge_cover, mixed_lp_diagonal, random_factorized,
@@ -200,8 +200,17 @@ pub fn generate(args: &Args) -> Result<String, String> {
 }
 
 /// Read a `family` instance file in either encoding (sniffed by magic).
+/// A file that names the other family is refused with the command that
+/// reads it.
 fn load(path: &str, family: Family) -> Result<Instance, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
+    if let Some(named) = named_family(&bytes).filter(|&f| f != family) {
+        let command = match named {
+            Family::Packing => "optimize",
+            Family::Mixed => "mixed",
+        };
+        return Err(format!("{path}: {} instance: use `psdp {command}`", named.name()));
+    }
     let decoded = Instance::decode(family, Encoding::of(&bytes), &bytes);
     decoded.map(|(inst, _)| inst).map_err(|e| e.to_string())
 }
@@ -652,6 +661,49 @@ mod tests {
         run(&["convert", b, "--to", "text", "--out", k]).unwrap();
         assert_eq!(std::fs::read_to_string(&back).unwrap(), canonical);
         for f in [src, bin, back] {
+            std::fs::remove_file(f).ok();
+        }
+    }
+
+    #[test]
+    fn packing_commands_point_mixed_files_at_psdp_mixed() {
+        let dir = std::env::temp_dir().join("psdp-cli-cross-mixed");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (text, bin) = (dir.join("mixed.psdp"), dir.join("mixed.psdpb"));
+        let (t, b) = (text.to_str().unwrap(), bin.to_str().unwrap());
+        let canonical =
+            run(&["generate", "--family", "mixed-lp", "--dim", "5", "--n", "4"]).unwrap();
+        // A leading comment does not hide the family from the sniff.
+        std::fs::write(&text, format!("# annotated\n{canonical}")).unwrap();
+        run(&["convert", t, "--to", "bin", "--out", b]).unwrap();
+        for p in [t, b] {
+            for cmd in ["info", "solve", "optimize"] {
+                let err = run(&[cmd, p]).unwrap_err();
+                assert_eq!(err, format!("{p}: mixed instance: use `psdp mixed`"), "{cmd}");
+            }
+        }
+        for f in [text, bin] {
+            std::fs::remove_file(f).ok();
+        }
+    }
+
+    #[test]
+    fn mixed_command_points_packing_files_at_psdp_optimize() {
+        let dir = std::env::temp_dir().join("psdp-cli-cross-packing");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (text, bin, junk) = (dir.join("p.psdp"), dir.join("p.psdpb"), dir.join("junk.psdp"));
+        let (t, b, j) = (text.to_str().unwrap(), bin.to_str().unwrap(), junk.to_str().unwrap());
+        run(&["generate", "--family", "lp", "--dim", "5", "--n", "4", "--out", t]).unwrap();
+        run(&["convert", t, "--to", "bin", "--out", b]).unwrap();
+        for p in [t, b] {
+            let err = run(&["mixed", p]).unwrap_err();
+            assert_eq!(err, format!("{p}: packing instance: use `psdp optimize`"));
+        }
+        // Bytes that name no family keep the reader's own error.
+        std::fs::write(&junk, "not an instance\n").unwrap();
+        let err = run(&["mixed", j]).unwrap_err();
+        assert!(err.contains("expected header `psdp mixed 1`"), "{err}");
+        for f in [text, bin, junk] {
             std::fs::remove_file(f).ok();
         }
     }

@@ -102,12 +102,23 @@ impl Encoding {
 /// assert_eq!(sniff(b"not an instance"), (Family::Packing, Encoding::Text));
 /// ```
 pub fn sniff(bytes: &[u8]) -> (Family, Encoding) {
-    let encoding = Encoding::of(bytes);
-    let family = match encoding {
+    (named_family(bytes).unwrap_or(Family::Packing), Encoding::of(bytes))
+}
+
+/// The family `bytes` name, read as [`sniff`] reads it, or `None` when
+/// they name none (where [`sniff`] falls back to packing).
+///
+/// ```
+/// use psdp_core::{named_family, Family};
+///
+/// assert_eq!(named_family(b"psdp 1\n"), Some(Family::Packing));
+/// assert_eq!(named_family(b"not an instance"), None);
+/// ```
+pub fn named_family(bytes: &[u8]) -> Option<Family> {
+    match Encoding::of(bytes) {
         Encoding::Binary => bin_io::family_of(bytes),
         Encoding::Text => io::family_of(&String::from_utf8_lossy(bytes)),
-    };
-    (family.unwrap_or(Family::Packing), encoding)
+    }
 }
 
 /// An instance of either family, shared behind an `Arc` so request

@@ -65,7 +65,7 @@ pub use bin_io::{
     peek_content_hash, read_instance_bin, read_mixed_instance_bin, write_instance_bin,
     write_mixed_instance_bin, Fnv1a,
 };
-pub use codec::{sniff, Encoding, Family, Instance};
+pub use codec::{named_family, sniff, Encoding, Family, Instance};
 pub use decision::{decision_psdp, DecisionResult};
 pub use error::PsdpError;
 pub use instance::{Constraint, MixedInstance, PackingInstance, PositiveSdp};

@@ -31,7 +31,7 @@
 //! §4).
 
 use crate::instance::PackingInstance;
-use psdp_linalg::{lambda_max_upper_bound, Mat, SymOp};
+use psdp_linalg::{lambda_max_upper_bound, Gathered, Mat, SymOp};
 use psdp_sparse::PsdMatrix;
 use rayon::prelude::*;
 
@@ -343,6 +343,15 @@ impl SymOp for PsiView<'_> {
     fn is_zero_row(&self, i: usize) -> bool {
         self.pattern.row(i).iter().all(|&r| self.psi[(r, i)] == 0.0)
     }
+
+    /// The maintained values at the pattern positions of rows and columns
+    /// `keep`, in [`SymOp::apply_vec`]'s column order.
+    fn gather(&self, keep: &[usize]) -> Option<Gathered> {
+        Some(Gathered::new(self.dim(), keep, |i| {
+            let row = self.psi.row(i);
+            self.pattern.row(i).iter().map(move |&j| (j, row[j]))
+        }))
+    }
 }
 
 #[cfg(test)]
@@ -395,6 +404,36 @@ mod tests {
         }
         assert_eq!(view.nnz(), SymOp::nnz(psi.matrix()));
         assert_eq!(psi.kappa_bound().to_bits(), lambda_max_upper_bound(psi.matrix()).to_bits());
+    }
+
+    #[test]
+    fn gathered_matvec_equals_view_bitwise_on_its_rows() {
+        // The rows of `view_matches_dense_and_reports_zero_rows`: 3 and 4
+        // are zero, and 4 (in the pattern, at zero weight) may be kept as
+        // a factor column's support row is.
+        let inst = PackingInstance::new(vec![
+            PsdMatrix::Diagonal(vec![1.0, 0.0, 0.0, 0.0, 0.0]),
+            PsdMatrix::Factor(FactorPsd::from_vector(&[0.0, 1.0, -1.0, 0.0, 0.0])),
+            PsdMatrix::Diagonal(vec![0.0, 0.0, 0.0, 0.0, 3.0]),
+        ])
+        .unwrap();
+        let pattern = PsiPattern::new(&inst);
+        let psi = PsiMaintainer::with_pattern(&inst, &[0.5, 0.25, 0.0], 0, &pattern);
+        let view = psi.view().unwrap();
+        for keep in [&[0usize, 1, 2][..], &[0, 1, 2, 4]] {
+            let g = view.gather(keep).expect("the view gathers");
+            assert_eq!((g.dim(), g.nnz()), (keep.len(), view.nnz()));
+            // Zero off `keep`, a negative zero among the dropped entries.
+            let mut x = [0.3, -1.25, 0.7, -0.0, 0.0];
+            if keep.contains(&4) {
+                x[4] = 2.0;
+            }
+            let x_u: Vec<f64> = keep.iter().map(|&i| x[i]).collect();
+            let (got, want) = (g.apply_vec(&x_u), view.apply_vec(&x));
+            for (k, &i) in keep.iter().enumerate() {
+                assert_eq!(got[k].to_bits(), want[i].to_bits(), "keep {keep:?}, row {i}");
+            }
+        }
     }
 
     #[test]

@@ -27,8 +27,8 @@
 
 use crate::gauss::{gaussian_sketch, jl_rows};
 use psdp_linalg::{
-    apply_exp_taylor_block, expm_action_chebyshev, expm_action_lanczos, sym_eigen, taylor_degree,
-    vecops, LinalgError, Mat, SymOp,
+    apply_exp_taylor_block, expm_action_chebyshev, expm_action_lanczos_gathered, sym_eigen,
+    taylor_degree, vecops, LinalgError, Mat, SymOp,
 };
 use psdp_parallel::Cost;
 use psdp_sparse::{FactorPsd, PsdMatrix};
@@ -127,13 +127,13 @@ const EXPV_SKETCH_CONST: f64 = 4.0;
 const EXPV_POLY_TOL: f64 = 1e-9;
 
 /// One operator application on every vector of an expv loop (`vectors ×
-/// (nnz(Φ) + m)`) below which the loop runs on the calling thread. Timed
-/// on 2 vCPUs, whole evaluations with their loops on the pool ran 1.2–1.6×
-/// slower than on the calling thread at sweeps up to 320, up to 1.24×
-/// slower at 528–1200, within noise at 1656–4248 and faster at 12k
-/// (DESIGN.md §12), so the pool takes a loop from `2¹¹` on. The outputs do
-/// not depend on the choice (results are collected in vector order).
-const EXPV_PARALLEL_SWEEP: usize = 1 << 11;
+/// (nnz(Φ) + |U|)`, `U` the coordinates the loop's vectors run on) below
+/// which the loop runs on the calling thread. Timed end to end on 2 vCPUs
+/// (DESIGN.md §12), optimize solves whose loops all stayed on the calling
+/// thread matched or beat the pooled ones at every sweep measured, up to
+/// 28k, so the pool takes a loop from `2¹⁵` on. The outputs do not depend
+/// on the choice (results are collected in vector order).
+const EXPV_PARALLEL_SWEEP: usize = 1 << 15;
 
 /// `f` over `items` in order — across the pool when `parallel`, else on
 /// the calling thread. The result is the same either way.
@@ -223,6 +223,8 @@ pub struct Engine {
     /// Dense factor columns, precomputed for the expv engine's per-column
     /// Lanczos sweeps (empty for every other kind).
     expv_cols: Vec<Vec<Vec<f64>>>,
+    /// The rows where any of `expv_cols` is nonzero, increasing.
+    expv_support: Vec<usize>,
     /// Total factor nonzeros `q` (work accounting).
     q_nnz: usize,
     dim: usize,
@@ -245,7 +247,7 @@ impl Engine {
             Vec::new()
         };
         let q_nnz = factors.iter().map(|f| f.factor_nnz()).sum();
-        let expv_cols = if matches!(kind, EngineKind::Expv { .. }) {
+        let expv_cols: Vec<Vec<Vec<f64>>> = if matches!(kind, EngineKind::Expv { .. }) {
             factors
                 .iter()
                 .map(|f| {
@@ -256,7 +258,9 @@ impl Engine {
         } else {
             Vec::new()
         };
-        Ok(Engine { kind, seed, factors, expv_cols, q_nnz, dim })
+        let expv_support =
+            (0..dim).filter(|&i| expv_cols.iter().flatten().any(|c| c[i] != 0.0)).collect();
+        Ok(Engine { kind, seed, factors, expv_cols, expv_support, q_nnz, dim })
     }
 
     /// The strategy this engine uses. Always a concrete kind: an
@@ -478,6 +482,12 @@ impl Engine {
     /// zero ([`SymOp::is_zero_row`]) are answered without Lanczos, and
     /// `cost.work` counts only the operator applications actually run.
     ///
+    /// The identity probes and the columns run on `Φ` gathered
+    /// ([`SymOp::gather`]) onto `U`, its nonzero rows plus the columns'
+    /// support: every vector those runs make is zero off `U`, so they give
+    /// bitwise the full-length runs' log-norms (DESIGN.md §12). An operator
+    /// that cannot gather, and the Gaussian probes, run with `U = 0..m`.
+    ///
     /// A probe or column loop runs across the pool only when one operator
     /// application on each of its vectors reaches `parallel_sweep` work
     /// ([`EXPV_PARALLEL_SWEEP`] outside tests); the outputs never depend on
@@ -493,9 +503,22 @@ impl Engine {
         let m = self.dim;
         let kappa_half = (kappa * 0.5).max(0.0);
         let log_scale = 2.0 * kappa_half;
-        let half = HalfOp { inner: phi };
         let phi_nnz = phi.nnz();
-        let parallel = |vectors: usize| vectors * (phi_nnz + m) >= parallel_sweep;
+        let parallel = |vectors: usize, len: usize| vectors * (phi_nnz + len) >= parallel_sweep;
+
+        // U, and Φ/2 over it: a vector supported on U stays there under Φ
+        // (the rows off U are zero), so no Lanczos vector leaves it.
+        let live: Vec<bool> = (0..m).map(|j| !phi.is_zero_row(j)).collect();
+        let mut in_u = live.clone();
+        for &i in &self.expv_support {
+            in_u[i] = true;
+        }
+        let u: Vec<usize> = (0..m).filter(|&i| in_u[i]).collect();
+        let gathered = if u.len() < m { phi.gather(&u) } else { None };
+        let (u, half_u) = match &gathered {
+            Some(g) => (u, HalfOp { inner: g }),
+            None => ((0..m).collect(), HalfOp { inner: phi }),
+        };
 
         // Tr[exp Φ]·e^{−κ} ≈ Σ_probes e^{2·ln‖exp(Φ/2)p‖ − κ}, each probe
         // through the same log-domain Lanczos as the dots below. Running
@@ -516,46 +539,49 @@ impl Engine {
         // skips Lanczos: exp(Φ/2)e_j = e_j, log-norm 0, the very value the
         // Krylov run returns there, so the trace keeps its bits.
         let jl = jl_rows(m, eps * 0.5, EXPV_SKETCH_CONST);
-        let probe_term = |p: &[f64]| {
-            let (log_norm, mv) = expv_column_log_norm(&half, p, kappa_half);
+        let probe_term = |op: &HalfOp, p: &[f64]| {
+            let (log_norm, mv) = expv_column_log_norm(op, p, kappa_half, m);
             ((2.0 * log_norm - log_scale).exp(), mv)
         };
         let (probe_terms, rows): (Vec<(f64, usize)>, usize) = if jl >= m {
             // Split only the rows that need Lanczos across the pool, so
             // the chunks stay balanced however the nonzero rows are
             // spread over 0..m; the terms are then placed back in row
-            // order.
-            let live: Vec<usize> = (0..m).filter(|&j| !half.is_zero_row(j)).collect();
-            let live_terms = map_maybe_par(&live, parallel(live.len()), |&j| {
-                let mut e = vec![0.0; m];
-                e[j] = 1.0;
-                probe_term(&e)
+            // order. The probe of row j is e_j at j's position in U.
+            let at: Vec<usize> = (0..u.len()).filter(|&k| live[u[k]]).collect();
+            let live_terms = map_maybe_par(&at, parallel(at.len(), u.len()), |&k| {
+                let mut e = vec![0.0; u.len()];
+                e[k] = 1.0;
+                probe_term(&half_u, &e)
             });
             let mut terms = vec![((-log_scale).exp(), 0); m];
-            for (&j, term) in live.iter().zip(live_terms) {
-                terms[j] = term;
+            for (&k, term) in at.iter().zip(live_terms) {
+                terms[u[k]] = term;
             }
             (terms, m)
         } else {
+            // Gaussian probes have full support: they run on all of Φ.
+            let half = HalfOp { inner: phi };
             let pi = gaussian_sketch(jl, m, self.seed, stream);
             let rows: Vec<usize> = (0..jl).collect();
-            (map_maybe_par(&rows, parallel(jl), |&r| probe_term(pi.row(r))), jl)
+            (map_maybe_par(&rows, parallel(jl, m), |&r| probe_term(&half, pi.row(r))), jl)
         };
         // Sequential sum in probe order: no parallel float reduction.
         let tr_w: f64 = probe_terms.iter().map(|&(v, _)| v).sum();
         let probe_matvecs: usize = probe_terms.iter().map(|&(_, mv)| mv).sum();
 
         // exp(Φ)•Aᵢ·e^{−κ} = Σ_cols e^{2·ln‖exp(Φ/2)c‖ − κ}, per-column
-        // Lanczos in log-scale. Parallel over factors (when the columns
-        // are worth it); the per-factor sum is sequential (fixed order, no
-        // parallel float reduction).
+        // Lanczos in log-scale, each column read at U. Parallel over
+        // factors (when the columns are worth it); the per-factor sum is
+        // sequential (fixed order, no parallel float reduction).
         let columns: usize = self.expv_cols.iter().map(Vec::len).sum();
         let per_factor: Vec<(f64, usize)> =
-            map_maybe_par(&self.expv_cols, parallel(columns), |cols| {
+            map_maybe_par(&self.expv_cols, parallel(columns, u.len()), |cols| {
                 let mut dot = 0.0;
                 let mut matvecs = 0usize;
                 for c in cols {
-                    let (log_norm, mv) = expv_column_log_norm(&half, c, kappa_half);
+                    let c_u: Vec<f64> = u.iter().map(|&i| c[i]).collect();
+                    let (log_norm, mv) = expv_column_log_norm(&half_u, &c_u, kappa_half, m);
                     matvecs += mv;
                     dot += (2.0 * log_norm - log_scale).exp();
                 }
@@ -595,10 +621,11 @@ impl Engine {
 }
 
 /// `ln‖exp(Φ/2)·c‖` for one factor column, plus the operator applications
-/// spent. Restarted Lanczos with a Chebyshev fallback if the tridiagonal
+/// spent, on `Φ/2` gathered from dimension `ambient` (DESIGN.md §12).
+/// Restarted Lanczos with a Chebyshev fallback if the tridiagonal
 /// eigensolve fails (both deterministic, so the fallback is too).
-fn expv_column_log_norm(half: &HalfOp, c: &[f64], kappa_half: f64) -> (f64, usize) {
-    match expm_action_lanczos(half, c, kappa_half, EXPV_POLY_TOL) {
+fn expv_column_log_norm(half: &HalfOp, c: &[f64], kappa_half: f64, ambient: usize) -> (f64, usize) {
+    match expm_action_lanczos_gathered(half, c, kappa_half, EXPV_POLY_TOL, ambient) {
         Ok(r) => (r.log_norm, r.matvecs),
         Err(_) => {
             let (y, ls) = expm_action_chebyshev(half, c, kappa_half, EXPV_POLY_TOL);
@@ -636,10 +663,6 @@ impl SymOp for HalfOp<'_> {
 
     fn nnz(&self) -> usize {
         self.inner.nnz()
-    }
-
-    fn is_zero_row(&self, i: usize) -> bool {
-        self.inner.is_zero_row(i)
     }
 }
 
@@ -940,6 +963,39 @@ mod tests {
             c.tr_w * (c.log_scale - exact.log_scale).exp(),
         ] {
             assert!((t - exact.tr_w).abs() <= 0.9 * exact.tr_w, "trace {t} vs {}", exact.tr_w);
+        }
+    }
+
+    #[test]
+    fn expv_on_csr_gathers_and_keeps_the_dense_bits() {
+        // E14's shape at m = 96: four rank-1 factors over 12 scattered
+        // rows, Φ as CSR without its zero rows. The CSR route skips the 84
+        // zero-row probes and runs the rest on the 12 gathered rows; the
+        // dense route runs all 96 probes at full length.
+        let m = 96;
+        let mats: Vec<PsdMatrix> = (0..4usize)
+            .map(|k| {
+                let trip = [(7 * k, 0, 1.0), (7 * k + 30, 0, -0.5), (7 * k + 61, 0, 0.75)];
+                PsdMatrix::Factor(FactorPsd::new(Csr::from_triplets(m, 1, &trip)))
+            })
+            .collect();
+        let mut phi = Mat::zeros(m, m);
+        for (k, a) in mats.iter().enumerate() {
+            a.add_scaled_into(&mut phi, 0.3 + 0.1 * k as f64);
+        }
+        phi.symmetrize();
+        let sparse = Csr::from_dense(&phi, 0.0);
+        let eng = Engine::new(EngineKind::Expv { eps: 0.25 }, &mats, 0).unwrap();
+        for kappa in [2.0, 40.0] {
+            let dense = eng.compute(&phi, kappa, &mats, 1).unwrap();
+            let op = eng.compute_op(&sparse, kappa, 1);
+            assert_eq!(op.sketch_rows, m);
+            assert_eq!(op.tr_w.to_bits(), dense.tr_w.to_bits(), "kappa {kappa}");
+            assert_eq!(op.degree, dense.degree, "kappa {kappa}");
+            for (a, b) in op.dots.iter().zip(&dense.dots) {
+                assert_eq!(a.to_bits(), b.to_bits(), "kappa {kappa}: a dot");
+            }
+            assert!(op.cost.work < dense.cost.work, "kappa {kappa}");
         }
     }
 

@@ -88,10 +88,33 @@ pub fn expm_action_lanczos(
     kappa: f64,
     tol: f64,
 ) -> Result<ExpmAction, LinalgError> {
+    expm_action_lanczos_gathered(op, x, kappa, tol, op.dim())
+}
+
+/// [`expm_action_lanczos`] on an operator gathered ([`SymOp::gather`]) from
+/// one of dimension `ambient` onto coordinates that hold `x` and every
+/// vector the run makes from it, so that the dropped coordinates are exact
+/// zeros throughout. The time grid's start and the Krylov cap stay keyed on
+/// `ambient`: with them, every step adds and multiplies the same nonzero
+/// terms in the same order as the run on the source operator, and
+/// `log_norm`, `matvecs`, `steps` and `residual` are that run's bit for
+/// bit (an exact zero on the way may differ in sign; DESIGN.md §12). `v`
+/// is its direction read at the gathered coordinates.
+///
+/// # Errors
+/// Propagates failures of the small tridiagonal eigensolve.
+pub fn expm_action_lanczos_gathered(
+    op: &dyn SymOp,
+    x: &[f64],
+    kappa: f64,
+    tol: f64,
+    ambient: usize,
+) -> Result<ExpmAction, LinalgError> {
     let n = op.dim();
     assert_eq!(x.len(), n, "expm_action_lanczos: dim mismatch");
+    assert!(n <= ambient, "expm_action_lanczos: gathered dim {n} exceeds ambient {ambient}");
     assert!(kappa >= 0.0 && kappa.is_finite(), "expm_action_lanczos: bad kappa {kappa}");
-    if n == 0 {
+    if ambient == 0 {
         return Ok(ExpmAction {
             v: Vec::new(),
             log_norm: 0.0,
@@ -115,11 +138,13 @@ pub fn expm_action_lanczos(
     // where the Krylov answer is exact — no time grid needed (the shifted
     // `exp((T − μI)/s)` evaluation below is overflow-safe at any κ). Large
     // operators start at the spectral-width grid and refine on residual.
-    let s0 = if n <= MAX_KRYLOV { 1 } else { ((kappa / KAPPA_PER_STEP).ceil() as usize).max(1) };
+    // Both are decided on the ambient dimension, never the gathered one.
+    let s0 =
+        if ambient <= MAX_KRYLOV { 1 } else { ((kappa / KAPPA_PER_STEP).ceil() as usize).max(1) };
     let mut best: Option<ExpmAction> = None;
     for refinement in 0..=MAX_GRID_REFINEMENTS {
         let s = s0 << refinement;
-        let (action, converged) = lanczos_time_grid(op, x, norm0, s, tol)?;
+        let (action, converged) = lanczos_time_grid(op, x, norm0, s, tol, ambient)?;
         let better = best.as_ref().is_none_or(|b| action.residual < b.residual);
         if better {
             best = Some(action);
@@ -132,13 +157,15 @@ pub fn expm_action_lanczos(
 }
 
 /// One full pass over a fixed time grid of `s` substeps. Returns the result
-/// and whether every substep met `tol` inside [`MAX_KRYLOV`] applications.
+/// and whether every substep met `tol` inside [`MAX_KRYLOV`] applications
+/// (capped at the `ambient` dimension).
 fn lanczos_time_grid(
     op: &dyn SymOp,
     x: &[f64],
     norm0: f64,
     s: usize,
     tol: f64,
+    ambient: usize,
 ) -> Result<(ExpmAction, bool), LinalgError> {
     let n = op.dim();
     let inv_s = 1.0 / s as f64;
@@ -150,8 +177,8 @@ fn lanczos_time_grid(
     let mut all_converged = true;
 
     for _ in 0..s {
-        let k_cap = MAX_KRYLOV.min(n);
-        let mut basis: Vec<Vec<f64>> = vec![v.clone()];
+        let k_cap = MAX_KRYLOV.min(ambient);
+        let mut basis: Vec<Vec<f64>> = vec![std::mem::take(&mut v)];
         let mut alphas: Vec<f64> = Vec::with_capacity(k_cap);
         let mut betas: Vec<f64> = Vec::with_capacity(k_cap);
         let mut y_prev: Vec<f64> = Vec::new();
@@ -162,12 +189,12 @@ fn lanczos_time_grid(
         let mut converged = false;
 
         for step in 0..k_cap {
-            let vj = basis.last().expect("nonempty basis").clone();
-            let mut w = op.apply_vec(&vj);
+            let vj = &basis[step];
+            let mut w = op.apply_vec(vj);
             matvecs += 1;
-            let alpha = vecops::dot(&w, &vj);
+            let alpha = vecops::dot(&w, vj);
             alphas.push(alpha);
-            vecops::axpy(-alpha, &vj, &mut w);
+            vecops::axpy(-alpha, vj, &mut w);
             if step > 0 {
                 vecops::axpy(-betas[step - 1], &basis[step - 1], &mut w);
             }

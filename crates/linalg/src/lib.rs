@@ -35,11 +35,14 @@ pub mod vecops;
 
 pub use eigen::{sym_eigen, sym_eigenvalues, SymEigen};
 pub use error::LinalgError;
-pub use expmv::{chebyshev_exp_block, expm_action_chebyshev, expm_action_lanczos, ExpmAction};
+pub use expmv::{
+    chebyshev_exp_block, expm_action_chebyshev, expm_action_lanczos, expm_action_lanczos_gathered,
+    ExpmAction,
+};
 pub use funcs::{expm, inv_sqrt_psd, psd_factor};
 pub use gemm::{matmul, matvec, symmul};
 pub use mat::Mat;
 pub use norms::{lambda_max_estimate, lambda_max_power, lambda_max_upper_bound};
-pub use op::SymOp;
+pub use op::{Gathered, SymOp};
 pub use poly::{apply_exp_taylor_block, taylor_degree};
 pub use qr::{orthonormalize, qr, Qr};

@@ -46,6 +46,79 @@ pub trait SymOp: Sync {
     fn is_zero_row(&self, _i: usize) -> bool {
         false
     }
+
+    /// The operator gathered onto the coordinates `keep` (strictly
+    /// increasing): `A[keep, keep]` as a [`Gathered`] operator on
+    /// `R^|keep|`, each row keeping its columns in this operator's
+    /// summation order. On a vector that is zero off `keep`, its products
+    /// are bitwise this operator's products read at `keep`, whenever the
+    /// rows off `keep` are zero ([`SymOp::is_zero_row`]). `None` means the
+    /// operator cannot gather; the default never does.
+    fn gather(&self, _keep: &[usize]) -> Option<Gathered> {
+        None
+    }
+}
+
+/// A symmetric operator gathered onto a coordinate subset (from
+/// [`SymOp::gather`]): flat CSR over local indices, where row `k` holds
+/// the source row `keep[k]` restricted to the columns in `keep`, in the
+/// source's order. Each product row is a fold from `+0.0` in that order,
+/// so it drops exactly the terms the source's row sum takes against the
+/// vector's zeros off `keep` — and adding a `±0.0` term to a fold that
+/// started at `+0.0` never changes its bits.
+#[derive(Debug, Clone)]
+pub struct Gathered {
+    row_ptr: Vec<usize>,
+    col_idx: Vec<usize>,
+    values: Vec<f64>,
+}
+
+impl Gathered {
+    /// Gather the rows `keep` (strictly increasing) of a `dim`-dimensional
+    /// operator whose row `i` yields its `(column, value)` entries in
+    /// summation order; entries in columns off `keep` are dropped.
+    pub fn new<R: IntoIterator<Item = (usize, f64)>>(
+        dim: usize,
+        keep: &[usize],
+        row: impl Fn(usize) -> R,
+    ) -> Gathered {
+        assert!(keep.windows(2).all(|w| w[0] < w[1]), "Gathered: keep must increase");
+        let mut local = vec![usize::MAX; dim];
+        for (k, &i) in keep.iter().enumerate() {
+            local[i] = k;
+        }
+        let mut row_ptr = Vec::with_capacity(keep.len() + 1);
+        row_ptr.push(0);
+        let (mut col_idx, mut values) = (Vec::new(), Vec::new());
+        for &i in keep {
+            for (j, v) in row(i) {
+                if local[j] != usize::MAX {
+                    col_idx.push(local[j]);
+                    values.push(v);
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        Gathered { row_ptr, col_idx, values }
+    }
+}
+
+impl SymOp for Gathered {
+    fn dim(&self) -> usize {
+        self.row_ptr.len() - 1
+    }
+
+    fn apply_vec(&self, x: &[f64]) -> Vec<f64> {
+        assert_eq!(x.len(), self.dim(), "Gathered: dim mismatch");
+        self.row_ptr
+            .windows(2)
+            .map(|r| (r[0]..r[1]).fold(0.0, |acc, k| acc + self.values[k] * x[self.col_idx[k]]))
+            .collect()
+    }
+
+    fn nnz(&self) -> usize {
+        self.values.iter().filter(|&&v| v != 0.0).count()
+    }
 }
 
 impl SymOp for Mat {

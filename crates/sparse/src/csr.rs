@@ -5,7 +5,7 @@
 //! paper's nearly-linear work bound is stated in, so the kernels here are the
 //! ones whose operation counts the work-scaling experiment (E5) measures.
 
-use psdp_linalg::{Mat, SymOp};
+use psdp_linalg::{Gathered, Mat, SymOp};
 use rayon::prelude::*;
 
 /// A sparse matrix in compressed sparse row format.
@@ -297,6 +297,17 @@ impl SymOp for Csr {
     fn nnz(&self) -> usize {
         Csr::nnz(self)
     }
+
+    /// A row without stored entries (read from `row_ptr`).
+    fn is_zero_row(&self, i: usize) -> bool {
+        self.row_ptr[i] == self.row_ptr[i + 1]
+    }
+
+    /// The stored entries of rows and columns `keep`, in
+    /// [`Csr::spmv`]'s column order.
+    fn gather(&self, keep: &[usize]) -> Option<Gathered> {
+        Some(Gathered::new(self.dim(), keep, |i| self.row_iter(i)))
+    }
 }
 
 #[cfg(test)]
@@ -336,6 +347,22 @@ mod tests {
     fn empty_rows_handled() {
         let a = Csr::from_triplets(4, 3, &[(3, 1, 7.0)]);
         assert_eq!(a.spmv(&[0.0, 1.0, 0.0]), vec![0.0, 0.0, 0.0, 7.0]);
+    }
+
+    #[test]
+    fn symop_reads_zero_rows_and_gathers_bitwise() {
+        // Symmetric, with rows 1 and 3 empty.
+        let a = Csr::from_triplets(4, 4, &[(0, 0, 0.7), (0, 2, -1.3), (2, 0, -1.3), (2, 2, 0.1)]);
+        let zero: Vec<bool> = (0..4).map(|i| SymOp::is_zero_row(&a, i)).collect();
+        assert_eq!(zero, [false, true, false, true]);
+        let keep = [0, 2, 3];
+        let g = SymOp::gather(&a, &keep).expect("CSR gathers");
+        let x = [0.3, -0.0, 1.9, 0.0];
+        let x_u: Vec<f64> = keep.iter().map(|&i| x[i]).collect();
+        let (got, want) = (g.apply_vec(&x_u), a.spmv(&x));
+        for (k, &i) in keep.iter().enumerate() {
+            assert_eq!(got[k].to_bits(), want[i].to_bits(), "row {i}");
+        }
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //! * the solver's Ψ pattern view (`PsiView`, DESIGN.md §4) must drive the
 //!   Expv engine to **bitwise** the dense-Ψ outputs, zero-row probe skips
 //!   included, and its `λmax` bound must equal the dense one bit for bit;
+//! * the Expv engine on Ψ gathered onto its live support must give every
+//!   `ExpDots` field bitwise as the same operator run at full length (the
+//!   restricted-vs-full gate), with the Lanczos time grid keyed on m;
 //! * the dense eigensolver (`sym_eigen`, `sym_eigenvalues`) must reproduce
 //!   its golden bits on a fixed family of matrices.
 //!
@@ -204,15 +207,14 @@ fn assert_view_matches_dense(inst: &PackingInstance, salt: u64, eps: f64) -> (us
     (zero_rows, work.0, work.1)
 }
 
-/// A fixed case where the zero-row skip must engage: ten rank-1
-/// constraints touch only 10 of m = 64 coordinates, and at `eps = 0.5`
-/// the JL bound exceeds m, so the trace runs identity probes — 54 of them
-/// on exactly zero rows. Outputs stay bitwise; only the analytic work
-/// drops.
-#[test]
-fn psi_view_skips_zero_row_probes_bitwise() {
+/// The only coordinates of m = 64 that [`scattered_rank1_instance`] touches.
+const SCATTERED: [usize; 10] = [3, 7, 12, 20, 25, 33, 41, 50, 58, 63];
+
+/// Ten rank-1 constraints on m = 64 that touch only the 10 coordinates
+/// `SCATTERED`.
+fn scattered_rank1_instance() -> PackingInstance {
     let m = 64;
-    let coords = [3usize, 7, 12, 20, 25, 33, 41, 50, 58, 63];
+    let coords = SCATTERED;
     let mats: Vec<PsdMatrix> = (0..coords.len())
         .map(|k| {
             let mut v = vec![0.0; m];
@@ -222,13 +224,83 @@ fn psi_view_skips_zero_row_probes_bitwise() {
             PsdMatrix::Factor(FactorPsd::from_vector(&v))
         })
         .collect();
-    let inst = PackingInstance::new(mats).unwrap();
+    PackingInstance::new(mats).unwrap()
+}
+
+/// A fixed case where the zero-row skip must engage: at `eps = 0.5` the JL
+/// bound exceeds m, so the trace runs identity probes — 54 of them on
+/// exactly zero rows. Outputs stay bitwise; only the analytic work drops.
+#[test]
+fn psi_view_skips_zero_row_probes_bitwise() {
+    let inst = scattered_rank1_instance();
     let pattern = PsiPattern::new(&inst);
     assert!(pattern.nnz() <= 100, "pattern has {} entries", pattern.nnz());
     for salt in [1u64, 2, 3] {
         let (zero_rows, view_work, dense_work) = assert_view_matches_dense(&inst, salt, 0.5);
-        assert_eq!(zero_rows, m - coords.len(), "salt {salt}");
+        assert_eq!(zero_rows, inst.dim() - SCATTERED.len(), "salt {salt}");
         assert!(view_work < dense_work, "salt {salt}: {view_work} vs {dense_work}");
+    }
+}
+
+/// An operator behind a wrapper that cannot gather ([`SymOp::gather`]'s
+/// default), so the Expv engine runs every vector at full length.
+struct NoGather<'a>(&'a dyn SymOp);
+
+impl SymOp for NoGather<'_> {
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+
+    fn apply_vec(&self, x: &[f64]) -> Vec<f64> {
+        self.0.apply_vec(x)
+    }
+
+    fn nnz(&self) -> usize {
+        self.0.nnz()
+    }
+
+    fn is_zero_row(&self, i: usize) -> bool {
+        self.0.is_zero_row(i)
+    }
+}
+
+/// The restricted-vs-full gate: the Expv engine on Ψ gathered onto its
+/// live rows and the factor columns' support (here the 10 scattered
+/// coordinates of m = 64) against the same view behind [`NoGather`],
+/// every `ExpDots` field bitwise, at pool widths 1 and 4. At κ = 40 the
+/// Lanczos time grid starts at `s = ⌈20/16⌉ = 2` on m > `MAX_KRYLOV`,
+/// where the gathered dimension 10 ≤ `MAX_KRYLOV` would run one step: a
+/// grid keyed on the gathered dimension changes the bits.
+#[test]
+fn gathered_expv_bitwise_equals_full_length() {
+    let inst = scattered_rank1_instance();
+    assert!(inst.dim() > psdp_linalg::expmv::MAX_KRYLOV);
+    let pattern = PsiPattern::new(&inst);
+    let eng = Engine::new(EngineKind::Expv { eps: 0.5 }, inst.mats(), 7).unwrap();
+    for salt in [1u64, 2, 3] {
+        let x = random_x(inst.n(), &mut det_stream(salt));
+        let psi = PsiMaintainer::with_pattern(&inst, &x, 0, &pattern);
+        let view = psi.view().expect("maintainer carries a pattern");
+        assert!(view.gather(&SCATTERED).is_some() && NoGather(&view).gather(&SCATTERED).is_none());
+        for kappa in [psi.kappa_bound(), 40.0] {
+            for threads in [1, 4] {
+                let ctx = format!("salt {salt}, kappa {kappa}, pool {threads}");
+                let gathered = run_with_threads(threads, || eng.compute_op(&view, kappa, 3));
+                let full = run_with_threads(threads, || eng.compute_op(&NoGather(&view), kappa, 3));
+                assert_eq!(gathered.tr_w.to_bits(), full.tr_w.to_bits(), "tr_w: {ctx}");
+                assert_eq!(gathered.log_scale.to_bits(), full.log_scale.to_bits(), "{ctx}");
+                assert_eq!(gathered.cost.work.to_bits(), full.cost.work.to_bits(), "{ctx}");
+                assert_eq!(gathered.cost.depth.to_bits(), full.cost.depth.to_bits(), "{ctx}");
+                assert_eq!(
+                    (gathered.degree, gathered.sketch_rows),
+                    (full.degree, full.sketch_rows),
+                    "{ctx}"
+                );
+                let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&gathered.dots), bits(&full.dots), "dots: {ctx}");
+                assert!(gathered.dense_p.is_none() && full.dense_p.is_none());
+            }
+        }
     }
 }
 
