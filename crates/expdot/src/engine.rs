@@ -33,6 +33,8 @@ use psdp_linalg::{
 use psdp_parallel::Cost;
 use psdp_sparse::{FactorPsd, PsdMatrix};
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Result of one `exp(Φ) • ·` evaluation over all constraints.
 ///
@@ -126,27 +128,44 @@ const EXPV_SKETCH_CONST: f64 = 4.0;
 /// engine's end-to-end error is dominated by the trace's JL distortion.
 const EXPV_POLY_TOL: f64 = 1e-9;
 
-/// One operator application on every vector of an expv loop (`vectors ×
-/// (nnz(Φ) + |U|)`, `U` the coordinates the loop's vectors run on) below
-/// which the loop runs on the calling thread. Timed end to end on 2 vCPUs
-/// (DESIGN.md §12), optimize solves whose loops all stayed on the calling
-/// thread matched or beat the pooled ones at every sweep measured, up to
-/// 28k, so the pool takes a loop from `2¹⁵` on. The outputs do not depend
-/// on the choice (results are collected in vector order).
-const EXPV_PARALLEL_SWEEP: usize = 1 << 15;
+/// One operator application on every vector of an evaluation's Lanczos
+/// runs (`vectors × (nnz(Φ) + |U|)`, `U` the coordinates the vectors run
+/// on) below which they all run on the calling thread. From it on they go
+/// to the pool as one claimed loop ([`map_claimed`]): back-to-back
+/// evaluations on 2 vCPUs put the pool clearly ahead from sweeps of about
+/// 2000, and inside a solve the claimed loop keeps solve times steady when
+/// one vCPU is slowed from outside (DESIGN.md §12). The outputs do not
+/// depend on the choice (results are placed by index).
+const EXPV_PARALLEL_SWEEP: usize = 1 << 11;
 
-/// `f` over `items` in order — across the pool when `parallel`, else on
-/// the calling thread. The result is the same either way.
-fn map_maybe_par<T: Sync, R: Send>(
-    items: &[T],
+/// `f(0)`, …, `f(len − 1)` in index order — across the pool when
+/// `parallel`, else on the calling thread. On the pool every thread claims
+/// the next unclaimed index until none is left, so a thread that runs
+/// slower, or joins late, takes fewer items instead of holding up a fixed
+/// share. Each result is stored at its index, so the output is the same
+/// either way.
+fn map_claimed<R: Send + Sync>(
+    len: usize,
     parallel: bool,
-    f: impl Fn(&T) -> R + Sync + Send,
+    f: impl Fn(usize) -> R + Sync,
 ) -> Vec<R> {
-    if parallel {
-        items.par_iter().map(f).collect()
-    } else {
-        items.iter().map(f).collect()
+    if !parallel || len < 2 {
+        return (0..len).map(f).collect();
     }
+    // `Relaxed` suffices: the counter only hands out indices. Each result
+    // is published through its slot, and the pool's join orders every
+    // slot write before the reads below.
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<R>> = (0..len).map(|_| OnceLock::new()).collect();
+    let threads = rayon::current_num_threads().min(len);
+    (0..threads).into_par_iter().for_each(|_| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= len {
+            break;
+        }
+        let _ = slots[i].set(f(i));
+    });
+    slots.into_iter().map(|s| s.into_inner().expect("every index is claimed")).collect()
 }
 
 impl EngineKind {
@@ -488,10 +507,10 @@ impl Engine {
     /// bitwise the full-length runs' log-norms (DESIGN.md §12). An operator
     /// that cannot gather, and the Gaussian probes, run with `U = 0..m`.
     ///
-    /// A probe or column loop runs across the pool only when one operator
-    /// application on each of its vectors reaches `parallel_sweep` work
-    /// ([`EXPV_PARALLEL_SWEEP`] outside tests); the outputs never depend on
-    /// it.
+    /// The probes and the factors' columns run as one loop, which goes to
+    /// the pool only when one operator application on each of its vectors
+    /// reaches `parallel_sweep` work ([`EXPV_PARALLEL_SWEEP`] outside
+    /// tests); the outputs never depend on it.
     fn expv_impl(
         &self,
         phi: &dyn SymOp,
@@ -504,7 +523,6 @@ impl Engine {
         let kappa_half = (kappa * 0.5).max(0.0);
         let log_scale = 2.0 * kappa_half;
         let phi_nnz = phi.nnz();
-        let parallel = |vectors: usize, len: usize| vectors * (phi_nnz + len) >= parallel_sweep;
 
         // U, and Φ/2 over it: a vector supported on U stays there under Φ
         // (the rows off U are zero), so no Lanczos vector leaves it.
@@ -539,54 +557,71 @@ impl Engine {
         // skips Lanczos: exp(Φ/2)e_j = e_j, log-norm 0, the very value the
         // Krylov run returns there, so the trace keeps its bits.
         let jl = jl_rows(m, eps * 0.5, EXPV_SKETCH_CONST);
-        let probe_term = |op: &HalfOp, p: &[f64]| {
+        let term = |op: &HalfOp, p: &[f64]| {
             let (log_norm, mv) = expv_column_log_norm(op, p, kappa_half, m);
             ((2.0 * log_norm - log_scale).exp(), mv)
         };
-        let (probe_terms, rows): (Vec<(f64, usize)>, usize) = if jl >= m {
-            // Split only the rows that need Lanczos across the pool, so
-            // the chunks stay balanced however the nonzero rows are
-            // spread over 0..m; the terms are then placed back in row
-            // order. The probe of row j is e_j at j's position in U.
-            let at: Vec<usize> = (0..u.len()).filter(|&k| live[u[k]]).collect();
-            let live_terms = map_maybe_par(&at, parallel(at.len(), u.len()), |&k| {
-                let mut e = vec![0.0; u.len()];
-                e[k] = 1.0;
-                probe_term(&half_u, &e)
-            });
-            let mut terms = vec![((-log_scale).exp(), 0); m];
-            for (&k, term) in at.iter().zip(live_terms) {
-                terms[u[k]] = term;
-            }
-            (terms, m)
+        // The probes that need Lanczos: the identity probes of the rows Φ
+        // does not report as zero, given by their positions in U, or every
+        // Gaussian probe, which has full support and runs on all of Φ.
+        let half = HalfOp { inner: phi };
+        let (at, pi) = if jl >= m {
+            ((0..u.len()).filter(|&k| live[u[k]]).collect(), None)
         } else {
-            // Gaussian probes have full support: they run on all of Φ.
-            let half = HalfOp { inner: phi };
-            let pi = gaussian_sketch(jl, m, self.seed, stream);
-            let rows: Vec<usize> = (0..jl).collect();
-            (map_maybe_par(&rows, parallel(jl, m), |&r| probe_term(&half, pi.row(r))), jl)
+            (Vec::new(), Some(gaussian_sketch(jl, m, self.seed, stream)))
         };
-        // Sequential sum in probe order: no parallel float reduction.
-        let tr_w: f64 = probe_terms.iter().map(|&(v, _)| v).sum();
-        let probe_matvecs: usize = probe_terms.iter().map(|&(_, mv)| mv).sum();
+        let n_probes = if pi.is_some() { jl } else { at.len() };
 
         // exp(Φ)•Aᵢ·e^{−κ} = Σ_cols e^{2·ln‖exp(Φ/2)c‖ − κ}, per-column
-        // Lanczos in log-scale, each column read at U. Parallel over
-        // factors (when the columns are worth it); the per-factor sum is
-        // sequential (fixed order, no parallel float reduction).
+        // Lanczos in log-scale, each column read at U; the per-factor sum
+        // is sequential (fixed order, no parallel float reduction).
+        //
+        // The probes and then the factors make one loop of Lanczos runs,
+        // on the pool when their sweep is worth it.
         let columns: usize = self.expv_cols.iter().map(Vec::len).sum();
-        let per_factor: Vec<(f64, usize)> =
-            map_maybe_par(&self.expv_cols, parallel(columns, u.len()), |cols| {
+        let sweep = match pi {
+            Some(_) => jl * (phi_nnz + m) + columns * (phi_nnz + u.len()),
+            None => (n_probes + columns) * (phi_nnz + u.len()),
+        };
+        let runs = map_claimed(n_probes + self.expv_cols.len(), sweep >= parallel_sweep, |t| {
+            if t < n_probes {
+                match &pi {
+                    Some(pi) => term(&half, pi.row(t)),
+                    None => {
+                        let mut e = vec![0.0; u.len()];
+                        e[at[t]] = 1.0;
+                        term(&half_u, &e)
+                    }
+                }
+            } else {
                 let mut dot = 0.0;
                 let mut matvecs = 0usize;
-                for c in cols {
+                for c in &self.expv_cols[t - n_probes] {
                     let c_u: Vec<f64> = u.iter().map(|&i| c[i]).collect();
-                    let (log_norm, mv) = expv_column_log_norm(&half_u, &c_u, kappa_half, m);
+                    let (d, mv) = term(&half_u, &c_u);
                     matvecs += mv;
-                    dot += (2.0 * log_norm - log_scale).exp();
+                    dot += d;
                 }
                 (dot, matvecs)
-            });
+            }
+        });
+        let (probe_runs, per_factor) = runs.split_at(n_probes);
+
+        // Identity probes go back in row order, every row Φ reports as
+        // zero at its exact term; then a sequential sum in probe order (no
+        // parallel float reduction).
+        let (probe_terms, rows): (Vec<(f64, usize)>, usize) = match pi {
+            Some(_) => (probe_runs.to_vec(), jl),
+            None => {
+                let mut terms = vec![((-log_scale).exp(), 0); m];
+                for (&k, &run) in at.iter().zip(probe_runs) {
+                    terms[u[k]] = run;
+                }
+                (terms, m)
+            }
+        };
+        let tr_w: f64 = probe_terms.iter().map(|&(v, _)| v).sum();
+        let probe_matvecs: usize = probe_terms.iter().map(|&(_, mv)| mv).sum();
         let dots: Vec<f64> = per_factor.iter().map(|&(d, _)| d).collect();
         let col_matvecs: usize = per_factor.iter().map(|&(_, mv)| mv).sum();
 
@@ -721,10 +756,25 @@ mod tests {
     }
 
     #[test]
+    fn claimed_loop_returns_results_in_index_order() {
+        // Items of uneven cost under a 4-thread budget, so threads finish
+        // out of order; lengths around and below the budget.
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let f = |i: usize| {
+            (0..(i % 5) * 1000).fold(i as u64, |a, k| a.wrapping_mul(31).wrapping_add(k as u64))
+        };
+        for len in [0, 1, 2, 3, 7, 33] {
+            let want: Vec<u64> = (0..len).map(f).collect();
+            assert_eq!(pool.install(|| map_claimed(len, true, f)), want, "len {len}");
+            assert_eq!(map_claimed(len, false, f), want, "len {len}");
+        }
+    }
+
+    #[test]
     fn expv_serial_and_parallel_loops_agree_bitwise() {
         // Identity probes (eps 0.4) and Gaussian probes (eps 0.95: 81 of
-        // m = 96 rows), each loop forced onto the pool and onto the calling
-        // thread under a 4-thread budget.
+        // m = 96 rows), the loop of probes and factors forced onto the
+        // pool and onto the calling thread under a 4-thread budget.
         let (phi, mats) = fixture(96, 6.0);
         let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         for eps in [0.4, 0.95] {
