@@ -170,42 +170,59 @@ impl PackingInstance {
     /// dominates the `m²`-per-chunk accumulator merge cost, so sparse
     /// instances with large `m` stay on the cheap sequential scatter.
     pub fn weighted_sum(&self, x: &[f64]) -> Mat {
+        let mut out = self.accumulate(
+            x,
+            || Mat::zeros(self.dim, self.dim),
+            |acc, i, xi| self.mats[i].add_scaled_into(acc, xi),
+            |total, part| total.axpy(1.0, part),
+        );
+        out.symmetrize();
+        out
+    }
+
+    /// The grouping of [`PackingInstance::weighted_sum`] over any
+    /// accumulator: `add(acc, i, xᵢ)` for every `xᵢ ≠ 0` in index order,
+    /// either into one accumulator from `zero()` or, on the chunked path,
+    /// into one per `WEIGHTED_SUM_CHUNK` constraints, merged into a fresh
+    /// `zero()` in chunk order by `merge`. The pattern-stored Ψ rebuilds
+    /// through this too, so its sums group exactly as the dense ones do.
+    pub(crate) fn accumulate<A: Send>(
+        &self,
+        x: &[f64],
+        zero: impl Fn() -> A + Sync,
+        add: impl Fn(&mut A, usize, f64) + Sync,
+        merge: impl Fn(&mut A, &A),
+    ) -> A {
         assert_eq!(x.len(), self.n(), "weighted_sum: coefficient length");
+        let scatter = |acc: &mut A, first: usize, len: usize| {
+            for (i, &xi) in x.iter().enumerate().skip(first).take(len) {
+                if xi != 0.0 {
+                    add(acc, i, xi);
+                }
+            }
+        };
         let merge_cost = self.n().div_ceil(WEIGHTED_SUM_CHUNK) * self.dim * self.dim;
-        let parallel_pays =
-            self.n() >= PARALLEL_WEIGHTED_SUM_MIN_N && self.total_nnz() >= 2 * merge_cost;
-        let mut out = if parallel_pays {
-            let partials: Vec<Mat> = self
+        if self.n() >= PARALLEL_WEIGHTED_SUM_MIN_N && self.total_nnz() >= 2 * merge_cost {
+            let partials: Vec<A> = self
                 .mats
                 .par_chunks(WEIGHTED_SUM_CHUNK)
                 .enumerate()
                 .map(|(ci, part)| {
-                    let mut acc = Mat::zeros(self.dim, self.dim);
-                    for (j, a) in part.iter().enumerate() {
-                        let xi = x[ci * WEIGHTED_SUM_CHUNK + j];
-                        if xi != 0.0 {
-                            a.add_scaled_into(&mut acc, xi);
-                        }
-                    }
+                    let mut acc = zero();
+                    scatter(&mut acc, ci * WEIGHTED_SUM_CHUNK, part.len());
                     acc
                 })
                 .collect();
-            let mut total = Mat::zeros(self.dim, self.dim);
-            for p in partials {
-                total.axpy(1.0, &p);
+            let mut total = zero();
+            for p in &partials {
+                merge(&mut total, p);
             }
             total
         } else {
-            let mut acc = Mat::zeros(self.dim, self.dim);
-            for (a, &xi) in self.mats.iter().zip(x) {
-                if xi != 0.0 {
-                    a.add_scaled_into(&mut acc, xi);
-                }
-            }
+            let mut acc = zero();
+            scatter(&mut acc, 0, self.n());
             acc
-        };
-        out.symmetrize();
-        out
+        }
     }
 
     /// Return a copy with every matrix scaled by `sigma > 0` (the bisection

@@ -72,7 +72,7 @@
 use crate::bisect::{bisect, check_eps, Attempt, Call, Family, Probe, WARM_FRACTION};
 use crate::error::PsdpError;
 use crate::instance::MixedInstance;
-use crate::session::{lambda_max_measured, Frame, Rule, Session, Side};
+use crate::session::{Frame, Rule, Session, Side};
 use crate::solution::{ExitReason, MixedCertificate, MixedFeasible, MixedOutcome};
 use crate::stats::{BracketStats, SolveStats};
 use psdp_expdot::{Engine, EngineKind};
@@ -635,8 +635,9 @@ impl Rule for JainYao<'_> {
         // Covering side: soft-min weights over Ψ_C/σ, i.e. exp of the NSD
         // matrix −Ψ_C/σ (exact engine; log_scale is 0 there but kept in
         // the soft-min bound for generality).
-        let phi_c = psi_c.matrix().scaled(-1.0 / sigma);
-        let kappa_c = lambda_max_upper_bound(psi_c.matrix()) / sigma;
+        let psi_c = psi_c.matrix().expect("the exact engine keeps Ψ_C dense");
+        let phi_c = psi_c.scaled(-1.0 / sigma);
+        let kappa_c = lambda_max_upper_bound(psi_c) / sigma;
         let cover = cover_side.engine.compute(&phi_c, kappa_c, cover_side.inst.mats(), t)?;
         f.tally.evaluated(&cover);
 
@@ -688,8 +689,15 @@ impl Rule for JainYao<'_> {
         if let Some(cert) = self.certificate {
             return MixedOutcome::Infeasible(cert);
         }
-        let (psi_p, psi_c, sigma) = (f.psi[0].matrix(), f.psi[1].matrix(), f.sigma);
-        let lam_p = lambda_max_measured(psi_p);
+        let sigma = f.sigma;
+        // The dense eigensolver on every storage: λmax(Ψ_P) sets the
+        // bracket's lower end, which the live block's λmax could move in
+        // its last bits.
+        let lam_p = match sym_eigenvalues(&f.psi[0].dense()) {
+            Ok(values) => values[values.len() - 1],
+            Err(_) => f.psi[0].kappa_bound(),
+        };
+        let psi_c = f.psi[1].matrix().expect("the exact engine keeps Ψ_C dense");
         let lam_c = match sym_eigenvalues(psi_c) {
             Ok(values) => values[0],
             // The soft-min bound is a certified fallback.

@@ -25,7 +25,6 @@ use crate::solution::ExitReason;
 use crate::solver::Solver;
 use crate::stats::SolveStats;
 use psdp_expdot::{Engine, EngineKind, ExpDots};
-use psdp_linalg::{lambda_max_upper_bound, sym_eigenvalues, Mat};
 use psdp_parallel::Cost;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -187,17 +186,11 @@ impl<'i> Side<'i> {
     ) -> Result<ExpDots, PsdpError> {
         Ok(match psi.view() {
             Some(view) => self.engine.compute_op(&view, kappa, stream),
-            None => self.engine.compute(psi.matrix(), kappa, self.inst.mats(), stream)?,
+            None => {
+                let psi = psi.matrix().expect("Ψ without a pattern is stored densely");
+                self.engine.compute(psi, kappa, self.inst.mats(), stream)?
+            }
         })
-    }
-}
-
-/// The measured `λmax(Ψ)` an exit certifies by: the eigensolver's, or the
-/// certified upper bound when the eigensolver fails.
-pub(crate) fn lambda_max_measured(psi: &Mat) -> f64 {
-    match sym_eigenvalues(psi) {
-        Ok(values) => values[values.len() - 1],
-        Err(_) => lambda_max_upper_bound(psi),
     }
 }
 
@@ -463,7 +456,7 @@ mod tests {
         }
 
         fn finish(self, f: &Frame<'_>, _: ExitReason) -> (Vec<f64>, f64) {
-            (f.x.clone(), f.psi[0].matrix()[(0, 0)])
+            (f.x.clone(), f.psi[0].matrix().expect("dense storage")[(0, 0)])
         }
     }
 
@@ -501,20 +494,24 @@ mod tests {
         assert_eq!(session.solves(), 3, "a call with a bad σ does not count");
     }
 
-    /// Only the `Expv` engine takes `Ψ` through its pattern, which a side
-    /// builds once and shares across calls.
+    /// Only the `Expv` engine takes `Ψ` on its pattern, which a side
+    /// builds on its first solve and shares across calls; that maintainer
+    /// holds no dense matrix, the dense engines' holds no pattern.
     #[test]
     fn side_builds_the_psi_pattern_once_and_only_for_expv() {
         let a = PsdMatrix::Diagonal(vec![1.0, 2.0, 0.0]);
         let inst = PackingInstance::new(vec![a.clone(), a]).unwrap();
         let exact = Side::build(&inst, EngineKind::Exact, 0).unwrap();
-        assert!(exact.psi(&[1.0, 1.0]).view().is_none());
+        let psi = exact.psi(&[1.0, 1.0]);
+        assert!(psi.view().is_none() && psi.matrix().is_some());
         assert!(exact.pattern.get().is_none());
 
         let expv = Side::build(&inst, EngineKind::Expv { eps: 0.1 }, 0).unwrap();
-        assert!(expv.psi(&[1.0, 1.0]).view().is_some());
+        assert!(expv.pattern.get().is_none(), "built before the first solve");
+        let psi = expv.psi(&[1.0, 1.0]);
+        assert!(psi.view().is_some() && psi.matrix().is_none(), "an Expv Ψ went dense");
         let first: *const PsiPattern = expv.pattern.get().expect("built on first use");
-        assert!(expv.psi(&[2.0, 1.0]).view().is_some());
+        assert!(expv.psi(&[2.0, 1.0]).matrix().is_none());
         assert!(std::ptr::eq(first, expv.pattern.get().unwrap()), "the pattern was rebuilt");
         assert_eq!(expv.traces, [3.0, 3.0]);
     }

@@ -42,7 +42,7 @@ use crate::decision::DecisionResult;
 use crate::error::PsdpError;
 use crate::instance::PackingInstance;
 use crate::options::{ConstantsMode, DecisionOptions, UpdateRule};
-use crate::session::{lambda_max_measured, Frame, Rule, Side};
+use crate::session::{Frame, Rule, Side};
 pub use crate::session::{IterationEvent, Observer, ObserverControl, PhaseEvent, Session};
 use crate::solution::{DualSolution, ExitReason, Outcome, PrimalSolution};
 use crate::theory::paper_constants;
@@ -515,7 +515,8 @@ impl Rule for Alg31<'_> {
         };
         if refresh {
             let dots = if self.y_acc.is_some() {
-                side.engine.compute_dense(psi.matrix(), kappa, side.inst.mats(), t as u64)?
+                let psi = psi.matrix().expect("the dense engines keep Ψ dense");
+                side.engine.compute_dense(psi, kappa, side.inst.mats(), t as u64)?
             } else {
                 side.evaluate(psi, kappa, t as u64)?
             };
@@ -574,7 +575,7 @@ impl Rule for Alg31<'_> {
             ExitReason::DualNormCrossed => {
                 let x_scaled: Vec<f64> = f.x.iter().map(|v| v / sigma).collect();
                 let (eps, k, mode) = (self.opts.eps, self.k_threshold, self.opts.mode);
-                Outcome::Dual(build_dual(&x_scaled, f.psi[0].matrix(), eps, k, mode))
+                Outcome::Dual(build_dual(&x_scaled, || f.psi[0].lambda_max(), eps, k, mode))
             }
             ExitReason::EmptyEligibleSet => Outcome::Primal(PrimalSolution {
                 min_dot: f.min_ratio,
@@ -660,10 +661,12 @@ fn select_steps(
     }
 }
 
-/// Build a certified dual solution from the raw (threshold-frame) iterate.
+/// Build a certified dual solution from the raw (threshold-frame) iterate;
+/// `lambda_max` measures `λmax(Σ xᵢAᵢ)` when the mode certifies by
+/// measurement.
 fn build_dual(
     x: &[f64],
-    psi: &Mat,
+    lambda_max: impl FnOnce() -> f64,
     eps: f64,
     k_threshold: f64,
     mode: ConstantsMode,
@@ -671,7 +674,7 @@ fn build_dual(
     let scale = match mode {
         ConstantsMode::PaperStrict => (1.0 + 10.0 * eps) * k_threshold,
         // Certify by measurement: λmax(Σ xᵢAᵢ) from the maintained Ψ.
-        ConstantsMode::Practical { .. } => (lambda_max_measured(psi) * (1.0 + 1e-9)).max(1.0),
+        ConstantsMode::Practical { .. } => (lambda_max() * (1.0 + 1e-9)).max(1.0),
     };
     let xs: Vec<f64> = x.iter().map(|v| v / scale).collect();
     let value = vecops::sum(&xs);

@@ -6,12 +6,17 @@
 //! same two-entry matrix CI runs via `RAYON_NUM_THREADS`.
 
 use psdp_core::{
-    decision_psdp, solve_mixed, solve_packing, verify_dual, ApproxOptions, DecisionOptions,
-    EngineKind, MixedApproxOptions, Outcome, PackingInstance, Solver,
+    decision_psdp, solve_mixed, solve_packing, verify_dual, verify_mixed_feasible, ApproxOptions,
+    DecisionOptions, EngineKind, MixedApproxOptions, MixedInstance, MixedSolver, Outcome,
+    PackingInstance, Solver,
 };
 use psdp_parallel::run_with_threads;
+use psdp_sparse::PsdMatrix;
 use psdp_test_support::{factorized_instance, FactorizedSpec};
-use psdp_workloads::{beamforming_sdp, gnp, mixed_edge_cover, mixed_lp_diagonal, Beamforming};
+use psdp_workloads::{
+    beamforming_sdp, gnp, mixed_edge_cover, mixed_lp_diagonal, random_factorized, Beamforming,
+    RandomFactorized,
+};
 
 fn instance(seed: u64) -> PackingInstance {
     factorized_instance(&FactorizedSpec::new(10, 6, seed))
@@ -653,4 +658,81 @@ fn packing_discarded_escalation_golden_pin() {
     assert!(first.discarded_iterations > 0, "the fixture must discard its escalation");
     assert!(first.discarded_iterations <= cold.iterations, "the escalation outran its budget");
     assert_eq!(r.total_iterations, 515);
+}
+
+/// Relative distance of `got` from the value with bits `want`.
+fn rel_from_bits(got: f64, want: u64) -> f64 {
+    let want = f64::from_bits(want);
+    (got - want).abs() / want.abs()
+}
+
+/// Golden pin for `Session::optimize` on the `packing-expv` benchmark's
+/// instance shape (m = 256, 8 rank-1 constraints with 3 nonzeros each,
+/// `Auto` resolving to `Expv`), where `Ψ` lives on 23 rows. Everything
+/// was recorded with `Ψ` stored densely; stored on its pattern, the
+/// bracket bits, per-call iterations, rebuilds and drift bits must
+/// reproduce exactly. The dual's feasibility scale comes from the
+/// eigensolver on the 23×23 live block instead of all of `Ψ`, so it may
+/// move in its last bits only.
+#[test]
+fn expv_packing_shaped_optimize_golden_pin() {
+    let rf = RandomFactorized { dim: 256, n: 8, rank: 1, nnz_per_col: 3, width: 1.0, seed: 4 };
+    let inst = PackingInstance::new(random_factorized(&rf)).unwrap();
+    let mut opts = ApproxOptions::practical(0.4);
+    opts.decision.engine = EngineKind::Auto { eps: 0.3 };
+    let solver = Solver::builder(&inst).options(opts.decision).build().unwrap();
+    assert!(matches!(solver.engine_kind(), EngineKind::Expv { .. }));
+    let r = solver.session().optimize(&opts).unwrap();
+    assert!(r.converged);
+    assert_eq!(r.value_lower.to_bits(), 0x401ae89f995ad3ae, "lower {}", r.value_lower);
+    assert_eq!(r.value_upper.to_bits(), 0x4020b5586cf9890f, "upper {}", r.value_upper);
+    assert_eq!((r.decision_calls, r.total_iterations, r.total_engine_evals), (4, 207, 207));
+    let calls: Vec<_> = r
+        .call_stats
+        .iter()
+        .map(|s| (s.iterations, s.psi_rebuilds, s.psi_max_drift.to_bits()))
+        .collect();
+    assert_eq!(calls, [(176, 2, 0x3cc8faafe5163128), (29, 0, 0), (1, 0, 0), (1, 0, 0)]);
+    let dual = r.best_dual.as_ref().expect("a dual certifies the lower end");
+    let scale = rel_from_bits(dual.feasibility_scale, 0x403cd90f83596aa4);
+    assert!(scale <= 1e-12, "feasibility scale {} moved by {scale:e}", dual.feasibility_scale);
+    assert!(rel_from_bits(dual.value, 0x401d684c54bbcc9e) <= 1e-12, "dual value {}", dual.value);
+    assert!(verify_dual(&inst, dual, 1e-9).feasible);
+}
+
+/// Golden pin for `MixedSession::optimize` with the packing side on the
+/// `Expv` engine, whose `Ψ_P` lives on fewer than 24 of its 64 rows
+/// (rank-1 packing constraints with 3 nonzeros, diagonal covering on 3
+/// rows). Recorded with `Ψ_P` stored densely; stored on its pattern, the
+/// bracket bits, counts, rebuilds and drift bits must reproduce exactly
+/// (the lower end divides by the dense eigensolver's `λmax(Ψ_P)`).
+#[test]
+fn mixed_expv_pack_side_optimize_golden_pin() {
+    let rf = RandomFactorized { dim: 64, n: 8, rank: 1, nnz_per_col: 3, width: 1.0, seed: 5 };
+    let cover = (0..8).map(|k| {
+        PsdMatrix::Diagonal((0..3).map(|r| if (k + r) % 3 == 0 { 1.0 } else { 0.25 }).collect())
+    });
+    let inst = MixedInstance::new(random_factorized(&rf), cover.collect()).unwrap();
+    let mut opts = MixedApproxOptions::practical(0.3);
+    opts.decision = opts.decision.with_engine(EngineKind::Expv { eps: 0.2 });
+    let solver = MixedSolver::builder(&inst).options(opts.decision).build().unwrap();
+    let r = solver.session().optimize(&opts).unwrap();
+    assert!(r.converged);
+    let (lo, hi) = (r.threshold_lower, r.threshold_upper);
+    assert_eq!(lo.to_bits(), 0x4005a9cb12db4feb, "lower {lo}");
+    assert_eq!(hi.to_bits(), 0x400a1c6ba49f484d, "upper {hi}");
+    assert_eq!((r.decision_calls, r.total_iterations, r.total_engine_evals), (4, 411, 822));
+    let calls: Vec<_> = r
+        .call_stats
+        .iter()
+        .map(|s| (s.engine, s.iterations, s.psi_rebuilds, s.psi_max_drift.to_bits()))
+        .collect();
+    let expv = "expv";
+    assert_eq!(
+        calls,
+        [(expv, 41, 0, 0), (expv, 3, 0, 0), (expv, 17, 0, 0), (expv, 241, 6, 0x3cd6c1b1fd50252e)]
+    );
+    let point = r.best_point.as_ref().expect("a feasible point certifies the lower end");
+    assert_eq!(point.pack_lambda_max, 1.0);
+    assert!(verify_mixed_feasible(&inst, point, lo, 1e-9).feasible);
 }

@@ -180,10 +180,11 @@ fn incremental_psi_tracks_rebuild_across_schedules() {
         }
         let fresh = inst.weighted_sum(&x);
         let scale = fresh.max_abs().max(1e-300);
-        for (a, b) in psi.matrix().as_slice().iter().zip(fresh.as_slice()) {
+        let psi = psi.matrix().expect("dense storage");
+        for (a, b) in psi.as_slice().iter().zip(fresh.as_slice()) {
             assert!((a - b).abs() <= 1e-11 * scale, "seed {seed}: {a} vs {b}");
         }
-        assert!(psi.matrix().asymmetry() <= 1e-12 * scale);
+        assert!(psi.asymmetry() <= 1e-12 * scale);
     }
 }
 

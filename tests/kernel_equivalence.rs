@@ -34,8 +34,11 @@ use psdp_linalg::{
     chebyshev_exp_block, expm_action_lanczos, lambda_max_upper_bound, matmul, symmul, Mat, SymOp,
 };
 use psdp_parallel::run_with_threads;
-use psdp_sparse::{FactorPsd, PsdMatrix};
-use psdp_test_support::{arb_factorized_instance, arb_sparse_graph_instance, det_stream};
+use psdp_sparse::{Csr, FactorPsd, PsdMatrix};
+use psdp_test_support::{
+    arb_factorized_instance, arb_sparse_graph_instance, det_stream, factorized_instance,
+    FactorizedSpec,
+};
 
 /// Textbook i-k-j scalar reference kernel: per output element, terms are
 /// added one at a time in increasing `k` order — the exact accumulation
@@ -150,22 +153,26 @@ fn random_x(n: usize, next: &mut impl FnMut() -> u64) -> Vec<f64> {
         .collect()
 }
 
-/// Drive a pattern-carrying maintainer through updates and a rebuild,
-/// checking at every state that the κ bound and one Expv evaluation through
-/// the view equal the dense path bit for bit. Returns, for the final state,
-/// how many rows the view reports as exactly zero and the analytic work of
-/// the view and dense evaluations.
+/// Drive a pattern-stored maintainer and its dense-stored twin through
+/// updates and a rebuild, checking at every state that the κ bound and one
+/// Expv evaluation through the view equal the dense path bit for bit.
+/// Returns, for the final state, how many rows the view reports as exactly
+/// zero and the analytic work of the view and dense evaluations.
 fn assert_view_matches_dense(inst: &PackingInstance, salt: u64, eps: f64) -> (usize, f64, f64) {
     let mut next = det_stream(salt);
     let mut x = random_x(inst.n(), &mut next);
     let pattern = PsiPattern::new(inst);
     let mut psi = PsiMaintainer::with_pattern(inst, &x, 0, &pattern);
+    let mut twin = PsiMaintainer::new(inst, &x, 0);
     let eng = Engine::new(EngineKind::Expv { eps }, inst.mats(), 7).unwrap();
     let mut work = (0.0, 0.0);
     for round in 0..4 {
         match round {
             0 => {}
-            3 => psi.rebuild(&x),
+            3 => {
+                psi.rebuild(&x);
+                twin.rebuild(&x);
+            }
             _ => {
                 let mut deltas = Vec::new();
                 for (i, xi) in x.iter_mut().enumerate() {
@@ -176,20 +183,21 @@ fn assert_view_matches_dense(inst: &PackingInstance, salt: u64, eps: f64) -> (us
                     }
                 }
                 psi.apply_updates(&deltas);
+                twin.apply_updates(&deltas);
             }
         }
+        let dense = twin.matrix().expect("dense storage");
         let kappa = psi.kappa_bound();
         assert_eq!(
             kappa.to_bits(),
-            lambda_max_upper_bound(psi.matrix()).to_bits(),
+            lambda_max_upper_bound(dense).to_bits(),
             "round {round}: κ bound differs over the pattern"
         );
         let view = psi.view().expect("maintainer carries a pattern");
         for threads in [1, 4] {
             let sparse = run_with_threads(threads, || eng.compute_op(&view, kappa, 3));
-            let dense = run_with_threads(threads, || {
-                eng.compute(psi.matrix(), kappa, inst.mats(), 3).unwrap()
-            });
+            let dense =
+                run_with_threads(threads, || eng.compute(dense, kappa, inst.mats(), 3).unwrap());
             let ctx = format!("round {round}, pool {threads}, m={}", inst.dim());
             assert_eq!(sparse.tr_w.to_bits(), dense.tr_w.to_bits(), "tr_w: {ctx}");
             assert_eq!(sparse.log_scale.to_bits(), dense.log_scale.to_bits(), "log_scale: {ctx}");
@@ -205,6 +213,171 @@ fn assert_view_matches_dense(inst: &PackingInstance, salt: u64, eps: f64) -> (us
     let view = psi.view().expect("maintainer carries a pattern");
     let zero_rows = (0..inst.dim()).filter(|&j| view.is_zero_row(j)).count();
     (zero_rows, work.0, work.1)
+}
+
+/// Bitwise equal, except that an exact zero may differ in sign.
+fn same_bits(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a == 0.0 && b == 0.0)
+}
+
+/// Drive a pattern-stored maintainer and its dense-stored twin through the
+/// same 240 rounds of batched updates with a rebuild every 16, asserting
+/// after every round that the slots hold the dense entries' bits (and the
+/// dense matrix only `+0.0` off the pattern), that the κ bound, rebuild
+/// count and largest drift agree bit for bit, and every 40 rounds that one
+/// Expv evaluation through each gives the same bits.
+fn assert_pattern_psi_matches_dense(name: &str, inst: &PackingInstance, salt: u64) {
+    let pattern = PsiPattern::new(inst);
+    let eng = Engine::new(EngineKind::Expv { eps: 0.3 }, inst.mats(), 7).unwrap();
+    let mut next = det_stream(salt);
+    let mut x = random_x(inst.n(), &mut next);
+    let mut slots = PsiMaintainer::with_pattern(inst, &x, 16, &pattern);
+    let mut dense = PsiMaintainer::new(inst, &x, 16);
+    assert!(slots.matrix().is_none(), "{name}: pattern storage holds a dense matrix");
+    for round in 0..=240 {
+        if round > 0 {
+            // Every coordinate in every third round; coordinates 4 mod 5
+            // never move, so those at zero stay zero through the rebuilds.
+            let mut deltas = Vec::new();
+            for (i, xi) in x.iter_mut().enumerate().filter(|(i, _)| i % 5 != 4) {
+                if round % 3 == 0 || next().is_multiple_of(2) {
+                    let d = 0.002 + (next() % 100) as f64 * 1e-4;
+                    *xi += d;
+                    deltas.push((i, d));
+                }
+            }
+            slots.apply_updates(&deltas);
+            dense.apply_updates(&deltas);
+            let rebuilt = slots.maybe_rebuild(&x);
+            assert_eq!(rebuilt, dense.maybe_rebuild(&x), "{name}, round {round}");
+        }
+        let ctx = format!("{name}, round {round}");
+        let (got, want) = (slots.dense(), dense.matrix().expect("dense storage"));
+        for (k, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert!(same_bits(*a, *b), "{ctx}: entry {k}: {a:e} vs {b:e}");
+        }
+        assert_eq!(slots.kappa_bound().to_bits(), dense.kappa_bound().to_bits(), "{ctx}");
+        assert_eq!(slots.rebuilds(), dense.rebuilds(), "{ctx}");
+        assert_eq!(slots.max_drift().to_bits(), dense.max_drift().to_bits(), "{ctx}");
+        if round % 40 == 0 {
+            let kappa = dense.kappa_bound();
+            let view = slots.view().expect("pattern storage");
+            let a = eng.compute_op(&view, kappa, round as u64);
+            let b = eng.compute_op(want, kappa, round as u64);
+            assert_eq!(a.tr_w.to_bits(), b.tr_w.to_bits(), "tr_w: {ctx}");
+            assert_eq!(a.log_scale.to_bits(), b.log_scale.to_bits(), "log_scale: {ctx}");
+            assert_eq!((a.degree, a.sketch_rows), (b.degree, b.sketch_rows), "{ctx}");
+            let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a.dots), bits(&b.dots), "dots: {ctx}");
+        }
+    }
+    assert_eq!(dense.rebuilds(), 15, "{name}");
+}
+
+/// A rank-2 dense PSD constraint on `m` rows from hashed entries, with an
+/// asymmetry of about 1e-13 so that symmetrization changes bits.
+fn hashed_dense(m: usize, salt: u64) -> PsdMatrix {
+    let q = pseudo(m, 2, salt);
+    let mut a = matmul(&q, &q.transpose());
+    a[(0, m - 1)] += 1e-13;
+    PsdMatrix::Dense(a)
+}
+
+/// Rank-1 constraints `vvᵀ` on `m` rows, each `v` with `nnz` hashed
+/// entries at hashed rows.
+fn hashed_rank1(m: usize, n: usize, nnz: usize, salt: u64) -> Vec<PsdMatrix> {
+    let mut next = det_stream(salt);
+    (0..n)
+        .map(|_| {
+            let mut v = vec![0.0; m];
+            for _ in 0..nnz {
+                v[(next() % m as u64) as usize] = 0.1 + (next() % 1000) as f64 * 1e-3;
+            }
+            PsdMatrix::Factor(FactorPsd::from_vector(&v))
+        })
+        .collect()
+}
+
+/// Whether `PsiPattern::new` keeps `inst`'s entries expanded onto the
+/// slots: 12 bytes an entry, kept within the 8·m² bytes of a dense Ψ.
+fn expands(inst: &PackingInstance) -> bool {
+    let mut entries = 0;
+    for a in inst.mats() {
+        a.for_each_entry(|_, _, _| entries += 1);
+    }
+    12 * entries <= 8 * inst.dim() * inst.dim()
+}
+
+/// Pattern-stored Ψ against dense-stored Ψ (DESIGN.md §4), bit for bit,
+/// for every storage kind, all four in one instance, and two instances
+/// large enough that rebuilds take `weighted_sum`'s chunked path (n ≥ 128
+/// and total storage nonzeros ≥ 2 · ⌈n/64⌉ · m²), one with its entries
+/// expanded onto the slots and one mapping them as they are visited. The
+/// pool has 4 workers, so that path and the dense storage's parallel
+/// update scatter (batches of ≥ 8 constraints and ≥ 2¹⁴ nonzeros, met by
+/// the dense and chunked instances' all-coordinate rounds) run on it.
+#[test]
+fn pattern_psi_bitwise_equals_dense_psi() {
+    let inst = |mats: Vec<PsdMatrix>| PackingInstance::new(mats).unwrap();
+    let dense = inst((0..24).map(|k| hashed_dense(32, k)).collect());
+    let sparse = inst(
+        (0..12)
+            .map(|k| {
+                let (i, j) = (k % 16, (3 * k + 5) % 16);
+                let w = 0.5 + 0.1 * k as f64;
+                PsdMatrix::Sparse(Csr::from_triplets(
+                    16,
+                    16,
+                    &[(i, i, w), (i, j, -w), (j, i, -w), (j, j, w)],
+                ))
+            })
+            .collect(),
+    );
+    let factor = factorized_instance(&FactorizedSpec::new(16, 10, 5));
+    let diagonal = inst(
+        (0..10)
+            .map(|k| PsdMatrix::Diagonal((0..12).map(|r| ((k + r) % 4) as f64 * 0.5).collect()))
+            .collect(),
+    );
+    let mut mixed = hashed_rank1(10, 3, 3, 11);
+    mixed.push(hashed_dense(10, 3));
+    mixed.push(PsdMatrix::Diagonal((0..10).map(|r| (r % 3) as f64).collect()));
+    mixed.push(PsdMatrix::Sparse(Csr::from_triplets(
+        10,
+        10,
+        &[(2, 2, 1.0), (2, 7, 0.5), (7, 2, 0.5), (7, 7, 1.0)],
+    )));
+    let mixed = inst(mixed);
+    // Six of the 140 rank-1 constraints stored densely on m = 64: their
+    // 6·64² storage nonzeros take the chunked path, their 9 entries each
+    // keep the expansion within 8·m² bytes.
+    let mut chunked_expanded = hashed_rank1(64, 140, 3, 13);
+    for k in [10, 30, 50, 70, 90, 110] {
+        chunked_expanded[k] = PsdMatrix::Dense(chunked_expanded[k].to_dense());
+    }
+    let chunked_expanded = inst(chunked_expanded);
+    let mut chunked = hashed_rank1(8, 140, 3, 13);
+    chunked[70] = hashed_dense(8, 1);
+    let chunked = inst(chunked);
+    for inst in [&chunked_expanded, &chunked] {
+        let chunks = inst.n().div_ceil(64);
+        let m2 = inst.dim() * inst.dim();
+        assert!(inst.n() >= 128 && inst.total_nnz() >= 2 * chunks * m2, "not chunked");
+    }
+    let cases = [
+        ("dense", dense),
+        ("sparse", sparse),
+        ("factor", factor),
+        ("diagonal", diagonal),
+        ("mixed storage", mixed),
+        ("chunked rebuild, expanded", chunked_expanded),
+        ("chunked rebuild", chunked),
+    ];
+    let expanded: Vec<bool> = cases.iter().map(|(_, inst)| expands(inst)).collect();
+    assert_eq!(expanded, [false, true, true, true, false, true, false]);
+    for (name, inst) in &cases {
+        run_with_threads(4, || assert_pattern_psi_matches_dense(name, inst, 17));
+    }
 }
 
 /// The only coordinates of m = 64 that [`scattered_rank1_instance`] touches.
